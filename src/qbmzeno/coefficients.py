@@ -25,6 +25,7 @@ from .numerics import QuadratureSpec, integrate_semi_infinite
 from .spectral import (
     BaseSpectralDensity,
     ReservoirParams,
+    _omega_times_coth,
     check_model_consistency,
     weighted_spectral_density,
 )
@@ -32,28 +33,67 @@ from .spectral import (
 __all__ = [
     "CoefficientSeries",
     "MarkovianLimits",
+    "coefficient_pair",
     "diffusion_coefficient",
     "damping_coefficient",
     "integrated_diffusion",
     "integrated_damping",
+    "integrated_pair",
     "markovian_limits",
     "markovian_limits_numerical",
     "tabulate_coefficients",
 ]
 
 _TWO_PI = 2.0 * np.pi
+# Kernel name -> (oscillation period in u, envelope power of the kernel).
+_KERNELS = {"sinc": (_TWO_PI, 1.0), "sinc2": (np.pi, 2.0)}
+# Sign of the omega + omega0 half in each coefficient of a pair:
+# Delta-type coefficients add the halves, gamma-type ones subtract them.
+_PAIR_SIGNS = np.array([1.0, -1.0])
 
 
 def sinc(x):
     """Unnormalized sinc: sin(x)/x with sinc(0) = 1."""
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    np.divide(np.sin(x), x, out=out, where=x != 0.0)
+    return out
+
+
+def bare_weight(model: BaseSpectralDensity):
+    """J(omega), formed as (J(omega)/omega) * omega like every pair row."""
+    return lambda omega: model.density_over_omega(omega) * omega
 
 
 def coth_weight(model: BaseSpectralDensity, params: ReservoirParams):
     """J(omega) coth(omega / 2 theta omega0) as a vectorized callable."""
     if params.theta == 0.0:
-        return lambda omega: model.density(omega)
+        return bare_weight(model)
     return lambda omega: weighted_spectral_density(model, params, omega)
+
+
+def _pair_weight(model: BaseSpectralDensity, params: ReservoirParams):
+    """(J coth, J) at N frequencies as a (2, N) array, one model call per node.
+
+    Both rows come from J(omega)/omega, so the removable omega -> 0 point
+    stays smooth, and each row is bit-identical to coth_weight resp.
+    bare_weight at the same frequencies.
+    """
+    theta, omega0 = params.theta, params.omega0
+
+    def weights(omega: np.ndarray) -> np.ndarray:
+        over = model.density_over_omega(omega)
+        # Temporaries of the coth factor are freed before the output exists.
+        coth = None if theta == 0.0 else _omega_times_coth(omega, theta, omega0)
+        out = np.empty((2, omega.size))
+        np.multiply(over, omega, out=out[1])
+        if coth is None:
+            out[0] = out[1]
+        else:
+            np.multiply(over, coth, out=out[0])
+        return out
+
+    return weights
 
 
 def half_kernel_integral(
@@ -64,7 +104,7 @@ def half_kernel_integral(
     shift: int,
     spec: QuadratureSpec | None = None,
     tail_exponent: float = 1.0,
-) -> float:
+):
     """One half of a coefficient integral, in oscillation coordinates.
 
     Evaluates Int_0^inf weight(omega) * k((omega + shift*omega0) * scale)
@@ -73,23 +113,29 @@ def half_kernel_integral(
     engine's quarter-period panelling and period-segment tail apply
     uniformly for any measurement interval.
 
-    ``tail_exponent`` is the declared envelope exponent of the weight
-    (J ~ C/omega for Ohmic Lorentz-Drude).
+    ``weight`` returns one value per frequency (the result is a float)
+    or a (k, N) array for N frequencies, in which case the kernel is
+    evaluated once per node for all k weights and the result is a
+    length-k array.  ``tail_exponent`` is the declared envelope exponent
+    of the weight (J ~ C/omega for Ohmic Lorentz-Drude).
     """
     spec = spec or QuadratureSpec()
-    if kernel == "sinc":
-        period, kpow = _TWO_PI, 1.0
-    elif kernel == "sinc2":
-        period, kpow = np.pi, 2.0
-    else:
+    if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
+    period, kpow = _KERNELS[kernel]
     u0 = shift * omega0 * scale
 
     def integrand(u):
-        omega = np.maximum(u / scale - shift * omega0, 0.0)
-        s = sinc(u)
-        k = s if kernel == "sinc" else s * s
-        return weight(omega) * k / scale
+        omega = u / scale
+        omega -= shift * omega0
+        np.maximum(omega, 0.0, out=omega)
+        k = sinc(u)
+        if kernel == "sinc2":
+            k *= k
+        k /= scale
+        values = weight(omega)  # a fresh array from every weight used here
+        values *= k
+        return values
 
     value, _ = integrate_semi_infinite(
         integrand,
@@ -101,6 +147,55 @@ def half_kernel_integral(
     return value
 
 
+def _kernel_pass(params, model, time, kernel, weight, signs, spec):
+    """Coefficients alpha^2 * pref(time) * (lower + signs * upper) on one kernel.
+
+    ``time`` is t for the sinc kernel (Delta, gamma; pref = t/2) and tau
+    for sinc^2 (IDelta, Igamma; pref = tau^2/4, kernel scale tau/2).
+    Both halves go through one quadrature each, for every weight at once.
+    """
+    name = "t" if kernel == "sinc" else "tau"
+    if time < 0.0:
+        raise ValueError(f"{name} must be nonnegative")
+    if time == 0.0:
+        return 0.0 * signs
+    check_model_consistency(params, model)
+    scale = time if kernel == "sinc" else 0.5 * time
+    lower, upper = (
+        half_kernel_integral(weight, params.omega0, scale, kernel, shift, spec, model.tail_exponent)
+        for shift in (-1, +1)
+    )
+    if kernel == "sinc":
+        return params.alpha**2 * 0.5 * time * (lower + signs * upper)
+    return params.alpha**2 * 0.25 * time**2 * (lower + signs * upper)
+
+
+def coefficient_pair(
+    params: ReservoirParams,
+    model: BaseSpectralDensity,
+    t: float,
+    spec: QuadratureSpec | None = None,
+) -> tuple[float, float]:
+    """(Delta(t), gamma(t)) from one sinc quadrature per half for both."""
+    delta, gamma = _kernel_pass(
+        params, model, t, "sinc", _pair_weight(model, params), _PAIR_SIGNS, spec
+    )
+    return float(delta), float(gamma)
+
+
+def integrated_pair(
+    params: ReservoirParams,
+    model: BaseSpectralDensity,
+    tau: float,
+    spec: QuadratureSpec | None = None,
+) -> tuple[float, float]:
+    """(IDelta(tau), Igamma(tau)) from one sinc^2 quadrature per half for both."""
+    i_delta, i_gamma = _kernel_pass(
+        params, model, tau, "sinc2", _pair_weight(model, params), _PAIR_SIGNS, spec
+    )
+    return float(i_delta), float(i_gamma)
+
+
 def diffusion_coefficient(
     params: ReservoirParams,
     model: BaseSpectralDensity,
@@ -108,15 +203,7 @@ def diffusion_coefficient(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """Time-dependent diffusion coefficient Delta(t); vanishes at t = 0."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    check_model_consistency(params, model)
-    w = coth_weight(model, params)
-    lower = half_kernel_integral(w, params.omega0, t, "sinc", -1, spec, model.tail_exponent)
-    upper = half_kernel_integral(w, params.omega0, t, "sinc", +1, spec, model.tail_exponent)
-    return params.alpha**2 * 0.5 * t * (lower + upper)
+    return float(_kernel_pass(params, model, t, "sinc", coth_weight(model, params), 1.0, spec))
 
 
 def damping_coefficient(
@@ -126,15 +213,7 @@ def damping_coefficient(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """Time-dependent damping coefficient gamma(t); temperature-free."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    check_model_consistency(params, model)
-    w = model.density
-    lower = half_kernel_integral(w, params.omega0, t, "sinc", -1, spec, model.tail_exponent)
-    upper = half_kernel_integral(w, params.omega0, t, "sinc", +1, spec, model.tail_exponent)
-    return params.alpha**2 * 0.5 * t * (lower - upper)
+    return float(_kernel_pass(params, model, t, "sinc", bare_weight(model), -1.0, spec))
 
 
 def integrated_diffusion(
@@ -144,16 +223,7 @@ def integrated_diffusion(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """Running integral Int_0^tau Delta(t) dt via the closed sinc^2 kernel."""
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return 0.0
-    check_model_consistency(params, model)
-    w = coth_weight(model, params)
-    half = 0.5 * tau
-    lower = half_kernel_integral(w, params.omega0, half, "sinc2", -1, spec, model.tail_exponent)
-    upper = half_kernel_integral(w, params.omega0, half, "sinc2", +1, spec, model.tail_exponent)
-    return params.alpha**2 * 0.25 * tau**2 * (lower + upper)
+    return float(_kernel_pass(params, model, tau, "sinc2", coth_weight(model, params), 1.0, spec))
 
 
 def integrated_damping(
@@ -163,16 +233,7 @@ def integrated_damping(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """Running integral Int_0^tau gamma(t) dt via the closed sinc^2 kernel."""
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return 0.0
-    check_model_consistency(params, model)
-    w = model.density
-    half = 0.5 * tau
-    lower = half_kernel_integral(w, params.omega0, half, "sinc2", -1, spec, model.tail_exponent)
-    upper = half_kernel_integral(w, params.omega0, half, "sinc2", +1, spec, model.tail_exponent)
-    return params.alpha**2 * 0.25 * tau**2 * (lower - upper)
+    return float(_kernel_pass(params, model, tau, "sinc2", bare_weight(model), -1.0, spec))
 
 
 @dataclass(frozen=True)
@@ -219,10 +280,8 @@ def markovian_limits_numerical(
     """
     if not (t > 0.0):
         raise ValueError("t must be positive")
-    return MarkovianLimits(
-        delta_m=diffusion_coefficient(params, model, t, spec),
-        gamma_m=damping_coefficient(params, model, t, spec),
-    )
+    delta_m, gamma_m = coefficient_pair(params, model, t, spec)
+    return MarkovianLimits(delta_m=delta_m, gamma_m=gamma_m)
 
 
 @dataclass(frozen=True)
@@ -271,12 +330,7 @@ class CoefficientSeries:
 
 def _tabulation_row(args) -> tuple[float, float, float, float]:
     params, model, t, spec = args
-    return (
-        diffusion_coefficient(params, model, t, spec),
-        damping_coefficient(params, model, t, spec),
-        integrated_diffusion(params, model, t, spec),
-        integrated_damping(params, model, t, spec),
-    )
+    return coefficient_pair(params, model, t, spec) + integrated_pair(params, model, t, spec)
 
 
 def tabulate_coefficients(

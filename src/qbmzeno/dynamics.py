@@ -24,8 +24,8 @@ from scipy.interpolate import CubicSpline
 
 from .coefficients import (
     CoefficientSeries,
-    integrated_damping,
     integrated_diffusion,
+    integrated_pair,
     tabulate_coefficients,
 )
 from .errors import (
@@ -137,8 +137,7 @@ def transition_probabilities(
         raise ValueError("tau must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    i_delta = integrated_diffusion(params, model, tau, spec)
-    i_gamma = integrated_damping(params, model, tau, spec)
+    i_delta, i_gamma = integrated_pair(params, model, tau, spec)
     p_up = (n + 1) * (i_delta - i_gamma)
     p_down = n * (i_delta + i_gamma)
     for name, p in (("P_up", p_up), ("P_down", p_down)):
@@ -212,9 +211,8 @@ def unshuttered_survival(
     if n < 0:
         raise ValueError("n must be nonnegative")
     markov = math.exp(-markovian_decay_rate(params, model, n) * t_total)
-    escape = (2 * n + 1) * integrated_diffusion(params, model, t_total, spec) - integrated_damping(
-        params, model, t_total, spec
-    )
+    i_delta, i_gamma = integrated_pair(params, model, t_total, spec)
+    escape = (2 * n + 1) * i_delta - i_gamma
     if escape > _ESCAPE_LIMIT:
         return UnshutteredSurvival(
             probability=markov, markovian=markov, perturbative=None, extrapolated=True

@@ -5,6 +5,15 @@ computation: a semi-infinite integrator with oscillation-aware panelling
 and tail completion, plus deterministic bisection on sign-change brackets.
 All routines are pure functions of their inputs and bit-reproducible for
 a fixed spec on one platform (fixed evaluation and summation order).
+
+Integrand contract: called with a 1-D array of N nodes, an integrand
+returns N values, or a (k, N) array holding k integrands that share the
+nodes (for example two weights against one kernel).  The quadratures
+then return length-k arrays; each component is refined, stopped and
+checked against its own tolerance max(abs_tol, rel_tol*|I_c|), and only
+the evaluations are shared.  Callables that only take scalars are
+detected by one retry on a single node; any other exception from the
+integrand propagates.
 """
 
 from __future__ import annotations
@@ -123,45 +132,152 @@ _TAIL_SEGMENTS_PER_PERIOD = 4
 _TAIL_BLOCK_PERIODS = 128
 _TAIL_MAX_BLOCKS = 96
 _NEVILLE_POINTS = 6
+# Geometric head breakpoints lower + width * 2**-k, k = 1..40, with width
+# the first quarter period (oscillatory) or the whole head (decaying): they
+# resolve an integrand concentrated in a sliver at the lower end of that
+# panel (a narrow bath seen at short times, or the fastest-decaying
+# component when several share one head).
+_ORIGIN_BREAKS = 2.0 ** -np.arange(40, 0, -1, dtype=float)
 
 
-def _as_evaluator(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap ``f`` so it maps an ndarray to an ndarray of the same shape.
+class _Evaluator:
+    """``f`` as a map from N nodes to a (k, N) array of values.
 
-    Vectorized integrands are used directly; scalar-only callables fall
-    back to a Python loop.
+    A vectorized integrand returns shape (N,) (one component) or (k, N)
+    (k components sharing the nodes).  If the first array call raises,
+    ``f`` is retried on one node: if that works, ``f`` is scalar-only and
+    is evaluated in a Python loop from then on (keeping the retried
+    value); otherwise the array call's exception propagates.  ``scalar``
+    tells the public entry points to return floats rather than length-1
+    arrays.
     """
-    state = {"vectorized": None}
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        if state["vectorized"] is not False:
+    def __init__(self, f: Callable) -> None:
+        self.f = f
+        self.vectorized: bool | None = None
+        self.scalar = True
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        probed: list = []
+        if self.vectorized is not False:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    y = np.asarray(f(x), dtype=float)
+                    y = np.asarray(self.f(x), dtype=float)
+            except Exception as exc:
+                if self.vectorized:
+                    raise
+                # Retry one node: a callable that works there is scalar-only;
+                # otherwise the array call's exception is the integrand's.
+                try:
+                    probed.append(self.f(x[0]))
+                except Exception:
+                    raise exc from None
+            else:
                 if y.shape == x.shape:
-                    state["vectorized"] = True
+                    self.vectorized = True
+                    return y[None, :]
+                if y.ndim == 2 and y.shape[1:] == x.shape:
+                    self.vectorized = True
+                    self.scalar = False
                     return y
-            except Exception:
-                pass
-            state["vectorized"] = False
-        return np.array([float(f(xi)) for xi in x], dtype=float)
+            self.vectorized = False
+        y = np.array(probed + [self.f(xi) for xi in x[len(probed):]], dtype=float)
+        if y.ndim == 2:
+            self.scalar = False
+            return y.T
+        return y[None, :]
 
-    return evaluate
+    def result(self, values: np.ndarray):
+        """A float for a scalar-valued integrand, the (k,) array otherwise."""
+        return float(values[0]) if self.scalar else values
 
 
-def _gk_panels(evaluate, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the GK15 pair on a batch of panels; returns (values, errors)."""
+def _as_evaluator(f: Callable) -> _Evaluator:
+    return f if isinstance(f, _Evaluator) else _Evaluator(f)
+
+
+def _evaluate_panels(evaluate, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integrand values at the GK15 nodes of every panel, shape (k, panels, 15)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GK_NODES[None, :]
-    y = evaluate(nodes.ravel()).reshape(nodes.shape)
+    y = evaluate(nodes.ravel())
     if not np.all(np.isfinite(y)):
-        bad = nodes.ravel()[~np.isfinite(y.ravel())][0]
+        bad = nodes.ravel()[~np.all(np.isfinite(y), axis=0)][0]
         raise NonFiniteError(f"integrand returned a non-finite value near x={bad!r}")
+    return y.reshape(y.shape[0], *nodes.shape)
+
+
+def _gk_rule(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GK15 values and error estimates of one component from its (panels, 15) node values."""
+    half = 0.5 * (hi - lo)
     kron = half * (y @ _K15_WEIGHTS)
     gauss = half * (y @ _G7_WEIGHTS)
     return kron, np.abs(kron - gauss)
+
+
+def _tolerance(spec: QuadratureSpec, value):
+    """Tolerance max(abs_tol, rel_tol * |value|), per component for arrays."""
+    return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+
+
+class _Partition:
+    """One component's panels in the adaptive head.
+
+    Each component of a (k, N) integrand refines its own partition by its
+    own tolerance, exactly as it would alone, so its result does not
+    depend on the other components (the evaluations are shared, the
+    panel decisions are not).
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, y: np.ndarray, label: str) -> None:
+        self.lo, self.hi = lo, hi
+        self.vals, self.errs = _gk_rule(y, lo, hi)
+        self.splits = 0
+        self.label = label
+        self.result: tuple[float, float] | None = None
+
+    def next_split(self, spec: QuadratureSpec, span: float) -> np.ndarray | None:
+        """Mask of the panels to bisect next, or None once converged."""
+        total = float(np.sum(self.vals))
+        err_total = float(np.sum(self.errs))
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if err_total <= tol:
+            self.result = (total, err_total)
+            return None
+        # Refine every panel above its width-share of half the budget;
+        # skip panels already at floating-point resolution.
+        lo, hi = self.lo, self.hi
+        widths = hi - lo
+        splittable = widths > 64.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+        mask = (self.errs > 0.5 * tol * widths / span) & splittable
+        n_split = int(np.count_nonzero(mask))
+        if n_split == 0:
+            if err_total <= 2.0 * tol:
+                self.result = (total, err_total)
+                return None
+            raise NonConvergenceError(
+                f"error estimate {err_total:.3e} above tolerance {tol:.3e}{self.label} "
+                "with no splittable panel left"
+            )
+        if self.splits + n_split > spec.max_subdivisions:
+            raise NonConvergenceError(
+                f"subdivision budget {spec.max_subdivisions} exhausted{self.label} "
+                f"(error estimate {err_total:.3e}, tolerance {tol:.3e})"
+            )
+        self.splits += n_split
+        return mask
+
+    def refine(self, mask: np.ndarray, new_lo: np.ndarray, new_hi: np.ndarray, y: np.ndarray) -> None:
+        """Replace the masked panels by their halves (left halves first)."""
+        new_vals, new_errs = _gk_rule(y, new_lo, new_hi)
+        lo = np.concatenate([self.lo[~mask], new_lo])
+        hi = np.concatenate([self.hi[~mask], new_hi])
+        vals = np.concatenate([self.vals[~mask], new_vals])
+        errs = np.concatenate([self.errs[~mask], new_errs])
+        order = np.argsort(lo, kind="stable")
+        self.lo, self.hi, self.vals, self.errs = lo[order], hi[order], vals[order], errs[order]
 
 
 def integrate_adaptive(
@@ -170,14 +286,25 @@ def integrate_adaptive(
     b: float,
     spec: QuadratureSpec | None = None,
     max_panel_width: float | None = None,
-) -> tuple[float, float]:
+    breakpoints: np.ndarray | None = None,
+):
     """Adaptive GK15 panel quadrature of f on the finite interval [a, b].
 
     Panels whose error exceeds their width-share of the tolerance are
     bisected until the summed estimate meets max(abs_tol, rel_tol*|I|)
     or the subdivision budget is exhausted (NonConvergenceError).
     ``max_panel_width`` pre-splits the interval so no initial panel spans
-    more than that width (used to keep oscillations resolved).
+    more than that width (used to keep oscillations resolved);
+    ``breakpoints`` inside (a, b) are added to the initial panel edges.
+
+    ``f`` may return one value per node or a (k, N) array for N nodes:
+    k integrands sharing every node.  Each component then has its own
+    tolerance and its own panels: a panel is bisected for the components
+    above their share on it, and halves wanted by several components are
+    evaluated once.  Every component's (value, error) is bit-identical to
+    a run on that component alone; they are returned as length-k arrays.
+    A scalar-valued ``f`` gives floats; so does an empty interval, which
+    evaluates nothing.
     """
     spec = spec or QuadratureSpec()
     if b == a:
@@ -191,80 +318,85 @@ def integrate_adaptive(
     else:
         n0 = 1
     edges = np.linspace(a, b, n0 + 1)
+    if breakpoints is not None:
+        inner = np.asarray(breakpoints, dtype=float)
+        edges = np.unique(np.concatenate([edges, inner[(inner > a) & (inner < b)]]))
     lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk_panels(evaluate, lo, hi)
+    y = _evaluate_panels(evaluate, lo, hi)
+    labels = [f" in component {c}" if len(y) > 1 else "" for c in range(len(y))]
+    parts = [_Partition(lo, hi, y_c, label) for y_c, label in zip(y, labels)]
 
-    splits_used = 0
     span = b - a
     while True:
-        total = float(np.sum(vals))
-        err_total = float(np.sum(errs))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if err_total <= tol:
-            return total, err_total
-        # Refine every panel above its width-share of half the budget;
-        # skip panels already at floating-point resolution.
-        widths = hi - lo
-        splittable = widths > 64.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
-        mask = (errs > 0.5 * tol * widths / span) & splittable
-        n_split = int(np.count_nonzero(mask))
-        if n_split == 0:
-            if err_total <= 2.0 * tol:
-                return total, err_total
-            raise NonConvergenceError(
-                f"error estimate {err_total:.3e} above tolerance {tol:.3e} "
-                "with no splittable panel left"
-            )
-        if splits_used + n_split > spec.max_subdivisions:
-            raise NonConvergenceError(
-                f"subdivision budget {spec.max_subdivisions} exhausted "
-                f"(error estimate {err_total:.3e}, tolerance {tol:.3e})"
-            )
-        splits_used += n_split
-        mid = 0.5 * (lo[mask] + hi[mask])
-        new_lo = np.concatenate([lo[mask], mid])
-        new_hi = np.concatenate([mid, hi[mask]])
-        new_vals, new_errs = _gk_panels(evaluate, new_lo, new_hi)
-        lo = np.concatenate([lo[~mask], new_lo])
-        hi = np.concatenate([hi[~mask], new_hi])
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-        order = np.argsort(lo, kind="stable")
-        lo, hi, vals, errs = lo[order], hi[order], vals[order], errs[order]
+        masks = {}
+        for c, part in enumerate(parts):
+            if part.result is None:
+                mask = part.next_split(spec, span)
+                if mask is not None:
+                    masks[c] = mask
+        if not masks:
+            break
+        # Bisect each marked panel once, however many components marked it.
+        parents = np.concatenate(
+            [np.stack([parts[c].lo[m], parts[c].hi[m]]) for c, m in masks.items()], axis=1
+        )
+        if len(masks) == 1:
+            unique, inverse = parents, np.arange(parents.shape[1])
+        else:
+            unique, inverse = np.unique(parents, axis=1, return_inverse=True)
+            inverse = inverse.ravel()
+        mid = 0.5 * (unique[0] + unique[1])
+        child_lo = np.concatenate([unique[0], mid])
+        child_hi = np.concatenate([mid, unique[1]])
+        y = _evaluate_panels(evaluate, child_lo, child_hi)
+        n_unique = unique.shape[1]
+        start = 0
+        for c, mask in masks.items():
+            rows = inverse[start:start + int(np.count_nonzero(mask))]
+            start += rows.size
+            take = np.concatenate([rows, rows + n_unique])
+            parts[c].refine(mask, child_lo[take], child_hi[take], y[c][take])
+
+    value = np.array([part.result[0] for part in parts])
+    err = np.array([part.result[1] for part in parts])
+    return evaluate.result(value), evaluate.result(err)
 
 
 def _estimate_decay_cut(evaluate, lower: float, abs_tol: float) -> float:
-    """Pick a head/tail split from geometric samples of |f|."""
+    """Pick a head/tail split from geometric samples of |f| (every component)."""
     base = max(lower, 0.0) + 1.0
     cut = None
     for j in range(41):
         x = base * 2.0**j
-        y = evaluate(np.array([x]))[0]
-        if abs(y) > abs_tol:
+        y = evaluate(np.array([x]))[:, 0]
+        if np.any(np.abs(y) > abs_tol):
             cut = x
     if cut is None:
         return lower + 16.0
     return min(cut * 4.0, base * 2.0**42)
 
 
-def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    """Polynomial extrapolation of (xs, ys) to x = 0, with an error guess."""
+def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polynomial extrapolation of (xs, ys) to x = 0, with an error guess.
+
+    ``ys`` has one row per abscissa and one column per component.
+    """
     n = len(xs)
-    tableau = [float(y) for y in ys]
+    tableau = list(ys)
     best = tableau[0]
-    correction = abs(best)
+    correction = np.abs(best)
     for level in range(1, n):
         for i in range(n - level):
             x_lo, x_hi = xs[i], xs[i + level]
             tableau[i] = (x_hi * tableau[i] - x_lo * tableau[i + 1]) / (x_hi - x_lo)
-        correction = abs(tableau[0] - best)
+        correction = np.abs(tableau[0] - best)
         best = tableau[0]
     return best, correction
 
 
 def _oscillatory_tail(
-    evaluate, start: float, period: float, tol: float
-) -> tuple[float, float]:
+    evaluate, start: float, period: float, tol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Integral of f over [start, inf) for an oscillation of known period.
 
     Sums quarter-period segments in whole-period blocks (one GK15 batch
@@ -273,21 +405,32 @@ def _oscillatory_tail(
     to their limit.  Accurate whenever the per-period sums decay like a
     power law, which covers smooth-envelope trigonometric tails down to
     conditionally convergent 1/u envelopes.
+
+    ``tol`` holds one tolerance per component.  A component keeps the
+    estimate of the block where it first met its tolerance (later blocks
+    only add rule error to it), and summation stops once every component
+    has; a component that never does returns its best estimate.
     """
-    partial = 0.0
-    rule_err = 0.0
+    partial = np.zeros_like(tol)
+    rule_err = np.zeros_like(tol)
     boundary_u: list[float] = []
-    boundary_s: list[float] = []
+    boundary_s: list[np.ndarray] = []
     u = start
-    best_val = 0.0
-    best_err = math.inf
+    value = np.zeros_like(tol)
+    err = np.full_like(tol, math.inf)
+    done = np.zeros(tol.shape, dtype=bool)
     n_segments = _TAIL_BLOCK_PERIODS * _TAIL_SEGMENTS_PER_PERIOD
     width = period / _TAIL_SEGMENTS_PER_PERIOD
     for _ in range(_TAIL_MAX_BLOCKS):
         edges = u + width * np.arange(n_segments + 1, dtype=float)
-        vals, errs = _gk_panels(evaluate, edges[:-1], edges[1:])
-        partial += float(np.sum(vals))
-        rule_err += float(np.sum(errs))
+        lo, hi = edges[:-1], edges[1:]
+        y = _evaluate_panels(evaluate, lo, hi)
+        block_sum, block_err = np.empty_like(tol), np.empty_like(tol)
+        for c, y_c in enumerate(y):
+            vals, errs = _gk_rule(y_c, lo, hi)
+            block_sum[c], block_err[c] = np.sum(vals), np.sum(errs)
+        partial = partial + block_sum
+        rule_err = rule_err + block_err
         u = float(edges[-1])
         boundary_u.append(u)
         boundary_s.append(partial)
@@ -295,17 +438,19 @@ def _oscillatory_tail(
             k = min(_NEVILLE_POINTS, len(boundary_u))
             xs = 1.0 / np.array(boundary_u[-k:])
             ys = np.array(boundary_s[-k:])
-            value, correction = _neville_to_zero(xs, ys)
-            last_block = abs(boundary_s[-1] - boundary_s[-2])
+            estimate, correction = _neville_to_zero(xs, ys)
+            last_block = np.abs(boundary_s[-1] - boundary_s[-2])
             est_err = rule_err + correction + 1e-3 * last_block
-            if est_err < best_err:
-                best_val, best_err = value, est_err
-            if est_err <= tol:
-                return value, est_err
-    return best_val, best_err
+            better = ~done & (est_err < err)
+            value[better] = estimate[better]
+            err[better] = est_err[better]
+            done |= est_err <= tol
+            if np.all(done):
+                break
+    return value, err
 
 
-def _substitution_tail(evaluate, start: float, spec: QuadratureSpec) -> tuple[float, float]:
+def _substitution_tail(evaluate, start: float, spec: QuadratureSpec):
     """Integral of f over [start, inf) via the map u -> 1/u.
 
     Valid for integrands that decay at least like 1/u^2 without
@@ -330,19 +475,36 @@ def integrate_semi_infinite(
     lower: float = 0.0,
     oscillation_period: float | None = None,
     tail_exponent: float = 2.0,
-) -> tuple[float, float]:
+):
     """Integrate f over [lower, inf); returns (value, error_estimate).
 
     The interval is split into an adaptively panelled head and a tail.
     For integrands with a persistent oscillation, pass its period: the
     head is pre-split so no panel spans more than a quarter oscillation,
-    and the tail is completed by period-segment summation with
-    extrapolation.  Otherwise the integrand must decay monotonically in
-    envelope, at least like C/omega**tail_exponent with
-    ``tail_exponent >= 2``; the cut is placed where sampled values drop
-    below abs_tol and the remainder is evaluated under the 1/omega
-    substitution.  Removable singularities must already be regularized
-    by the caller (e.g. expressed through sinc).
+    its first quarter period is further cut at the geometric breakpoints
+    lower + (period/4) * 2**-k, k = 1..40 (so an integrand confined to a
+    sliver next to ``lower`` is still seen), and the tail is completed
+    by period-segment summation with extrapolation.  Otherwise the
+    integrand must decay monotonically in envelope, at least like
+    C/omega**tail_exponent with ``tail_exponent >= 2``; the cut is placed
+    where sampled values drop below abs_tol, the head gets the geometric
+    breakpoints lower + (cut - lower) * 2**-k, k = 1..40, and the
+    remainder is evaluated under the 1/omega substitution.  Removable singularities
+    must already be regularized by the caller (e.g. expressed through
+    sinc).
+
+    ``f`` may return one value per node, or a (k, N) array for N nodes
+    holding k integrands that share every evaluation (for example two
+    weights against one kernel).  Each component keeps its own tolerance
+    max(abs_tol, rel_tol*|I_c|) in the head, the tail and the final
+    check, which raises NonConvergenceError if any component fails; the
+    value and error are then length-k arrays.  On the oscillatory path a
+    component's result is bit-identical to integrating it alone; on the
+    decaying path the components share one cut, placed for the slowest
+    of them, so a component matches its lone run to tolerance.  A scalar-valued ``f``
+    gives floats.  If the array call of ``f`` raises, ``f`` is retried on
+    one node: a callable that works there is treated as scalar-only and
+    looped over; otherwise the original exception propagates.
     """
     spec = spec or QuadratureSpec()
     if not math.isfinite(lower):
@@ -363,9 +525,11 @@ def integrate_semi_infinite(
         n_quarters = int(math.ceil((cut - lower) / (0.25 * period)))
         cut = lower + 0.25 * period * n_quarters
         head, head_err = integrate_adaptive(
-            evaluate, lower, cut, spec, max_panel_width=0.25 * period
+            evaluate, lower, cut, spec, max_panel_width=0.25 * period,
+            breakpoints=lower + 0.25 * period * _ORIGIN_BREAKS,
         )
-        share = 0.5 * max(spec.abs_tol, spec.rel_tol * abs(head))
+        head, head_err = np.atleast_1d(head), np.atleast_1d(head_err)
+        share = 0.5 * _tolerance(spec, head)
         tail, tail_err = _oscillatory_tail(evaluate, cut, period, share)
     else:
         if spec.tail_cut_omega is not None:
@@ -374,17 +538,22 @@ def integrate_semi_infinite(
                 raise ValueError("tail_cut_omega must exceed the lower bound")
         else:
             cut = _estimate_decay_cut(evaluate, lower, spec.abs_tol)
-        head, head_err = integrate_adaptive(evaluate, lower, cut, spec)
+        head, head_err = integrate_adaptive(
+            evaluate, lower, cut, spec, breakpoints=lower + (cut - lower) * _ORIGIN_BREAKS
+        )
         tail, tail_err = _substitution_tail(evaluate, cut, spec)
 
-    value = head + tail
-    err = head_err + tail_err
-    if err > 4.0 * max(spec.abs_tol, spec.rel_tol * abs(value)):
+    value = np.atleast_1d(head + tail)
+    err = np.atleast_1d(head_err + tail_err)
+    tol = _tolerance(spec, value)
+    if np.any(err > 4.0 * tol):
+        c = int(np.argmax(err / tol))
+        where = f" in component {c}" if err.size > 1 else ""
         raise NonConvergenceError(
-            f"semi-infinite integral error estimate {err:.3e} above tolerance "
-            f"{max(spec.abs_tol, spec.rel_tol * abs(value)):.3e}"
+            f"semi-infinite integral error estimate {err[c]:.3e} above tolerance "
+            f"{tol[c]:.3e}{where}"
         )
-    return value, err
+    return evaluate.result(value), evaluate.result(err)
 
 
 def bisect(f: Callable[[float], float], bracket: RootBracket, tol: float) -> float:
@@ -443,7 +612,7 @@ def scan_for_bracket(f: Callable[[float], float], grid: Sequence[float]) -> list
         raise ValueError("grid must contain at least two points")
     if not np.all(np.diff(xs) > 0.0):
         raise ValueError("grid must be strictly increasing")
-    ys = _as_evaluator(f)(xs)
+    ys = _as_evaluator(f)(xs)[0]
     if not np.all(np.isfinite(ys)):
         bad = xs[~np.isfinite(ys)][0]
         raise NonFiniteError(f"function returned a non-finite value at x={bad!r}")

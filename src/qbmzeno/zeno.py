@@ -24,8 +24,8 @@ import numpy as np
 from .coefficients import (
     coth_weight,
     half_kernel_integral,
-    integrated_damping,
     integrated_diffusion,
+    integrated_pair,
     markovian_limits,
 )
 from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
@@ -71,6 +71,26 @@ def degeneracy_guard(params: ReservoirParams) -> float:
     return 1e-12 * params.alpha**2 * params.omega0
 
 
+def _is_degenerate(markov_rate: float, params: ReservoirParams) -> bool:
+    return abs(markov_rate) < degeneracy_guard(params)
+
+
+def _ratio_denominator(params: ReservoirParams, model: BaseSpectralDensity, n: int) -> float:
+    """The Markovian rate as a ratio denominator.
+
+    Raises DegenerateDenominatorError below the degeneracy guard
+    (theta ~ 0, n = 0): no finite ratio or crossover exists there and
+    the measurements always enhance the decay.
+    """
+    denominator = markovian_decay_rate(params, model, n)
+    if _is_degenerate(denominator, params):
+        raise DegenerateDenominatorError(
+            f"Markovian rate {denominator:.3e} below guard "
+            f"{degeneracy_guard(params):.3e}: AZE-divergent regime, no finite crossover"
+        )
+    return denominator
+
+
 def _check_perturbative(escape: float, tau: float, strict: bool) -> None:
     # Markovian-regime scans evaluate rates at large tau where the escape
     # probability leaves the perturbative window; the rate remains a
@@ -111,9 +131,8 @@ def effective_decay_rate(
         raise ValueError("tau must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    escape = (2 * n + 1) * integrated_diffusion(params, model, tau, spec) - integrated_damping(
-        params, model, tau, spec
-    )
+    i_delta, i_gamma = integrated_pair(params, model, tau, spec)
+    escape = (2 * n + 1) * i_delta - i_gamma
     _check_perturbative(escape, tau, strict)
     return escape / tau
 
@@ -186,12 +205,7 @@ def zeno_ratio(
     the degeneracy guard (theta ~ 0, n = 0): no finite ratio exists and
     the measurements always enhance the decay.
     """
-    denominator = markovian_decay_rate(params, model, n)
-    if abs(denominator) < degeneracy_guard(params):
-        raise DegenerateDenominatorError(
-            f"Markovian rate {denominator:.3e} below guard "
-            f"{degeneracy_guard(params):.3e}: AZE-divergent regime"
-        )
+    denominator = _ratio_denominator(params, model, n)
     return effective_decay_rate(params, model, n, tau, spec) / denominator
 
 
@@ -256,11 +270,7 @@ def find_crossover_time(
         raise ValueError("tau_range must be positive and ordered")
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
-    denominator = markovian_decay_rate(params, model, n)
-    if abs(denominator) < degeneracy_guard(params):
-        raise DegenerateDenominatorError(
-            "Markovian rate below guard: no finite crossover, pure AZE"
-        )
+    denominator = _ratio_denominator(params, model, n)
     taus = np.geomspace(lo, hi, grid_points)
 
     def excess(tau: float) -> float:
@@ -293,7 +303,7 @@ class ZenoScan:
     @property
     def degenerate(self) -> bool:
         """True in the AZE-divergent regime (ratio column is infinite)."""
-        return abs(self.markov_rate) < degeneracy_guard(self.params)
+        return _is_degenerate(self.markov_rate, self.params)
 
     def regimes(self, ratio_tol: float = RATIO_TOL) -> list[Regime]:
         out = []
@@ -351,7 +361,7 @@ def zeno_scan(
     """
     taus = np.asarray(taus, dtype=float)
     denominator = markovian_decay_rate(params, model, n)
-    degenerate = abs(denominator) < degeneracy_guard(params)
+    degenerate = _is_degenerate(denominator, params)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -6,15 +6,17 @@ import pytest
 
 from qbmzeno.coefficients import (
     CoefficientSeries,
+    coefficient_pair,
     damping_coefficient,
     diffusion_coefficient,
     integrated_damping,
     integrated_diffusion,
+    integrated_pair,
     markovian_limits,
     markovian_limits_numerical,
     tabulate_coefficients,
 )
-from qbmzeno.spectral import OhmicLorentzDrude, ReservoirParams
+from qbmzeno.spectral import BaseSpectralDensity, OhmicLorentzDrude, ReservoirParams
 
 GOLDEN = Path(__file__).parent / "data" / "golden_coefficients_theta100_r05.csv"
 
@@ -137,6 +139,62 @@ class TestIntegratedCoefficients:
             i_d = integrated_diffusion(params, model, float(tau))
             i_g = integrated_damping(params, model, float(tau))
             assert i_d >= i_g
+
+
+class ExponentialCutoff(BaseSpectralDensity):
+    """User bath J = omega exp(-omega/omega_cut) / pi (density only)."""
+
+    tail_exponent = 2.0
+
+    def __init__(self, omega_cut):
+        self.omega_cut = omega_cut
+
+    def density(self, omega):
+        omega = np.asarray(omega, dtype=float)
+        return omega * np.exp(-omega / self.omega_cut) / np.pi
+
+
+class TestPairPasses:
+    @pytest.mark.parametrize("r, theta", [(0.5, 100.0), (0.5, 0.0), (10.0, 1.0), (0.1, 0.2)])
+    def test_pairs_match_single_coefficients(self, r, theta):
+        # Each pair component refines its own panels, so it reproduces the
+        # single-coefficient pass bit for bit.
+        params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+        model = params.spectral_model()
+        for t in (1e-3, 0.37, 5.0, 300.0):
+            assert coefficient_pair(params, model, t) == (
+                diffusion_coefficient(params, model, t),
+                damping_coefficient(params, model, t),
+            )
+            assert integrated_pair(params, model, t) == (
+                integrated_diffusion(params, model, t),
+                integrated_damping(params, model, t),
+            )
+
+    def test_pair_gamma_is_temperature_free(self):
+        model = OhmicLorentzDrude(0.5)
+        cold = ReservoirParams(r=0.5, theta=0.0, alpha=0.1)
+        hot = ReservoirParams(r=0.5, theta=100.0, alpha=0.1)
+        for t in (0.3, 12.0):
+            assert coefficient_pair(cold, model, t)[1] == coefficient_pair(hot, model, t)[1]
+            assert integrated_pair(cold, model, t)[1] == integrated_pair(hot, model, t)[1]
+
+    def test_pairs_vanish_at_zero(self, params_hot, model_hot):
+        assert coefficient_pair(params_hot, model_hot, 0.0) == (0.0, 0.0)
+        assert integrated_pair(params_hot, model_hot, 0.0) == (0.0, 0.0)
+        with pytest.raises(ValueError):
+            integrated_pair(params_hot, model_hot, -1.0)
+
+    def test_narrow_user_bath_zeno_limit(self):
+        # omega_c * tau = 1e-5: the bath is a sliver of the first head panel
+        # in oscillation coordinates.  IDelta -> alpha^2 tau^2 omega_c^2 / (2 pi).
+        params = ReservoirParams(r=1.0, theta=0.0, alpha=0.1)
+        omega_c, tau = 1.0, 1e-5
+        model = ExponentialCutoff(omega_c)
+        expected = params.alpha**2 * tau**2 * omega_c**2 / (2.0 * np.pi)
+        i_delta, _ = integrated_pair(params, model, tau)
+        assert i_delta == pytest.approx(expected, rel=1e-6)
+        assert integrated_diffusion(params, model, tau) == i_delta
 
 
 class TestTabulation:

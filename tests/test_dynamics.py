@@ -62,8 +62,8 @@ class TestTransitionProbabilities:
             transition_probabilities(params_hot, model_hot, 1, 2.0)
 
     def test_negative_probability_guard(self, params_hot, model_hot, monkeypatch):
-        monkeypatch.setattr(dynamics, "integrated_diffusion", lambda *a, **k: -1e-6)
-        monkeypatch.setattr(dynamics, "integrated_damping", lambda *a, **k: 0.0)
+        # (IDelta, Igamma) = (-1e-6, 0): both come from one pair pass.
+        monkeypatch.setattr(dynamics, "integrated_pair", lambda *a, **k: (-1e-6, 0.0))
         with pytest.raises(NegativeProbabilityError):
             transition_probabilities(params_hot, model_hot, 0, 0.1)
 

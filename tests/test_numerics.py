@@ -105,6 +105,95 @@ class TestSemiInfinite:
         b, _ = integrate_semi_infinite(lorentzian, QuadratureSpec())
         assert a == b
 
+    def test_integrand_exception_propagates(self):
+        def broken(w):
+            raise ValueError("bad bath model")
+
+        with pytest.raises(ValueError, match="bad bath model"):
+            integrate_semi_infinite(broken, QuadratureSpec())
+        with pytest.raises(ValueError, match="bad bath model"):
+            integrate_semi_infinite(broken, QuadratureSpec(), oscillation_period=np.pi)
+
+    def test_scalar_call_is_probed_once(self):
+        # A scalar-only integrand costs one failed array call, then each
+        # node once: the probe's value is kept.
+        import math
+
+        calls = []
+
+        def scalar_only(w):
+            calls.append(w)
+            return math.exp(-w)
+
+        integrate_adaptive(scalar_only, 0.0, 1.0, QuadratureSpec())
+        assert len(calls) % 15 == 1  # the failed array call plus whole panels
+
+
+def two_component(w):
+    out = np.empty((2, w.size))
+    out[0] = sinc_squared_half(w)
+    out[1] = np.exp(-0.1 * w) * np.cos(w) ** 2
+    return out
+
+
+class TestVectorIntegrand:
+    def test_oscillatory_matches_scalar_calls(self):
+        spec = QuadratureSpec()
+        value, err = integrate_semi_infinite(two_component, spec, oscillation_period=2.0 * np.pi)
+        assert value.shape == err.shape == (2,)
+        for c in range(2):
+            alone = integrate_semi_infinite(
+                lambda w, c=c: two_component(w)[c], spec, oscillation_period=2.0 * np.pi
+            )
+            # Components keep their own panels and tail latch: bit-identical.
+            assert (value[c], err[c]) == alone
+        assert abs(value[0] - np.pi) < 1e-6
+
+    def test_decaying_matches_scalar_calls(self):
+        # The decaying path shares one head/tail cut, placed for the
+        # slowest component, so the match is to tolerance.
+        def pair(w):
+            return np.stack([np.exp(-w), lorentzian(w)])
+
+        spec = QuadratureSpec()
+        value, _ = integrate_semi_infinite(pair, spec)
+        assert value[0] == pytest.approx(1.0, rel=1e-8)
+        assert value[1] == pytest.approx(0.5, rel=1e-8)
+        for c, f in enumerate((lambda w: np.exp(-w), lorentzian)):
+            alone, _ = integrate_semi_infinite(f, spec)
+            assert value[c] == pytest.approx(alone, rel=10.0 * spec.rel_tol)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_either_component_failing_raises(self, failing):
+        def pair(x):
+            out = np.empty((2, x.size))
+            out[failing] = 1.0 / np.sqrt(x)  # endpoint-singular
+            out[1 - failing] = np.exp(-x)
+            return out
+
+        spec = QuadratureSpec(max_subdivisions=8)
+        period = 2.0 * np.pi
+        integrate_semi_infinite(lambda x: np.exp(-x), spec, oscillation_period=period)
+        with pytest.raises(NonConvergenceError, match=f"component {failing}"):
+            integrate_semi_infinite(pair, spec, oscillation_period=period)
+
+    def test_adaptive_vector_and_scalar_results(self):
+        value, err = integrate_adaptive(lambda x: np.stack([x, x**2]), 0.0, 1.0)
+        np.testing.assert_allclose(value, [0.5, 1.0 / 3.0], rtol=1e-13)
+        assert err.shape == (2,)
+        scalar, _ = integrate_adaptive(lambda x: x**2, 0.0, 1.0)
+        assert isinstance(scalar, float)
+
+    def test_origin_breakpoints_resolve_a_sliver(self):
+        # All weight within 1e-6 of the lower end of the first quarter
+        # period: the geometric head breakpoints must find it.
+        width = 1e-6
+        value, _ = integrate_semi_infinite(
+            lambda u: np.exp(-(u - 0.3) / width) * np.cos(u) ** 2 / width,
+            QuadratureSpec(), lower=0.3, oscillation_period=np.pi,
+        )
+        assert value == pytest.approx(np.cos(0.3) ** 2, rel=1e-5)
+
 
 class TestAdaptive:
     def test_polynomial_exact(self):
