@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import warnings
@@ -30,13 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, zeno
+from ._table import csv_text, json_columns
 from .coefficients import (
     diffusion_coefficient,
     markovian_limits,
     tabulate_coefficients,
 )
 from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
-from .numerics import QuadratureError, QuadratureSpec
+from .numerics import QuadratureError, QuadratureSpec, ordered_map
 from .spectral import ReservoirParams
 
 __all__ = ["GridConfig", "OutputConfig", "RunConfig", "main"]
@@ -113,57 +113,38 @@ class RunConfig:
         )
 
 
-def _write_atomic(path: Path, writer) -> None:
-    """Write through ``writer(tmp_path)`` and rename into place."""
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file and rename it into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
+    tmp.write_text(text)
     tmp.replace(path)
-
-
-def _write_text(path: Path, text: str) -> None:
-    _write_atomic(path, lambda tmp: tmp.write_text(text))
 
 
 def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _write_table(base: Path, header: list[str], columns: list[np.ndarray], fmt: str) -> list[str]:
-    """Write a numeric table as CSV and/or JSON; returns the files written."""
+def _write_table(
+    out: Path,
+    csv_name: str,
+    json_name: str | None,
+    header: list[str],
+    columns: list,
+    fmt: str,
+) -> list[str]:
+    """Write one table as CSV and/or JSON (by ``fmt``); returns the files written.
+
+    With ``json_name`` None the table gets no JSON form.
+    """
     written = []
     if fmt in ("csv", "both"):
-        lines = [",".join(header)]
-        for row in zip(*columns):
-            lines.append(",".join(_cell(v) for v in row))
-        path = base.with_suffix(".csv")
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path.name)
-    if fmt in ("json", "both"):
-        payload = {name: [_jsonable(v) for v in col] for name, col in zip(header, columns)}
-        path = base.with_suffix(".json")
-        _write_json(path, payload)
-        written.append(path.name)
+        _write_text(out / csv_name, csv_text(header, columns))
+        written.append(csv_name)
+    if json_name is not None and fmt in ("json", "both"):
+        _write_json(out / json_name, json_columns(header, columns))
+        written.append(json_name)
     return written
-
-
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    return format(float(v), ".16e")
-
-
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
-
-
-def _jsonable(v):
-    if isinstance(v, str):
-        return v
-    v = float(v)
-    if math.isfinite(v):
-        return v
-    return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,17 +242,8 @@ def cmd_coeffs(cfg: RunConfig) -> int:
         params, model, cfg.grids.t_max, cfg.grids.t_points, cfg.quadrature, jobs=cfg.jobs
     )
     out = Path(cfg.output.directory)
-    if cfg.output.format in ("csv", "both"):
-        _write_atomic(out / "coefficients.csv", series.to_csv)
-    if cfg.output.format in ("json", "both"):
-        payload = {
-            "t": _floats(series.times),
-            "delta": _floats(series.delta),
-            "gamma": _floats(series.gamma),
-            "int_delta": _floats(series.int_delta),
-            "int_gamma": _floats(series.int_gamma),
-        }
-        _write_json(out / "coefficients_table.json", payload)
+    _write_table(out, "coefficients.csv", "coefficients_table.json", *series.table(),
+                 cfg.output.format)
     lim = markovian_limits(params, model)
     _write_json(out / "markovian_limits.json", {"delta_m": lim.delta_m, "gamma_m": lim.gamma_m})
     return EXIT_OK
@@ -281,17 +253,7 @@ def cmd_scan(cfg: RunConfig, n: int) -> int:
     params, model = cfg.params, cfg.params.spectral_model()
     scan = zeno.zeno_scan(params, model, n, cfg.grids.tau_grid(), cfg.quadrature, jobs=cfg.jobs)
     out = Path(cfg.output.directory)
-    if cfg.output.format in ("csv", "both"):
-        _write_atomic(out / "zeno_scan.csv", scan.to_csv)
-    if cfg.output.format in ("json", "both"):
-        regimes = [reg.value for reg in scan.regimes()]
-        payload = {
-            "tau": _floats(scan.taus),
-            "rate_z": _floats(scan.rate_z),
-            "ratio": [_jsonable(v) for v in scan.ratio],
-            "regime": regimes,
-        }
-        _write_json(out / "zeno_scan_table.json", payload)
+    _write_table(out, "zeno_scan.csv", "zeno_scan_table.json", *scan.table(), cfg.output.format)
     _write_json(out / "zeno_scan.json", scan.metadata())
     if scan.degenerate:
         print("Markovian rate degenerate: AZE-divergent regime", file=sys.stderr)
@@ -330,7 +292,8 @@ def cmd_fig1(cfg: RunConfig) -> int:
                 ]) / lim.delta_m
                 columns.append(values)
             header.append(f"r={r:g}")
-        files = _write_table(out / name, header, columns, cfg.output.format)
+        files = _write_table(out, f"{name}.csv", f"{name}.json", header, columns,
+                             cfg.output.format)
         manifest["panels"].append({
             "name": name,
             "theta": theta,
@@ -349,8 +312,8 @@ def cmd_ion(cfg: RunConfig, n: int, tau: float, n_measurements: int) -> int:
         params, model, n, tau, n_measurements, cfg.quadrature
     )
     out = Path(cfg.output.directory)
-    _write_atomic(out / "ion_comparison.csv", comparison.to_csv)
-    _write_atomic(out / "ion_trace.csv", comparison.trace.to_csv)
+    _write_table(out, "ion_comparison.csv", None, *comparison.table(), "csv")
+    _write_table(out, "ion_trace.csv", None, *comparison.trace.table(), "csv")
     verdict = comparison.verdict.value
     _write_json(out / "ion_verdict.json", {
         "n": n,
@@ -372,7 +335,7 @@ def _map_cell(args) -> str:
         stars = zeno.find_crossover_time(params, model, n, tau_range, grid_points, spec)
     except DegenerateDenominatorError:
         return "divergent"
-    except Exception:
+    except QuadratureError:
         return "error"
     if not stars:
         return "none"
@@ -390,24 +353,14 @@ def cmd_crossover_map(cfg: RunConfig, n: int) -> int:
                                      omega0=cfg.params.omega0)
             tasks.append((params, params.spectral_model(), n, tau_range, grid_points,
                           cfg.quadrature))
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            cells = list(pool.map(_map_cell, tasks))
-    else:
-        cells = [_map_cell(t) for t in tasks]
+    cells = ordered_map(_map_cell, tasks, cfg.jobs)
 
     n_theta = len(grid.map_theta)
-    lines = ["r\\theta," + ",".join(format(t, "g") for t in grid.map_theta)]
-    rows = []
-    for i, r in enumerate(grid.map_r):
-        row = cells[i * n_theta:(i + 1) * n_theta]
-        rows.append(row)
-        lines.append(format(r, "g") + "," + ",".join(row))
+    rows = [cells[i * n_theta:(i + 1) * n_theta] for i in range(len(grid.map_r))]
+    header = ["r\\theta"] + [format(t, "g") for t in grid.map_theta]
+    columns = [[format(r, "g") for r in grid.map_r], *zip(*rows)]
     out = Path(cfg.output.directory)
-    if cfg.output.format in ("csv", "both"):
-        _write_text(out / "crossover_map.csv", "\n".join(lines) + "\n")
+    _write_table(out, "crossover_map.csv", None, header, columns, cfg.output.format)
     if cfg.output.format in ("json", "both"):
         _write_json(out / "crossover_map.json", {
             "n": n,

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import QuadratureSpec, integrate_semi_infinite
+from ._table import csv_text
+from .numerics import QuadratureSpec, integrate_semi_infinite, ordered_map
 from .spectral import (
     BaseSpectralDensity,
     ReservoirParams,
@@ -308,24 +309,16 @@ class CoefficientSeries:
             if getattr(self, name)[0] != 0.0:
                 raise ValueError(f"{name} must vanish at t = 0")
 
+    def table(self) -> tuple[list[str], list[np.ndarray]]:
+        """(header, columns): t, delta, gamma, int_delta, int_gamma."""
+        return (
+            ["t", "delta", "gamma", "int_delta", "int_gamma"],
+            [self.times, self.delta, self.gamma, self.int_delta, self.int_gamma],
+        )
+
     def to_csv(self, path) -> None:
-        """Write the table with header t,delta,gamma,int_delta,int_gamma
-        at 17 significant digits."""
-        lines = ["t,delta,gamma,int_delta,int_gamma"]
-        for i in range(len(self.times)):
-            lines.append(
-                ",".join(
-                    format(v, ".16e")
-                    for v in (
-                        self.times[i],
-                        self.delta[i],
-                        self.gamma[i],
-                        self.int_delta[i],
-                        self.int_gamma[i],
-                    )
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        """Write the table at 17 significant digits."""
+        Path(path).write_text(csv_text(*self.table()))
 
 
 def _tabulation_row(args) -> tuple[float, float, float, float]:
@@ -354,13 +347,7 @@ def tabulate_coefficients(
         raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
     tasks = [(params, model, float(t), spec) for t in times[1:]]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_tabulation_row, tasks))
-    else:
-        rows = [_tabulation_row(task) for task in tasks]
+    rows = ordered_map(_tabulation_row, tasks, jobs)
     table = np.vstack([np.zeros(4), np.array(rows)])
     return CoefficientSeries(
         times=times,

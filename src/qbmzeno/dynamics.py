@@ -22,11 +22,12 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from ._table import csv_text
 from .coefficients import (
     CoefficientSeries,
+    coefficient_pair,
     integrated_diffusion,
     integrated_pair,
-    tabulate_coefficients,
 )
 from .errors import (
     NegativeProbabilityError,
@@ -244,6 +245,24 @@ def eid_attenuation(
     return math.exp(-(dx**2) * integrated_diffusion(params, model, tau, spec))
 
 
+def _rate_table(
+    params: ReservoirParams,
+    model: BaseSpectralDensity,
+    t_end: float,
+    spec: QuadratureSpec | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, delta, gamma) on the ladder's uniform grid over [0, t_end]."""
+    times = np.linspace(0.0, t_end, max(80, min(400, int(40 * t_end) + 2)))
+    rows = [(0.0, 0.0)] + [coefficient_pair(params, model, float(t), spec) for t in times[1:]]
+    delta, gamma = np.array(rows).T
+    return times, delta, gamma
+
+
+def _spline_rates(times: np.ndarray, delta: np.ndarray, gamma: np.ndarray):
+    delta_s, gamma_s = CubicSpline(times, delta), CubicSpline(times, gamma)
+    return lambda ts: (delta_s(ts), gamma_s(ts))
+
+
 def _rate_functions(
     params: ReservoirParams,
     model: BaseSpectralDensity,
@@ -251,18 +270,18 @@ def _rate_functions(
     t_end: float,
     spec: QuadratureSpec | None,
 ):
-    """Normalize the rate source to a pair of callables (delta(t), gamma(t))."""
+    """Normalize the rate source to one map: times array -> (delta, gamma) arrays."""
     if coefficients is None:
-        n_points = max(80, min(400, int(40 * t_end) + 2))
-        coefficients = tabulate_coefficients(params, model, t_end, n_points, spec)
+        return _spline_rates(*_rate_table(params, model, t_end, spec))
     if isinstance(coefficients, CoefficientSeries):
         if coefficients.times[-1] < t_end - 1e-12:
             raise ValueError("coefficient table does not cover the requested time span")
-        delta = CubicSpline(coefficients.times, coefficients.delta)
-        gamma = CubicSpline(coefficients.times, coefficients.gamma)
-        return (lambda t: float(delta(t))), (lambda t: float(gamma(t)))
+        return _spline_rates(coefficients.times, coefficients.delta, coefficients.gamma)
     delta_fn, gamma_fn = coefficients
-    return delta_fn, gamma_fn
+    return lambda ts: (
+        np.array([delta_fn(t) for t in ts], dtype=float),
+        np.array([gamma_fn(t) for t in ts], dtype=float),
+    )
 
 
 def _ladder_rhs(p: np.ndarray, delta: float, gamma: float, levels: np.ndarray) -> np.ndarray:
@@ -276,12 +295,15 @@ def _ladder_rhs(p: np.ndarray, delta: float, gamma: float, levels: np.ndarray) -
 
 def _integrate_ladder(
     state: LadderState,
-    delta_fn,
-    gamma_fn,
+    rates,
     dt: float,
     t_end: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on the birth-death system; returns (times, populations)."""
+    """Fixed-step RK4 on the birth-death system; returns (times, populations).
+
+    ``rates`` maps an array of times to the (delta, gamma) arrays there;
+    it is called once each for the step starts, midpoints and ends.
+    """
     if not (dt > 0.0):
         raise ValueError("dt must be positive")
     span = t_end - state.time
@@ -291,11 +313,8 @@ def _integrate_ladder(
     h = span / n_steps
     levels = np.arange(state.n_max + 1, dtype=float)
 
-    max_rate = max(
-        abs((state.n_max + 1) * (delta_fn(t) - gamma_fn(t)))
-        + abs(state.n_max * (delta_fn(t) + gamma_fn(t)))
-        for t in np.linspace(state.time, t_end, 9)
-    )
+    d, g = rates(np.linspace(state.time, t_end, 9))
+    max_rate = float(np.max(np.abs((state.n_max + 1) * (d - g)) + np.abs(state.n_max * (d + g))))
     if h * max_rate > _STIFFNESS_LIMIT:
         raise StiffStepError(
             f"dt * max_rate = {h * max_rate:.3g} exceeds {_STIFFNESS_LIMIT}; reduce dt"
@@ -303,18 +322,18 @@ def _integrate_ladder(
 
     times = state.time + h * np.arange(n_steps + 1)
     times[-1] = t_end
+    starts = times[:-1]
+    d1, g1 = (a.tolist() for a in rates(starts))
+    d2, g2 = (a.tolist() for a in rates(starts + 0.5 * h))
+    d4, g4 = (a.tolist() for a in rates(starts + h))
     trace = np.empty((n_steps + 1, state.n_max + 1))
     p = state.populations.copy()
     trace[0] = p
     for i in range(n_steps):
-        t = times[i]
-        d1, g1 = delta_fn(t), gamma_fn(t)
-        d2, g2 = delta_fn(t + 0.5 * h), gamma_fn(t + 0.5 * h)
-        d4, g4 = delta_fn(t + h), gamma_fn(t + h)
-        k1 = _ladder_rhs(p, d1, g1, levels)
-        k2 = _ladder_rhs(p + 0.5 * h * k1, d2, g2, levels)
-        k3 = _ladder_rhs(p + 0.5 * h * k2, d2, g2, levels)
-        k4 = _ladder_rhs(p + h * k3, d4, g4, levels)
+        k1 = _ladder_rhs(p, d1[i], g1[i], levels)
+        k2 = _ladder_rhs(p + 0.5 * h * k1, d2[i], g2[i], levels)
+        k3 = _ladder_rhs(p + 0.5 * h * k2, d2[i], g2[i], levels)
+        k4 = _ladder_rhs(p + h * k3, d4[i], g4[i], levels)
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         trace[i + 1] = p
     return times, trace
@@ -337,8 +356,8 @@ def evolve_ladder(
     StiffStepError when dt * max-rate exceeds 0.1 and
     TruncationLeakageError when population reaches the top level.
     """
-    delta_fn, gamma_fn = _rate_functions(params, model, coefficients, t_end, spec)
-    _, trace = _integrate_ladder(state, delta_fn, gamma_fn, dt, t_end)
+    rates = _rate_functions(params, model, coefficients, t_end, spec)
+    _, trace = _integrate_ladder(state, rates, dt, t_end)
     final = trace[-1]
     if final[-1] > _LEAKAGE_LIMIT:
         raise TruncationLeakageError(
@@ -362,13 +381,14 @@ class LadderTrace:
     def survival_final(self) -> float:
         return float(self.populations[-1, self.initial_n])
 
+    def table(self) -> tuple[list[str], list[np.ndarray]]:
+        """(header, columns): t, then the population p<k> of every level k."""
+        levels = self.populations.shape[1]
+        return ["t"] + [f"p{k}" for k in range(levels)], [self.times, *self.populations.T]
+
     def to_csv(self, path) -> None:
-        """Write rows t,p0,p1,...,pN_max at 17 significant digits."""
-        n_levels = self.populations.shape[1]
-        lines = ["t," + ",".join(f"p{k}" for k in range(n_levels))]
-        for t, row in zip(self.times, self.populations):
-            lines.append(f"{t:.16e}," + ",".join(f"{v:.16e}" for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        """Write the table at 17 significant digits."""
+        Path(path).write_text(csv_text(*self.table()))
 
     def summary(self, regime: str) -> dict:
         return {
@@ -405,11 +425,13 @@ class ShutteredComparison:
             return Regime.AZE
         return Regime.MARGINAL
 
+    def table(self) -> tuple[list[str], list[np.ndarray]]:
+        """(header, columns): t, shuttered, unshuttered."""
+        return ["t", "shuttered", "unshuttered"], [self.times, self.shuttered, self.unshuttered]
+
     def to_csv(self, path) -> None:
-        lines = ["t,shuttered,unshuttered"]
-        for t, s, u in zip(self.times, self.shuttered, self.unshuttered):
-            lines.append(f"{t:.16e},{s:.16e},{u:.16e}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        """Write the table at 17 significant digits."""
+        Path(path).write_text(csv_text(*self.table()))
 
 
 def shuttered_comparison(
@@ -447,29 +469,21 @@ def shuttered_comparison(
         unshuttered[k] = result.probability
         extrapolated = extrapolated or result.extrapolated
 
-    # Ladder route: one table over a single interval, reused because every
-    # measurement resets the coefficient clock to zero.
-    table_points = max(80, min(400, int(40 * tau) + 2))
-    table = tabulate_coefficients(params, model, tau, table_points, spec)
+    # Ladder route: one rate table over a single interval, reused because
+    # every measurement resets the coefficient clock to zero.
+    table_times, delta, gamma = _rate_table(params, model, tau, spec)
     if dt is None:
         rate_bound = float(
-            np.max(
-                (n_max + 1) * np.abs(table.delta - table.gamma)
-                + n_max * np.abs(table.delta + table.gamma)
-            )
+            np.max((n_max + 1) * np.abs(delta - gamma) + n_max * np.abs(delta + gamma))
         )
         dt = min(tau / 200.0, 0.05 / max(rate_bound, 1e-12))
+    rates = _spline_rates(table_times, delta, gamma)
     state = LadderState.fock(n, n_max)
     ladder = np.ones(n_measurements + 1)
     segments_t = []
     segments_p = []
     for k in range(n_measurements):
-        seg_times, seg_trace = _integrate_ladder(
-            state,
-            *_rate_functions(params, model, table, tau, spec),
-            dt=dt,
-            t_end=tau,
-        )
+        seg_times, seg_trace = _integrate_ladder(state, rates, dt=dt, t_end=tau)
         if seg_trace[-1, -1] > _LEAKAGE_LIMIT:
             raise TruncationLeakageError("population reached the ladder truncation level")
         segments_t.append(seg_times + k * tau)

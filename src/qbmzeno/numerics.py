@@ -2,7 +2,8 @@
 
 Physics-agnostic engines used by every coefficient and decay-rate
 computation: a semi-infinite integrator with oscillation-aware panelling
-and tail completion, plus deterministic bisection on sign-change brackets.
+and tail completion, deterministic bisection on sign-change brackets,
+and the ordered (optionally multi-process) map behind every grid.
 All routines are pure functions of their inputs and bit-reproducible for
 a fixed spec on one platform (fixed evaluation and summation order).
 
@@ -35,6 +36,7 @@ __all__ = [
     "integrate_adaptive",
     "integrate_semi_infinite",
     "bisect",
+    "ordered_map",
     "scan_for_bracket",
 ]
 
@@ -599,6 +601,21 @@ def brackets_from_samples(xs: np.ndarray, ys: np.ndarray) -> list[RootBracket]:
         elif y0 == 0.0 and y1 != 0.0 and i == 0:
             brackets.append(RootBracket(float(xs[i]), float(xs[i + 1]), 0.0, float(y1)))
     return brackets
+
+
+def ordered_map(fn: Callable, tasks: Sequence, jobs: int = 1) -> list:
+    """[fn(task) for task in tasks], over ``jobs`` worker processes if jobs > 1.
+
+    Results come back in task order whatever the worker count, so the
+    output is the same as the in-process run; ``jobs <= 1`` runs in this
+    process.  With workers, ``fn`` and the tasks must be picklable.
+    """
+    if jobs <= 1:
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def scan_for_bracket(f: Callable[[float], float], grid: Sequence[float]) -> list[RootBracket]:

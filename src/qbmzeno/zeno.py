@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import csv_text
 from .coefficients import (
     coth_weight,
     half_kernel_integral,
@@ -33,6 +34,7 @@ from .numerics import (
     QuadratureSpec,
     bisect,
     brackets_from_samples,
+    ordered_map,
     scan_for_bracket,
 )
 from .spectral import BaseSpectralDensity, ReservoirParams, check_model_consistency
@@ -272,14 +274,32 @@ def find_crossover_time(
         raise ValueError("grid_points must be at least 16")
     denominator = _ratio_denominator(params, model, n)
     taus = np.geomspace(lo, hi, grid_points)
+    return _crossovers(
+        params, model, n, denominator, spec, lambda excess: scan_for_bracket(excess, taus)
+    )
+
+
+def _crossovers(
+    params: ReservoirParams,
+    model: BaseSpectralDensity,
+    n: int,
+    denominator: float,
+    spec: QuadratureSpec | None,
+    find_brackets,
+) -> list[float]:
+    """Crossover times: the roots of ratio(tau) - 1 in its sign-change brackets.
+
+    ``find_brackets(excess)`` returns the brackets of ``excess(tau) =
+    ratio(tau) - 1``; each is bisected to 1e-6 relative width.  Escape
+    warnings are silenced: a crossover search samples large tau on purpose.
+    """
 
     def excess(tau: float) -> float:
         return effective_decay_rate(params, model, n, float(tau), spec) / denominator - 1.0
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        brackets = scan_for_bracket(excess, taus)
-        return [bisect(excess, b, tol=1e-6 * b.hi) for b in brackets]
+        return [bisect(excess, b, tol=1e-6 * b.hi) for b in find_brackets(excess)]
 
 
 @dataclass(frozen=True)
@@ -316,14 +336,14 @@ class ZenoScan:
                 out.append(Regime.MARGINAL)
         return out
 
+    def table(self) -> tuple[list[str], list]:
+        """(header, columns): tau, rate_z, ratio and the regime names."""
+        regimes = [regime.value for regime in self.regimes()]
+        return ["tau", "rate_z", "ratio", "regime"], [self.taus, self.rate_z, self.ratio, regimes]
+
     def to_csv(self, path) -> None:
-        """Write rows tau,rate_z,ratio,regime at 17 significant digits."""
-        lines = ["tau,rate_z,ratio,regime"]
-        for tau, rate, rho, regime in zip(self.taus, self.rate_z, self.ratio, self.regimes()):
-            lines.append(
-                f"{tau:.16e},{rate:.16e},{rho:.16e},{regime.value}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        """Write the table at 17 significant digits."""
+        Path(path).write_text(csv_text(*self.table()))
 
     def metadata(self) -> dict:
         """Sidecar payload: initial state, parameters, Markovian rate, crossovers."""
@@ -363,34 +383,18 @@ def zeno_scan(
     denominator = markovian_decay_rate(params, model, n)
     degenerate = _is_degenerate(denominator, params)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            args = [(params, model, n, float(tau), spec) for tau in taus]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rates = np.array(list(pool.map(_rate_task, args)))
-        else:
-            rates = np.array(
-                [effective_decay_rate(params, model, n, float(tau), spec) for tau in taus]
-            )
+    tasks = [(params, model, n, float(tau), spec) for tau in taus]
+    rates = np.array(ordered_map(_rate_task, tasks, jobs))
 
     if degenerate:
         ratio = np.full_like(rates, np.inf)
         crossovers: list[float] = []
     else:
         ratio = rates / denominator
-
-        def excess(tau: float) -> float:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return effective_decay_rate(params, model, n, float(tau), spec) / denominator - 1.0
-
-        crossovers = [
-            bisect(excess, b, tol=1e-6 * b.hi)
-            for b in brackets_from_samples(taus, ratio - 1.0)
-        ]
+        crossovers = _crossovers(
+            params, model, n, denominator, spec,
+            lambda excess: brackets_from_samples(taus, ratio - 1.0),
+        )
     return ZenoScan(
         n=n,
         taus=taus,
@@ -404,4 +408,6 @@ def zeno_scan(
 
 def _rate_task(args) -> float:
     params, model, n, tau, spec = args
-    return effective_decay_rate(params, model, n, tau, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return effective_decay_rate(params, model, n, tau, spec)

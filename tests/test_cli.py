@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from qbmzeno import zeno
 from qbmzeno.cli import main
+from qbmzeno.numerics import NonConvergenceError
 
 FAST_SCAN = ["--tau-min", "1e-3", "--tau-max", "100", "--tau-points", "36", "--log"]
 
@@ -215,6 +217,43 @@ class TestCrossoverMap:
                     assert abs(a - b) <= 1e-10 * abs(a)
                 except ValueError:
                     assert cell_lo == cell_hi
+
+
+    def test_parallel_jobs_match_serial(self, tmp_path):
+        args = [
+            "crossover-map", "--n", "0", "--alpha", "0.1",
+            "--map-r", "0.5,10", "--map-theta", "0,100", "--tau-points", "16",
+        ]
+        assert run(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+        assert run(args + ["--jobs", "2", "--out", str(tmp_path / "parallel")]) == 0
+        for name in ("crossover_map.csv", "crossover_map.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "parallel" / name
+            ).read_bytes()
+
+    def test_quadrature_failures_are_error_cells(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NonConvergenceError("starved")
+
+        monkeypatch.setattr(zeno, "find_crossover_time", failing)
+        code = run([
+            "crossover-map", "--n", "0", "--alpha", "0.1",
+            "--map-r", "0.5,10", "--map-theta", "1,100", "--jobs", "1", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        rows = (tmp_path / "crossover_map.csv").read_text().splitlines()
+        assert rows == ["r\\theta,1,100", "0.5,error,error", "10,error,error"]
+
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a quadrature failure")
+
+        monkeypatch.setattr(zeno, "find_crossover_time", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            run([
+                "crossover-map", "--n", "0", "--alpha", "0.1",
+                "--map-r", "0.5", "--map-theta", "100", "--jobs", "1", "--out", str(tmp_path),
+            ])
 
 
 class TestConfigHandling:

@@ -230,7 +230,7 @@ class TestLadder:
         t_end = 2.0
         state = LadderState(populations=np.array([1.0, 0.0]), time=0.0, n_max=1)
         _, trace = _integrate_ladder(
-            state, lambda t: delta_c, lambda t: gamma_c, 0.01, t_end
+            state, lambda ts: (np.full(len(ts), delta_c), np.full(len(ts), gamma_c)), 0.01, t_end
         )
         gen = np.array([[-up0, down1], [up0, -(down1 + up1)]])
         eigvals, eigvecs = np.linalg.eig(gen)
@@ -310,6 +310,21 @@ class TestShutteredComparison:
         comp = shuttered_comparison(params_hot, model_hot, 0, 1.5, 3)
         assert comp.verdict is Regime.AZE
         assert comp.shuttered[-1] < comp.unshuttered[-1]
+
+    def test_one_integrated_pair_per_measurement_time(self, params_hot, model_hot, monkeypatch):
+        # P(tau) once, then the free decay at each of the N measurement
+        # times; the ladder's rate table needs no integrated coefficients.
+        calls = []
+        original = coefficients.integrated_pair
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrated_pair", counting)
+        monkeypatch.setattr(coefficients, "integrated_pair", counting)
+        shuttered_comparison(params_hot, model_hot, 0, 0.25, 4)
+        assert len(calls) == 4 + 1
 
     def test_trace_serialization(self, params_hot, model_hot, tmp_path):
         comp = shuttered_comparison(params_hot, model_hot, 0, 0.25, 2)

@@ -10,6 +10,7 @@ from qbmzeno.numerics import (
     bisect,
     integrate_adaptive,
     integrate_semi_infinite,
+    ordered_map,
     scan_for_bracket,
 )
 
@@ -210,6 +211,21 @@ class TestAdaptive:
             max_panel_width=np.pi / 2.0,
         )
         assert abs(value) < 1e-9
+
+
+def _square(x):
+    return x * x
+
+
+class TestOrderedMap:
+    def test_in_process_keeps_task_order(self):
+        assert ordered_map(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
+        assert ordered_map(_square, [3, 1, 2], jobs=0) == [9, 1, 4]
+        assert ordered_map(_square, [], jobs=1) == []
+
+    def test_workers_match_in_process(self):
+        tasks = [0.5 * k for k in range(7)]
+        assert ordered_map(_square, tasks, jobs=2) == ordered_map(_square, tasks, jobs=1)
 
 
 class TestRootFinding:
