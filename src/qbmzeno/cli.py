@@ -282,8 +282,10 @@ def cmd_fig1(cfg: RunConfig) -> int:
                                      omega0=cfg.params.omega0)
             model = params.spectral_model()
             if quantity == "ratio":
-                scan = zeno.zeno_scan(params, model, n, taus, cfg.quadrature, jobs=cfg.jobs)
-                columns.append(scan.ratio)
+                # The rate grid alone: fig1 writes no crossover, so none is refined.
+                tasks = [(params, model, n, float(tau), cfg.quadrature) for tau in taus]
+                rates = np.array(ordered_map(zeno._rate_task, tasks, cfg.jobs))
+                columns.append(rates / zeno.markovian_decay_rate(params, model, n))
             else:
                 lim = markovian_limits(params, model)
                 values = np.array([
@@ -329,7 +331,8 @@ def cmd_ion(cfg: RunConfig, n: int, tau: float, n_measurements: int) -> int:
     return EXIT_OK
 
 
-def _map_cell(args) -> str:
+def _map_cell(args) -> float | str:
+    """The smallest crossover time, or "divergent", "error" or "none"."""
     params, model, n, tau_range, grid_points, spec = args
     try:
         stars = zeno.find_crossover_time(params, model, n, tau_range, grid_points, spec)
@@ -339,7 +342,7 @@ def _map_cell(args) -> str:
         return "error"
     if not stars:
         return "none"
-    return format(min(stars), ".16e")
+    return min(stars)
 
 
 def cmd_crossover_map(cfg: RunConfig, n: int) -> int:
@@ -358,7 +361,9 @@ def cmd_crossover_map(cfg: RunConfig, n: int) -> int:
     n_theta = len(grid.map_theta)
     rows = [cells[i * n_theta:(i + 1) * n_theta] for i in range(len(grid.map_r))]
     header = ["r\\theta"] + [format(t, "g") for t in grid.map_theta]
-    columns = [[format(r, "g") for r in grid.map_r], *zip(*rows)]
+    # Text columns: a crossover time is written as %.16e, like a numeric cell.
+    text_rows = [[c if isinstance(c, str) else format(c, ".16e") for c in row] for row in rows]
+    columns = [[format(r, "g") for r in grid.map_r], *zip(*text_rows)]
     out = Path(cfg.output.directory)
     _write_table(out, "crossover_map.csv", None, header, columns, cfg.output.format)
     if cfg.output.format in ("json", "both"):

@@ -12,15 +12,13 @@ returns N values, or a (k, N) array holding k integrands that share the
 nodes (for example two weights against one kernel).  The quadratures
 then return length-k arrays; each component is refined, stopped and
 checked against its own tolerance max(abs_tol, rel_tol*|I_c|), and only
-the evaluations are shared.  Callables that only take scalars are
-detected by one retry on a single node; any other exception from the
-integrand propagates.
+the evaluations are shared.  Any other shape raises ValueError, and
+every exception and warning an integrand raises reaches the caller.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -59,19 +57,11 @@ class InvalidBracketError(Exception):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for the integration engines.
-
-    ``tail_cut_omega`` forces the split point between the adaptively
-    panelled head and the tail estimate; by default the cut is chosen
-    from samples of the integrand so that the tail contribution can be
-    completed (oscillatory case) or bounded (monotone decay) below
-    ``abs_tol``.
-    """
+    """Tolerances and budgets for the integration engines."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
-    tail_cut_omega: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0):
@@ -80,8 +70,6 @@ class QuadratureSpec:
             raise ValueError("rel_tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if self.tail_cut_omega is not None and not (self.tail_cut_omega > 0.0):
-            raise ValueError("tail_cut_omega must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -134,64 +122,39 @@ _TAIL_SEGMENTS_PER_PERIOD = 4
 _TAIL_BLOCK_PERIODS = 128
 _TAIL_MAX_BLOCKS = 96
 _NEVILLE_POINTS = 6
-# Geometric head breakpoints lower + width * 2**-k, k = 1..40, with width
-# the first quarter period (oscillatory) or the whole head (decaying): they
-# resolve an integrand concentrated in a sliver at the lower end of that
-# panel (a narrow bath seen at short times, or the fastest-decaying
-# component when several share one head).
+# Geometric head breakpoints lower + (period/4) * 2**-k, k = 1..40: they
+# resolve an integrand concentrated in a sliver at the lower end of the
+# first quarter period (a narrow bath seen at short times).
 _ORIGIN_BREAKS = 2.0 ** -np.arange(40, 0, -1, dtype=float)
 
 
 class _Evaluator:
     """``f`` as a map from N nodes to a (k, N) array of values.
 
-    A vectorized integrand returns shape (N,) (one component) or (k, N)
-    (k components sharing the nodes).  If the first array call raises,
-    ``f`` is retried on one node: if that works, ``f`` is scalar-only and
-    is evaluated in a Python loop from then on (keeping the retried
-    value); otherwise the array call's exception propagates.  ``scalar``
-    tells the public entry points to return floats rather than length-1
-    arrays.
+    ``f`` takes a 1-D array of N nodes and returns shape (N,) (one
+    component) or (k, N) (k components sharing the nodes); any other
+    shape raises ValueError.  ``scalar`` records the (N,) form, so the
+    public entry points return floats rather than length-1 arrays.
     """
 
     def __init__(self, f: Callable) -> None:
         self.f = f
-        self.vectorized: bool | None = None
         self.scalar = True
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        probed: list = []
-        if self.vectorized is not False:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    y = np.asarray(self.f(x), dtype=float)
-            except Exception as exc:
-                if self.vectorized:
-                    raise
-                # Retry one node: a callable that works there is scalar-only;
-                # otherwise the array call's exception is the integrand's.
-                try:
-                    probed.append(self.f(x[0]))
-                except Exception:
-                    raise exc from None
-            else:
-                if y.shape == x.shape:
-                    self.vectorized = True
-                    return y[None, :]
-                if y.ndim == 2 and y.shape[1:] == x.shape:
-                    self.vectorized = True
-                    self.scalar = False
-                    return y
-            self.vectorized = False
-        y = np.array(probed + [self.f(xi) for xi in x[len(probed):]], dtype=float)
-        if y.ndim == 2:
+        y = np.asarray(self.f(x), dtype=float)
+        if y.shape == x.shape:
+            return y[None, :]
+        if y.ndim == 2 and y.shape[1:] == x.shape:
             self.scalar = False
-            return y.T
-        return y[None, :]
+            return y
+        raise ValueError(
+            f"integrand returned shape {y.shape} for {x.size} nodes; "
+            f"expected ({x.size},) or (k, {x.size})"
+        )
 
     def result(self, values: np.ndarray):
-        """A float for a scalar-valued integrand, the (k,) array otherwise."""
+        """A float for a one-component integrand, the (k,) array otherwise."""
         return float(values[0]) if self.scalar else values
 
 
@@ -305,7 +268,7 @@ def integrate_adaptive(
     above their share on it, and halves wanted by several components are
     evaluated once.  Every component's (value, error) is bit-identical to
     a run on that component alone; they are returned as length-k arrays.
-    A scalar-valued ``f`` gives floats; so does an empty interval, which
+    An (N,)-valued ``f`` gives floats; so does an empty interval, which
     evaluates nothing.
     """
     spec = spec or QuadratureSpec()
@@ -362,20 +325,6 @@ def integrate_adaptive(
     value = np.array([part.result[0] for part in parts])
     err = np.array([part.result[1] for part in parts])
     return evaluate.result(value), evaluate.result(err)
-
-
-def _estimate_decay_cut(evaluate, lower: float, abs_tol: float) -> float:
-    """Pick a head/tail split from geometric samples of |f| (every component)."""
-    base = max(lower, 0.0) + 1.0
-    cut = None
-    for j in range(41):
-        x = base * 2.0**j
-        y = evaluate(np.array([x]))[:, 0]
-        if np.any(np.abs(y) > abs_tol):
-            cut = x
-    if cut is None:
-        return lower + 16.0
-    return min(cut * 4.0, base * 2.0**42)
 
 
 def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -452,101 +401,60 @@ def _oscillatory_tail(
     return value, err
 
 
-def _substitution_tail(evaluate, start: float, spec: QuadratureSpec):
-    """Integral of f over [start, inf) via the map u -> 1/u.
-
-    Valid for integrands that decay at least like 1/u^2 without
-    oscillation; the transformed integrand is then smooth on (0, 1/start].
-    """
-
-    def transformed(v: np.ndarray) -> np.ndarray:
-        return evaluate(1.0 / v) / v**2
-
-    inner = QuadratureSpec(
-        abs_tol=spec.abs_tol,
-        rel_tol=spec.rel_tol,
-        max_subdivisions=max(spec.max_subdivisions // 4, 50),
-    )
-    return integrate_adaptive(transformed, 1e-300, 1.0 / start, inner)
-
-
 def integrate_semi_infinite(
     f: Callable,
     spec: QuadratureSpec | None = None,
     *,
     lower: float = 0.0,
-    oscillation_period: float | None = None,
+    oscillation_period: float,
     tail_exponent: float = 2.0,
 ):
     """Integrate f over [lower, inf); returns (value, error_estimate).
 
-    The interval is split into an adaptively panelled head and a tail.
-    For integrands with a persistent oscillation, pass its period: the
-    head is pre-split so no panel spans more than a quarter oscillation,
-    its first quarter period is further cut at the geometric breakpoints
-    lower + (period/4) * 2**-k, k = 1..40 (so an integrand confined to a
-    sliver next to ``lower`` is still seen), and the tail is completed
-    by period-segment summation with extrapolation.  Otherwise the
-    integrand must decay monotonically in envelope, at least like
-    C/omega**tail_exponent with ``tail_exponent >= 2``; the cut is placed
-    where sampled values drop below abs_tol, the head gets the geometric
-    breakpoints lower + (cut - lower) * 2**-k, k = 1..40, and the
-    remainder is evaluated under the 1/omega substitution.  Removable singularities
-    must already be regularized by the caller (e.g. expressed through
-    sinc).
+    ``f`` carries a persistent oscillation of period
+    ``oscillation_period`` under an envelope that decays at least like
+    C/omega**tail_exponent, with ``tail_exponent >= 2`` (counting the
+    kernel's own decay).  The interval is split into an adaptively
+    panelled head and a tail: the head is pre-split so no panel spans
+    more than a quarter oscillation, its first quarter period is further
+    cut at the geometric breakpoints lower + (period/4) * 2**-k,
+    k = 1..40 (so an integrand confined to a sliver next to ``lower`` is
+    still seen), and the tail is completed by period-segment summation
+    with extrapolation.  Removable singularities must already be
+    regularized by the caller (e.g. expressed through sinc).
 
-    ``f`` may return one value per node, or a (k, N) array for N nodes
+    ``f`` returns one value per node, or a (k, N) array for N nodes
     holding k integrands that share every evaluation (for example two
     weights against one kernel).  Each component keeps its own tolerance
     max(abs_tol, rel_tol*|I_c|) in the head, the tail and the final
-    check, which raises NonConvergenceError if any component fails; the
-    value and error are then length-k arrays.  On the oscillatory path a
-    component's result is bit-identical to integrating it alone; on the
-    decaying path the components share one cut, placed for the slowest
-    of them, so a component matches its lone run to tolerance.  A scalar-valued ``f``
-    gives floats.  If the array call of ``f`` raises, ``f`` is retried on
-    one node: a callable that works there is treated as scalar-only and
-    looped over; otherwise the original exception propagates.
+    check, which raises NonConvergenceError if any component fails, so
+    its result is bit-identical to integrating it alone; the value and
+    error are then length-k arrays.  An (N,)-valued ``f`` gives floats.
     """
     spec = spec or QuadratureSpec()
     if not math.isfinite(lower):
         raise ValueError("lower bound must be finite")
     if tail_exponent < 2.0:
         raise ValueError("tail handling requires an envelope exponent >= 2")
+    if not (oscillation_period > 0.0):
+        raise ValueError("oscillation_period must be positive")
     evaluate = _as_evaluator(f)
 
-    if oscillation_period is not None:
-        if not (oscillation_period > 0.0):
-            raise ValueError("oscillation_period must be positive")
-        period = oscillation_period
-        if spec.tail_cut_omega is not None:
-            cut = max(spec.tail_cut_omega, lower + 4.0 * period)
-        else:
-            cut = lower + max(96.0, 1.5 * abs(lower) + 32.0, 12.0 * period)
-        # Align the cut to a whole number of quarter periods.
-        n_quarters = int(math.ceil((cut - lower) / (0.25 * period)))
-        cut = lower + 0.25 * period * n_quarters
-        head, head_err = integrate_adaptive(
-            evaluate, lower, cut, spec, max_panel_width=0.25 * period,
-            breakpoints=lower + 0.25 * period * _ORIGIN_BREAKS,
-        )
-        head, head_err = np.atleast_1d(head), np.atleast_1d(head_err)
-        share = 0.5 * _tolerance(spec, head)
-        tail, tail_err = _oscillatory_tail(evaluate, cut, period, share)
-    else:
-        if spec.tail_cut_omega is not None:
-            cut = spec.tail_cut_omega
-            if cut <= lower:
-                raise ValueError("tail_cut_omega must exceed the lower bound")
-        else:
-            cut = _estimate_decay_cut(evaluate, lower, spec.abs_tol)
-        head, head_err = integrate_adaptive(
-            evaluate, lower, cut, spec, breakpoints=lower + (cut - lower) * _ORIGIN_BREAKS
-        )
-        tail, tail_err = _substitution_tail(evaluate, cut, spec)
+    period = oscillation_period
+    cut = lower + max(96.0, 1.5 * abs(lower) + 32.0, 12.0 * period)
+    # Align the cut to a whole number of quarter periods.
+    n_quarters = int(math.ceil((cut - lower) / (0.25 * period)))
+    cut = lower + 0.25 * period * n_quarters
+    head, head_err = integrate_adaptive(
+        evaluate, lower, cut, spec, max_panel_width=0.25 * period,
+        breakpoints=lower + 0.25 * period * _ORIGIN_BREAKS,
+    )
+    head, head_err = np.atleast_1d(head), np.atleast_1d(head_err)
+    share = 0.5 * _tolerance(spec, head)
+    tail, tail_err = _oscillatory_tail(evaluate, cut, period, share)
 
-    value = np.atleast_1d(head + tail)
-    err = np.atleast_1d(head_err + tail_err)
+    value = head + tail
+    err = head_err + tail_err
     tol = _tolerance(spec, value)
     if np.any(err > 4.0 * tol):
         c = int(np.argmax(err / tol))
@@ -621,15 +529,16 @@ def ordered_map(fn: Callable, tasks: Sequence, jobs: int = 1) -> list:
 def scan_for_bracket(f: Callable[[float], float], grid: Sequence[float]) -> list[RootBracket]:
     """Return a RootBracket for every adjacent grid pair where f changes sign.
 
-    The grid must be strictly increasing with at least two points.  A
-    zero exactly on a grid point yields a single bracket ending there.
+    ``f`` is called once per grid point, with a float.  The grid must be
+    strictly increasing with at least two points.  A zero exactly on a
+    grid point yields a single bracket ending there.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError("grid must contain at least two points")
     if not np.all(np.diff(xs) > 0.0):
         raise ValueError("grid must be strictly increasing")
-    ys = _as_evaluator(f)(xs)[0]
+    ys = np.array([f(x) for x in xs.tolist()], dtype=float)
     if not np.all(np.isfinite(ys)):
         bad = xs[~np.isfinite(ys)][0]
         raise NonFiniteError(f"function returned a non-finite value at x={bad!r}")

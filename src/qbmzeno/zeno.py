@@ -295,7 +295,7 @@ def _crossovers(
     """
 
     def excess(tau: float) -> float:
-        return effective_decay_rate(params, model, n, float(tau), spec) / denominator - 1.0
+        return effective_decay_rate(params, model, n, tau, spec) / denominator - 1.0
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -266,10 +266,13 @@ def test_criterion_11_oracle_checks():
 
     # Quadrature-engine examples at their stated tolerances.
     spec = QuadratureSpec()
-    q1, _ = integrate_semi_infinite(lambda w: np.exp(-w), spec)
-    q2, _ = integrate_semi_infinite(lambda w: 1.0 / (np.pi * (w**2 + 1.0)), spec)
+    period = 2.0 * np.pi
+    q1, _ = integrate_semi_infinite(lambda w: np.exp(-w), spec, oscillation_period=period)
+    q2, _ = integrate_semi_infinite(
+        lambda w: 1.0 / (np.pi * (w**2 + 1.0)), spec, oscillation_period=period
+    )
     q3, _ = integrate_semi_infinite(
-        lambda w: np.sinc(w / (2.0 * np.pi)) ** 2, spec, oscillation_period=2.0 * np.pi
+        lambda w: np.sinc(w / (2.0 * np.pi)) ** 2, spec, oscillation_period=period
     )
     quad_ok = abs(q1 - 1.0) < 1e-8 and abs(q2 - 0.5) < 1e-8 and abs(q3 - np.pi) < 1e-6
 

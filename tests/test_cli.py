@@ -94,13 +94,28 @@ class TestScan:
 
 
 @pytest.fixture(scope="module")
-def fig1_dir(tmp_path_factory):
+def fig1_run(tmp_path_factory):
+    """The fig1 output directory and the tau of every effective-rate call."""
     out = tmp_path_factory.mktemp("fig1")
-    code = run([
-        "fig1", "--alpha", "0.1", "--tau-points", "30", "--out", str(out),
-    ])
+    rate = zeno.effective_decay_rate
+    taus = []
+
+    def counted(*args, **kwargs):
+        taus.append(args[3])
+        return rate(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeno, "effective_decay_rate", counted)
+        code = run([
+            "fig1", "--alpha", "0.1", "--tau-points", "30", "--out", str(out),
+        ])
     assert code == 0
-    return out
+    return out, taus
+
+
+@pytest.fixture(scope="module")
+def fig1_dir(fig1_run):
+    return fig1_run[0]
 
 
 class TestFig1:
@@ -110,6 +125,10 @@ class TestFig1:
         header = lines[0].split(",")
         data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         return header, data
+
+    def test_ratio_panels_make_one_rate_per_cell(self, fig1_run):
+        # Two ratio panels x three r values x 30 taus, and no crossover refine.
+        assert len(fig1_run[1]) == 180
 
     def test_manifest_lists_all_panels(self, fig1_dir):
         manifest = json.loads((fig1_dir / "fig1_manifest.json").read_text())
@@ -230,6 +249,29 @@ class TestCrossoverMap:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
             ).read_bytes()
+
+    def test_json_cells_are_numbers(self, tmp_path):
+        code = run([
+            "crossover-map", "--n", "0", "--alpha", "0.1",
+            "--map-r", "0.5,10", "--map-theta", "0,100", "--tau-points", "16",
+            "--out", str(tmp_path),
+        ])
+        assert code == 0
+        rows = (tmp_path / "crossover_map.csv").read_text().splitlines()
+        csv_cells = [line.split(",")[1:] for line in rows[1:]]
+        json_cells = json.loads((tmp_path / "crossover_map.json").read_text())[
+            "smallest_crossover"
+        ]
+        kinds = set()
+        for csv_row, json_row in zip(csv_cells, json_cells, strict=True):
+            for csv_cell, cell in zip(csv_row, json_row, strict=True):
+                if isinstance(cell, str):
+                    assert cell == csv_cell
+                    kinds.add(cell)
+                else:
+                    assert type(cell) is float and cell == float(csv_cell)
+                    kinds.add("number")
+        assert kinds == {"number", "divergent", "none"}
 
     def test_quadrature_failures_are_error_cells(self, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
