@@ -31,7 +31,7 @@ for t, d, g in zip(series.times, series.delta, series.gamma):
 # t ~ 12 the coefficient has locked onto Delta_M.
 
 print()
-print("=== Large-t quadrature cross-check of the closed-form limits ===")
+print("=== Large-t coefficients against the closed-form limits ===")
 numeric = markovian_limits_numerical(params, model, t=50.0)
 print(f"Delta(50)/Delta_M = {numeric.delta_m / lim.delta_m:.6f}")
 print(f"gamma(50)/gamma_M = {numeric.gamma_m / lim.gamma_m:.6f}")

@@ -36,7 +36,7 @@ from .coefficients import (
     tabulate_coefficients,
 )
 from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
-from .numerics import QuadratureError, QuadratureSpec, ordered_map
+from .numerics import QuadratureError, ordered_map
 from .spectral import ReservoirParams
 
 __all__ = ["GridConfig", "OutputConfig", "RunConfig", "main"]
@@ -88,7 +88,6 @@ class OutputConfig:
 @dataclass
 class RunConfig:
     params: ReservoirParams
-    quadrature: QuadratureSpec
     grids: GridConfig
     output: OutputConfig
     jobs: int = 1
@@ -96,7 +95,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "params": dataclasses.asdict(self.params),
-            "quadrature": dataclasses.asdict(self.quadrature),
             "grids": dataclasses.asdict(self.grids),
             "output": dataclasses.asdict(self.output),
             "jobs": self.jobs,
@@ -104,9 +102,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        unknown = sorted(set(data) - {"params", "grids", "output", "jobs"})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         return cls(
             params=ReservoirParams(**data.get("params", {"r": 1.0, "theta": 0.0, "alpha": 0.1})),
-            quadrature=QuadratureSpec(**data.get("quadrature", {})),
             grids=GridConfig(**data.get("grids", {})),
             output=OutputConfig(**data.get("output", {})),
             jobs=int(data.get("jobs", 1)),
@@ -238,9 +238,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_coeffs(cfg: RunConfig) -> int:
     params, model = cfg.params, cfg.params.spectral_model()
-    series = tabulate_coefficients(
-        params, model, cfg.grids.t_max, cfg.grids.t_points, cfg.quadrature, jobs=cfg.jobs
-    )
+    series = tabulate_coefficients(params, model, cfg.grids.t_max, cfg.grids.t_points,
+                                   jobs=cfg.jobs)
     out = Path(cfg.output.directory)
     _write_table(out, "coefficients.csv", "coefficients_table.json", *series.table(),
                  cfg.output.format)
@@ -251,7 +250,7 @@ def cmd_coeffs(cfg: RunConfig) -> int:
 
 def cmd_scan(cfg: RunConfig, n: int) -> int:
     params, model = cfg.params, cfg.params.spectral_model()
-    scan = zeno.zeno_scan(params, model, n, cfg.grids.tau_grid(), cfg.quadrature, jobs=cfg.jobs)
+    scan = zeno.zeno_scan(params, model, n, cfg.grids.tau_grid(), jobs=cfg.jobs)
     out = Path(cfg.output.directory)
     _write_table(out, "zeno_scan.csv", "zeno_scan_table.json", *scan.table(), cfg.output.format)
     _write_json(out / "zeno_scan.json", scan.metadata())
@@ -283,14 +282,13 @@ def cmd_fig1(cfg: RunConfig) -> int:
             model = params.spectral_model()
             if quantity == "ratio":
                 # The rate grid alone: fig1 writes no crossover, so none is refined.
-                tasks = [(params, model, n, float(tau), cfg.quadrature) for tau in taus]
+                tasks = [(params, model, n, float(tau), None) for tau in taus]
                 rates = np.array(ordered_map(zeno._rate_task, tasks, cfg.jobs))
                 columns.append(rates / zeno.markovian_decay_rate(params, model, n))
             else:
                 lim = markovian_limits(params, model)
                 values = np.array([
-                    diffusion_coefficient(params, model, float(t), cfg.quadrature)
-                    for t in taus
+                    diffusion_coefficient(params, model, float(t)) for t in taus
                 ]) / lim.delta_m
                 columns.append(values)
             header.append(f"r={r:g}")
@@ -310,9 +308,7 @@ def cmd_fig1(cfg: RunConfig) -> int:
 
 def cmd_ion(cfg: RunConfig, n: int, tau: float, n_measurements: int) -> int:
     params, model = cfg.params, cfg.params.spectral_model()
-    comparison = dynamics.shuttered_comparison(
-        params, model, n, tau, n_measurements, cfg.quadrature
-    )
+    comparison = dynamics.shuttered_comparison(params, model, n, tau, n_measurements)
     out = Path(cfg.output.directory)
     _write_table(out, "ion_comparison.csv", None, *comparison.table(), "csv")
     _write_table(out, "ion_trace.csv", None, *comparison.trace.table(), "csv")
@@ -333,9 +329,9 @@ def cmd_ion(cfg: RunConfig, n: int, tau: float, n_measurements: int) -> int:
 
 def _map_cell(args) -> float | str:
     """The smallest crossover time, or "divergent", "error" or "none"."""
-    params, model, n, tau_range, grid_points, spec = args
+    params, model, n, tau_range, grid_points = args
     try:
-        stars = zeno.find_crossover_time(params, model, n, tau_range, grid_points, spec)
+        stars = zeno.find_crossover_time(params, model, n, tau_range, grid_points)
     except DegenerateDenominatorError:
         return "divergent"
     except QuadratureError:
@@ -354,8 +350,7 @@ def cmd_crossover_map(cfg: RunConfig, n: int) -> int:
         for theta in grid.map_theta:
             params = ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
                                      omega0=cfg.params.omega0)
-            tasks.append((params, params.spectral_model(), n, tau_range, grid_points,
-                          cfg.quadrature))
+            tasks.append((params, params.spectral_model(), n, tau_range, grid_points))
     cells = ordered_map(_map_cell, tasks, cfg.jobs)
 
     n_theta = len(grid.map_theta)

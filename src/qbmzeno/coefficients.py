@@ -1,8 +1,12 @@
 """Master-equation diffusion and damping coefficients for the damped oscillator.
 
 The second-order coefficients are double integrals (bath frequency times
-evolution time).  The time integration is carried out in closed form, so
-every quantity here is a single semi-infinite frequency integral:
+evolution time).  For the Ohmic Lorentz-Drude bath itself (``type(model)
+is OhmicLorentzDrude``) both integrals are done in closed form over the
+bath's cutoff and Matsubara poles (``_matsubara``); ``spec`` is unused
+there.  For every other model, subclasses included, the time integration
+is carried out in closed form, so every quantity is a single
+semi-infinite frequency integral:
 
   Delta(t)    = alpha^2 * (t/2)   * Int J coth [sinc(u-) + sinc(u+)] domega
   gamma(t)    = alpha^2 * (t/2)   * Int J      [sinc(u-) - sinc(u+)] domega
@@ -21,10 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _matsubara
 from ._table import csv_text
 from .numerics import QuadratureSpec, integrate_semi_infinite, ordered_map
 from .spectral import (
     BaseSpectralDensity,
+    OhmicLorentzDrude,
     ReservoirParams,
     _omega_times_coth,
     check_model_consistency,
@@ -148,27 +154,42 @@ def half_kernel_integral(
     return value
 
 
-def _kernel_pass(params, model, time, kernel, weight, signs, spec):
-    """Coefficients alpha^2 * pref(time) * (lower + signs * upper) on one kernel.
+def _kernel_pass(params, model, time, kernel, spec):
+    """Quadrature (Delta-type, gamma-type) alpha^2 * pref(time) * (lower +- upper).
 
     ``time`` is t for the sinc kernel (Delta, gamma; pref = t/2) and tau
     for sinc^2 (IDelta, Igamma; pref = tau^2/4, kernel scale tau/2).
-    Both halves go through one quadrature each, for every weight at once.
+    Both halves go through one quadrature each, for both weights at once.
     """
-    name = "t" if kernel == "sinc" else "tau"
-    if time < 0.0:
-        raise ValueError(f"{name} must be nonnegative")
-    if time == 0.0:
-        return 0.0 * signs
-    check_model_consistency(params, model)
     scale = time if kernel == "sinc" else 0.5 * time
+    weight = _pair_weight(model, params)
     lower, upper = (
         half_kernel_integral(weight, params.omega0, scale, kernel, shift, spec, model.tail_exponent)
         for shift in (-1, +1)
     )
-    if kernel == "sinc":
-        return params.alpha**2 * 0.5 * time * (lower + signs * upper)
-    return params.alpha**2 * 0.25 * time**2 * (lower + signs * upper)
+    pref = 0.5 * time if kernel == "sinc" else 0.25 * time**2
+    return params.alpha**2 * pref * (lower + _PAIR_SIGNS * upper)
+
+
+def _pair(params, model, time, kernel, spec) -> tuple[float, float]:
+    """The (Delta-type, gamma-type) pair on one kernel, by model type.
+
+    The Ohmic Lorentz-Drude bath itself takes the closed-form Matsubara
+    evaluator (``spec`` unused); every other model, subclasses included,
+    takes the quadrature.
+    """
+    if time < 0.0:
+        raise ValueError(f"{'t' if kernel == 'sinc' else 'tau'} must be nonnegative")
+    if time == 0.0:
+        return 0.0, 0.0
+    check_model_consistency(params, model)
+    if type(model) is OhmicLorentzDrude:
+        omega0 = params.omega0
+        power, unit = (1, omega0) if kernel == "sinc" else (2, 1.0)
+        delta, gamma = _matsubara.pair(model.omega_c / omega0, params.theta, omega0 * time, power)
+        return params.alpha**2 * (unit * delta), params.alpha**2 * (unit * gamma)
+    delta, gamma = _kernel_pass(params, model, time, kernel, spec)
+    return float(delta), float(gamma)
 
 
 def coefficient_pair(
@@ -177,11 +198,8 @@ def coefficient_pair(
     t: float,
     spec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
-    """(Delta(t), gamma(t)) from one sinc quadrature per half for both."""
-    delta, gamma = _kernel_pass(
-        params, model, t, "sinc", _pair_weight(model, params), _PAIR_SIGNS, spec
-    )
-    return float(delta), float(gamma)
+    """(Delta(t), gamma(t)), from one sinc quadrature per half or in closed form."""
+    return _pair(params, model, t, "sinc", spec)
 
 
 def integrated_pair(
@@ -190,11 +208,8 @@ def integrated_pair(
     tau: float,
     spec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
-    """(IDelta(tau), Igamma(tau)) from one sinc^2 quadrature per half for both."""
-    i_delta, i_gamma = _kernel_pass(
-        params, model, tau, "sinc2", _pair_weight(model, params), _PAIR_SIGNS, spec
-    )
-    return float(i_delta), float(i_gamma)
+    """(IDelta(tau), Igamma(tau)), from one sinc^2 quadrature per half or in closed form."""
+    return _pair(params, model, tau, "sinc2", spec)
 
 
 def diffusion_coefficient(
@@ -204,7 +219,7 @@ def diffusion_coefficient(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """Time-dependent diffusion coefficient Delta(t); vanishes at t = 0."""
-    return float(_kernel_pass(params, model, t, "sinc", coth_weight(model, params), 1.0, spec))
+    return coefficient_pair(params, model, t, spec)[0]
 
 
 def damping_coefficient(
@@ -214,7 +229,7 @@ def damping_coefficient(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """Time-dependent damping coefficient gamma(t); temperature-free."""
-    return float(_kernel_pass(params, model, t, "sinc", bare_weight(model), -1.0, spec))
+    return coefficient_pair(params, model, t, spec)[1]
 
 
 def integrated_diffusion(
@@ -223,8 +238,8 @@ def integrated_diffusion(
     tau: float,
     spec: QuadratureSpec | None = None,
 ) -> float:
-    """Running integral Int_0^tau Delta(t) dt via the closed sinc^2 kernel."""
-    return float(_kernel_pass(params, model, tau, "sinc2", coth_weight(model, params), 1.0, spec))
+    """Running integral Int_0^tau Delta(t) dt."""
+    return integrated_pair(params, model, tau, spec)[0]
 
 
 def integrated_damping(
@@ -233,8 +248,8 @@ def integrated_damping(
     tau: float,
     spec: QuadratureSpec | None = None,
 ) -> float:
-    """Running integral Int_0^tau gamma(t) dt via the closed sinc^2 kernel."""
-    return float(_kernel_pass(params, model, tau, "sinc2", bare_weight(model), -1.0, spec))
+    """Running integral Int_0^tau gamma(t) dt."""
+    return integrated_pair(params, model, tau, spec)[1]
 
 
 @dataclass(frozen=True)
@@ -255,7 +270,7 @@ def markovian_limits(params: ReservoirParams, model: BaseSpectralDensity) -> Mar
 
     At theta = 0 the two coincide exactly.  These closed forms are
     canonical; ``markovian_limits_numerical`` provides the large-t
-    quadrature cross-check (slowly convergent, diagnostic only).
+    cross-check (slowly convergent, diagnostic only).
     """
     check_model_consistency(params, model)
     pref = 0.5 * np.pi * params.alpha**2
@@ -273,11 +288,13 @@ def markovian_limits_numerical(
     t: float = 200.0,
     spec: QuadratureSpec | None = None,
 ) -> MarkovianLimits:
-    """Large-t quadrature estimate of the Markovian limits.
+    """Large-t estimate of the Markovian limits: (Delta(t), gamma(t)).
 
-    Converges only like 1/(omega0 t) because of oscillatory resonance
-    tails; intended as a cross-check of the closed forms, not as input
-    to ratio denominators.
+    Evaluated like any ``coefficient_pair`` (closed form for the
+    Lorentz-Drude bath, quadrature otherwise).  Converges only like
+    1/(omega0 t) because of the oscillating resonance tails; intended
+    as a cross-check of the closed forms, not as input to ratio
+    denominators.
     """
     if not (t > 0.0):
         raise ValueError("t must be positive")
@@ -336,9 +353,8 @@ def tabulate_coefficients(
 ) -> CoefficientSeries:
     """Uniform-grid tabulation of Delta, gamma and their running integrals.
 
-    Each integral column is evaluated by the closed sinc^2 kernel at the
-    grid time, not by chaining trapezoids, so every row is independently
-    accurate.  ``jobs > 1`` parallelizes rows over processes with
+    Each integral column is evaluated at the grid time itself, not by
+    chaining trapezoids, so every row is independently accurate.  ``jobs > 1`` parallelizes rows over processes with
     deterministic ordered assembly.
     """
     if not (t_max > 0.0):

@@ -154,7 +154,8 @@ def effective_decay_rate_fd(
 
     with v± = (w ± w0) tau / 2.  Mathematically identical to the time
     route but evaluated with differently grouped integrands, so the two
-    act as mutual numerical oracles.
+    act as mutual numerical oracles.  It is always a quadrature, also
+    for the Lorentz-Drude bath, whose time route is closed form.
     """
     if not (tau > 0.0):
         raise ValueError("tau must be positive")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qbmzeno import zeno
+from qbmzeno import cli, zeno
 from qbmzeno.cli import main
 from qbmzeno.numerics import NonConvergenceError
 
@@ -313,19 +313,27 @@ class TestConfigHandling:
         bad.write_text("{not json")
         assert run(["scan", "--config", str(bad)]) == 2
 
-    def test_quadrature_failure_exit_code(self, tmp_path):
+    def test_quadrature_failure_exit_code(self, tmp_path, monkeypatch):
         # An exhausted subdivision budget must surface as exit 3.
-        cfg = tmp_path / "starved.json"
-        cfg.write_text(json.dumps({
-            "params": {"r": 0.5, "theta": 100.0, "alpha": 0.1},
-            "quadrature": {"abs_tol": 1e-14, "rel_tol": 1e-13, "max_subdivisions": 1},
-        }))
+        def starved(*args, **kwargs):
+            raise NonConvergenceError("subdivision budget exhausted")
+
+        monkeypatch.setattr(cli, "tabulate_coefficients", starved)
         code = run([
-            "coeffs", "--config", str(cfg), "--t-max", "2", "--points", "4",
-            "--out", str(tmp_path),
+            "coeffs", "--r", "0.5", "--theta", "100", "--alpha", "0.1",
+            "--t-max", "2", "--points", "4", "--out", str(tmp_path),
         ])
         assert code == 3
         assert not (tmp_path / "coefficients.csv").exists()
+
+    def test_removed_quadrature_key_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({
+            "params": {"r": 0.5, "theta": 100.0, "alpha": 0.1},
+            "quadrature": {"abs_tol": 1e-14},
+        }))
+        assert run(["coeffs", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "quadrature" in capsys.readouterr().err
 
     def test_invalid_params_exit_code(self, tmp_path):
         assert run(["scan", "--r", "-1", "--out", str(tmp_path)]) == 2
