@@ -40,7 +40,6 @@ from .errors import (
     NegativeFrequencyError,
     NegativeProbabilityError,
     PerturbativeBreakdownError,
-    StiffStepError,
     TruncationLeakageError,
 )
 from .numerics import (

@@ -236,6 +236,17 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _check_command_inputs(args: argparse.Namespace) -> None:
+    """Reject a negative --n and, for ion, a nonpositive --tau or --N."""
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"--n must be nonnegative, got {args.n}")
+    if args.command == "ion":
+        if not (args.tau > 0.0):
+            raise ValueError(f"--tau must be positive, got {args.tau}")
+        if args.N < 1:
+            raise ValueError(f"--N must be at least 1, got {args.N}")
+
+
 def cmd_coeffs(cfg: RunConfig) -> int:
     params, model = cfg.params, cfg.params.spectral_model()
     series = tabulate_coefficients(params, model, cfg.grids.t_max, cfg.grids.t_points,
@@ -378,6 +389,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_command_inputs(args)
         cfg = _merge_config(args)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

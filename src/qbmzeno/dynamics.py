@@ -1,4 +1,4 @@
-"""Survival probabilities, measurement schedules and the Fock-ladder simulator.
+"""Survival probabilities, measurement schedules and the Fock-ladder populations.
 
 Transition probabilities out of |n> follow the diagonal rate equation:
 upward (n+1)[Delta(t) - gamma(t)], downward n[Delta(t) + gamma(t)].  A
@@ -6,10 +6,10 @@ non-selective measurement erases system-bath correlations while keeping
 the populations, so between measurements the coefficient clock restarts
 at zero and the survival probability factorizes, P^(N) = P(tau)^N.
 
-The ladder simulator extends the loss-only rate equation with the
-matching repopulation (gain) terms so total probability is conserved up
-to leakage past the truncation level; it backs the shuttered- versus
-un-shuttered-noise comparison of the trapped-ion protocol.
+The full rate equation, gain terms included, is a linear birth-death
+process: over [0, t] it maps the Fock-ladder populations exactly by two
+numbers (Intravaia, Maniscalco and Messina, PRA 67, 042108 (2003)), and
+such maps compose across the segments of the trapped-ion protocol.
 """
 
 from __future__ import annotations
@@ -20,19 +20,17 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._table import csv_text
 from .coefficients import (
     CoefficientSeries,
-    coefficient_pair,
     integrated_diffusion,
     integrated_pair,
+    tabulate_coefficients,
 )
 from .errors import (
     NegativeProbabilityError,
     PerturbativeBreakdownError,
-    StiffStepError,
     TruncationLeakageError,
 )
 from .numerics import QuadratureSpec
@@ -58,7 +56,8 @@ __all__ = [
 _NEGATIVE_PROB_FLOOR = -1e-12
 _ESCAPE_LIMIT = 0.5
 _LEAKAGE_LIMIT = 1e-6
-_STIFFNESS_LIMIT = 0.1
+# Rows of one shuttering segment in the ladder trace, both ends included.
+_SEGMENT_ROWS = 201
 
 
 class MeasurementMode(Enum):
@@ -245,98 +244,99 @@ def eid_attenuation(
     return math.exp(-(dx**2) * integrated_diffusion(params, model, tau, spec))
 
 
-def _rate_table(
-    params: ReservoirParams,
-    model: BaseSpectralDensity,
-    t_end: float,
-    spec: QuadratureSpec | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, delta, gamma) on the ladder's uniform grid over [0, t_end]."""
-    times = np.linspace(0.0, t_end, max(80, min(400, int(40 * t_end) + 2)))
-    rows = [(0.0, 0.0)] + [coefficient_pair(params, model, float(t), spec) for t in times[1:]]
-    delta, gamma = np.array(rows).T
-    return times, delta, gamma
+def _cumulative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Running integral of samples on a grid of >= 4 times, fourth order on any grid.
+
+    Each interval integrates the cubic through the four samples nearest to it.
+    """
+    stencil = np.clip(np.arange(len(times) - 1) - 1, 0, len(times) - 4)[:, None] + np.arange(4)
+    h = np.diff(times)
+    knots = (times[stencil] - times[:-1, None]) / h[:, None]  # in units of the interval
+    cubic = np.linalg.solve(knots[:, :, None] ** np.arange(4), values[stencil][:, :, None])
+    return np.concatenate([[0.0], np.cumsum(h * (cubic[:, :, 0] @ (1.0 / np.arange(1, 5))))])
 
 
-def _spline_rates(times: np.ndarray, delta: np.ndarray, gamma: np.ndarray):
-    delta_s, gamma_s = CubicSpline(times, delta), CubicSpline(times, gamma)
-    return lambda ts: (delta_s(ts), gamma_s(ts))
+def _ladder_maps(times, gamma, int_delta, int_gamma) -> tuple[np.ndarray, np.ndarray]:
+    """The ladder map (a, b) from the first row's time to every row's time.
+
+    a = exp(-2 Igamma) is the decay of the mean level and b the mean level
+    reached from |0>, a Int (Delta - gamma) exp(2 Igamma) ds; integrating
+    that by parts leaves only the O(alpha^4) remainder
+    Int 2 IDelta gamma exp(2 Igamma) ds for the cumulative rule.
+    """
+    a = np.exp(-2.0 * int_gamma)
+    remainder = _cumulative(times, 2.0 * int_delta * gamma / a)
+    return a, int_delta + 0.5 * np.expm1(-2.0 * int_gamma) - a * remainder
 
 
-def _rate_functions(
+def _times_linear(poly: np.ndarray, c0, c1) -> np.ndarray:
+    """Rows of coefficients in z times (c0 + c1 z), truncated to the same degree."""
+    out = c0 * poly
+    out[:, 1:] += c1 * poly[:, :-1]
+    return out
+
+
+def _populations(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Populations over the levels of ``p`` after the ladder map (a[r], b[r]) of each row r.
+
+    The map is binomial thinning with eta = a/(1+b) followed by a
+    quantum-limited amplifier of gain 1+b, so every term is nonnegative:
+    P(j->m) = sum_i C(j,i) eta^i (1-eta)^(j-i) C(m,i) (1+b)^-(i+1) (b/(1+b))^(m-i).
+    Raises TruncationLeakageError when more than 1e-6 of the mass of ``p``
+    ends above the top level.
+    """
+    a, b = a[:, None], b[:, None]
+    eta = a / (1.0 + b)
+    # Thinning: Horner's rule on the generating function sum_j p_j (1 - eta + eta z)^j.
+    top = int(np.max(np.flatnonzero(p), initial=0))
+    thinned = np.zeros((len(a), top + 1))
+    for j in range(top, -1, -1):
+        thinned = _times_linear(thinned, 1.0 - eta, eta)
+        thinned[:, 0] += p[j]
+    # Amplifier matrix, row m from row m - 1: A[m, i] = x A[m-1, i] + g A[m-1, i-1].
+    g, x = 1.0 / (1.0 + b), b / (1.0 + b)
+    amp = np.zeros_like(thinned)
+    amp[:, :1] = g
+    out = np.empty((len(a), len(p)))
+    for m in range(len(p)):
+        amp = _times_linear(amp, x, g) if m else amp
+        out[:, m] = np.sum(amp * thinned, axis=1)
+    tail = float(np.max(np.sum(p) - np.sum(out, axis=1)))
+    if tail > _LEAKAGE_LIMIT:
+        raise TruncationLeakageError(
+            f"population {tail:.3e} above the top level exceeds {_LEAKAGE_LIMIT}; increase n_max"
+        )
+    return out
+
+
+def _rate_rows(
     params: ReservoirParams,
     model: BaseSpectralDensity,
     coefficients,
+    t0: float,
     t_end: float,
+    dt: float,
     spec: QuadratureSpec | None,
 ):
-    """Normalize the rate source to one map: times array -> (delta, gamma) arrays."""
+    """(times, gamma, IDelta, Igamma) over [t0, t_end], integrals taken from t0."""
+    if not (dt > 0.0 and t_end > t0):
+        raise ValueError("dt must be positive and t_end must exceed the state's time")
+    points = max(4, math.ceil((t_end - t0) / dt - 1e-12) + 1)
     if coefficients is None:
-        return _spline_rates(*_rate_table(params, model, t_end, spec))
+        coefficients = tabulate_coefficients(params, model, t_end, points, spec)
     if isinstance(coefficients, CoefficientSeries):
-        if coefficients.times[-1] < t_end - 1e-12:
-            raise ValueError("coefficient table does not cover the requested time span")
-        return _spline_rates(coefficients.times, coefficients.delta, coefficients.gamma)
+        times = coefficients.times
+        if t0 != 0.0 or len(times) < 4 or not math.isclose(times[-1], t_end, rel_tol=1e-12):
+            raise ValueError(
+                f"a coefficient table of 4 or more rows must span the evolution: it runs "
+                f"from t = 0 to {times[-1]!r}, the evolution from {t0!r} to {t_end!r}"
+            )
+        return times, coefficients.gamma, coefficients.int_delta, coefficients.int_gamma
     delta_fn, gamma_fn = coefficients
-    return lambda ts: (
-        np.array([delta_fn(t) for t in ts], dtype=float),
-        np.array([gamma_fn(t) for t in ts], dtype=float),
-    )
-
-
-def _ladder_rhs(p: np.ndarray, delta: float, gamma: float, levels: np.ndarray) -> np.ndarray:
-    up = (levels + 1.0) * (delta - gamma)
-    down = levels * (delta + gamma)
-    flow = -(up + down) * p
-    flow[1:] += up[:-1] * p[:-1]
-    flow[:-1] += down[1:] * p[1:]
-    return flow
-
-
-def _integrate_ladder(
-    state: LadderState,
-    rates,
-    dt: float,
-    t_end: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on the birth-death system; returns (times, populations).
-
-    ``rates`` maps an array of times to the (delta, gamma) arrays there;
-    it is called once each for the step starts, midpoints and ends.
-    """
-    if not (dt > 0.0):
-        raise ValueError("dt must be positive")
-    span = t_end - state.time
-    if span <= 0.0:
-        raise ValueError("t_end must exceed the state's current time")
-    n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
-    h = span / n_steps
-    levels = np.arange(state.n_max + 1, dtype=float)
-
-    d, g = rates(np.linspace(state.time, t_end, 9))
-    max_rate = float(np.max(np.abs((state.n_max + 1) * (d - g)) + np.abs(state.n_max * (d + g))))
-    if h * max_rate > _STIFFNESS_LIMIT:
-        raise StiffStepError(
-            f"dt * max_rate = {h * max_rate:.3g} exceeds {_STIFFNESS_LIMIT}; reduce dt"
-        )
-
-    times = state.time + h * np.arange(n_steps + 1)
-    times[-1] = t_end
-    starts = times[:-1]
-    d1, g1 = (a.tolist() for a in rates(starts))
-    d2, g2 = (a.tolist() for a in rates(starts + 0.5 * h))
-    d4, g4 = (a.tolist() for a in rates(starts + h))
-    trace = np.empty((n_steps + 1, state.n_max + 1))
-    p = state.populations.copy()
-    trace[0] = p
-    for i in range(n_steps):
-        k1 = _ladder_rhs(p, d1[i], g1[i], levels)
-        k2 = _ladder_rhs(p + 0.5 * h * k1, d2[i], g2[i], levels)
-        k3 = _ladder_rhs(p + 0.5 * h * k2, d2[i], g2[i], levels)
-        k4 = _ladder_rhs(p + h * k3, d4[i], g4[i], levels)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        trace[i + 1] = p
-    return times, trace
+    times = np.linspace(t0, t_end, points)
+    delta = np.array([delta_fn(t) for t in times], dtype=float)
+    gamma = np.array([gamma_fn(t) for t in times], dtype=float)
+    return times, gamma, _cumulative(times, delta), _cumulative(times, gamma)
 
 
 def evolve_ladder(
@@ -348,21 +348,22 @@ def evolve_ladder(
     coefficients=None,
     spec: QuadratureSpec | None = None,
 ) -> LadderState:
-    """Evolve the Fock-ladder populations to t_end with explicit RK4 steps.
+    """Evolve the Fock-ladder populations to t_end by the exact ladder map.
 
-    Time-dependent rates are read from ``coefficients``: a
-    CoefficientSeries (cubic-spline interpolated), a pair of callables
-    (delta(t), gamma(t)), or None to tabulate on demand.  Raises
-    StiffStepError when dt * max-rate exceeds 0.1 and
-    TruncationLeakageError when population reaches the top level.
+    Time-dependent rates come from ``coefficients``: a CoefficientSeries,
+    used on its own grid, which must end at t_end; a pair of callables
+    (delta(t), gamma(t)), sampled at a step of at most ``dt`` and
+    integrated by a fourth-order cumulative rule; or None to tabulate
+    the model's coefficients over [0, t_end] at a step of at most
+    ``dt``.  ``dt`` is that sampling step and nothing else; a table
+    needs a state at t = 0.  Raises TruncationLeakageError when more than
+    1e-6 of the population ends above n_max.
     """
-    rates = _rate_functions(params, model, coefficients, t_end, spec)
-    _, trace = _integrate_ladder(state, rates, dt, t_end)
-    final = trace[-1]
-    if final[-1] > _LEAKAGE_LIMIT:
-        raise TruncationLeakageError(
-            f"top-level population {final[-1]:.3e} > {_LEAKAGE_LIMIT}; increase n_max"
-        )
+    times, gamma, i_delta, i_gamma = _rate_rows(
+        params, model, coefficients, state.time, t_end, dt, spec
+    )
+    a, b = _ladder_maps(times, gamma, i_delta, i_gamma)
+    final = _populations(state.populations, a[-1:], b[-1:])[0]
     return LadderState(populations=np.clip(final, 0.0, 1.0), time=t_end, n_max=state.n_max)
 
 
@@ -405,8 +406,9 @@ class ShutteredComparison:
     """Shuttered versus un-shuttered survival at the measurement times.
 
     ``shuttered`` is the analytic power law P(tau)^k; ``shuttered_ladder``
-    the rate-equation simulation with the coefficient clock reset after
-    each interval; ``unshuttered`` the free decay over t = k tau.
+    the exact rate-equation population of |n>, with the coefficient clock
+    reset after each interval; ``unshuttered`` the free decay over
+    t = k tau.  ``trace`` holds all populations at 201 times per interval.
     """
 
     times: np.ndarray
@@ -442,7 +444,6 @@ def shuttered_comparison(
     n_measurements: int,
     spec: QuadratureSpec | None = None,
     n_max: int | None = None,
-    dt: float | None = None,
 ) -> ShutteredComparison:
     """Rate-equation comparison of the shuttered-noise measurement protocol.
 
@@ -469,33 +470,22 @@ def shuttered_comparison(
         unshuttered[k] = result.probability
         extrapolated = extrapolated or result.extrapolated
 
-    # Ladder route: one rate table over a single interval, reused because
-    # every measurement resets the coefficient clock to zero.
-    table_times, delta, gamma = _rate_table(params, model, tau, spec)
-    if dt is None:
-        rate_bound = float(
-            np.max((n_max + 1) * np.abs(delta - gamma) + n_max * np.abs(delta + gamma))
-        )
-        dt = min(tau / 200.0, 0.05 / max(rate_bound, 1e-12))
-    rates = _spline_rates(table_times, delta, gamma)
-    state = LadderState.fock(n, n_max)
-    ladder = np.ones(n_measurements + 1)
-    segments_t = []
-    segments_p = []
-    for k in range(n_measurements):
-        seg_times, seg_trace = _integrate_ladder(state, rates, dt=dt, t_end=tau)
-        if seg_trace[-1, -1] > _LEAKAGE_LIMIT:
-            raise TruncationLeakageError("population reached the ladder truncation level")
-        segments_t.append(seg_times + k * tau)
-        segments_p.append(seg_trace)
-        ladder[k + 1] = seg_trace[-1, n]
-        state = LadderState(
-            populations=np.clip(seg_trace[-1], 0.0, 1.0), time=0.0, n_max=state.n_max
-        )
+    # Ladder route: one coefficient table over a single interval serves
+    # every segment, because each measurement resets the coefficient clock.
+    # After k segments the map is (a^k, b (1 + a + ... + a^(k-1))); a row at
+    # s inside the next segment composes that with (a(s), b(s)).
+    table = tabulate_coefficients(params, model, tau, _SEGMENT_ROWS, spec)
+    a, b = _ladder_maps(table.times, table.gamma, table.int_delta, table.int_gamma)
+    done_a = a[-1] ** np.arange(n_measurements)[:, None]
+    done_b = b[-1] * np.concatenate([[0.0], np.cumsum(done_a[:-1])])[:, None]
+    populations = _populations(
+        LadderState.fock(n, n_max).populations, (done_a * a).ravel(), (done_b * a + b).ravel()
+    )
+    ladder = np.concatenate([[1.0], populations[_SEGMENT_ROWS - 1::_SEGMENT_ROWS, n]])
 
     trace = LadderTrace(
-        times=np.concatenate(segments_t),
-        populations=np.concatenate(segments_p),
+        times=(tau * np.arange(n_measurements)[:, None] + table.times).ravel(),
+        populations=populations,
         mode=MeasurementMode.SHUTTERED,
         tau=tau,
         n_measurements=n_measurements,

@@ -7,7 +7,6 @@ __all__ = [
     "PerturbativeBreakdownError",
     "NegativeProbabilityError",
     "TruncationLeakageError",
-    "StiffStepError",
 ]
 
 
@@ -42,7 +41,3 @@ class NegativeProbabilityError(RuntimeError):
 
 class TruncationLeakageError(RuntimeError):
     """Population reached the top of the truncated Fock ladder."""
-
-
-class StiffStepError(ValueError):
-    """The requested explicit step is too large for the instantaneous rates."""

@@ -338,6 +338,17 @@ class TestConfigHandling:
     def test_invalid_params_exit_code(self, tmp_path):
         assert run(["scan", "--r", "-1", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["ion", "--tau", "0.25", "--N", "0"],
+        ["ion", "--tau", "-1", "--N", "3"],
+        ["scan", "--n", "-1"],
+        ["ion", "--n", "-1", "--tau", "0.25", "--N", "3"],
+    ], ids=["ion-N-0", "ion-tau-negative", "scan-n-negative", "ion-n-negative"])
+    def test_invalid_command_inputs_are_config_errors(self, argv, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list(tmp_path.iterdir())
+
     def test_environment_output_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QBMZENO_OUT", str(tmp_path / "envdir"))
         code = run([

@@ -264,4 +264,8 @@ class TestGoldenTable:
         series = tabulate_coefficients(params_hot, model_hot, 30.0, 300)
         fresh = tmp_path / "regenerated.csv"
         series.to_csv(fresh)
-        assert fresh.read_text() == GOLDEN.read_text()
+        # Row by row, so a mismatch reports its first row, not a diff of the file.
+        got, want = fresh.read_text().split("\n"), GOLDEN.read_text().split("\n")
+        for i, (row, golden) in enumerate(zip(got, want)):
+            assert row == golden, f"line {i + 1} differs: {row!r} != {golden!r}"
+        assert len(got) == len(want), f"{len(got)} lines, golden has {len(want)}"

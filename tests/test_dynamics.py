@@ -19,11 +19,35 @@ from qbmzeno.dynamics import (
 from qbmzeno.errors import (
     NegativeProbabilityError,
     PerturbativeBreakdownError,
-    StiffStepError,
     TruncationLeakageError,
 )
 from qbmzeno.spectral import ReservoirParams
 from qbmzeno.zeno import Regime, effective_decay_rate
+
+
+def _ladder_rhs(p, delta, gamma):
+    levels = np.arange(len(p), dtype=float)
+    up = (levels + 1.0) * (delta - gamma)
+    down = levels * (delta + gamma)
+    flow = -(up + down) * p
+    flow[1:] += up[:-1] * p[:-1]
+    flow[:-1] += down[1:] * p[1:]
+    return flow
+
+
+def _rk4(p, delta, gamma, h):
+    """Oracle: classical RK4 on the truncated rate equation (top-level up-flow is lost).
+
+    ``delta`` and ``gamma`` hold the rates at every half step h/2 of the
+    run, 2 * steps + 1 values each.
+    """
+    for i in range(0, len(delta) - 1, 2):
+        k1 = _ladder_rhs(p, delta[i], gamma[i])
+        k2 = _ladder_rhs(p + 0.5 * h * k1, delta[i + 1], gamma[i + 1])
+        k3 = _ladder_rhs(p + 0.5 * h * k2, delta[i + 1], gamma[i + 1])
+        k4 = _ladder_rhs(p + h * k3, delta[i + 2], gamma[i + 2])
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p
 
 
 class TestTransitionProbabilities:
@@ -220,23 +244,21 @@ class TestLadder:
 
     def test_two_state_eigen_oracle(self):
         # Full 2x2 generator (up, down and top leakage) against its
-        # closed eigenvalue solution, on the raw integrator.
-        from qbmzeno.dynamics import _integrate_ladder
-
+        # closed eigenvalue solution, on the oracle integrator.
         delta_c, gamma_c = 0.04, 0.01
         up0 = delta_c - gamma_c          # 0 -> 1
         down1 = delta_c + gamma_c        # 1 -> 0
         up1 = 2.0 * (delta_c - gamma_c)  # leakage out of the top level
-        t_end = 2.0
-        state = LadderState(populations=np.array([1.0, 0.0]), time=0.0, n_max=1)
-        _, trace = _integrate_ladder(
-            state, lambda ts: (np.full(len(ts), delta_c), np.full(len(ts), gamma_c)), 0.01, t_end
+        t_end, steps = 2.0, 200
+        final = _rk4(
+            np.array([1.0, 0.0]),
+            np.full(2 * steps + 1, delta_c), np.full(2 * steps + 1, gamma_c), t_end / steps,
         )
         gen = np.array([[-up0, down1], [up0, -(down1 + up1)]])
         eigvals, eigvecs = np.linalg.eig(gen)
         coeffs = np.linalg.solve(eigvecs, np.array([1.0, 0.0]))
         expected = eigvecs @ (coeffs * np.exp(eigvals * t_end))
-        np.testing.assert_allclose(trace[-1], expected, atol=1e-6)
+        np.testing.assert_allclose(final, expected, atol=1e-6)
 
     def test_probability_conservation(self, params_hot, model_hot):
         table = coefficients.tabulate_coefficients(params_hot, model_hot, 2.0, 120)
@@ -262,14 +284,6 @@ class TestLadder:
         err_coarse = np.max(np.abs(coarse.populations - fine.populations))
         err_halved = np.max(np.abs(halved.populations - fine.populations))
         assert err_halved <= err_coarse / 12.0  # ~16x for a 4th-order step
-
-    def test_stiffness_guard(self, params_hot, model_hot):
-        state = LadderState.fock(0, n_max=30)
-        with pytest.raises(StiffStepError):
-            evolve_ladder(
-                params_hot, model_hot, state, 0.5, 1.0,
-                coefficients=(lambda t: 0.3, lambda t: 0.0),
-            )
 
     def test_truncation_leakage(self, params_hot, model_hot):
         state = LadderState.fock(0, n_max=5)
@@ -312,8 +326,9 @@ class TestShutteredComparison:
         assert comp.shuttered[-1] < comp.unshuttered[-1]
 
     def test_one_integrated_pair_per_measurement_time(self, params_hot, model_hot, monkeypatch):
-        # P(tau) once, then the free decay at each of the N measurement
-        # times; the ladder's rate table needs no integrated coefficients.
+        # P(tau) once, the free decay at each of the N measurement times,
+        # then one integrated pair per row (t > 0) of the ladder's
+        # 201-row coefficient table.
         calls = []
         original = coefficients.integrated_pair
 
@@ -324,7 +339,32 @@ class TestShutteredComparison:
         monkeypatch.setattr(dynamics, "integrated_pair", counting)
         monkeypatch.setattr(coefficients, "integrated_pair", counting)
         shuttered_comparison(params_hot, model_hot, 0, 0.25, 4)
-        assert len(calls) == 4 + 1
+        assert len(calls) == 4 + 1 + 200
+
+    @pytest.mark.parametrize(
+        "r, theta, n, tau", [(0.5, 100.0, 0, 0.25), (0.5, 100.0, 3, 0.25), (10.0, 100.0, 2, 0.1)]
+    )
+    def test_closed_form_matches_rk4_on_exact_rates(self, r, theta, n, tau):
+        # The exact ladder map against RK4 at tau/1600 on coefficient_pair
+        # rates, segment by segment, restarting the clock at each one.
+        params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+        model = params.spectral_model()
+        n_measurements, steps = 3, 1600
+        comp = shuttered_comparison(params, model, n, tau, n_measurements)
+        pops = comp.trace.populations
+        assert np.all(pops >= 0.0)
+        ts = np.linspace(0.0, tau, 2 * steps + 1)
+        delta, gamma = np.array(
+            [(0.0, 0.0)] + [coefficients.coefficient_pair(params, model, float(t)) for t in ts[1:]]
+        ).T
+        rows = 201
+        assert len(pops) == rows * n_measurements
+        p = np.zeros(pops.shape[1])
+        p[n] = 1.0
+        for k in range(n_measurements):
+            p = _rk4(p, delta, gamma, tau / steps)
+            assert np.max(np.abs(pops[(k + 1) * rows - 1] - p)) <= 1e-9
+            assert comp.shuttered_ladder[k + 1] == pops[(k + 1) * rows - 1, n]
 
     def test_trace_serialization(self, params_hot, model_hot, tmp_path):
         comp = shuttered_comparison(params_hot, model_hot, 0, 0.25, 2)
