@@ -26,16 +26,28 @@ short power series for |w| < 1.  With h(lambda) = lambda Re[t^p phi_p]:
 the divided difference that stays finite where cot(wc/2T) has a pole.
 Its kernel part (F(nu) - F(wc)) / (nu - wc) comes from the recurrence
 phi_p = (1/(p-1)! - phi_{p-1}) / w, phi_0 = e^{-w}, without cancellation,
-so G is as smooth at nu = wc as anywhere else.  From t = 1 on, the t^{p-1}/z part of each kernel (the
-Markovian growth) is summed in closed form, t^{p-1} times Delta_M resp.
-gamma_M, so that (2n+1) IDelta - Igamma keeps its digits when the two
-nearly cancel (theta = 0, n = 0).
+so G is as smooth at nu = wc as anywhere else.  From t = 1 on, the
+t^{p-1}/z part of each kernel (the Markovian growth) is summed in closed
+form, t^{p-1} times Delta_M resp. gamma_M, so that (2n+1) IDelta - Igamma
+keeps its digits when the two nearly cancel (theta = 0, n = 0).
 
 The Matsubara sum is direct up to an index set by (r, theta, t) and
 capped at _MAX_TERMS.  Past it the summand is either a power series in
 1/nu, summed with Hurwitz zeta functions, or (small theta t) it is
 completed by Gregory's endpoint formula around Int G dnu, which is
 smooth and non-oscillatory and goes to numerics.integrate_adaptive.
+
+``pair`` takes a whole grid of times and evaluates it in one pass: the
+direct terms of every t in blocks of about _BLOCK_TERMS entries, the zeta
+tails as one array per grid, and all the integrals of one call as the
+components of a single integrate_adaptive call.  A single time is the
+grid of one.  The value at a given t is bit-identical whatever other
+times share its grid, because nothing a t's value is made of depends on them:
+its terms are formed elementwise, summed over its own segment
+(``np.add.reduceat``) or along the term axis from the left, and its
+integral is one component of the adaptive engine, which refines each
+component on its own, from breakpoints and a tolerance that are the
+same for every t.
 """
 
 from __future__ import annotations
@@ -55,6 +67,8 @@ _MAX_TERMS = 4096
 _EXP_CUT = 40.0
 _SERIES_MARGIN = 8.0
 _SERIES_ORDER = 20
+_ORDERS = np.arange(2, _SERIES_ORDER + 1)
+_NEG_ORDERS = -_ORDERS.astype(float)
 # Gregory's formula: head terms before it, and its coefficients for the
 # forward differences Delta^1 .. Delta^10.
 _GREGORY_START = 64
@@ -62,8 +76,18 @@ _GREGORY = np.array([
     -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192,
     -33953 / 3628800, 8183 / 1036800, -3250433 / 479001600, 4671 / 788480,
 ])
+# Integrals: tolerances relative to each t's largest probed integrand
+# value, and initial breakpoints at (nu - lower) / (1 + lower) = 4^j.
+# G falls like 1/nu between its scales (wc, 1, 1/t, 40/t); panels a
+# factor 4 apart over 4^-16 .. 4^16 span them for t from about 1e-9 to
+# 1e9, and adaptive refinement takes over outside.
 _INTEGRAL_REL_TOL = 1e-12
-_BREAK_RATIO = 4.0
+_INTEGRAL_ABS_TOL = 1e-14
+_BREAK_GAPS = np.array([4.0**j for j in range(-16, 17)])
+# Summand entries evaluated at once, across the times of a grid, and
+# values of w per block of Taylor power rows (24 powers each).
+_BLOCK_TERMS = 4096
+_SERIES_CHUNK = 128
 
 
 def _taylor(power: int) -> np.ndarray:
@@ -74,184 +98,403 @@ def _taylor(power: int) -> np.ndarray:
 _TAYLOR = {p: _taylor(p) for p in (1, 2)}
 
 
+def _divided_hankel(a: np.ndarray) -> np.ndarray:
+    """A[m, j] = a_{j+1+m} (zero past the last coefficient): b = w_c^m A[m, j] summed over m."""
+    size = len(a) - 1
+    return np.array([[a[j + 1 + m] if j + 1 + m <= size else 0.0 for j in range(size)]
+                     for m in range(size)])
+
+
+_DIVIDED_TAYLOR = {p: _divided_hankel(a) for p, a in _TAYLOR.items()}
+# Rows of divided-difference coefficients formed at once (23 x 23 terms each).
+_TAYLOR_ROWS = 64
+
+
+def _powers(w: np.ndarray, count: int) -> np.ndarray:
+    """w^0 .. w^(count-1) along a new last axis, by a running product."""
+    out = np.empty(w.shape + (count,), dtype=w.dtype)
+    out[..., 0] = 1.0
+    out[..., 1:] = w[..., None]
+    return np.cumprod(out, axis=-1, out=out)
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums along the last axis from the left: a row's sum ignores the other rows."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _power_series(w: np.ndarray, coefficients: np.ndarray, rows=None) -> np.ndarray:
+    """Sum_n c_n w^n at each w (1-D), summed from the lowest power.
+
+    ``coefficients`` is one (terms,) set for every w or, with ``rows``,
+    a (rows, terms) table of which w[i] takes row rows[i].  The power
+    rows are formed _SERIES_CHUNK values of w at a time.
+    """
+    out = np.empty_like(w)
+    for i in range(0, w.size, _SERIES_CHUNK):
+        part = slice(i, i + _SERIES_CHUNK)
+        c = coefficients if rows is None else coefficients[rows[part]]
+        out[part] = _row_sums(_powers(w[part], c.shape[-1]) * c)
+    return out
+
+
 def _k(w: np.ndarray, power: int, c: float = 1.0) -> np.ndarray:
     """(c - phi_{p-1}(w)) / w with phi_0 = e^{-w}; phi_p(w) itself for c = 1.
 
-    Re w >= 0.  Below |w| = 1, phi_p comes from its Taylor series (only
-    c = 1 gets there).
+    Elementwise, Re w >= 0.  Below |w| = 1, phi_p comes from its Taylor
+    series (only c = 1 gets there).
     """
     small = np.abs(w) < 1.0
-    if np.any(small):
-        out = np.polyval(_TAYLOR[power][::-1], w)
-        big = ~small
-        out[big] = _k(w[big], power, c)
-        return out
+    if not np.count_nonzero(small):
+        return _k_closed(w, power, c)
+    out = np.empty_like(w)
+    out[small] = _power_series(w[small], _TAYLOR[power])
+    big = ~small
+    out[big] = _k_closed(w[big], power, c)
+    return out
+
+
+def _k_closed(w: np.ndarray, power: int, c: float) -> np.ndarray:
+    """_k at |w| >= 1, from exp resp. expm1."""
     if power == 1:
-        return (-np.expm1(-w) if c else -np.exp(-w)) / w
-    return (c - _k(w, 1)) / w
+        minus = -w
+        return (np.expm1(minus) if c else np.exp(minus)) / minus
+    return (c - _k_closed(w, 1, 1.0)) / w
 
 
-def _exp_divided(w1: np.ndarray, w2: complex) -> np.ndarray:
-    """(e^{-w1} - e^{-w2}) / (w1 - w2) = -e^{-a} phi_1(b - a), Re a <= Re b."""
-    first = w1.real < w2.real
-    a = np.where(first, w1, w2)
-    b = np.where(first, w2, w1)
-    return -np.exp(-a) * _k(b - a, 1)
+def _exp_divided(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """(e^{-w1} - e^{-w2}) / (w1 - w2) = -e^{-a} phi_1(b - a), Re a <= Re b.
+
+    w1 and w2 share their imaginary part (the row's -t), so the complex
+    (real part first) minimum and maximum order them by real part.
+    """
+    a = np.minimum(w1, w2)
+    return -np.exp(-a) * _k(np.maximum(w1, w2) - a, 1)
 
 
 class _Kernel:
-    """The time kernel F = t^p k((lambda - i) t) and the summand G(nu).
+    """The time kernel F = t^p k((lambda - i) t) and the summand G(nu), for a grid of t.
 
-    k = _k(., p, c): c = 1 gives phi_p, c = 0 (``split``, t >= 1 so
+    k = _k(., p, c): c = 1 gives phi_p, c = 0 (``split``, every t >= 1 so
     |w| >= 1) gives phi_p - 1/w, the kernel without its Markovian part.
-    G needs the divided difference of k between w and w_c; it is formed
-    without cancellation, from the same recurrence, so G is smooth
-    through nu = wc.
+    Per-time quantities are arrays over the grid ``t``; a summand node
+    names its time by a row index into them.  G needs the divided
+    difference of k between w and w_c; it is formed without
+    cancellation, from the same recurrence, so G is smooth through
+    nu = wc.
     """
 
-    def __init__(self, wc: float, t: float, power: int, split: bool) -> None:
+    def __init__(self, wc: float, t: np.ndarray, power: int, split: bool) -> None:
         self.wc, self.t, self.power = wc, t, power
         self.c = 0.0 if split else 1.0
         self.tp = t**power
         self.w_c = complex(wc, -1.0) * t
-        self.k_c = complex(_k(np.array([self.w_c]), power, self.c)[0])
+        self.k_c = _k(self.w_c, power, self.c)
         self.f_c = self.tp * self.k_c  # t^p k(w_c): gamma-like and h(wc) / wc
         self.h_c = wc * self.f_c.real
+        # Rows whose divided differences near w_c take the Taylor form.
+        self.taylor_rows = np.abs(self.w_c) < 1.0
+        self._divided_taylor = None
 
     def k(self, w: np.ndarray) -> np.ndarray:
         return _k(w, self.power, self.c)
 
-    def divided(self, w: np.ndarray) -> np.ndarray:
-        """(k(w) - k(w_c)) / (w - w_c), also at w = w_c."""
-        w2 = self.w_c
-        if abs(w2) >= 1.0:
-            # [k] = -(k(w) + [phi_{p-1}]) / w_c, and [phi_1] likewise from [phi_0].
-            previous = _exp_divided(w, w2)
-            if self.power == 2:
-                previous = -(_k(w, 1) + previous) / w2
-            return -(self.k(w) + previous) / w2
-        offset = w - w2
-        near = np.abs(offset) < 0.5
-        far = ~near
+    def divided_taylor(self) -> np.ndarray:
+        """Per row, the Taylor coefficients b_j of (k(w) - k(w_c)) / (w - w_c) in w.
+
+        From Sum_n a_n (w^n - w_c^n) / (w - w_c) = Sum_j b_j w^j with
+        b_j = Sum_{m >= 0} a_{j+1+m} w_c^m, summed over m from the left.
+        """
+        if self._divided_taylor is None:
+            hankel = _DIVIDED_TAYLOR[self.power]
+            b = np.empty((len(self.t), len(hankel)), dtype=complex)
+            for r0 in range(0, len(b), _TAYLOR_ROWS):
+                w_c = self.w_c[r0:r0 + _TAYLOR_ROWS]
+                terms = _powers(w_c, len(hankel))[:, :, None] * hankel
+                b[r0:r0 + _TAYLOR_ROWS] = np.cumsum(terms, axis=1)[:, -1, :]
+            self._divided_taylor = b
+        return self._divided_taylor
+
+    def divided(self, w: np.ndarray, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(k(w) - k(w_c)) / (w - w_c) with the w_c of each node's row, also at w = w_c.
+
+        ``k`` is k(w), already evaluated.
+        """
+        taylor = self.taylor_rows[rows]
+        count = np.count_nonzero(taylor)
+        if count == 0:
+            return self._divided_recurrence(w, k, self.w_c[rows])
+        if count == len(w):
+            return self._divided_quotient(w, k, rows)
         out = np.empty_like(w)
-        out[far] = (self.k(w[far]) - self.k_c) / offset[far]
-        if not np.any(near):
-            return out
-        # Taylor: Sum_n a_n (w^n - w_c^n) / (w - w_c), a sum of w^j w_c^(n-1-j).
-        w1 = w[near]
-        power_sum = np.zeros_like(w1)
-        total = np.zeros_like(w1)
-        w2_power = 1.0 + 0.0j
-        for coefficient in _TAYLOR[self.power][1:]:
-            power_sum = w1 * power_sum + w2_power
-            w2_power *= w2
-            total += coefficient * power_sum
-        out[near] = total
+        other = ~taylor
+        out[other] = self._divided_recurrence(w[other], k[other], self.w_c[rows[other]])
+        out[taylor] = self._divided_quotient(w[taylor], k[taylor], rows[taylor])
         return out
 
-    def summand(self, nu) -> np.ndarray:
+    def _divided_quotient(self, w: np.ndarray, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """|w_c| < 1: the quotient itself, and within 0.5 of w_c its Taylor form in w."""
+        offset = w - self.w_c[rows]
+        near = np.abs(offset) < 0.5
+        out = k - self.k_c[rows]
+        np.divide(out, offset, out=out, where=~near)
+        if np.count_nonzero(near):
+            out[near] = _power_series(w[near], self.divided_taylor(), rows[near])
+        return out
+
+    def _divided_recurrence(self, w: np.ndarray, k: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """|w_c| >= 1: [k] = -(k(w) + [phi_{p-1}]) / w_c, and [phi_1] likewise from [phi_0]."""
+        previous = _exp_divided(w, w2)
+        if self.power == 2:
+            previous = -(_k(w, 1) + previous) / w2
+        return -(k + previous) / w2
+
+    def summand(self, nu: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """G(nu) = (h(nu) - h(wc)) / (nu^2 - wc^2) with h(lambda) = lambda Re F.
 
-        As Re[F(nu) + wc (F(nu) - F(wc)) / (nu - wc)] / (nu + wc).
+        At nodes ``nu`` of the times ``t[rows]`` (broadcast together).
+        Below nu = wc/2 as written; from there on as Re[F(nu) + wc (F(nu)
+        - F(wc)) / (nu - wc)] / (nu + wc), which is smooth through nu = wc
+        but cancels like nu/wc below it.
         """
-        nu = np.asarray(nu, dtype=float)
-        w = (nu - 1j) * self.t
-        f = self.tp * self.k(w) + (self.wc * self.tp * self.t) * self.divided(w)
-        return f.real / (nu + self.wc)
+        shape = nu.shape
+        if nu.ndim > 1:
+            nu, rows = (a.ravel() for a in np.broadcast_arrays(nu, rows))
+        t, tp = self.t[rows], self.tp[rows]
+        w = nu - 1j
+        w *= t
+        k = self.k(w)
+        f = tp * k
+        low = nu < 0.5 * self.wc
+        if not np.count_nonzero(low):
+            f += (self.wc * tp * t) * self.divided(w, k, rows)
+            return (f.real / (nu + self.wc)).reshape(shape)
+        out = np.empty(nu.shape)
+        nu_low = nu[low]
+        out[low] = (nu_low * f.real[low] - self.h_c[rows[low]]) / (
+            (nu_low - self.wc) * (nu_low + self.wc)
+        )
+        high = ~low
+        if np.count_nonzero(high):
+            rows, nu = rows[high], nu[high]
+            f = f[high] + (self.wc * tp[high] * t[high]) * self.divided(w[high], k[high], rows)
+            out[high] = f.real / (nu + self.wc)
+        return out.reshape(shape)
 
-    def asymptotic(self) -> tuple[float, float]:
-        """(a1, a2) of the large-nu form F -> a1/z + a2/z^2, z = nu - i."""
-        return self.c * self.t ** (self.power - 1), -1.0 if self.power == 2 else 0.0
+    def asymptotic(self, rows: np.ndarray) -> tuple[np.ndarray, float]:
+        """(a1, a2) of the large-nu form F -> a1/z + a2/z^2, z = nu - i, per row."""
+        return self.c * self.t[rows] ** (self.power - 1), -1.0 if self.power == 2 else 0.0
 
 
-def _zeta_tail(kernel: _Kernel, step: float, last: int) -> float:
-    """Sum_{k > last} G(k step) from the 1/nu series of G (exponentials dropped).
+_FIRST = np.zeros(1, dtype=np.int64)  # the offset of a block's first row
 
-    In X = nu_K / nu (nu_K = last * step) every coefficient is at most one
-    in size, and Sum_{k > K} X^m = K^m zeta(m, K + 1).
+
+def _blocks(counts: np.ndarray):
+    """Consecutive row ranges [i0, i1) of about _BLOCK_TERMS terms (one row at least)."""
+    i0 = 0
+    while i0 < len(counts):
+        i1, total = i0 + 1, counts[i0]
+        while i1 < len(counts) and total + counts[i1] <= _BLOCK_TERMS:
+            total += counts[i1]
+            i1 += 1
+        yield i0, i1
+        i0 = i1
+
+
+def _terms(kernel: _Kernel, rows: np.ndarray, counts: np.ndarray, step: float):
+    """G(k step), k = 1 .. counts[i], for each row rows[i], concatenated in blocks.
+
+    Yields (i0, i1, values, starts): the terms of rows[i0:i1] one after
+    the other, and the offset of each row's first term.
     """
-    a1, a2 = kernel.asymptotic()
-    q = 1.0 / (last * step)
-    j = np.arange(_SERIES_ORDER + 1)
-    re_i = np.where(j % 2 == 0, (-1.0) ** (j // 2), 0.0)  # Re i^j
-    # nu Re[a1/z + a2/z^2] with 1/z = (X q) Sum (i X q)^j.
-    h = a1 * q**j * re_i
-    h[1:] += a2 * j[1:] * q ** j[1:] * re_i[:-1]
-    h[0] -= kernel.h_c
-    # 1/(nu^2 - wc^2) = (X q)^2 Sum (wc X q)^(2l).
-    pole = np.zeros_like(h)
-    pole[2::2] = q**2 * (kernel.wc * q) ** (2 * np.arange(len(pole[2::2])))
-    coeff = np.convolve(h, pole)[2:_SERIES_ORDER + 1]
-    m = np.arange(2, _SERIES_ORDER + 1)
-    return float(np.sum(coeff * float(last) ** m * zeta(m, last + 1)))
+    for i0, i1 in _blocks(counts):
+        lengths = counts[i0:i1]
+        if i1 - i0 == 1:
+            starts, k = _FIRST, np.arange(1, lengths[0] + 1)
+            k_rows = np.repeat(rows[i0:i1], lengths)
+        else:
+            starts = np.concatenate([_FIRST, np.cumsum(lengths)[:-1]])
+            k = np.arange(int(lengths.sum())) - np.repeat(starts, lengths) + 1
+            k_rows = np.repeat(rows[i0:i1], lengths)
+        yield i0, i1, kernel.summand(step * k, k_rows), starts
 
 
-def _integral(kernel: _Kernel, lower: float) -> float:
-    """Int_lower^inf G(nu) dnu with nu = lower + s u / (1 - u), u in [0, 1)."""
-    t, wc = kernel.t, kernel.wc
-    s = 1.0 + lower
-    # G falls like 1/nu between its scales (wc, 1, 1/t): panels a factor
-    # _BREAK_RATIO apart in nu span them, from below the lowest to past
-    # the exponential cut.
-    low = max(lower, min(1.0, wc, 1.0 / t) / _BREAK_RATIO)
-    high = max(_EXP_CUT / t, _BREAK_RATIO * max(1.0, wc))
-    count = math.ceil(math.log(high / low) / math.log(_BREAK_RATIO)) + 1
-    nodes = np.concatenate([np.geomspace(low, high, count), [wc, 1.0, 1.0 / t]])
-    gaps = nodes[nodes > lower] - lower
-    breaks = gaps / (gaps + s)
+def _direct_sums(kernel: _Kernel, rows: np.ndarray, last: np.ndarray, step: float) -> np.ndarray:
+    """Sum_{k=1}^{last} G(k step) per row, each over its own segment."""
+    sums = [np.add.reduceat(values, starts) for _, _, values, starts in _terms(kernel, rows, last, step)]
+    return sums[0] if len(sums) == 1 else np.concatenate([np.empty(0), *sums])
+
+
+def _series_table() -> np.ndarray:
+    """E[i, m, l] with (P, Q, R)_m = Sum_l E[i, m, l] wc^(2l) over the orders m = 2 .. _SERIES_ORDER.
+
+    With h(nu) -> nu Re[a1/z + a2/z^2] = Sum_j (a1 Re i^j + a2 j Re
+    i^(j-1)) nu^-j and 1/(nu^2 - wc^2) = Sum_l wc^(2l) nu^(-2l-2), the
+    1/nu series of G is Sum_m nu^-m (a1 P_m + a2 Q_m - h(wc) R_m).
+    """
+    re_i = [(-1.0) ** (j // 2) if j % 2 == 0 else 0.0 for j in range(_SERIES_ORDER + 1)]
+    table = np.zeros((3, len(_ORDERS), _SERIES_ORDER // 2))
+    for col, m in enumerate(_ORDERS.tolist()):
+        for level in range((m - 2) // 2 + 1):
+            j = m - 2 - 2 * level  # the order of h in this product
+            table[0, col, level] = re_i[j]
+            table[1, col, level] = j * re_i[j - 1] if j >= 1 else 0.0
+            table[2, col, level] = 1.0 if j == 0 else 0.0
+    return table
+
+
+_SERIES_TABLE = _series_table()
+_WC_POWERS = np.arange(0, _SERIES_ORDER, 2)
+
+
+def _zeta_tails(kernel: _Kernel, rows: np.ndarray, last: np.ndarray, step: float) -> np.ndarray:
+    """Sum_{k > last} G(k step) per row from the 1/nu series of G (exponentials dropped).
+
+    With G = Sum_m C_m nu^-m, Sum_{k > K} G(k step) = Sum_m C_m step^-m
+    zeta(m, K + 1); the bound K keeps nu > _SERIES_MARGIN max(1, wc), so
+    the terms fall off like (wc / nu_K)^m.
+    """
+    a1, a2 = kernel.asymptotic(rows)
+    p, q, r = _row_sums(_SERIES_TABLE * kernel.wc**_WC_POWERS)
+    coeff = a1[:, None] * p + a2 * q - kernel.h_c[rows][:, None] * r
+    scale = step**_NEG_ORDERS
+    return _row_sums(coeff * (scale * zeta(_ORDERS, last[:, None] + 1.0)))
+
+
+def _gregory(kernel: _Kernel, rows: np.ndarray, start: np.ndarray, step: float):
+    """Gregory's parts of Sum_{k >= 1} G(k step) per row, all but the integral.
+
+    Sum_{k >= K} f(k) = Int_K^inf f + f(K)/2 + Sum_n c_n Delta^n f(K), so
+    the row's sum is head + Int_{K step}^inf G / step + correction; returns
+    (head, correction).
+    """
+    head = np.empty(len(rows))
+    correction = np.empty(len(rows))
+    counts = start + len(_GREGORY)
+    for i0, i1, values, starts in _terms(kernel, rows, counts, step):
+        first = starts + start[i0:i1] - 1  # the term at K
+        head[i0:i1] = np.add.reduceat(values, np.ravel([starts, first], order="F"))[::2]
+        diffs = values[first[:, None] + np.arange(len(_GREGORY) + 1)]
+        ends = np.empty((i1 - i0, len(_GREGORY)))
+        for n in range(len(_GREGORY)):
+            diffs = np.diff(diffs, axis=1)
+            ends[:, n] = diffs[:, 0]
+        correction[i0:i1] = 0.5 * values[first] + _row_sums(_GREGORY * ends)
+    return head, correction
+
+
+def _integrals(pieces, breaks=()) -> list[np.ndarray]:
+    """Int_lower^inf G(nu) dnu for every (kernel, rows, lower) piece, in one adaptive call.
+
+    Each row is one component, with nu = lower + s u / (1 - u), s = 1 +
+    lower, u in [0, 1), and is scaled by its largest value at the probe
+    nodes, so that its tolerance is its own.  ``breaks`` are extra
+    breakpoints in nu for lower = 0 (they must not depend on t).
+    """
+    gaps = np.concatenate([_BREAK_GAPS, np.asarray(breaks, dtype=float)])
+    edges = np.unique(gaps / (gaps + 1.0))
+    probe = np.unique(np.concatenate([edges, [0.25, 0.5, 0.75]]))
+    sizes = [len(rows) for _, rows, _ in pieces]
+    spans = [1.0 + lower for _, _, lower in pieces]
+
+    def raw(u: np.ndarray) -> np.ndarray:
+        out = np.empty((sum(sizes), u.size))
+        gap = 1.0 - u
+        chunk = max(1, _BLOCK_TERMS // max(1, out.shape[0]))
+        row = 0
+        for (kernel, rows, lower), s in zip(pieces, spans):
+            block = out[row:row + len(rows)]
+            for n0 in range(0, u.size, chunk):
+                part = slice(n0, n0 + chunk)
+                nu = lower[:, None] + s[:, None] * u[part] / gap[part]
+                block[:, part] = kernel.summand(nu, rows[:, None]) * (s[:, None] / gap[part] ** 2)
+            row += len(rows)
+        return out
+
+    scale = np.max(np.abs(raw(probe)), axis=1)
+    scale[scale == 0.0] = 1.0
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        gap = 1.0 - u
-        return kernel.summand(lower + s * u / gap) * (s / gap**2)
+        values = raw(u)
+        values /= scale[:, None]
+        return values
 
-    probe = np.unique(np.concatenate([breaks, [0.25, 0.5, 0.75]]))
-    abs_tol = 1e-14 * float(np.max(np.abs(integrand(probe)))) or 1e-300
-    spec = numerics.QuadratureSpec(abs_tol=abs_tol, rel_tol=_INTEGRAL_REL_TOL)
-    value, _ = numerics.integrate_adaptive(integrand, 0.0, 1.0, spec, breakpoints=breaks)
-    return value
-
-
-def _matsubara_sum(kernel: _Kernel, step: float) -> float:
-    """Sum_{k >= 1} G(k step), direct up to a bound and completed past it."""
-    t = kernel.t
-    k_exp = math.ceil(_EXP_CUT / (step * t))
-    k_series = math.ceil(_SERIES_MARGIN * max(1.0, kernel.wc) / step)
-    last = max(k_exp, k_series, 1)
-    if last <= _MAX_TERMS:
-        head = kernel.summand(step * np.arange(1, last + 1))
-        return float(np.sum(head)) + _zeta_tail(kernel, step, last)
-    # Gregory: Sum_{k >= K} f(k) = Int_K^inf f + f(K)/2 + Sum_n c_n Delta^n f(K),
-    # with K past the exponentials if the cap allows; otherwise step * t <
-    # _EXP_CUT / _MAX_TERMS and the differences of e^{-nu t} vanish quickly.
-    start = max(k_exp, _GREGORY_START) if k_exp <= _MAX_TERMS else _GREGORY_START
-    values = kernel.summand(step * np.arange(1, start + len(_GREGORY) + 1))
-    diffs = values[start - 1:]
-    ends = np.empty(len(_GREGORY))
-    for n in range(len(_GREGORY)):
-        diffs = np.diff(diffs)
-        ends[n] = diffs[0]
-    correction = 0.5 * values[start - 1] + float(np.dot(_GREGORY, ends))
-    head = float(np.sum(values[:start - 1]))
-    return head + _integral(kernel, start * step) / step + correction
+    spec = numerics.QuadratureSpec(abs_tol=_INTEGRAL_ABS_TOL, rel_tol=_INTEGRAL_REL_TOL)
+    value, _ = numerics.integrate_adaptive(integrand, 0.0, 1.0, spec, breakpoints=edges)
+    value = value * scale
+    return np.split(value, np.cumsum(sizes)[:-1])
 
 
-def pair(wc: float, theta: float, t: float, power: int) -> tuple[float, float]:
+def _matsubara_sums(kernels: list[_Kernel], step: float) -> list[np.ndarray]:
+    """Sum_{k >= 1} G(k step) for every t of every kernel: direct up to a bound, completed past it.
+
+    Past the bound the zeta tail completes the direct sum; where the
+    bound is over the cap, Gregory's formula does, with the integrals of
+    all kernels in one adaptive call.
+    """
+    k_series = max(math.ceil(_SERIES_MARGIN * max(1.0, kernels[0].wc) / step), 1)
+    totals, pieces, parts = [], [], []
+    for kernel in kernels:
+        k_exp = np.ceil(_EXP_CUT / (step * kernel.t))
+        last = np.maximum(k_exp, k_series)
+        direct = last <= _MAX_TERMS
+        rows = np.flatnonzero(direct)
+        count = last[rows].astype(np.int64)
+        total = _direct_sums(kernel, rows, count, step) + _zeta_tails(kernel, rows, count, step)
+        if len(rows) < len(last):
+            total, direct_total = np.empty(len(last)), total
+            total[rows] = direct_total
+            rows = np.flatnonzero(~direct)
+            # Gregory from K past the exponentials if the cap allows;
+            # otherwise step * t < _EXP_CUT / _MAX_TERMS and the
+            # differences of e^{-nu t} vanish quickly.
+            k = k_exp[rows]
+            start = np.where(k <= _MAX_TERMS, np.maximum(k, _GREGORY_START), _GREGORY_START)
+            start = start.astype(np.int64)
+            pieces.append((kernel, rows, start * step))
+            parts.append((total, rows, *_gregory(kernel, rows, start, step)))
+        totals.append(total)
+    if pieces:
+        for (total, rows, head, correction), integral in zip(parts, _integrals(pieces)):
+            total[rows] = head + integral / step + correction
+    return totals
+
+
+def pair(wc: float, theta: float, t: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
     """Coupling-free (Delta, gamma) (power 1) or (IDelta, Igamma) (power 2) at w0 = 1.
 
-    ``wc`` is the cutoff ratio r.  Multiply by alpha^2 (and by w0 for
-    power 1, with t scaled by w0) for the physical values.  The
-    gamma-like value depends on (wc, t) only.
+    ``wc`` is the cutoff ratio r and ``t`` a 1-D array of positive
+    times; returns two arrays like ``t``.  Each value is the same bit
+    for bit whatever other times share ``t``.  Multiply by alpha^2 (and
+    by w0 for power 1, with t scaled by w0) for the physical values.
+    The gamma-like value depends on (wc, t) only.
     """
     split = t >= 1.0
-    kernel = _Kernel(wc, t, power, split)
-    gamma = 0.5 * wc * wc * kernel.f_c.imag
+    late = np.count_nonzero(split)
+    if late in (0, len(t)):
+        groups = None
+        kernels = [_Kernel(wc, t, power, late > 0)]
+    else:
+        groups = [np.flatnonzero(~split), np.flatnonzero(split)]
+        kernels = [_Kernel(wc, t[rows], power, late) for rows, late in zip(groups, (False, True))]
     if theta == 0.0:
-        delta = wc * wc / np.pi * _integral(kernel, 0.0)
+        pieces = [(kernel, np.arange(len(kernel.t)), np.zeros(len(kernel.t))) for kernel in kernels]
+        deltas = [wc * wc / np.pi * value for value in _integrals(pieces, breaks=(wc, 1.0))]
     else:
         step = 2.0 * np.pi * theta
-        delta = theta * (kernel.h_c + 2.0 * wc * wc * _matsubara_sum(kernel, step))
-    if split:
-        markov = t ** (power - 1) * wc * wc / (2.0 * (wc * wc + 1.0))
-        gamma += markov
-        delta += markov if theta == 0.0 else markov / math.tanh(0.5 / theta)
-    return float(delta), float(gamma)
+        sums = _matsubara_sums(kernels, step)
+        deltas = [theta * (kernel.h_c + 2.0 * wc * wc * total) for kernel, total in zip(kernels, sums)]
+    pairs = []
+    for kernel, delta in zip(kernels, deltas):
+        gamma = 0.5 * wc * wc * kernel.f_c.imag
+        if not kernel.c:
+            markov = kernel.t ** (power - 1) * wc * wc / (2.0 * (wc * wc + 1.0))
+            gamma = gamma + markov
+            delta = delta + (markov if theta == 0.0 else markov / math.tanh(0.5 / theta))
+        pairs.append((delta, gamma))
+    if groups is None:
+        return pairs[0]
+    delta, gamma = np.empty_like(t), np.empty_like(t)
+    for rows, (d, g) in zip(groups, pairs):
+        delta[rows], gamma[rows] = d, g
+    return delta, gamma

@@ -30,13 +30,9 @@ import numpy as np
 
 from . import dynamics, zeno
 from ._table import csv_text, json_columns
-from .coefficients import (
-    diffusion_coefficient,
-    markovian_limits,
-    tabulate_coefficients,
-)
+from .coefficients import _pair_chunk, markovian_limits, tabulate_coefficients
 from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
-from .numerics import QuadratureError, ordered_map
+from .numerics import QuadratureError, _map_grid, ordered_map
 from .spectral import ReservoirParams
 
 __all__ = ["GridConfig", "OutputConfig", "RunConfig", "main"]
@@ -291,17 +287,14 @@ def cmd_fig1(cfg: RunConfig) -> int:
             params = ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
                                      omega0=cfg.params.omega0)
             model = params.spectral_model()
+            # One grid pass per column, in contiguous chunks over --jobs
+            # workers; fig1 writes no crossover, so none is refined.
             if quantity == "ratio":
-                # The rate grid alone: fig1 writes no crossover, so none is refined.
-                tasks = [(params, model, n, float(tau), None) for tau in taus]
-                rates = np.array(ordered_map(zeno._rate_task, tasks, cfg.jobs))
+                rates = _map_grid(zeno._rate_chunk, (params, model, n, None), taus, cfg.jobs)
                 columns.append(rates / zeno.markovian_decay_rate(params, model, n))
             else:
-                lim = markovian_limits(params, model)
-                values = np.array([
-                    diffusion_coefficient(params, model, float(t)) for t in taus
-                ]) / lim.delta_m
-                columns.append(values)
+                pairs = _map_grid(_pair_chunk, (params, model, ("sinc",), None), taus, cfg.jobs)
+                columns.append(pairs[0] / markovian_limits(params, model).delta_m)
             header.append(f"r={r:g}")
         files = _write_table(out, f"{name}.csv", f"{name}.json", header, columns,
                              cfg.output.format)

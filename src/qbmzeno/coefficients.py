@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _matsubara
 from ._table import csv_text
-from .numerics import QuadratureSpec, integrate_semi_infinite, ordered_map
+from .numerics import QuadratureSpec, _map_grid, integrate_semi_infinite
 from .spectral import (
     BaseSpectralDensity,
     OhmicLorentzDrude,
@@ -171,25 +171,45 @@ def _kernel_pass(params, model, time, kernel, spec):
     return params.alpha**2 * pref * (lower + _PAIR_SIGNS * upper)
 
 
-def _pair(params, model, time, kernel, spec) -> tuple[float, float]:
-    """The (Delta-type, gamma-type) pair on one kernel, by model type.
+def _pairs(params, model, times, kernel, spec) -> tuple[np.ndarray, np.ndarray]:
+    """The (Delta-type, gamma-type) pair on one kernel at every time of a grid, by model type.
 
     The Ohmic Lorentz-Drude bath itself takes the closed-form Matsubara
-    evaluator (``spec`` unused); every other model, subclasses included,
-    takes the quadrature.
+    evaluator, one pass for the whole grid (``spec`` unused); every other
+    model, subclasses included, takes the quadrature, time by time.  A
+    time's values do not depend on the rest of the grid, so every
+    per-point function is this with one time.
     """
-    if time < 0.0:
+    times = np.asarray(times, dtype=float)
+    if np.count_nonzero(times < 0.0):
         raise ValueError(f"{'t' if kernel == 'sinc' else 'tau'} must be nonnegative")
-    if time == 0.0:
-        return 0.0, 0.0
+    if np.count_nonzero(times) < times.size:
+        # t = 0 rows are zero; the others are the grid without them.
+        delta, gamma = np.zeros_like(times), np.zeros_like(times)
+        live = times != 0.0
+        if np.count_nonzero(live):
+            delta[live], gamma[live] = _pairs(params, model, times[live], kernel, spec)
+        return delta, gamma
     check_model_consistency(params, model)
     if type(model) is OhmicLorentzDrude:
         omega0 = params.omega0
         power, unit = (1, omega0) if kernel == "sinc" else (2, 1.0)
-        delta, gamma = _matsubara.pair(model.omega_c / omega0, params.theta, omega0 * time, power)
+        delta, gamma = _matsubara.pair(model.omega_c / omega0, params.theta, omega0 * times, power)
         return params.alpha**2 * (unit * delta), params.alpha**2 * (unit * gamma)
-    delta, gamma = _kernel_pass(params, model, time, kernel, spec)
-    return float(delta), float(gamma)
+    pairs = [_kernel_pass(params, model, float(t), kernel, spec) for t in times]
+    return tuple(np.array(pairs, dtype=float).reshape(-1, 2).T)
+
+
+def _pair(params, model, time, kernel, spec) -> tuple[float, float]:
+    """``_pairs`` at one time, as floats."""
+    delta, gamma = _pairs(params, model, np.array([time], dtype=float), kernel, spec)
+    return float(delta[0]), float(gamma[0])
+
+
+def _pair_chunk(args) -> np.ndarray:
+    """Rows (Delta, gamma) per kernel of ``_pairs`` on one chunk of a time grid."""
+    params, model, kernels, spec, times = args
+    return np.vstack([_pairs(params, model, times, kernel, spec) for kernel in kernels])
 
 
 def coefficient_pair(
@@ -338,11 +358,6 @@ class CoefficientSeries:
         Path(path).write_text(csv_text(*self.table()))
 
 
-def _tabulation_row(args) -> tuple[float, float, float, float]:
-    params, model, t, spec = args
-    return coefficient_pair(params, model, t, spec) + integrated_pair(params, model, t, spec)
-
-
 def tabulate_coefficients(
     params: ReservoirParams,
     model: BaseSpectralDensity,
@@ -354,22 +369,24 @@ def tabulate_coefficients(
     """Uniform-grid tabulation of Delta, gamma and their running integrals.
 
     Each integral column is evaluated at the grid time itself, not by
-    chaining trapezoids, so every row is independently accurate.  ``jobs > 1`` parallelizes rows over processes with
-    deterministic ordered assembly.
+    chaining trapezoids, so every row is independently accurate.  The
+    grid is evaluated in one pass (closed form for the Lorentz-Drude
+    bath); ``jobs > 1`` splits it into that many contiguous chunks, one
+    per worker process, and joins them in order.  Every row is the same
+    bit for bit whatever ``jobs`` is.
     """
     if not (t_max > 0.0):
         raise ValueError("t_max must be positive")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
-    tasks = [(params, model, float(t), spec) for t in times[1:]]
-    rows = ordered_map(_tabulation_row, tasks, jobs)
-    table = np.vstack([np.zeros(4), np.array(rows)])
+    rows = _map_grid(_pair_chunk, (params, model, ("sinc", "sinc2"), spec), times[1:], jobs)
+    table = np.hstack([np.zeros((4, 1)), rows])
     return CoefficientSeries(
         times=times,
-        delta=table[:, 0],
-        gamma=table[:, 1],
-        int_delta=table[:, 2],
-        int_gamma=table[:, 3],
+        delta=table[0],
+        gamma=table[1],
+        int_delta=table[2],
+        int_gamma=table[3],
         params=params,
     )

@@ -138,6 +138,11 @@ def transition_probabilities(
     if n < 0:
         raise ValueError("n must be nonnegative")
     i_delta, i_gamma = integrated_pair(params, model, tau, spec)
+    return _transitions(n, tau, i_delta, i_gamma)
+
+
+def _transitions(n: int, tau: float, i_delta: float, i_gamma: float) -> tuple[float, float]:
+    """transition_probabilities from the integrated pair at tau."""
     p_up = (n + 1) * (i_delta - i_gamma)
     p_down = n * (i_delta + i_gamma)
     for name, p in (("P_up", p_up), ("P_down", p_down)):
@@ -210,8 +215,13 @@ def unshuttered_survival(
         raise ValueError("t_total must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    markov = math.exp(-markovian_decay_rate(params, model, n) * t_total)
     i_delta, i_gamma = integrated_pair(params, model, t_total, spec)
+    return _unshuttered(params, model, n, t_total, i_delta, i_gamma)
+
+
+def _unshuttered(params, model, n: int, t_total: float, i_delta: float, i_gamma: float):
+    """unshuttered_survival from the integrated pair at t_total."""
+    markov = math.exp(-markovian_decay_rate(params, model, n) * t_total)
     escape = (2 * n + 1) * i_delta - i_gamma
     if escape > _ESCAPE_LIMIT:
         return UnshutteredSurvival(
@@ -454,7 +464,17 @@ def shuttered_comparison(
     the reverse AZE.
     """
     schedule = MeasurementSchedule(tau=tau, n_measurements=n_measurements)
-    p_single = survival_probability(params, model, n, schedule.tau, spec)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    # One coefficient table over a single interval serves the ladder of
+    # every segment, because each measurement resets the coefficient
+    # clock.  Its last row, at tau, is the integrated pair of one interval
+    # (bit-identical to integrated_pair at tau), so P(tau) and the free
+    # decay at t = tau reuse it.
+    table = tabulate_coefficients(params, model, tau, _SEGMENT_ROWS, spec)
+    at_tau = (float(table.int_delta[-1]), float(table.int_gamma[-1]))
+    p_up, p_down = _transitions(n, schedule.tau, *at_tau)
+    p_single = 1.0 - p_up - p_down
     times = schedule.tau * np.arange(n_measurements + 1, dtype=float)
     shuttered = p_single ** np.arange(n_measurements + 1)
     if n_max is None:
@@ -466,15 +486,15 @@ def shuttered_comparison(
     unshuttered = np.ones(n_measurements + 1)
     extrapolated = False
     for k in range(1, n_measurements + 1):
-        result = unshuttered_survival(params, model, n, float(times[k]), spec)
+        if k == 1:
+            result = _unshuttered(params, model, n, float(times[k]), *at_tau)
+        else:
+            result = unshuttered_survival(params, model, n, float(times[k]), spec)
         unshuttered[k] = result.probability
         extrapolated = extrapolated or result.extrapolated
 
-    # Ladder route: one coefficient table over a single interval serves
-    # every segment, because each measurement resets the coefficient clock.
     # After k segments the map is (a^k, b (1 + a + ... + a^(k-1))); a row at
     # s inside the next segment composes that with (a(s), b(s)).
-    table = tabulate_coefficients(params, model, tau, _SEGMENT_ROWS, spec)
     a, b = _ladder_maps(table.times, table.gamma, table.int_delta, table.int_gamma)
     done_a = a[-1] ** np.arange(n_measurements)[:, None]
     done_b = b[-1] * np.concatenate([[0.0], np.cumsum(done_a[:-1])])[:, None]

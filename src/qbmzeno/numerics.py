@@ -526,6 +526,20 @@ def ordered_map(fn: Callable, tasks: Sequence, jobs: int = 1) -> list:
         return list(pool.map(fn, tasks))
 
 
+def _map_grid(fn: Callable, args: tuple, grid, jobs: int = 1) -> np.ndarray:
+    """fn((*args, chunk)) over contiguous chunks of ``grid``, joined along the last axis.
+
+    The grid is split into ``jobs`` chunks (at most one per point) and
+    mapped by ordered_map, so ``jobs <= 1`` is a single in-process call
+    on the whole grid.  ``fn`` returns an array whose last axis runs over
+    its chunk's points; it must give each point the same value in any
+    chunk for the result not to depend on ``jobs``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    chunks = np.array_split(grid, max(1, min(jobs, grid.size)))
+    return np.concatenate(ordered_map(fn, [(*args, chunk) for chunk in chunks], jobs), axis=-1)
+
+
 def scan_for_bracket(f: Callable[[float], float], grid: Sequence[float]) -> list[RootBracket]:
     """Return a RootBracket for every adjacent grid pair where f changes sign.
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from ._table import csv_text
 from .coefficients import (
+    _pairs,
     coth_weight,
     half_kernel_integral,
     integrated_diffusion,
@@ -32,9 +33,9 @@ from .coefficients import (
 from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
 from .numerics import (
     QuadratureSpec,
+    _map_grid,
     bisect,
     brackets_from_samples,
-    ordered_map,
     scan_for_bracket,
 )
 from .spectral import BaseSpectralDensity, ReservoirParams, check_model_consistency
@@ -137,6 +138,34 @@ def effective_decay_rate(
     escape = (2 * n + 1) * i_delta - i_gamma
     _check_perturbative(escape, tau, strict)
     return escape / tau
+
+
+def _rates(
+    params: ReservoirParams,
+    model: BaseSpectralDensity,
+    n: int,
+    taus: np.ndarray,
+    spec: QuadratureSpec | None = None,
+) -> np.ndarray:
+    """effective_decay_rate at every tau of a grid, in one pass and without escape checks.
+
+    Each value is bit-identical to effective_decay_rate at that tau.  The
+    grid callers (scans, crossover grids, fig1) look at large tau on
+    purpose, so they do not check the perturbative window.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if not np.all(taus > 0.0):
+        raise ValueError("tau must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    i_delta, i_gamma = _pairs(params, model, taus, "sinc2", spec)
+    return ((2 * n + 1) * i_delta - i_gamma) / taus
+
+
+def _rate_chunk(args) -> np.ndarray:
+    """_rates on one chunk of a tau grid (a task of numerics._map_grid)."""
+    params, model, n, spec, taus = args
+    return _rates(params, model, n, taus, spec)
 
 
 def effective_decay_rate_fd(
@@ -263,10 +292,11 @@ def find_crossover_time(
 ) -> list[float]:
     """All crossover times tau* with rate ratio = 1 inside tau_range.
 
-    Scans ratio - 1 on a log-spaced grid, brackets every sign change and
-    bisects each bracket to 1e-6 relative width.  An empty list means no
-    crossover in range; the oscillatory coefficients at r < 1 can produce
-    several.  Raises DegenerateDenominatorError in the AZE-divergent case.
+    Evaluates ratio - 1 on a log-spaced grid in one pass, brackets every
+    sign change and bisects each bracket to 1e-6 relative width, one
+    rate per step.  An empty list means no crossover in range; the
+    oscillatory coefficients at r < 1 can produce several.  Raises
+    DegenerateDenominatorError in the AZE-divergent case.
     """
     lo, hi = tau_range
     if not (0.0 < lo < hi):
@@ -275,9 +305,10 @@ def find_crossover_time(
         raise ValueError("grid_points must be at least 16")
     denominator = _ratio_denominator(params, model, n)
     taus = np.geomspace(lo, hi, grid_points)
-    return _crossovers(
-        params, model, n, denominator, spec, lambda excess: scan_for_bracket(excess, taus)
-    )
+    excess = _rates(params, model, n, taus, spec) / denominator - 1.0
+    samples = dict(zip(taus.tolist(), excess.tolist()))
+    brackets = scan_for_bracket(samples.__getitem__, taus)
+    return _crossovers(params, model, n, denominator, spec, brackets)
 
 
 def _crossovers(
@@ -286,13 +317,12 @@ def _crossovers(
     n: int,
     denominator: float,
     spec: QuadratureSpec | None,
-    find_brackets,
+    brackets,
 ) -> list[float]:
     """Crossover times: the roots of ratio(tau) - 1 in its sign-change brackets.
 
-    ``find_brackets(excess)`` returns the brackets of ``excess(tau) =
-    ratio(tau) - 1``; each is bisected to 1e-6 relative width.  Escape
-    warnings are silenced: a crossover search samples large tau on purpose.
+    Each bracket is bisected to 1e-6 relative width.  Escape warnings
+    are silenced: a crossover search samples large tau on purpose.
     """
 
     def excess(tau: float) -> float:
@@ -300,7 +330,7 @@ def _crossovers(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return [bisect(excess, b, tol=1e-6 * b.hi) for b in find_brackets(excess)]
+        return [bisect(excess, b, tol=1e-6 * b.hi) for b in brackets]
 
 
 @dataclass(frozen=True)
@@ -376,26 +406,24 @@ def zeno_scan(
     """Tabulate the effective decay rate and ratio over a tau grid.
 
     In the degenerate (AZE-divergent) case the scan still tabulates the
-    rates, with the ratio column set to +infinity.  ``jobs > 1``
-    parallelizes the grid over processes with deterministic ordered
-    assembly.
+    rates, with the ratio column set to +infinity.  The grid is evaluated
+    in one pass; ``jobs > 1`` splits it into that many contiguous chunks,
+    one per worker process, and joins them in order, with every value
+    the same bit for bit whatever ``jobs`` is.  Crossovers are bisected
+    from the sign changes of the tabulated ratio.
     """
     taus = np.asarray(taus, dtype=float)
     denominator = markovian_decay_rate(params, model, n)
     degenerate = _is_degenerate(denominator, params)
-
-    tasks = [(params, model, n, float(tau), spec) for tau in taus]
-    rates = np.array(ordered_map(_rate_task, tasks, jobs))
+    rates = _map_grid(_rate_chunk, (params, model, n, spec), taus, jobs)
 
     if degenerate:
         ratio = np.full_like(rates, np.inf)
         crossovers: list[float] = []
     else:
         ratio = rates / denominator
-        crossovers = _crossovers(
-            params, model, n, denominator, spec,
-            lambda excess: brackets_from_samples(taus, ratio - 1.0),
-        )
+        brackets = brackets_from_samples(taus, ratio - 1.0)
+        crossovers = _crossovers(params, model, n, denominator, spec, brackets)
     return ZenoScan(
         n=n,
         taus=taus,
@@ -405,10 +433,3 @@ def zeno_scan(
         crossovers=crossovers,
         params=params,
     )
-
-
-def _rate_task(args) -> float:
-    params, model, n, tau, spec = args
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return effective_decay_rate(params, model, n, tau, spec)

@@ -95,22 +95,28 @@ class TestScan:
 
 @pytest.fixture(scope="module")
 def fig1_run(tmp_path_factory):
-    """The fig1 output directory and the tau of every effective-rate call."""
+    """The fig1 output directory, the tau grid of every batched rate call
+    and the tau of every per-point rate call."""
     out = tmp_path_factory.mktemp("fig1")
-    rate = zeno.effective_decay_rate
-    taus = []
+    rates, rate = zeno._rates, zeno.effective_decay_rate
+    grids, points = [], []
 
-    def counted(*args, **kwargs):
-        taus.append(args[3])
+    def counted_rates(*args, **kwargs):
+        grids.append(np.asarray(args[3]).tolist())
+        return rates(*args, **kwargs)
+
+    def counted_rate(*args, **kwargs):
+        points.append(args[3])
         return rate(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zeno, "effective_decay_rate", counted)
+        mp.setattr(zeno, "_rates", counted_rates)
+        mp.setattr(zeno, "effective_decay_rate", counted_rate)
         code = run([
             "fig1", "--alpha", "0.1", "--tau-points", "30", "--out", str(out),
         ])
     assert code == 0
-    return out, taus
+    return out, grids, points
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +133,23 @@ class TestFig1:
         return header, data
 
     def test_ratio_panels_make_one_rate_per_cell(self, fig1_run):
-        # Two ratio panels x three r values x 30 taus, and no crossover refine.
-        assert len(fig1_run[1]) == 180
+        # Two ratio panels x three r values, one batched grid of 30 taus
+        # each: 180 rates, and no per-point rate (no crossover refine).
+        _, grids, points = fig1_run
+        assert [len(grid) for grid in grids] == [30] * 6
+        assert sum(len(grid) for grid in grids) == 180
+        assert points == []
+
+    def test_jobs_two_writes_the_same_files(self, fig1_dir, tmp_path):
+        # Both kinds of column go through the chunked grid route.
+        code = run([
+            "fig1", "--alpha", "0.1", "--tau-points", "30", "--jobs", "2", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        names = sorted(path.name for path in fig1_dir.iterdir())
+        assert names == sorted(path.name for path in tmp_path.iterdir())
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (fig1_dir / name).read_bytes(), name
 
     def test_manifest_lists_all_panels(self, fig1_dir):
         manifest = json.loads((fig1_dir / "fig1_manifest.json").read_text())

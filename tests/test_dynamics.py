@@ -326,20 +326,32 @@ class TestShutteredComparison:
         assert comp.shuttered[-1] < comp.unshuttered[-1]
 
     def test_one_integrated_pair_per_measurement_time(self, params_hot, model_hot, monkeypatch):
-        # P(tau) once, the free decay at each of the N measurement times,
-        # then one integrated pair per row (t > 0) of the ladder's
-        # 201-row coefficient table.
-        calls = []
+        # The ladder's 201-row coefficient table is one grid pass; its last
+        # row, at tau, also serves P(tau) and the free decay at tau, so
+        # integrated_pair runs once per later measurement time, 2 tau .. 4 tau.
+        calls, tables = [], []
         original = coefficients.integrated_pair
+        tabulate = coefficients.tabulate_coefficients
 
         def counting(*args, **kwargs):
             calls.append(args[2])
             return original(*args, **kwargs)
 
+        def counting_table(*args, **kwargs):
+            tables.append(args[2:4])
+            return tabulate(*args, **kwargs)
+
         monkeypatch.setattr(dynamics, "integrated_pair", counting)
         monkeypatch.setattr(coefficients, "integrated_pair", counting)
-        shuttered_comparison(params_hot, model_hot, 0, 0.25, 4)
-        assert len(calls) == 4 + 1 + 200
+        monkeypatch.setattr(dynamics, "tabulate_coefficients", counting_table)
+        comp = shuttered_comparison(params_hot, model_hot, 0, 0.25, 4)
+        assert calls == [0.5, 0.75, 1.0]
+        assert tables == [(0.25, 201)]
+        # The reused row is the per-point pair, bit for bit.
+        monkeypatch.undo()
+        assert comp.shuttered[1] == survival_probability(params_hot, model_hot, 0, 0.25)
+        free = unshuttered_survival(params_hot, model_hot, 0, 0.25)
+        assert comp.unshuttered[1] == free.probability
 
     @pytest.mark.parametrize(
         "r, theta, n, tau", [(0.5, 100.0, 0, 0.25), (0.5, 100.0, 3, 0.25), (10.0, 100.0, 2, 0.1)]

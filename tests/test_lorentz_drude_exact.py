@@ -11,12 +11,13 @@ absolute units (no omega0 scaling).
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbmzeno import coefficients
-from qbmzeno.coefficients import coefficient_pair, integrated_pair
+from qbmzeno.coefficients import _pairs, coefficient_pair, integrated_pair
 from qbmzeno.spectral import OhmicLorentzDrude, ReservoirParams
 from qbmzeno.zeno import effective_decay_rate, markovian_decay_rate
 
@@ -86,11 +87,17 @@ class TestMpmathOracle:
     def test_grid(self, r, theta):
         params = ReservoirParams(r=r, theta=theta, alpha=0.1)
         model = params.spectral_model()
-        for tau in (1e-4, 1e-2, 1.0, 1e2, 1e4):
-            _assert_close(coefficient_pair(params, model, tau),
-                          oracle_pair(r, theta, tau, 1), f"t={tau}")
-            _assert_close(integrated_pair(params, model, tau),
-                          oracle_pair(r, theta, tau, 2), f"tau={tau}")
+        taus = (1e-4, 1e-2, 1.0, 1e2, 1e4)
+        # The same corners through the grid route, all five times in one pass.
+        grid = {kernel: _pairs(params, model, np.array(taus), kernel, None)
+                for kernel in ("sinc", "sinc2")}
+        for i, tau in enumerate(taus):
+            for kernel, pair, power in (("sinc", coefficient_pair, 1),
+                                        ("sinc2", integrated_pair, 2)):
+                want = oracle_pair(r, theta, tau, power)
+                _assert_close(pair(params, model, tau), want, f"{kernel} t={tau}")
+                _assert_close(tuple(float(v[i]) for v in grid[kernel]), want,
+                              f"{kernel} grid t={tau}")
 
     @pytest.mark.parametrize("theta, r", [(1.0, 2.0 * math.pi)]
                              + [(0.2, 0.4 * math.pi * k) for k in (1, 2, 3)])
@@ -210,3 +217,32 @@ class TestProperties:
         assume(p_up + p_down <= 0.5)
         assert p_up >= 0.0
         assert p_down >= 0.0
+
+
+# Grids mixing Gregory-range times (theta = 0.2, t < 8e-3), direct-sum
+# times below t = 1 and Markov-split times from t = 1 on.
+gregory_times = st.lists(st.floats(1e-4, 7.9e-3), min_size=1, max_size=3)
+short_times = st.lists(st.floats(8e-3, 0.999), min_size=1, max_size=3)
+long_times = st.lists(st.floats(1.0, 1e4), min_size=1, max_size=3)
+
+
+class TestGridRoute:
+    """A time's value does not depend on the grid it is evaluated in."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(r=st.sampled_from([0.1, 1.0, 10.0]), theta=st.sampled_from([0.0, 0.2, 1.0, 100.0]),
+           times=st.tuples(gregory_times, short_times, long_times),
+           cuts=st.lists(st.integers(1, 8), max_size=3))
+    def test_batch_matches_points_and_chunks(self, r, theta, times, cuts):
+        params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+        model = params.spectral_model()
+        grid = np.unique(np.concatenate([np.array(part) for part in times]))
+        chunks = np.split(grid, sorted({c for c in cuts if c < len(grid)}))
+        for kernel, pair in (("sinc", coefficient_pair), ("sinc2", integrated_pair)):
+            delta, gamma = _pairs(params, model, grid, kernel, None)
+            points = np.array([pair(params, model, float(t)) for t in grid])
+            assert np.array_equal(delta, points[:, 0])
+            assert np.array_equal(gamma, points[:, 1])
+            pieces = [_pairs(params, model, chunk, kernel, None) for chunk in chunks]
+            assert np.array_equal(np.concatenate([p[0] for p in pieces]), delta)
+            assert np.array_equal(np.concatenate([p[1] for p in pieces]), gamma)

@@ -10,9 +10,12 @@ print the same lines write byte-identical files:
     python3 tools/output_digest.py > digests.txt
 
 Each run prints ``exit <name> <code>``, then ``<sha256>  <name>/<file>``
-for every file it wrote, in name order.
+for every file it wrote, in name order.  ``--keep DIR`` writes the runs
+into DIR instead of a temporary directory and leaves them there, with
+the exit codes in ``DIR/exit_codes.txt``, for ``tools/compare_outputs.py``.
 """
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -39,24 +42,44 @@ RUNS = (
     ("scan-json", ["scan", "--n", "0", *HOT, "--tau-points", "12", "--format", "json"]),
     ("coeffs-jobs2", ["coeffs", *HOT, "--t-max", "3", "--points", "30", "--jobs", "2"]),
     ("scan-jobs2", ["scan", "--n", "0", *HOT, "--log", "--tau-points", "40", "--jobs", "2"]),
+    ("fig1-jobs2", ["fig1", "--alpha", "0.1", "--tau-points", "16", "--jobs", "2"]),
     ("crossover-map-jobs2", ["crossover-map", *MAP, "--jobs", "2"]),
 )
 
 
-def main() -> int:
+def run_all(root: Path) -> list[str]:
+    """Run every command into root/<name>; returns the printed lines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.pop("QBMZENO_OUT", None)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in RUNS:
-            out = Path(tmp) / name
-            code = subprocess.run(
-                [sys.executable, "-m", "qbmzeno.cli", *argv, "--out", str(out)],
-                env=env, stderr=subprocess.DEVNULL,
-            ).returncode
-            print(f"exit {name} {code}")
-            for path in sorted(out.iterdir()):
-                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+    lines = []
+    for name, argv in RUNS:
+        out = root / name
+        code = subprocess.run(
+            [sys.executable, "-m", "qbmzeno.cli", *argv, "--out", str(out)],
+            env=env, stderr=subprocess.DEVNULL,
+        ).returncode
+        lines.append(f"exit {name} {code}")
+        for path in sorted(out.iterdir()):
+            lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write the output tree into DIR and keep it")
+    args = parser.parse_args(argv)
+    if args.keep:
+        root = Path(args.keep)
+        root.mkdir(parents=True, exist_ok=True)
+        lines = run_all(root)
+        codes = [line.removeprefix("exit ") for line in lines if line.startswith("exit ")]
+        (root / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = run_all(Path(tmp))
+    print("\n".join(lines))
     return 0
 
 
