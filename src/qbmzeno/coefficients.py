@@ -51,20 +51,9 @@ __all__ = [
     "tabulate_coefficients",
 ]
 
-_TWO_PI = 2.0 * np.pi
-# Kernel name -> (oscillation period in u, envelope power of the kernel).
-_KERNELS = {"sinc": (_TWO_PI, 1.0), "sinc2": (np.pi, 2.0)}
 # Sign of the omega + omega0 half in each coefficient of a pair:
 # Delta-type coefficients add the halves, gamma-type ones subtract them.
 _PAIR_SIGNS = np.array([1.0, -1.0])
-
-
-def sinc(x):
-    """Unnormalized sinc: sin(x)/x with sinc(0) = 1."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    np.divide(np.sin(x), x, out=out, where=x != 0.0)
-    return out
 
 
 def bare_weight(model: BaseSpectralDensity):
@@ -110,47 +99,30 @@ def half_kernel_integral(
     kernel: str,
     shift: int,
     spec: QuadratureSpec | None = None,
-    tail_exponent: float = 1.0,
 ):
     """One half of a coefficient integral, in oscillation coordinates.
 
     Evaluates Int_0^inf weight(omega) * k((omega + shift*omega0) * scale)
     domega for k = sinc or sinc^2, substituting u = (omega + shift*omega0)
-    * scale so the oscillation period is constant (2 pi resp. pi) and the
-    engine's quarter-period panelling and period-segment tail apply
-    uniformly for any measurement interval.
+    * scale so the kernel is k(u) with its fixed period (2 pi resp. pi)
+    for any measurement interval.  Only the envelope weight(omega)/scale
+    is built here; the engine applies the kernel.
 
     ``weight`` returns one value per frequency (the result is a float)
     or a (k, N) array for N frequencies, in which case the kernel is
     evaluated once per node for all k weights and the result is a
-    length-k array.  ``tail_exponent`` is the declared envelope exponent
-    of the weight (J ~ C/omega for Ohmic Lorentz-Drude).
+    length-k array.
     """
-    spec = spec or QuadratureSpec()
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    period, kpow = _KERNELS[kernel]
-    u0 = shift * omega0 * scale
 
-    def integrand(u):
+    def envelope(u):
         omega = u / scale
         omega -= shift * omega0
         np.maximum(omega, 0.0, out=omega)
-        k = sinc(u)
-        if kernel == "sinc2":
-            k *= k
-        k /= scale
         values = weight(omega)  # a fresh array from every weight used here
-        values *= k
+        values /= scale
         return values
 
-    value, _ = integrate_semi_infinite(
-        integrand,
-        spec,
-        lower=u0,
-        oscillation_period=period,
-        tail_exponent=tail_exponent + kpow,
-    )
+    value, _ = integrate_semi_infinite(envelope, spec, lower=shift * omega0 * scale, kernel=kernel)
     return value
 
 
@@ -164,8 +136,7 @@ def _kernel_pass(params, model, time, kernel, spec):
     scale = time if kernel == "sinc" else 0.5 * time
     weight = _pair_weight(model, params)
     lower, upper = (
-        half_kernel_integral(weight, params.omega0, scale, kernel, shift, spec, model.tail_exponent)
-        for shift in (-1, +1)
+        half_kernel_integral(weight, params.omega0, scale, kernel, shift, spec) for shift in (-1, +1)
     )
     pref = 0.5 * time if kernel == "sinc" else 0.25 * time**2
     return params.alpha**2 * pref * (lower + _PAIR_SIGNS * upper)

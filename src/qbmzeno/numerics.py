@@ -1,19 +1,26 @@
 """Adaptive quadrature and bracketed root finding.
 
 Physics-agnostic engines used by every coefficient and decay-rate
-computation: a semi-infinite integrator with oscillation-aware panelling
-and tail completion, deterministic bisection on sign-change brackets,
-and the ordered (optionally multi-process) map behind every grid.
-All routines are pure functions of their inputs and bit-reproducible for
-a fixed spec on one platform (fixed evaluation and summation order).
+computation: an adaptive Gauss-Kronrod integrator that stops at the
+rounding floor of its error estimate, a semi-infinite integrator of an
+envelope against the sinc or sinc^2 kernel (quarter-period panels up to
+a cut, past it a non-oscillating integral on x = cut/u and half-period
+cycle sums extrapolated with Wynn's epsilon algorithm, with the head
+extended per component past structure that samples of the tail show),
+deterministic bisection on sign-change brackets, and the ordered
+(optionally multi-process) map behind every grid.  All routines are
+pure functions of their inputs and bit-reproducible for a fixed spec on
+one platform (fixed evaluation and summation order).
 
 Integrand contract: called with a 1-D array of N nodes, an integrand
-returns N values, or a (k, N) array holding k integrands that share the
-nodes (for example two weights against one kernel).  The quadratures
-then return length-k arrays; each component is refined, stopped and
-checked against its own tolerance max(abs_tol, rel_tol*|I_c|), and only
-the evaluations are shared.  Any other shape raises ValueError, and
-every exception and warning an integrand raises reaches the caller.
+(for ``integrate_semi_infinite``, the envelope; the engine applies the
+kernel) returns N values, or a (k, N) array holding k integrands that
+share the nodes (for example two weights against one kernel).  The
+quadratures then return length-k arrays; each component is refined,
+stopped and checked against its own tolerance max(abs_tol,
+rel_tol*|I_c|), and only the evaluations are shared.  Any other shape
+raises ValueError, and every exception and warning an integrand raises
+reaches the caller.
 """
 
 from __future__ import annotations
@@ -115,17 +122,38 @@ _G7_WEIGHTS = np.array([
 ])
 
 _MAX_INITIAL_PANELS = 20000
-# Tail segments span a quarter oscillation (keeps the embedded-rule error
-# per segment near machine precision); blocks end on whole-period
-# boundaries so the partial sums are smooth in 1/u.
-_TAIL_SEGMENTS_PER_PERIOD = 4
-_TAIL_BLOCK_PERIODS = 128
-_TAIL_MAX_BLOCKS = 96
-_NEVILLE_POINTS = 6
-# Geometric head breakpoints lower + (period/4) * 2**-k, k = 1..40: they
-# resolve an integrand concentrated in a sliver at the lower end of the
-# first quarter period (a narrow bath seen at short times).
+# Geometric breakpoints 2**-k, k = 1..40, toward the lower end of a
+# panel: at lower + (period/4) * 2**-k they resolve an integrand
+# concentrated in a sliver at the lower end of the first quarter period
+# (a narrow bath seen at short times); on x = cut/u they resolve the
+# envelope's scale, however far past the cut it lies.
 _ORIGIN_BREAKS = 2.0 ** -np.arange(40, 0, -1, dtype=float)
+# The tail starts at least this far past max(lower, 0) (more than 12
+# periods of either kernel) and sums the half periods of its oscillating
+# part in batches until Wynn's epsilon estimates settle; the envelope
+# is probed for structure over its first _PROBE_HALF_PERIODS.
+_CUT_MARGIN = 96.0
+_CYCLES_PER_BATCH = 16
+_MAX_CYCLE_BATCHES = 16
+_PROBE_HALF_PERIODS = 768
+
+
+def sinc(x):
+    """Unnormalized sinc: sin(x)/x with sinc(0) = 1."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    np.divide(np.sin(x), x, out=out, where=x != 0.0)
+    return out
+
+
+# Kernel name -> (period, phase, head, part, far).  The head applies the
+# kernel itself; past the cut it is part(u) + far/u**2, where part
+# oscillates with zeros half a period apart from phase on: sinc =
+# sin(u)/u, sinc^2 = 1/(2u^2) - cos(2u)/(2u^2).
+_KERNELS = {
+    "sinc": (2.0 * np.pi, 0.0, sinc, lambda u: np.sin(u) / u, 0.0),
+    "sinc2": (np.pi, 0.25 * np.pi, lambda u: sinc(u) ** 2, lambda u: np.cos(2.0 * u) / (-2.0 * u * u), 0.5),
+}
 
 
 class _Evaluator:
@@ -133,8 +161,9 @@ class _Evaluator:
 
     ``f`` takes a 1-D array of N nodes and returns shape (N,) (one
     component) or (k, N) (k components sharing the nodes); any other
-    shape raises ValueError.  ``scalar`` records the (N,) form, so the
-    public entry points return floats rather than length-1 arrays.
+    shape raises ValueError, a NaN or infinity NonFiniteError.
+    ``scalar`` records the (N,) form, so the public entry points return
+    floats rather than length-1 arrays.
     """
 
     def __init__(self, f: Callable) -> None:
@@ -144,14 +173,18 @@ class _Evaluator:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         y = np.asarray(self.f(x), dtype=float)
         if y.shape == x.shape:
-            return y[None, :]
-        if y.ndim == 2 and y.shape[1:] == x.shape:
+            y = y[None, :]
+        elif y.ndim == 2 and y.shape[1:] == x.shape:
             self.scalar = False
-            return y
-        raise ValueError(
-            f"integrand returned shape {y.shape} for {x.size} nodes; "
-            f"expected ({x.size},) or (k, {x.size})"
-        )
+        else:
+            raise ValueError(
+                f"integrand returned shape {y.shape} for {x.size} nodes; "
+                f"expected ({x.size},) or (k, {x.size})"
+            )
+        if not np.all(np.isfinite(y)):
+            bad = x[~np.all(np.isfinite(y), axis=0)][0]
+            raise NonFiniteError(f"integrand returned a non-finite value near x={bad!r}")
+        return y
 
     def result(self, values: np.ndarray):
         """A float for a one-component integrand, the (k,) array otherwise."""
@@ -168,9 +201,6 @@ def _evaluate_panels(evaluate, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GK_NODES[None, :]
     y = evaluate(nodes.ravel())
-    if not np.all(np.isfinite(y)):
-        bad = nodes.ravel()[~np.all(np.isfinite(y), axis=0)][0]
-        raise NonFiniteError(f"integrand returned a non-finite value near x={bad!r}")
     return y.reshape(y.shape[0], *nodes.shape)
 
 
@@ -210,6 +240,13 @@ class _Partition:
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if err_total <= tol:
             self.result = (total, err_total)
+            return None
+        # Splitting does not take |K15 - G7| below its rounding part,
+        # about 50 eps sum|K15|: an estimate there is noise, and that
+        # floor is the error.
+        floor = 50.0 * np.finfo(float).eps * float(np.sum(np.abs(self.vals)))
+        if err_total <= floor:
+            self.result = (total, float(floor))
             return None
         # Refine every panel above its width-share of half the budget;
         # skip panels already at floating-point resolution.
@@ -256,8 +293,11 @@ def integrate_adaptive(
     """Adaptive GK15 panel quadrature of f on the finite interval [a, b].
 
     Panels whose error exceeds their width-share of the tolerance are
-    bisected until the summed estimate meets max(abs_tol, rel_tol*|I|)
-    or the subdivision budget is exhausted (NonConvergenceError).
+    bisected until the summed estimate meets max(abs_tol, rel_tol*|I|),
+    or falls to its rounding floor 50 eps sum|K15| (returned as the
+    error, which may then exceed the tolerance: a caller that needs the
+    tolerance compares err itself), or the subdivision budget is
+    exhausted (NonConvergenceError).
     ``max_panel_width`` pre-splits the interval so no initial panel spans
     more than that width (used to keep oscillations resolved);
     ``breakpoints`` inside (a, b) are added to the initial panel edges.
@@ -327,104 +367,148 @@ def integrate_adaptive(
     return evaluate.result(value), evaluate.result(err)
 
 
-def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polynomial extrapolation of (xs, ys) to x = 0, with an error guess.
+def _wynn_estimates(sums: np.ndarray) -> np.ndarray:
+    """Wynn's epsilon-algorithm limits of the partial sums ``sums`` (k, n), n >= 4.
 
-    ``ys`` has one row per abscissa and one column per component.
+    Builds the epsilon table column by column, each column for all
+    components at once, and returns (k, 4): the limit estimate of each
+    of the last four prefixes of the sums, the tip of the highest even
+    column that prefix reaches.  A repeated value (a converged or zero
+    sequence) makes its column entries non-finite; those never replace
+    the estimate of a lower column.
     """
-    n = len(xs)
-    tableau = list(ys)
-    best = tableau[0]
-    correction = np.abs(best)
-    for level in range(1, n):
-        for i in range(n - level):
-            x_lo, x_hi = xs[i], xs[i + level]
-            tableau[i] = (x_hi * tableau[i] - x_lo * tableau[i + 1]) / (x_hi - x_lo)
-        correction = np.abs(tableau[0] - best)
-        best = tableau[0]
-    return best, correction
+    tips = sums[:, -4:].copy()
+    prev, cur = np.zeros((sums.shape[0], sums.shape[1] + 1)), sums
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for column in range(1, sums.shape[1]):
+            prev, cur = cur, prev[:, 1:-1] + 1.0 / (cur[:, 1:] - cur[:, :-1])
+            if column % 2 == 0:
+                last = cur[:, -4:]
+                tips[:, 4 - last.shape[1]:] = np.where(
+                    np.isfinite(last), last, tips[:, 4 - last.shape[1]:]
+                )
+    return tips
 
 
-def _oscillatory_tail(
-    evaluate, start: float, period: float, tol: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integral of f over [start, inf) for an oscillation of known period.
+def _cycle_sum(integrand: Callable, start: float, half: float, tol: np.ndarray):
+    """Integral over [start, inf) of an ``integrand`` with zeros ``half`` apart, one at ``start``.
 
-    Sums quarter-period segments in whole-period blocks (one GK15 batch
-    per block, so the embedded-rule error per segment stays near machine
-    precision) and extrapolates the block-boundary partial sums in 1/u
-    to their limit.  Accurate whenever the per-period sums decay like a
-    power law, which covers smooth-envelope trigonometric tails down to
-    conditionally convergent 1/u envelopes.
-
-    ``tol`` holds one tolerance per component.  A component keeps the
-    estimate of the block where it first met its tolerance (later blocks
-    only add rule error to it), and summation stops once every component
-    has; a component that never does returns its best estimate.
+    Each half period (zero to zero) is one GK15 panel, and Wynn's epsilon
+    algorithm extrapolates the partial sums.  The error estimate is the
+    spread of the last four extrapolated values plus the summed rule
+    errors.  ``tol`` holds one tolerance per component: a component
+    keeps the estimate of the batch where it first met its tolerance,
+    and summation stops once every component has; a component that
+    never does returns its best estimate.
     """
-    partial = np.zeros_like(tol)
+    sums = np.zeros((tol.size, 0))
     rule_err = np.zeros_like(tol)
-    boundary_u: list[float] = []
-    boundary_s: list[np.ndarray] = []
-    u = start
     value = np.zeros_like(tol)
     err = np.full_like(tol, math.inf)
     done = np.zeros(tol.shape, dtype=bool)
-    n_segments = _TAIL_BLOCK_PERIODS * _TAIL_SEGMENTS_PER_PERIOD
-    width = period / _TAIL_SEGMENTS_PER_PERIOD
-    for _ in range(_TAIL_MAX_BLOCKS):
-        edges = u + width * np.arange(n_segments + 1, dtype=float)
+    for batch in range(_MAX_CYCLE_BATCHES):
+        first = batch * _CYCLES_PER_BATCH
+        edges = start + half * np.arange(first, first + _CYCLES_PER_BATCH + 1, dtype=float)
         lo, hi = edges[:-1], edges[1:]
-        y = _evaluate_panels(evaluate, lo, hi)
-        block_sum, block_err = np.empty_like(tol), np.empty_like(tol)
+        y = _evaluate_panels(integrand, lo, hi)
+        block = np.empty((tol.size, _CYCLES_PER_BATCH))
         for c, y_c in enumerate(y):
             vals, errs = _gk_rule(y_c, lo, hi)
-            block_sum[c], block_err[c] = np.sum(vals), np.sum(errs)
-        partial = partial + block_sum
-        rule_err = rule_err + block_err
-        u = float(edges[-1])
-        boundary_u.append(u)
-        boundary_s.append(partial)
-        if len(boundary_u) >= 3:
-            k = min(_NEVILLE_POINTS, len(boundary_u))
-            xs = 1.0 / np.array(boundary_u[-k:])
-            ys = np.array(boundary_s[-k:])
-            estimate, correction = _neville_to_zero(xs, ys)
-            last_block = np.abs(boundary_s[-1] - boundary_s[-2])
-            est_err = rule_err + correction + 1e-3 * last_block
-            better = ~done & (est_err < err)
-            value[better] = estimate[better]
-            err[better] = est_err[better]
-            done |= est_err <= tol
-            if np.all(done):
-                break
+            block[c] = np.cumsum(vals) + (sums[c, -1] if first else 0.0)
+            rule_err[c] += np.sum(errs)
+        sums = np.concatenate([sums, block], axis=1)
+        tips = _wynn_estimates(sums)
+        est_err = rule_err + np.sum(np.abs(tips[:, :3] - tips[:, 3:]), axis=1)
+        better = ~done & (est_err < err)
+        value[better] = tips[better, 3]
+        err[better] = est_err[better]
+        done |= est_err <= tol
+        if np.all(done):
+            break
+    return value, err
+
+
+def _structure_end(evaluate, part: Callable, cut: float, half: float, tol: np.ndarray):
+    """Per component, where structure seen in the tail ends (``cut`` if none).
+
+    Samples g = |f part| at the crests of ``part`` over the first
+    _PROBE_HALF_PERIODS half periods past the cut.  Extrapolating from a
+    batch steps over g changing by more than a factor 2 between samples
+    (a bump or edge narrower than about a period) or growing by more
+    than that over a batch; such a change counts where its larger
+    sample is worth more than ``tol`` over a half period.
+    """
+    u = cut + half * (np.arange(_PROBE_HALF_PERIODS) + 0.5)
+    g = np.abs(evaluate(u) * part(u))
+    worth = half * g > tol[:, None]
+    step = np.maximum(g[:, 1:], g[:, :-1]) > 2.0 * np.minimum(g[:, 1:], g[:, :-1])
+    mark = np.pad(step & (worth[:, 1:] | worth[:, :-1]), ((0, 0), (1, 0)))
+    m = _CYCLES_PER_BATCH
+    mark[:, m:] |= (g[:, m:] > 2.0 * g[:, :-m]) & worth[:, m:]
+    last = u.size - np.argmax(mark[:, ::-1], axis=1)
+    return np.where(mark.any(axis=1), u[np.minimum(last, u.size - 1)], cut)
+
+
+def _semi_infinite(evaluate, spec: QuadratureSpec, lower: float, kernel: str, cut=None):
+    """integrate_semi_infinite's (value, err) arrays before its final check.
+
+    A given ``cut`` (an extension past structure) skips the probe.
+    """
+    period, phase, head_kernel, part, far_weight = _KERNELS[kernel]
+    half = 0.5 * period
+
+    def zero_past(u):
+        return phase + half * math.ceil((u - phase) / half)
+
+    probe = cut is None
+    cut = zero_past(max(lower, 0.0) + _CUT_MARGIN) if probe else cut
+    head, head_err = np.atleast_1d(*integrate_adaptive(
+        lambda u: evaluate(u) * head_kernel(u), lower, cut, spec, max_panel_width=0.5 * half,
+        breakpoints=lower + 0.5 * half * _ORIGIN_BREAKS,
+    ))
+    value, err = head, head_err
+    if far_weight:
+        far, far_err = integrate_adaptive(
+            lambda x: evaluate(cut / x) * (far_weight / cut), 0.0, 1.0, spec,
+            breakpoints=_ORIGIN_BREAKS,
+        )
+        value, err = value + far, err + far_err
+    tol = 0.5 * _tolerance(spec, value)
+    tail, tail_err = _cycle_sum(lambda u: evaluate(u) * part(u), cut, half, tol)
+    value, err = value + tail, err + tail_err
+    for c, end in enumerate(_structure_end(evaluate, part, cut, half, tol) if probe else ()):
+        if end > cut:  # redo this component's tail with the structure in its head
+            alone = _Evaluator(lambda u, c=c: evaluate(u)[c])
+            more, more_err = _semi_infinite(alone, spec, cut, kernel, zero_past(end))
+            value[c], err[c] = head[c] + more[0], head_err[c] + more_err[0]
     return value, err
 
 
 def integrate_semi_infinite(
-    f: Callable,
-    spec: QuadratureSpec | None = None,
-    *,
-    lower: float = 0.0,
-    oscillation_period: float,
-    tail_exponent: float = 2.0,
+    f: Callable, spec: QuadratureSpec | None = None, *, lower: float = 0.0, kernel: str
 ):
-    """Integrate f over [lower, inf); returns (value, error_estimate).
+    """Integrate f(u) k(u) over [lower, inf), k = sinc or sinc^2; returns (value, error_estimate).
 
-    ``f`` carries a persistent oscillation of period
-    ``oscillation_period`` under an envelope that decays at least like
-    C/omega**tail_exponent, with ``tail_exponent >= 2`` (counting the
-    kernel's own decay).  The interval is split into an adaptively
-    panelled head and a tail: the head is pre-split so no panel spans
-    more than a quarter oscillation, its first quarter period is further
-    cut at the geometric breakpoints lower + (period/4) * 2**-k,
-    k = 1..40 (so an integrand confined to a sliver next to ``lower`` is
-    still seen), and the tail is completed by period-segment summation
-    with extrapolation.  Removable singularities must already be
-    regularized by the caller (e.g. expressed through sinc).
+    ``f`` is the non-oscillating envelope and ``kernel`` names k:
+    ``"sinc"`` (sin(u)/u, period 2 pi) or ``"sinc2"`` (its square,
+    period pi).  The head [lower, cut], cut the first zero of the
+    kernel's oscillating tail part at or past max(lower, 0) + 96, is
+    panelled adaptively in quarter periods, the first one also at
+    lower + (period/4) * 2**-k, k = 1..40, so an integrand in a sliver
+    next to ``lower`` is still seen.  Past the cut the kernel is
+    sin(u) (1/u), resp. 1/(2u^2) - cos(2u)/(2u^2): the non-oscillating
+    part is one adaptive integral on x = cut/u in (0, 1] (with the same
+    geometric breakpoints toward x = 0), and the oscillating part is
+    summed half period by half period and extrapolated with Wynn's
+    epsilon algorithm (as in QUADPACK's QAWF).  That needs an envelope
+    smooth over a batch of periods, so the first 768 half periods past
+    the cut are sampled once each: where they show a narrow bump, an
+    edge or fast growth, that component's cut moves past it and its
+    tail is redone.  Structure further out, or too faint to move a
+    sample, is not seen.
 
     ``f`` returns one value per node, or a (k, N) array for N nodes
-    holding k integrands that share every evaluation (for example two
+    holding k envelopes that share every evaluation (for example two
     weights against one kernel).  Each component keeps its own tolerance
     max(abs_tol, rel_tol*|I_c|) in the head, the tail and the final
     check, which raises NonConvergenceError if any component fails, so
@@ -434,27 +518,10 @@ def integrate_semi_infinite(
     spec = spec or QuadratureSpec()
     if not math.isfinite(lower):
         raise ValueError("lower bound must be finite")
-    if tail_exponent < 2.0:
-        raise ValueError("tail handling requires an envelope exponent >= 2")
-    if not (oscillation_period > 0.0):
-        raise ValueError("oscillation_period must be positive")
+    if kernel not in _KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
     evaluate = _as_evaluator(f)
-
-    period = oscillation_period
-    cut = lower + max(96.0, 1.5 * abs(lower) + 32.0, 12.0 * period)
-    # Align the cut to a whole number of quarter periods.
-    n_quarters = int(math.ceil((cut - lower) / (0.25 * period)))
-    cut = lower + 0.25 * period * n_quarters
-    head, head_err = integrate_adaptive(
-        evaluate, lower, cut, spec, max_panel_width=0.25 * period,
-        breakpoints=lower + 0.25 * period * _ORIGIN_BREAKS,
-    )
-    head, head_err = np.atleast_1d(head), np.atleast_1d(head_err)
-    share = 0.5 * _tolerance(spec, head)
-    tail, tail_err = _oscillatory_tail(evaluate, cut, period, share)
-
-    value = head + tail
-    err = head_err + tail_err
+    value, err = _semi_infinite(evaluate, spec, lower, kernel)
     tol = _tolerance(spec, value)
     if np.any(err > 4.0 * tol):
         c = int(np.argmax(err / tol))

@@ -31,8 +31,11 @@ class BaseSpectralDensity:
 
     Subclasses must provide ``density(omega)`` (vectorized, nonnegative
     for omega >= 0) and declare ``tail_exponent``, the envelope exponent
-    p such that J(omega) <= C / omega**p as omega -> infinity; the
-    quadrature tail handling relies on it.  Override
+    p such that J(omega) <= C / omega**p as omega -> infinity.  It gates
+    the quadrature: ``check_model_consistency``, run wherever a model
+    enters a coefficient or rate, refuses a negative p (a growing J,
+    whose kernel integrals the tail cannot complete); any p >= 0 takes
+    the same route, so it sets no cut or step.  Override
     ``density_over_omega`` with a closed form when J(omega)/omega has a
     finite omega -> 0 limit, so thermal weighting stays smooth at zero.
     """
@@ -111,7 +114,11 @@ class ReservoirParams:
 
 
 def check_model_consistency(params: ReservoirParams, model: BaseSpectralDensity) -> None:
-    """Raise if the model's cutoff disagrees with params (r * omega0)."""
+    """Raise if the model's cutoff disagrees with params (r * omega0) or its J grows."""
+    if not model.tail_exponent >= 0.0:
+        raise ValueError(
+            f"tail_exponent {model.tail_exponent} < 0: the quadrature needs a J that does not grow"
+        )
     model_wc = getattr(model, "omega_c", None)
     if model_wc is not None and abs(model_wc - params.omega_c) > 1e-12 * params.omega_c:
         raise ValueError(

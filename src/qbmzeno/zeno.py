@@ -201,12 +201,8 @@ def effective_decay_rate_fd(
         return m * w_coth(omega) + model.density(omega)
 
     half = 0.5 * tau
-    lower = half_kernel_integral(
-        weight_minus, params.omega0, half, "sinc2", -1, spec, model.tail_exponent
-    )
-    upper = half_kernel_integral(
-        weight_plus, params.omega0, half, "sinc2", +1, spec, model.tail_exponent
-    )
+    lower = half_kernel_integral(weight_minus, params.omega0, half, "sinc2", -1, spec)
+    upper = half_kernel_integral(weight_plus, params.omega0, half, "sinc2", +1, spec)
     rate = params.alpha**2 * 0.25 * tau * (lower + upper)
     _check_perturbative(rate * tau, tau, strict)
     return rate

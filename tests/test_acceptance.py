@@ -266,15 +266,14 @@ def test_criterion_11_oracle_checks():
 
     # Quadrature-engine examples at their stated tolerances.
     spec = QuadratureSpec()
-    period = 2.0 * np.pi
-    q1, _ = integrate_semi_infinite(lambda w: np.exp(-w), spec, oscillation_period=period)
-    q2, _ = integrate_semi_infinite(
-        lambda w: 1.0 / (np.pi * (w**2 + 1.0)), spec, oscillation_period=period
+    q1, _ = integrate_semi_infinite(lambda u: np.exp(-u), spec, kernel="sinc")
+    q2, _ = integrate_semi_infinite(lambda u: 1.0 / (1.0 + u * u), spec, kernel="sinc")
+    q3, _ = integrate_semi_infinite(np.ones_like, spec, kernel="sinc2")
+    quad_ok = (
+        abs(q1 - 0.25 * np.pi) < 1e-8
+        and abs(q2 - 0.5 * np.pi * (1.0 - math.exp(-1.0))) < 1e-8
+        and abs(q3 - 0.5 * np.pi) < 1e-6
     )
-    q3, _ = integrate_semi_infinite(
-        lambda w: np.sinc(w / (2.0 * np.pi)) ** 2, spec, oscillation_period=period
-    )
-    quad_ok = abs(q1 - 1.0) < 1e-8 and abs(q2 - 0.5) < 1e-8 and abs(q3 - np.pi) < 1e-6
 
     ok = err_d <= 1e-5 and err_g <= 1e-5 and ladder_err <= 1e-6 and quad_ok
     _report(

@@ -155,6 +155,20 @@ class ExponentialCutoff(BaseSpectralDensity):
 
 
 class TestPairPasses:
+    def test_growing_density_refused(self):
+        # Both quadrature routes take the model through its consistency
+        # check, which refuses a J declared to grow.
+        from qbmzeno.zeno import effective_decay_rate_fd
+
+        class Growing(ExponentialCutoff):
+            tail_exponent = -1.0
+
+        params = ReservoirParams(r=1.0, theta=0.0, alpha=0.1)
+        with pytest.raises(ValueError, match="does not grow"):
+            coefficient_pair(params, Growing(1.0), 1.0)
+        with pytest.raises(ValueError, match="does not grow"):
+            effective_decay_rate_fd(params, Growing(1.0), 0, 1.0)
+
     @pytest.mark.parametrize("r, theta", [(0.5, 100.0), (0.5, 0.0), (10.0, 1.0), (0.1, 0.2)])
     def test_pairs_match_single_coefficients(self, r, theta):
         # Each pair component refines its own panels, so it reproduces the

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from qbmzeno import coefficients
 from qbmzeno.coefficients import _pairs, coefficient_pair, integrated_pair
 from qbmzeno.spectral import OhmicLorentzDrude, ReservoirParams
-from qbmzeno.zeno import effective_decay_rate, markovian_decay_rate
+from qbmzeno.zeno import effective_decay_rate, effective_decay_rate_fd, markovian_decay_rate
 
 ORACLE_DPS = 34
 REL_TOL = 1e-11
@@ -141,17 +141,25 @@ class QuadratureLorentzDrude(OhmicLorentzDrude):
 
 
 class TestQuadratureAgreement:
+    @pytest.mark.filterwarnings("ignore:escape probability")
     @pytest.mark.parametrize("theta", [0.0, 0.2, 100.0])
-    @pytest.mark.parametrize("r", [0.1, 10.0])
+    @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
     def test_corners(self, r, theta):
         params = ReservoirParams(r=r, theta=theta, alpha=0.1)
         exact, quad = params.spectral_model(), QuadratureLorentzDrude(params.omega_c)
-        for t in (1e-3, 30.0):
+        for t in (1e-3, 30.0, 1e3, 1e4):
             for pair in (coefficient_pair, integrated_pair):
                 want = pair(params, exact, t)
                 got = pair(params, quad, t)
                 for g, w in zip(got, want):
-                    assert abs(g - w) <= 1e-7 * abs(w), (pair.__name__, t, g, w)
+                    assert abs(g - w) <= 1e-9 * abs(w), (pair.__name__, t, g, w)
+            # The frequency route groups the weights inside the integrand.
+            # At theta = 0, n = 0 only its counter-rotating half is left,
+            # a value near the engine's abs_tol, hence the wider bound.
+            for n in (0, 1):
+                want = effective_decay_rate(params, exact, n, t)
+                got = effective_decay_rate_fd(params, quad, n, t)
+                assert abs(got - want) <= 1e-8 * abs(want), (n, t, got, want)
 
     def test_only_the_exact_type_skips_quadrature(self, monkeypatch):
         calls = []

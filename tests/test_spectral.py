@@ -143,6 +143,15 @@ class TestReservoirParams:
         with pytest.raises(ValueError):
             check_model_consistency(params, OhmicLorentzDrude(0.7))
 
+        # A negative tail_exponent declares a growing J, whose kernel
+        # integrals the quadrature cannot complete.
+        class Growing(ExponentialOhmic):
+            tail_exponent = -1.0
+
+        check_model_consistency(params, ExponentialOhmic(2.0))
+        with pytest.raises(ValueError, match="does not grow"):
+            check_model_consistency(params, Growing(2.0))
+
 
 class ExponentialOhmic(BaseSpectralDensity):
     """User-model extension point: J = omega * exp(-omega/omega_cut)."""
