@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, zeno
-from ._table import csv_text, json_columns
+from ._table import json_columns, write_atomic, write_csv
 from .coefficients import _pair_chunk, markovian_limits, tabulate_coefficients
 from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
 from .numerics import QuadratureError, _map_grid, ordered_map
@@ -109,16 +109,9 @@ class RunConfig:
         )
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file and rename it into place."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, [(json.dumps(payload, indent=2) + "\n").encode()])
 
 
 def _write_table(
@@ -133,9 +126,10 @@ def _write_table(
 
     With ``json_name`` None the table gets no JSON form.
     """
+    out.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt in ("csv", "both"):
-        _write_text(out / csv_name, csv_text(header, columns))
+        write_csv(out / csv_name, header, columns)
         written.append(csv_name)
     if json_name is not None and fmt in ("json", "both"):
         _write_json(out / json_name, json_columns(header, columns))

@@ -21,12 +21,11 @@ handled by the sinc forms themselves, never by an epsilon guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import _matsubara
-from ._table import csv_text
+from ._table import write_csv
 from .numerics import QuadratureSpec, _map_grid, integrate_semi_infinite
 from .spectral import (
     BaseSpectralDensity,
@@ -325,8 +324,8 @@ class CoefficientSeries:
         )
 
     def to_csv(self, path) -> None:
-        """Write the table at 17 significant digits."""
-        Path(path).write_text(csv_text(*self.table()))
+        """Write the table at 17 significant digits, atomically (temp + rename)."""
+        write_csv(path, *self.table())
 
 
 def tabulate_coefficients(

@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from ._table import csv_text
+from ._table import write_csv
 from .coefficients import (
     CoefficientSeries,
     integrated_diffusion,
@@ -398,8 +397,8 @@ class LadderTrace:
         return ["t"] + [f"p{k}" for k in range(levels)], [self.times, *self.populations.T]
 
     def to_csv(self, path) -> None:
-        """Write the table at 17 significant digits."""
-        Path(path).write_text(csv_text(*self.table()))
+        """Write the table at 17 significant digits, atomically (temp + rename)."""
+        write_csv(path, *self.table())
 
     def summary(self, regime: str) -> dict:
         return {
@@ -442,8 +441,8 @@ class ShutteredComparison:
         return ["t", "shuttered", "unshuttered"], [self.times, self.shuttered, self.unshuttered]
 
     def to_csv(self, path) -> None:
-        """Write the table at 17 significant digits."""
-        Path(path).write_text(csv_text(*self.table()))
+        """Write the table at 17 significant digits, atomically (temp + rename)."""
+        write_csv(path, *self.table())
 
 
 def shuttered_comparison(

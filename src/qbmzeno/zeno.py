@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._table import csv_text
+from ._table import write_csv
 from .coefficients import (
     _pairs,
     coth_weight,
@@ -369,8 +369,8 @@ class ZenoScan:
         return ["tau", "rate_z", "ratio", "regime"], [self.taus, self.rate_z, self.ratio, regimes]
 
     def to_csv(self, path) -> None:
-        """Write the table at 17 significant digits."""
-        Path(path).write_text(csv_text(*self.table()))
+        """Write the table at 17 significant digits, atomically (temp + rename)."""
+        write_csv(path, *self.table())
 
     def metadata(self) -> dict:
         """Sidecar payload: initial state, parameters, Markovian rate, crossovers."""

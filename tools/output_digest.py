@@ -2,9 +2,10 @@
 """Print one SHA-256 per output file of a fixed set of CLI runs.
 
 Runs the five README commands at reduced sizes, plus a degenerate scan,
-JSON-only output and two-process (``--jobs 2``) runs, each in its own
-fresh interpreter against the ``src/`` tree next to this script and into
-its own subdirectory of a temporary directory.  Two checkouts that
+JSON-only output, two-process (``--jobs 2``) runs and the ion protocol
+at the benchmark's size (``--N 60``), each in its own fresh interpreter
+against the ``src/`` tree next to this script and into its own
+subdirectory of a temporary directory.  Two checkouts that
 print the same lines write byte-identical files:
 
     python3 tools/output_digest.py > digests.txt
@@ -35,6 +36,8 @@ RUNS = (
     ("fig1", ["fig1", "--alpha", "0.1", "--tau-points", "16"]),
     ("ion", ["ion", "--n", "0", *HOT, "--tau", "0.25", "--N", "6"]),
     ("ion-aze", ["ion", "--n", "0", *HOT, "--tau", "1.5", "--N", "3"]),
+    # The benchmark's size: a 12,060-row trace, written in many row blocks.
+    ("ion-long", ["ion", "--n", "0", *HOT, "--tau", "0.25", "--N", "60"]),
     ("crossover-map", ["crossover-map", *MAP]),
     ("scan-degenerate", ["scan", "--n", "0", "--theta", "0", "--r", "0.5", "--alpha", "0.1",
                          "--tau-points", "12"]),
