@@ -17,11 +17,10 @@ import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from ._table import write_csv
+from ._table import write_atomic, write_csv
 from .coefficients import (
     _pairs,
     coth_weight,
@@ -289,10 +288,13 @@ def find_crossover_time(
     """All crossover times tau* with rate ratio = 1 inside tau_range.
 
     Evaluates ratio - 1 on a log-spaced grid in one pass, brackets every
-    sign change and bisects each bracket to 1e-6 relative width, one
-    rate per step.  An empty list means no crossover in range; the
-    oscillatory coefficients at r < 1 can produce several.  Raises
-    DegenerateDenominatorError in the AZE-divergent case.
+    sign change and refines each bracket by Brent-Dekker to 1e-12
+    relative width, one rate per step (a handful of steps per root).
+    On the closed-form Lorentz-Drude path tau* is then good to about
+    1e-12; on quadrature baths it is only as exact as the rate.  An
+    empty list means no crossover in range; the oscillatory coefficients
+    at r < 1 can produce several.  Raises DegenerateDenominatorError in
+    the AZE-divergent case.
     """
     lo, hi = tau_range
     if not (0.0 < lo < hi):
@@ -317,8 +319,10 @@ def _crossovers(
 ) -> list[float]:
     """Crossover times: the roots of ratio(tau) - 1 in its sign-change brackets.
 
-    Each bracket is bisected to 1e-6 relative width.  Escape warnings
-    are silenced: a crossover search samples large tau on purpose.
+    Each bracket is refined by Brent-Dekker (``numerics.bisect``) to
+    1e-12 relative width, from the grid values at its ends.  Escape
+    warnings are silenced: a crossover search samples large tau on
+    purpose.
     """
 
     def excess(tau: float) -> float:
@@ -326,7 +330,7 @@ def _crossovers(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return [bisect(excess, b, tol=1e-6 * b.hi) for b in brackets]
+        return [bisect(excess, b, tol=1e-12 * b.hi) for b in brackets]
 
 
 @dataclass(frozen=True)
@@ -388,7 +392,8 @@ class ZenoScan:
         }
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.metadata(), indent=2) + "\n")
+        """Write the metadata sidecar, atomically (temp + rename)."""
+        write_atomic(path, [(json.dumps(self.metadata(), indent=2) + "\n").encode()])
 
 
 def zeno_scan(
@@ -405,8 +410,9 @@ def zeno_scan(
     rates, with the ratio column set to +infinity.  The grid is evaluated
     in one pass; ``jobs > 1`` splits it into that many contiguous chunks,
     one per worker process, and joins them in order, with every value
-    the same bit for bit whatever ``jobs`` is.  Crossovers are bisected
-    from the sign changes of the tabulated ratio.
+    the same bit for bit whatever ``jobs`` is.  Crossovers are refined
+    to 1e-12 relative width (as in find_crossover_time) from the sign
+    changes of the tabulated ratio.
     """
     taus = np.asarray(taus, dtype=float)
     denominator = markovian_decay_rate(params, model, n)

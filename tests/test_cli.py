@@ -271,6 +271,24 @@ class TestCrossoverMap:
                 tmp_path / "parallel" / name
             ).read_bytes()
 
+    def test_readme_map_refines_roots_in_few_rate_calls(self, tmp_path, monkeypatch):
+        # The README grid at benchmark size: the grids are batched, so the
+        # only per-point rates are the root refinements of its 24 roots.
+        rate, points = zeno.effective_decay_rate, []
+
+        def counted_rate(*args, **kwargs):
+            points.append(args[3])
+            return rate(*args, **kwargs)
+
+        monkeypatch.setattr(zeno, "effective_decay_rate", counted_rate)
+        for n in ("0", "50"):
+            assert run([
+                "crossover-map", "--n", n, "--alpha", "0.1", "--map-r", "0.1,0.5,1,2,10",
+                "--map-theta", "0,1,10,100", "--tau-min", "1e-3", "--tau-max", "100",
+                "--tau-points", "24", "--jobs", "1", "--out", str(tmp_path / n),
+            ]) == 0
+        assert 0 < len(points) <= 180
+
     def test_json_cells_are_numbers(self, tmp_path):
         code = run([
             "crossover-map", "--n", "0", "--alpha", "0.1",

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-UNWANTED = ("scipy.interpolate", "scipy.integrate", "scipy.stats")
+UNWANTED = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.stats")
 
 
 def test_import_loads_no_unwanted_scipy_subpackage():

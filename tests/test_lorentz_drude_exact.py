@@ -19,7 +19,12 @@ from hypothesis import strategies as st
 from qbmzeno import coefficients
 from qbmzeno.coefficients import _pairs, coefficient_pair, integrated_pair
 from qbmzeno.spectral import OhmicLorentzDrude, ReservoirParams
-from qbmzeno.zeno import effective_decay_rate, effective_decay_rate_fd, markovian_decay_rate
+from qbmzeno.zeno import (
+    effective_decay_rate,
+    effective_decay_rate_fd,
+    find_crossover_time,
+    markovian_decay_rate,
+)
 
 ORACLE_DPS = 34
 REL_TOL = 1e-11
@@ -134,6 +139,43 @@ class TestMpmathOracle:
             want = float(((2 * n + 1) * i_delta - i_gamma) / tau)
         got = effective_decay_rate(params, params.spectral_model(), n, tau)
         assert abs(got - want) <= REL_TOL * abs(want)
+
+
+def oracle_markov_rate(r, theta, n, alpha=0.1):
+    """(2n+1) Delta_M - gamma_M in mpmath (omega0 = 1): the Fermi golden rule.
+
+    gamma_M = alpha^2 wc^2 / (2 (wc^2 + 1)), the t -> infinity limit of
+    the oracle's gamma, and Delta_M = gamma_M coth(1 / 2 theta).
+    """
+    with mp.workdps(ORACLE_DPS):
+        wc = mp.mpf(r)
+        gamma_m = mp.mpf(alpha) ** 2 * wc**2 / (2 * (wc**2 + 1))
+        delta_m = gamma_m if theta == 0 else gamma_m / mp.tanh(1 / (2 * mp.mpf(theta)))
+        return (2 * n + 1) * delta_m - gamma_m
+
+
+@pytest.mark.slow
+class TestCrossoverOracle:
+    # Cells of the README crossover map, at its tau range and grid.
+    @pytest.mark.parametrize("r, theta, n", [(0.5, 100.0, 0), (0.1, 1.0, 0),
+                                             (10.0, 0.0, 50), (1.0, 100.0, 50)])
+    def test_roots_hold_to_1e_10(self, r, theta, n):
+        # Every tau* is a sign change of the oracle's escape excess
+        # (2n+1) IDelta - Igamma - tau R_M (the numerator of ratio - 1)
+        # between tau* (1 - 1e-10) and tau* (1 + 1e-10).
+        params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+        stars = find_crossover_time(params, params.spectral_model(), n, (1e-3, 1e2), 24)
+        assert stars
+        if (r, theta, n) == (0.5, 100.0, 0):
+            assert stars == [pytest.approx(1.00806, rel=1e-5)]
+        markov = oracle_markov_rate(r, theta, n)
+        for star in stars:
+            signs = []
+            for tau in (star * (1.0 - 1e-10), star * (1.0 + 1e-10)):
+                i_delta, i_gamma = oracle_pair(r, theta, tau, 2)
+                with mp.workdps(ORACLE_DPS):
+                    signs.append(mp.sign((2 * n + 1) * i_delta - i_gamma - tau * markov))
+            assert signs[0] * signs[1] < 0, (star, signs)
 
 
 class QuadratureLorentzDrude(OhmicLorentzDrude):

@@ -342,3 +342,97 @@ class TestRootFinding:
         bracket = RootBracket(0.0, 2.0, -1.0, 1.0)
         with pytest.raises(NonFiniteError):
             bisect(lambda x: float("nan"), bracket, tol=1e-10)
+
+
+def _refine(f, lo, hi, tol):
+    """(root, the points bisect evaluated) on [lo, hi]; the ends are not counted."""
+    points = []
+
+    def counted(x):
+        points.append(x)
+        if len(points) > 10_000:
+            raise RuntimeError("root finder does not terminate")
+        return f(x)
+
+    return bisect(counted, RootBracket(lo, hi, f(lo), f(hi)), tol), points
+
+
+def _bisections(lo, hi, tol):
+    return math.ceil(math.log2((hi - lo) / tol))
+
+
+def _step(x):
+    return -1.0 if x < 1.3 else 1.0
+
+
+def _ninth_power(x):
+    return (x - 1.3) ** 9
+
+
+SMOOTH = [
+    (math.cos, 1.0, 2.0),
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 1e3, 0.0, 20.0),
+    (lambda x: (x - 0.9) * (x - 2.1) * (x - 3.3), 1.8, 2.9),
+]
+# Brent's hard cases, with where f changes sign: a jump, a flat ninth-
+# power root and tan across its pole.
+ROUGH = [
+    (_step, 0.0, 2.0, 1.3),
+    (_ninth_power, 0.0, 2.0, 1.3),
+    (math.tan, 1.0, 2.0, math.pi / 2.0),
+]
+BRACKETS = SMOOTH + [case[:3] for case in ROUGH]
+
+
+class TestBrentDekker:
+    def test_smooth_root_in_a_handful_of_calls(self):
+        root, points = _refine(math.cos, 1.0, 2.0, 1e-12)
+        assert len(points) <= 8
+        assert abs(root - math.pi / 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("f, lo, hi, where", ROUGH)
+    def test_worst_cases_within_three_bisections(self, f, lo, hi, where):
+        tol = 1e-12
+        root, points = _refine(f, lo, hi, tol)
+        assert len(points) <= 3 * _bisections(lo, hi, tol) + 3
+        assert abs(root - where) <= tol
+
+    @pytest.mark.parametrize("f, lo, hi", BRACKETS)
+    def test_same_steps_as_scipy_brentq(self, f, lo, hi):
+        # scipy's brentq is the reference: the same number of calls and a
+        # root within tol (its floor 4 eps|x| differs a little from ours).
+        from scipy.optimize import brentq
+
+        tol = 1e-12
+        root, points = _refine(f, lo, hi, tol)
+        want, info = brentq(f, lo, hi, xtol=tol, maxiter=1000, full_output=True)
+        assert len(points) == info.function_calls - 2  # brentq also evaluates both ends
+        assert abs(root - want) <= tol
+
+    def test_tolerance_below_double_spacing_ends_at_resolution(self):
+        root, points = _refine(math.cos, 1.0, 2.0, 1e-300)
+        assert len(points) <= 8
+        assert abs(root - math.pi / 2.0) <= 4.0 * math.ulp(math.pi / 2.0)
+        # A root at 0: f underflows on the way, and the interpolation with it.
+        root, _ = _refine(lambda x: x**3, -1.0, 2.0, 1e-300)
+        assert abs(root) < 1e-100
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    @pytest.mark.parametrize("f, lo, hi", SMOOTH)
+    def test_sign_change_within_tol_of_the_root(self, f, lo, hi, tol):
+        root, _ = _refine(f, lo, hi, tol)
+        assert lo <= root <= hi
+        here, left, right = f(root), f(max(lo, root - tol)), f(min(hi, root + tol))
+        assert here == 0.0 or (here > 0.0) != (left > 0.0) or (here > 0.0) != (right > 0.0)
+
+    def test_deterministic(self):
+        for f, lo, hi in BRACKETS:
+            assert _refine(f, lo, hi, 1e-12) == _refine(f, lo, hi, 1e-12)
+
+    def test_zero_endpoint_is_returned_without_a_call(self):
+        def never(x):
+            raise AssertionError("no evaluation expected")
+
+        assert bisect(never, RootBracket(1.0, 2.0, 0.0, 3.0), tol=1e-12) == 1.0
+        assert bisect(never, RootBracket(1.0, 2.0, -3.0, 0.0), tol=1e-12) == 2.0

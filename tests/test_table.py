@@ -180,6 +180,24 @@ class TestAtomicWrites:
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
+    def test_scan_sidecar_is_written_atomically(self, tmp_path, monkeypatch):
+        scan = result_objects()[1]
+        path = tmp_path / "scan.json"
+        path.write_text("previous\n")
+        scan.to_json(path)
+        assert path.read_bytes() == (json.dumps(scan.metadata(), indent=2) + "\n").encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.json"]
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        before = path.read_bytes()
+        monkeypatch.setattr(_table.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            scan.to_json(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.json"]
+
 
 class TestJsonColumns:
     def test_columns_in_header_order_with_non_finite_as_strings(self):

@@ -154,7 +154,7 @@ class TestCrossover:
             assert abs(zeno_ratio(params_hot, model_hot, 0, s) - 1.0) <= RATIO_TOL
 
     def test_dense_scan_oracle(self, params_hot, model_hot):
-        # The bisected tau* must fall inside the sign-change interval of a
+        # The refined tau* must fall inside the sign-change interval of a
         # 10x finer ratio scan.
         stars = find_crossover_time(params_hot, model_hot, 0, (0.5, 2.0), 16)
         assert len(stars) == 1
