@@ -31,6 +31,11 @@ t^{p-1}/z part of each kernel (the Markovian growth) is summed in closed
 form, t^{p-1} times Delta_M resp. gamma_M, so that (2n+1) IDelta - Igamma
 keeps its digits when the two nearly cancel (theta = 0, n = 0).
 
+At theta = 0 the integral of G is taken in closed form: partial
+fractions over the poles {i, wc, -wc} leave logarithms and exponential
+integrals E1 and Ei (scipy.special, scaled by e^{-+x} and asymptotic
+for large x), with a series form at small t (``_theta0_delta``).
+
 The Matsubara sum is direct up to an index set by (r, theta, t) and
 capped at _MAX_TERMS.  Past it the summand is either a power series in
 1/nu, summed with Hurwitz zeta functions, or (small theta t) it is
@@ -39,10 +44,11 @@ smooth and non-oscillatory and goes to numerics.integrate_adaptive.
 
 ``pair`` takes a whole grid of times and evaluates it in one pass: the
 direct terms of every t in blocks of about _BLOCK_TERMS entries, the zeta
-tails as one array per grid, and all the integrals of one call as the
-components of a single integrate_adaptive call.  A single time is the
-grid of one.  The value at a given t is bit-identical whatever other
-times share its grid, because nothing a t's value is made of depends on them:
+tails as one array per grid, all the Gregory integrals of one call as
+the components of a single integrate_adaptive call, and theta = 0
+elementwise.  A single time is the grid of one.  The value at a given t
+is bit-identical whatever other times share its grid, because nothing a
+t's value is made of depends on them:
 its terms are formed elementwise, summed over its own segment
 (``np.add.reduceat``) or along the term axis from the left, and its
 integral is one component of the adaptive engine, which refines each
@@ -55,7 +61,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import exp1, expi, zeta
 
 from . import numerics
 
@@ -76,7 +82,7 @@ _GREGORY = np.array([
     -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192,
     -33953 / 3628800, 8183 / 1036800, -3250433 / 479001600, 4671 / 788480,
 ])
-# Integrals: tolerances relative to each t's largest probed integrand
+# Gregory integrals: tolerances relative to each t's largest probed integrand
 # value, and initial breakpoints at (nu - lower) / (1 + lower) = 4^j.
 # G falls like 1/nu between its scales (wc, 1, 1/t, 40/t); panels a
 # factor 4 apart over 4^-16 .. 4^16 span them for t from about 1e-9 to
@@ -88,6 +94,16 @@ _BREAK_GAPS = np.array([4.0**j for j in range(-16, 17)])
 # values of w per block of Taylor power rows (24 powers each).
 _BLOCK_TERMS = 4096
 _SERIES_CHUNK = 128
+# theta = 0: the small-t form below t = _SMALL_T / max(1, wc) (unsplit
+# kernel), and the scaled exponential integrals' asymptotic series from
+# x = _ASYMPTOTIC_X on, with _ASYMPTOTIC_TERMS terms.
+_SMALL_T = 0.1
+_ASYMPTOTIC_X = 40.0
+_ASYMPTOTIC_TERMS = 40
+_SIGNS = np.array([[1.0], [-1.0]])  # Ei, E1
+_EULER_GAMMA = 0.57721566490153286
+# (Ein(x) - x) / x^2 = Sum_n (-1)^(n+1) x^n / ((n+2) (n+2)!), 12 terms for |x| <= _SMALL_T.
+_EIN_TAIL = np.array([(-1) ** (n + 1) / ((n + 2) * math.factorial(n + 2)) for n in range(12)])
 
 
 def _taylor(power: int) -> np.ndarray:
@@ -383,16 +399,15 @@ def _gregory(kernel: _Kernel, rows: np.ndarray, start: np.ndarray, step: float):
     return head, correction
 
 
-def _integrals(pieces, breaks=()) -> list[np.ndarray]:
+def _integrals(pieces) -> list[np.ndarray]:
     """Int_lower^inf G(nu) dnu for every (kernel, rows, lower) piece, in one adaptive call.
 
-    Each row is one component, with nu = lower + s u / (1 - u), s = 1 +
-    lower, u in [0, 1), and is scaled by its largest value at the probe
-    nodes, so that its tolerance is its own.  ``breaks`` are extra
-    breakpoints in nu for lower = 0 (they must not depend on t).
+    These are the Gregory tails of the Matsubara sums.  Each row is one
+    component, with nu = lower + s u / (1 - u), s = 1 + lower, u in
+    [0, 1), and is scaled by its largest value at the probe nodes, so
+    that its tolerance is its own.
     """
-    gaps = np.concatenate([_BREAK_GAPS, np.asarray(breaks, dtype=float)])
-    edges = np.unique(gaps / (gaps + 1.0))
+    edges = _BREAK_GAPS / (_BREAK_GAPS + 1.0)
     probe = np.unique(np.concatenate([edges, [0.25, 0.5, 0.75]]))
     sizes = [len(rows) for _, rows, _ in pieces]
     spans = [1.0 + lower for _, _, lower in pieces]
@@ -423,6 +438,110 @@ def _integrals(pieces, breaks=()) -> list[np.ndarray]:
     value, _ = numerics.integrate_adaptive(integrand, 0.0, 1.0, spec, breakpoints=edges)
     value = value * scale
     return np.split(value, np.cumsum(sizes)[:-1])
+
+
+def _scaled_exponential_integrals(x: np.ndarray) -> np.ndarray:
+    """e^{-x} Ei(x) (Ei as the principal value) and e^{x} E1(x) for x > 0, as rows.
+
+    As written below _ASYMPTOTIC_X, where neither factor overflows;
+    from there on the asymptotic series (1/x) Sum_k k! (+-1/x)^k, summed
+    by Horner's rule over _ASYMPTOTIC_TERMS terms, the last of which is
+    below 1e-16 of the first.
+    """
+    out = np.empty((2, len(x)))
+    near = x < _ASYMPTOTIC_X
+    if np.count_nonzero(near):
+        x_near = x[near]
+        out[0, near] = np.exp(-x_near) * expi(x_near)
+        out[1, near] = np.exp(x_near) * exp1(x_near)
+    far = ~near
+    if np.count_nonzero(far):
+        x_far = x[far]
+        y = _SIGNS / x_far
+        series = np.ones_like(y)
+        for k in range(_ASYMPTOTIC_TERMS - 1, 0, -1):
+            series = 1.0 + k * y * series
+        out[:, far] = series / x_far
+    return out
+
+
+def _ein_tail(x: np.ndarray) -> np.ndarray:
+    """Ein(x) - x = Sum_{k >= 2} (-1)^(k+1) x^k / (k k!), for |x| <= _SMALL_T."""
+    return x * x * _power_series(x, _EIN_TAIL)
+
+
+def _theta0_delta(kernel: _Kernel) -> np.ndarray:
+    """(wc^2/pi) Int_0^inf G(nu) dnu for every t of ``kernel``, in closed form.
+
+    With z = nu - i, the kernel is a sum of 1/z, e^{-zt}/z and (for p =
+    2) 1/z^2 terms; nu/(nu^2 - wc^2) splits into poles b = +-wc (h(wc)
+    drops out: PV Int_0^inf dnu/(nu^2 - wc^2) = 0), so Delta = (wc^2/pi)
+    Re Sum_b K_b / 2 with K_b = PV Int_0^inf F(nu) / (nu - b) dnu.  Partial
+    fractions over {b, i}, d = b - i, leave logarithms, Lg = -ln wc -
+    i pi/2, and exponential integrals, Phi_b = e^{it} E(b) - E1(-it) with
+    E(b) = Int_0^inf e^{-nu t} / (nu - b) dnu:
+
+      e^{it} E(wc) = -e^{it} e^{-wc t} Ei(wc t),  e^{it} E(-wc) = e^{it} e^{wc t} E1(wc t)
+      p = 1:  K_b = (Lg - Phi_b) / d            (split: -Phi_b / d)
+      p = 2:  K_b = (Phi_b - Lg) / d^2 + (t (Lg + E1(-it)) - i expm1(it)) / d
+                                                (split: no Lg in the second part)
+
+    Below t = _SMALL_T / max(1, wc) the unsplit forms cancel; there E1(x)
+    = -gamma_E - ln x + Ein(x) takes the logarithms out analytically,
+    with L = gamma_E + ln(wc t), so that every remaining term is of the
+    order of the result (see _theta0_small).
+    """
+    wc, t, power = kernel.wc, kernel.t, kernel.power
+    e_it = np.exp(1j * t)
+    e1_it = exp1(-1j * t)
+    log_part = complex(-math.log(wc), -0.5 * math.pi)
+    if power == 2:
+        linear = -1j * np.expm1(1j * t) + t * (e1_it + log_part if kernel.c else e1_it)
+    ei, e1 = _scaled_exponential_integrals(wc * t)
+    total = np.zeros(len(t), dtype=complex)
+    for b, e_b in ((wc, -ei), (-wc, e1)):
+        d = complex(b, -1.0)
+        phi = e_it * e_b - e1_it
+        if power == 1:
+            total += ((log_part if kernel.c else 0.0) - phi) / d
+        else:
+            total += (phi - log_part) / (d * d) + linear / d
+    if kernel.c:
+        small = t <= _SMALL_T / max(1.0, wc)
+        if np.count_nonzero(small):
+            total[small] = _theta0_small(wc, t[small], power)
+    return wc * wc / (2.0 * np.pi) * total.real
+
+
+def _theta0_small(wc: float, t: np.ndarray, power: int) -> np.ndarray:
+    """Sum_b K_b of _theta0_delta for the unsplit kernel at small t, without cancellation.
+
+    With Ein(x) = E1(x) + gamma_E + ln x and L = gamma_E + ln(wc t),
+    Phi_b - Lg = -expm1(-dt) L + e^{-dt} Ein(-bt) - Ein(-it), and p = 1
+    takes K_b = -(Phi_b - Lg) / d.  For p = 2 the terms linear in t
+    cancel between Ein(-bt), Ein(-it) and expm1(it); written with
+    Ein(x) - x, e^{-w} - 1 + w = w^2 phi_2(w) and expm1(x) - x = x^2
+    phi_2(-x), d^2 K_b = -(dt)^2 phi_2(dt) L - bt expm1(-dt) + e^{-dt}
+    (Ein(-bt) + bt) - (Ein(-it) + it) + dt Ein(-it) + i d t^2 phi_2(-it),
+    each term of order t^2.
+    """
+    log = _EULER_GAMMA + np.log(wc * t)
+    it = 1j * t
+    tail_i = _ein_tail(-it)  # Ein(-it) + it
+    if power == 2:
+        q = 1j * t * t * _k(-it, 2)  # -i (expm1(it) - it)
+    total = np.zeros(len(t), dtype=complex)
+    for b in (wc, -wc):
+        d = complex(b, -1.0)
+        w = d * t
+        e = np.exp(-w)
+        tail_b = _ein_tail(-b * t)  # Ein(-bt) + bt
+        if power == 1:
+            total += (np.expm1(-w) * log - e * (tail_b - b * t) + tail_i - it) / d
+        else:
+            total += (-w * w * _k(w, 2) * log - b * t * np.expm1(-w) + e * tail_b - tail_i
+                      + w * (tail_i - it) + d * q) / (d * d)
+    return total
 
 
 def _matsubara_sums(kernels: list[_Kernel], step: float) -> list[np.ndarray]:
@@ -478,8 +597,7 @@ def pair(wc: float, theta: float, t: np.ndarray, power: int) -> tuple[np.ndarray
         groups = [np.flatnonzero(~split), np.flatnonzero(split)]
         kernels = [_Kernel(wc, t[rows], power, late) for rows, late in zip(groups, (False, True))]
     if theta == 0.0:
-        pieces = [(kernel, np.arange(len(kernel.t)), np.zeros(len(kernel.t))) for kernel in kernels]
-        deltas = [wc * wc / np.pi * value for value in _integrals(pieces, breaks=(wc, 1.0))]
+        deltas = [_theta0_delta(kernel) for kernel in kernels]
     else:
         step = 2.0 * np.pi * theta
         sums = _matsubara_sums(kernels, step)

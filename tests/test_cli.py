@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qbmzeno import cli, zeno
+from qbmzeno import cli, numerics, zeno
 from qbmzeno.cli import main
 from qbmzeno.numerics import NonConvergenceError
 
@@ -288,6 +288,24 @@ class TestCrossoverMap:
                 "--tau-points", "24", "--jobs", "1", "--out", str(tmp_path / n),
             ]) == 0
         assert 0 < len(points) <= 180
+
+    def test_readme_map_makes_few_adaptive_integrals(self, tmp_path, monkeypatch):
+        # theta = 0 is closed form; only the Gregory tails of theta > 0
+        # cells with small theta tau still integrate.
+        adaptive, calls = numerics.integrate_adaptive, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "integrate_adaptive", counted)
+        for n in ("0", "50"):
+            assert run([
+                "crossover-map", "--n", n, "--alpha", "0.1", "--map-r", "0.1,0.5,1,2,10",
+                "--map-theta", "0,1,10,100", "--tau-min", "1e-3", "--tau-max", "100",
+                "--tau-points", "24", "--jobs", "1", "--out", str(tmp_path / n),
+            ]) == 0
+        assert len(calls) <= 10
 
     def test_json_cells_are_numbers(self, tmp_path):
         code = run([

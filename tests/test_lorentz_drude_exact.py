@@ -8,15 +8,18 @@ numerical derivatives; a tanh-sinh integral at theta = 0) and in
 absolute units (no omega0 scaling).
 """
 
+import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from qbmzeno import coefficients
+from qbmzeno import _matsubara, coefficients, numerics
 from qbmzeno.coefficients import _pairs, coefficient_pair, integrated_pair
 from qbmzeno.spectral import OhmicLorentzDrude, ReservoirParams
 from qbmzeno.zeno import (
@@ -54,6 +57,8 @@ def oracle_pair(r, theta, t, power, alpha=0.1, omega0=1.0):
         h_c = wc * mp.re(k_c)
 
         def summand(nu):
+            if nu == wc:  # a node rounded onto the removable point: step off it
+                nu = wc * (1 + mp.sqrt(mp.eps))
             return (nu * mp.re(_time_kernel(mp.mpc(nu, -w0), t, power)) - h_c) / (nu**2 - wc**2)
 
         if theta == 0:
@@ -141,6 +146,20 @@ class TestMpmathOracle:
         assert abs(got - want) <= REL_TOL * abs(want)
 
 
+    @pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 3.0, 20.0])
+    def test_theta0_branch_seams(self, r):
+        # Both sides of the switch to the small-t series and of the
+        # Markov split at t = 1.
+        params = ReservoirParams(r=r, theta=0.0, alpha=0.1)
+        model = params.spectral_model()
+        for seam in (0.1 / max(1.0, r), 1.0):
+            for t in (seam * (1.0 - 1e-9), seam * (1.0 + 1e-9)):
+                _assert_close(coefficient_pair(params, model, t),
+                              oracle_pair(r, 0.0, t, 1), f"t={t}")
+                _assert_close(integrated_pair(params, model, t),
+                              oracle_pair(r, 0.0, t, 2), f"tau={t}")
+
+
 def oracle_markov_rate(r, theta, n, alpha=0.1):
     """(2n+1) Delta_M - gamma_M in mpmath (omega0 = 1): the Fermi golden rule.
 
@@ -176,6 +195,85 @@ class TestCrossoverOracle:
                 with mp.workdps(ORACLE_DPS):
                     signs.append(mp.sign((2 * n + 1) * i_delta - i_gamma - tau * markov))
             assert signs[0] * signs[1] < 0, (star, signs)
+
+
+def high_temperature_excess(tau, r):
+    """Int_0^tau e^{-rs} (cos s - sin s / r) ds: Delta(t) / Delta_M - 1 integrated, theta -> inf."""
+    kernel = (1.0 - cmath.exp(-complex(r, -1.0) * tau)) / complex(r, -1.0)
+    return kernel.real - kernel.imag / r
+
+
+def high_temperature_root(r, tau_range):
+    """The first tau in ``tau_range`` where high_temperature_excess changes sign, or None."""
+    grid = np.geomspace(*tau_range, 2001)
+    values = [high_temperature_excess(tau, r) for tau in grid]
+    for lo, hi, f_lo, f_hi in zip(grid, grid[1:], values, values[1:]):
+        if f_lo * f_hi < 0.0:
+            return brentq(high_temperature_excess, lo, hi, args=(r,), xtol=1e-15, rtol=1e-15)
+    return None
+
+
+class TestHighTemperatureLimit:
+    # For theta -> inf, Delta(t) -> Delta_M (1 - e^{-rt} (cos t - sin t / r)):
+    # tau* solves a closed-form equation in r alone, for every n.
+    TAUS = (1e-3, 1e2)
+    THETAS = (1e2, 1e3, 1e4)
+
+    @pytest.mark.parametrize("r, want", [(0.1, 0.2000044), (0.5, 1.0141057), (1.0, math.pi)])
+    def test_smallest_root_extrapolates_to_the_limit(self, r, want):
+        limit = high_temperature_root(r, self.TAUS)
+        assert limit == pytest.approx(want, abs=5e-8)  # want rounded to 7 decimals
+        # tau*(theta) = a0 + a1 / theta + a2 / theta^2 + O(theta^-3).
+        fit = np.array([[1.0, 1.0 / theta, theta**-2.0] for theta in self.THETAS])
+        for n in (0, 1, 50):
+            stars = []
+            for theta in self.THETAS:
+                params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+                stars.append(min(find_crossover_time(
+                    params, params.spectral_model(), n, self.TAUS, 24)))
+            a0 = np.linalg.solve(fit, np.array(stars))[0]
+            assert abs(a0 - limit) <= 2e-6 * limit, (n, stars, a0, limit)
+
+    @pytest.mark.parametrize("r", [2.0, 10.0])
+    def test_no_root_where_the_limit_has_none(self, r):
+        assert high_temperature_root(r, self.TAUS) is None
+        for theta in self.THETAS:
+            params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+            for n in (0, 1, 50):
+                assert find_crossover_time(params, params.spectral_model(), n, self.TAUS, 24) == []
+
+
+class TestZeroTemperatureClosedForm:
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 39.9, 40.1, 700.0, 710.0, 1e4, 1e6])
+    def test_scaled_exponential_integrals(self, x):
+        with mp.workdps(ORACLE_DPS):
+            want_ei = float(mp.exp(-x) * mp.ei(x))
+            want_e1 = float(mp.exp(x) * mp.e1(x))
+        (got_ei,), (got_e1,) = _matsubara._scaled_exponential_integrals(np.array([x]))
+        assert abs(got_ei - want_ei) <= 1e-14 * abs(want_ei)
+        assert abs(got_e1 - want_e1) <= 1e-14 * abs(want_e1)
+
+    def test_large_wc_t_is_finite_without_warnings(self):
+        # wc t = 1e5: Ei(wc t) itself overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for power in (1, 2):
+                values = _matsubara.pair(10.0, 0.0, np.array([1e4]), power)
+                assert all(np.isfinite(v).all() for v in values)
+
+    def test_no_adaptive_integral(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_adaptive called at theta = 0")
+
+        monkeypatch.setattr(numerics, "integrate_adaptive", refuse)
+        # Small-t series, closed form below t = 1 and Markov split above it.
+        grid = np.array([1e-4, 3e-3, 0.05, 0.4, 1.0, 7.0, 1e4])
+        for wc in (0.1, 1.0, 10.0):
+            for power in (1, 2):
+                delta, _ = _matsubara.pair(wc, 0.0, grid, power)
+                assert np.isfinite(delta).all()
+                single, _ = _matsubara.pair(wc, 0.0, grid[3:4], power)
+                assert single[0] == delta[3]
 
 
 class QuadratureLorentzDrude(OhmicLorentzDrude):
@@ -270,7 +368,8 @@ class TestProperties:
 
 
 # Grids mixing Gregory-range times (theta = 0.2, t < 8e-3), direct-sum
-# times below t = 1 and Markov-split times from t = 1 on.
+# times below t = 1 and Markov-split times from t = 1 on; at theta = 0,
+# small-t series times (t <= 0.1 / max(1, r)) and closed-form times.
 gregory_times = st.lists(st.floats(1e-4, 7.9e-3), min_size=1, max_size=3)
 short_times = st.lists(st.floats(8e-3, 0.999), min_size=1, max_size=3)
 long_times = st.lists(st.floats(1.0, 1e4), min_size=1, max_size=3)
