@@ -22,7 +22,6 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -388,18 +387,16 @@ def main(argv=None) -> int:
 
     n = args.n if args.n is not None else 0
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if args.command == "coeffs":
-                return cmd_coeffs(cfg)
-            if args.command == "scan":
-                return cmd_scan(cfg, n)
-            if args.command == "fig1":
-                return cmd_fig1(cfg)
-            if args.command == "ion":
-                return cmd_ion(cfg, n, args.tau, args.N)
-            if args.command == "crossover-map":
-                return cmd_crossover_map(cfg, n)
+        if args.command == "coeffs":
+            return cmd_coeffs(cfg)
+        if args.command == "scan":
+            return cmd_scan(cfg, n)
+        if args.command == "fig1":
+            return cmd_fig1(cfg)
+        if args.command == "ion":
+            return cmd_ion(cfg, n, args.tau, args.N)
+        if args.command == "crossover-map":
+            return cmd_crossover_map(cfg, n)
     except DegenerateDenominatorError as exc:
         print(f"degenerate Markovian rate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

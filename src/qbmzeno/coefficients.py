@@ -55,24 +55,11 @@ __all__ = [
 _PAIR_SIGNS = np.array([1.0, -1.0])
 
 
-def bare_weight(model: BaseSpectralDensity):
-    """J(omega), formed as (J(omega)/omega) * omega like every pair row."""
-    return lambda omega: model.density_over_omega(omega) * omega
-
-
-def coth_weight(model: BaseSpectralDensity, params: ReservoirParams):
-    """J(omega) coth(omega / 2 theta omega0) as a vectorized callable."""
-    if params.theta == 0.0:
-        return bare_weight(model)
-    return lambda omega: weighted_spectral_density(model, params, omega)
-
-
 def _pair_weight(model: BaseSpectralDensity, params: ReservoirParams):
     """(J coth, J) at N frequencies as a (2, N) array, one model call per node.
 
     Both rows come from J(omega)/omega, so the removable omega -> 0 point
-    stays smooth, and each row is bit-identical to coth_weight resp.
-    bare_weight at the same frequencies.
+    stays smooth.
     """
     theta, omega0 = params.theta, params.omega0
 

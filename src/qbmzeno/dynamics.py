@@ -23,6 +23,7 @@ import numpy as np
 from ._table import write_csv
 from .coefficients import (
     CoefficientSeries,
+    _pairs,
     integrated_diffusion,
     integrated_pair,
     tabulate_coefficients,
@@ -467,14 +468,14 @@ def shuttered_comparison(
         raise ValueError("n must be nonnegative")
     # One coefficient table over a single interval serves the ladder of
     # every segment, because each measurement resets the coefficient
-    # clock.  Its last row, at tau, is the integrated pair of one interval
-    # (bit-identical to integrated_pair at tau), so P(tau) and the free
-    # decay at t = tau reuse it.
+    # clock.  The free decay takes the integrated pair at every k tau in
+    # one grid pass; its first entry, at tau, is that of one interval
+    # (bit-identical to integrated_pair at tau), so P(tau) reuses it.
     table = tabulate_coefficients(params, model, tau, _SEGMENT_ROWS, spec)
-    at_tau = (float(table.int_delta[-1]), float(table.int_gamma[-1]))
-    p_up, p_down = _transitions(n, schedule.tau, *at_tau)
-    p_single = 1.0 - p_up - p_down
     times = schedule.tau * np.arange(n_measurements + 1, dtype=float)
+    i_delta, i_gamma = _pairs(params, model, times[1:], "sinc2", spec)
+    p_up, p_down = _transitions(n, schedule.tau, float(i_delta[0]), float(i_gamma[0]))
+    p_single = 1.0 - p_up - p_down
     shuttered = p_single ** np.arange(n_measurements + 1)
     if n_max is None:
         # High-T baths pump population up the ladder roughly one level per
@@ -485,10 +486,9 @@ def shuttered_comparison(
     unshuttered = np.ones(n_measurements + 1)
     extrapolated = False
     for k in range(1, n_measurements + 1):
-        if k == 1:
-            result = _unshuttered(params, model, n, float(times[k]), *at_tau)
-        else:
-            result = unshuttered_survival(params, model, n, float(times[k]), spec)
+        result = _unshuttered(
+            params, model, n, float(times[k]), float(i_delta[k - 1]), float(i_gamma[k - 1])
+        )
         unshuttered[k] = result.probability
         extrapolated = extrapolated or result.extrapolated
 

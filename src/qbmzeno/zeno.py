@@ -22,8 +22,8 @@ import numpy as np
 
 from ._table import write_atomic, write_csv
 from .coefficients import (
+    _pair_weight,
     _pairs,
-    coth_weight,
     half_kernel_integral,
     integrated_diffusion,
     integrated_pair,
@@ -149,8 +149,9 @@ def _rates(
     """effective_decay_rate at every tau of a grid, in one pass and without escape checks.
 
     Each value is bit-identical to effective_decay_rate at that tau.  The
-    grid callers (scans, crossover grids, fig1) look at large tau on
-    purpose, so they do not check the perturbative window.
+    grid callers (scans, crossover grids and their root refinement,
+    fig1) look at large tau on purpose, so they do not check the
+    perturbative window.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all(taus > 0.0):
@@ -190,14 +191,16 @@ def effective_decay_rate_fd(
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_model_consistency(params, model)
-    w_coth = coth_weight(model, params)
+    pair_weight = _pair_weight(model, params)
     m = 2 * n + 1
 
     def weight_minus(omega):
-        return m * w_coth(omega) - model.density(omega)
+        coth, bare = pair_weight(omega)
+        return m * coth - bare
 
     def weight_plus(omega):
-        return m * w_coth(omega) + model.density(omega)
+        coth, bare = pair_weight(omega)
+        return m * coth + bare
 
     half = 0.5 * tau
     lower = half_kernel_integral(weight_minus, params.omega0, half, "sinc2", -1, spec)
@@ -320,17 +323,14 @@ def _crossovers(
     """Crossover times: the roots of ratio(tau) - 1 in its sign-change brackets.
 
     Each bracket is refined by Brent-Dekker (``numerics.bisect``) to
-    1e-12 relative width, from the grid values at its ends.  Escape
-    warnings are silenced: a crossover search samples large tau on
-    purpose.
+    1e-12 relative width, from the grid values at its ends, one
+    single-tau ``_rates`` grid per step.
     """
 
     def excess(tau: float) -> float:
-        return effective_decay_rate(params, model, n, tau, spec) / denominator - 1.0
+        return float(_rates(params, model, n, np.array([tau]), spec)[0]) / denominator - 1.0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [bisect(excess, b, tol=1e-12 * b.hi) for b in brackets]
+    return [bisect(excess, b, tol=1e-12 * b.hi) for b in brackets]
 
 
 @dataclass(frozen=True)

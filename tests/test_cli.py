@@ -272,26 +272,28 @@ class TestCrossoverMap:
             ).read_bytes()
 
     def test_readme_map_refines_roots_in_few_rate_calls(self, tmp_path, monkeypatch):
-        # The README grid at benchmark size: the grids are batched, so the
-        # only per-point rates are the root refinements of its 24 roots.
-        rate, points = zeno.effective_decay_rate, []
+        # The README grid at benchmark size: each cell's 24 taus are one
+        # batched grid, and the root refinements of its 24 roots are grids
+        # of one tau, one per Brent-Dekker step.
+        rates, sizes = zeno._rates, []
 
-        def counted_rate(*args, **kwargs):
-            points.append(args[3])
-            return rate(*args, **kwargs)
+        def counted_rates(*args, **kwargs):
+            sizes.append(len(args[3]))
+            return rates(*args, **kwargs)
 
-        monkeypatch.setattr(zeno, "effective_decay_rate", counted_rate)
+        monkeypatch.setattr(zeno, "_rates", counted_rates)
         for n in ("0", "50"):
             assert run([
                 "crossover-map", "--n", n, "--alpha", "0.1", "--map-r", "0.1,0.5,1,2,10",
                 "--map-theta", "0,1,10,100", "--tau-min", "1e-3", "--tau-max", "100",
                 "--tau-points", "24", "--jobs", "1", "--out", str(tmp_path / n),
             ]) == 0
-        assert 0 < len(points) <= 180
+        assert set(sizes) == {1, 24}
+        assert 0 < sizes.count(1) <= 180
 
     def test_readme_map_makes_few_adaptive_integrals(self, tmp_path, monkeypatch):
-        # theta = 0 is closed form; only the Gregory tails of theta > 0
-        # cells with small theta tau still integrate.
+        # Every cell is the Lorentz-Drude bath, closed form at every
+        # theta and tau: no adaptive integral at all.
         adaptive, calls = numerics.integrate_adaptive, []
 
         def counted(*args, **kwargs):
@@ -305,7 +307,7 @@ class TestCrossoverMap:
                 "--map-theta", "0,1,10,100", "--tau-min", "1e-3", "--tau-max", "100",
                 "--tau-points", "24", "--jobs", "1", "--out", str(tmp_path / n),
             ]) == 0
-        assert len(calls) <= 10
+        assert len(calls) == 0
 
     def test_json_cells_are_numbers(self, tmp_path):
         code = run([

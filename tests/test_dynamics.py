@@ -326,16 +326,21 @@ class TestShutteredComparison:
         assert comp.shuttered[-1] < comp.unshuttered[-1]
 
     def test_one_integrated_pair_per_measurement_time(self, params_hot, model_hot, monkeypatch):
-        # The ladder's 201-row coefficient table is one grid pass; its last
-        # row, at tau, also serves P(tau) and the free decay at tau, so
-        # integrated_pair runs once per later measurement time, 2 tau .. 4 tau.
-        calls, tables = [], []
+        # The ladder's 201-row coefficient table is one grid pass, and the
+        # free decay at every k tau is another; its first entry, at tau,
+        # also serves P(tau), so no integrated pair is taken point by point.
+        calls, grids, tables = [], [], []
         original = coefficients.integrated_pair
+        pairs = dynamics._pairs
         tabulate = coefficients.tabulate_coefficients
 
         def counting(*args, **kwargs):
             calls.append(args[2])
             return original(*args, **kwargs)
+
+        def counting_pairs(*args, **kwargs):
+            grids.append((args[2].tolist(), args[3]))
+            return pairs(*args, **kwargs)
 
         def counting_table(*args, **kwargs):
             tables.append(args[2:4])
@@ -343,15 +348,18 @@ class TestShutteredComparison:
 
         monkeypatch.setattr(dynamics, "integrated_pair", counting)
         monkeypatch.setattr(coefficients, "integrated_pair", counting)
+        monkeypatch.setattr(dynamics, "_pairs", counting_pairs)
         monkeypatch.setattr(dynamics, "tabulate_coefficients", counting_table)
         comp = shuttered_comparison(params_hot, model_hot, 0, 0.25, 4)
-        assert calls == [0.5, 0.75, 1.0]
+        assert calls == []
+        assert grids == [([0.25, 0.5, 0.75, 1.0], "sinc2")]
         assert tables == [(0.25, 201)]
-        # The reused row is the per-point pair, bit for bit.
+        # The grid's entries are the per-point values, bit for bit.
         monkeypatch.undo()
         assert comp.shuttered[1] == survival_probability(params_hot, model_hot, 0, 0.25)
-        free = unshuttered_survival(params_hot, model_hot, 0, 0.25)
-        assert comp.unshuttered[1] == free.probability
+        for k in range(1, 5):
+            free = unshuttered_survival(params_hot, model_hot, 0, 0.25 * k)
+            assert comp.unshuttered[k] == free.probability
 
     @pytest.mark.parametrize(
         "r, theta, n, tau", [(0.5, 100.0, 0, 0.25), (0.5, 100.0, 3, 0.25), (10.0, 100.0, 2, 0.1)]

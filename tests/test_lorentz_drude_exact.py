@@ -36,9 +36,14 @@ _EULER_MACLAURIN = ((1, mp.mpf(1) / 6), (3, mp.mpf(-1) / 30), (5, mp.mpf(1) / 42
 
 
 def _time_kernel(z, t, power):
-    """Int_0^t (t - s)^(power-1) e^{-z s} ds."""
-    e = mp.exp(-z * t)
-    return (1 - e) / z if power == 1 else (z * t + e - 1) / z**2
+    """Int_0^t (t - s)^(power-1) e^{-z s} ds.
+
+    At |z t| << 1 the numerator cancels like (z t)^power, so it is formed
+    with that many more bits.
+    """
+    with mp.extraprec(max(0, -power * mp.mag(z * t))):
+        e = mp.exp(-z * t)
+        return (1 - e) / z if power == 1 else (z * t + e - 1) / z**2
 
 
 def oracle_pair(r, theta, t, power, alpha=0.1, omega0=1.0):
@@ -144,6 +149,17 @@ class TestMpmathOracle:
             want = float(((2 * n + 1) * i_delta - i_gamma) / tau)
         got = effective_decay_rate(params, params.spectral_model(), n, tau)
         assert abs(got - want) <= REL_TOL * abs(want)
+
+    @pytest.mark.parametrize("r, theta, t, power", [
+        (0.5, 1.0, 1e-13, 1), (0.5, 1e-3, 1e-10, 2), (0.01, 1e-5, 1e-15, 1), (0.01, 1e-5, 1e-15, 2),
+    ])
+    def test_gregory_corners(self, r, theta, t, power):
+        # theta t << 1: the Matsubara sum ends in Gregory's formula around
+        # Int_a^inf G, a = K 2 pi theta far above max(1, r).
+        params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+        pair = coefficient_pair if power == 1 else integrated_pair
+        _assert_close(pair(params, params.spectral_model(), t),
+                      oracle_pair(r, theta, t, power), f"t={t}")
 
 
     @pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 3.0, 20.0])
@@ -263,17 +279,72 @@ class TestZeroTemperatureClosedForm:
 
     def test_no_adaptive_integral(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("integrate_adaptive called at theta = 0")
+            raise AssertionError("integrate_adaptive called on the closed-form path")
 
         monkeypatch.setattr(numerics, "integrate_adaptive", refuse)
-        # Small-t series, closed form below t = 1 and Markov split above it.
-        grid = np.array([1e-4, 3e-3, 0.05, 0.4, 1.0, 7.0, 1e4])
-        for wc in (0.1, 1.0, 10.0):
-            for power in (1, 2):
-                delta, _ = _matsubara.pair(wc, 0.0, grid, power)
-                assert np.isfinite(delta).all()
-                single, _ = _matsubara.pair(wc, 0.0, grid[3:4], power)
-                assert single[0] == delta[3]
+        # theta = 0: small-t series, closed form below t = 1 and Markov
+        # split above it; theta > 0: Gregory tails at small theta t, zeta
+        # tails elsewhere.
+        grid = np.array([1e-15, 1e-9, 1e-4, 3e-3, 0.05, 0.4, 1.0, 7.0, 1e4])
+        for theta in (0.0, 1e-5, 0.2, 10.0):
+            for wc in (0.1, 1.0, 10.0):
+                for power in (1, 2):
+                    delta, _ = _matsubara.pair(wc, theta, grid, power)
+                    assert np.isfinite(delta).all()
+                    single, _ = _matsubara.pair(wc, theta, grid[5:6], power)
+                    assert single[0] == delta[5]
+
+
+def tail_oracle(wc, t, power, split, lower):
+    """Int_lower^inf G(nu) dnu in mpmath, G as in ``oracle_pair`` (omega0 = 1).
+
+    ``split`` takes the Markovian part t^(power-1)/z out of the kernel,
+    as ``_matsubara`` does from t = 1 on.
+    """
+    with mp.workdps(ORACLE_DPS):
+        wc, t, lower = mp.mpf(wc), mp.mpf(t), mp.mpf(lower)
+
+        def kernel(nu):
+            z = mp.mpc(nu, -1)
+            value = _time_kernel(z, t, power)
+            return value - t ** (power - 1) / z if split else value
+
+        h_c = wc * mp.re(kernel(wc))
+
+        def summand(nu):
+            if nu == wc:  # a node rounded onto the removable point: step off it
+                nu = wc * (1 + mp.sqrt(mp.eps))
+            return (nu * mp.re(kernel(nu)) - h_c) / (nu**2 - wc**2)
+
+        # Cuts a decade apart over G's scales, from 1e-3 min(1, wc) to 100/t.
+        first = int(mp.floor(mp.log10(min(1, wc)))) - 3
+        cuts = [lower + mp.mpf(10) ** k for k in range(first, int(mp.ceil(mp.log10(100 / t))) + 1)]
+        # Past the last cut in u = cut / nu: mp.quad's own map of [cut, inf]
+        # misses 1 % of this tail at cut = 1e17.
+        far = mp.quad(lambda u: summand(cuts[-1] / u) * cuts[-1] / u**2, [0, 1])
+        return mp.quad(summand, [lower] + cuts) + far
+
+
+class TestGregoryTail:
+    # t from 1e-15 to 300, both kernels and powers, the tail starting far
+    # above the cutoff (a = 64 * 2 pi theta), at it and just past it.
+    @pytest.mark.parametrize("wc, t, power, split, lower", [
+        (0.5, 1e-13, 1, False, 128 * math.pi),
+        (0.01, 1e-15, 2, False, 128 * math.pi * 1e-5),
+        (0.5, 1e-9, 1, False, 128 * math.pi * 1e-3),
+        (0.5, 1e-10, 2, False, 128 * math.pi * 1e-3),
+        (20.0, 1e-6, 1, False, 20.0),
+        (0.1, 1e-4, 2, False, 0.1 * (1.0 + 1e-7)),
+        (0.3, 0.5, 1, False, 0.3),
+        (2.0, 3.0, 1, True, 2.0 * (1.0 + 1e-7)),
+        (10.0, 3.0, 2, True, 10.0 * (1.0 + 1e-7)),
+        (2.0, 300.0, 2, True, 2.0),
+    ])
+    def test_trapezoid_matches_mpmath(self, wc, t, power, split, lower):
+        kernel = _matsubara._Kernel(wc, np.array([t]), power, split)
+        (got,) = _matsubara._tail_integrals(kernel, np.array([0]), np.array([lower]))
+        want = float(tail_oracle(wc, t, power, split, lower))
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
 
 class QuadratureLorentzDrude(OhmicLorentzDrude):

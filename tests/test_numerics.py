@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from qbmzeno import _matsubara
 from qbmzeno.numerics import (
     InvalidBracketError,
     NonConvergenceError,
@@ -240,16 +239,20 @@ class TestAdaptive:
     def test_empty_interval(self):
         assert integrate_adaptive(np.exp, 2.0, 2.0, QuadratureSpec()) == (0.0, 0.0)
 
-    def test_noise_floor_stops_refinement(self, monkeypatch):
-        # The theta = 0 Lorentz-Drude integral at r = 0.324, tau = 7.54 asked
-        # for 1e-15 of its largest value: |K15 - G7| sits at its rounding
-        # floor above that, so refinement stops there instead of running
-        # out the subdivision budget.
-        tau = np.array([7.54])
-        want = _matsubara.pair(0.324, 0.0, tau, 2)
-        monkeypatch.setattr(_matsubara, "_INTEGRAL_ABS_TOL", 1e-15)
-        got = _matsubara.pair(0.324, 0.0, tau, 2)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    def test_noise_floor_stops_refinement(self):
+        # Asked for 1e-18 of the value, below what double precision can
+        # hold: |K15 - G7| sits at its rounding floor 50 eps sum|K15| above
+        # that, so refinement stops there and returns the floor as the
+        # error, instead of running out the subdivision budget.
+        value, err = integrate_adaptive(
+            lambda x: np.exp(-x) * np.cos(3.0 * x), 0.0, 5.0,
+            QuadratureSpec(abs_tol=1e-300, rel_tol=1e-18),
+        )
+        want = ((np.exp(complex(-5.0, 15.0)) - 1.0) / complex(-1.0, 3.0)).real
+        assert abs(value - want) <= 1e-14 * abs(want)
+        # sum|K15| lies between |value| and Int |f| <= Int_0^5 e^-x.
+        floor = 50.0 * np.finfo(float).eps
+        assert floor * abs(want) <= err <= floor * (1.0 - np.exp(-5.0))
 
     def test_panel_presplit(self):
         # 25 oscillations: quarter-period panels keep the estimate honest.
