@@ -216,12 +216,12 @@ def unshuttered_survival(
     if n < 0:
         raise ValueError("n must be nonnegative")
     i_delta, i_gamma = integrated_pair(params, model, t_total, spec)
-    return _unshuttered(params, model, n, t_total, i_delta, i_gamma)
+    return _unshuttered(n, t_total, i_delta, i_gamma, markovian_decay_rate(params, model, n))
 
 
-def _unshuttered(params, model, n: int, t_total: float, i_delta: float, i_gamma: float):
-    """unshuttered_survival from the integrated pair at t_total."""
-    markov = math.exp(-markovian_decay_rate(params, model, n) * t_total)
+def _unshuttered(n: int, t_total: float, i_delta: float, i_gamma: float, markov_rate: float):
+    """unshuttered_survival from the integrated pair at t_total and the Markov rate."""
+    markov = math.exp(-markov_rate * t_total)
     escape = (2 * n + 1) * i_delta - i_gamma
     if escape > _ESCAPE_LIMIT:
         return UnshutteredSurvival(
@@ -485,9 +485,10 @@ def shuttered_comparison(
 
     unshuttered = np.ones(n_measurements + 1)
     extrapolated = False
+    markov_rate = markovian_decay_rate(params, model, n)
     for k in range(1, n_measurements + 1):
         result = _unshuttered(
-            params, model, n, float(times[k]), float(i_delta[k - 1]), float(i_gamma[k - 1])
+            n, float(times[k]), float(i_delta[k - 1]), float(i_gamma[k - 1]), markov_rate
         )
         unshuttered[k] = result.probability
         extrapolated = extrapolated or result.extrapolated

@@ -3,10 +3,12 @@
 Physics-agnostic engines used by every coefficient and decay-rate
 computation: an adaptive Gauss-Kronrod integrator that stops at the
 rounding floor of its error estimate, a semi-infinite integrator of an
-envelope against the sinc or sinc^2 kernel (quarter-period panels up to
-a cut, past it a non-oscillating integral on x = cut/u and half-period
-cycle sums extrapolated with Wynn's epsilon algorithm, with the head
-extended per component past structure that samples of the tail show),
+envelope against the sinc or sinc^2 kernel (pi-wide Filon-Clenshaw-
+Curtis panels left of u = -96, quarter-period GK15 panels from there up
+to a cut, past it a non-oscillating integral on x = cut/u and
+half-period cycle sums extrapolated with Wynn's epsilon algorithm, with
+the head extended per component past structure that samples of the
+tail show),
 deterministic Brent-Dekker root refinement on sign-change brackets
 (``bisect``: a handful of calls per smooth root at any tolerance), and
 the ordered (optionally multi-process) map behind every grid.  All
@@ -26,9 +28,10 @@ reaches the caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,6 +140,20 @@ _CUT_MARGIN = 96.0
 _CYCLES_PER_BATCH = 16
 _MAX_CYCLE_BATCHES = 16
 _PROBE_HALF_PERIODS = 768
+# Left of -_CUT_MARGIN the head is panelled _FILON_WIDTH wide (pi: one
+# period of sinc^2's cos 2u, half one of sinc's sin u) and integrated by
+# Filon-Clenshaw-Curtis: g(u) at the 25 Chebyshev-Lobatto nodes of a
+# panel (13 of them for the error estimate) times exact weights of 1,
+# cos and sin.  Bisection halves a panel, so its half-width is
+# (pi/2) 2**-level; there |u| >= 96, and a panel of level 42 is narrower
+# than 64 eps * 96, never split, so _FILON_LEVELS levels cover them all.
+_FILON_WIDTH = np.pi
+_FILON_LEVELS = 48
+# A shorter Filon stretch is left to GK15: each Filon panel saves about
+# 35 nodes, and below some 64 panels that does not pay for the fixed
+# cost of the weights and of the mixed batch (measured near break-even).
+_FILON_MIN_PANELS = 64
+_FCC_NODES = np.cos(np.pi * np.arange(25) / 24.0)
 
 
 def sinc(x):
@@ -154,6 +171,13 @@ def sinc(x):
 _KERNELS = {
     "sinc": (2.0 * np.pi, 0.0, sinc, lambda u: np.sin(u) / u, 0.0),
     "sinc2": (np.pi, 0.25 * np.pi, lambda u: sinc(u) ** 2, lambda u: np.cos(2.0 * u) / (-2.0 * u * u), 0.5),
+}
+# Kernel name -> (smooth, omega, c0, cc, cs): left of resonance the kernel
+# is smooth(u) (c0 + cc cos(omega u) + cs sin(omega u)), sinc = (1/u) sin u
+# and sinc^2 = (1/(2u^2)) (1 - cos 2u).
+_FILON_KERNELS = {
+    "sinc": (lambda u: 1.0 / u, 1.0, 0.0, 0.0, 1.0),
+    "sinc2": (lambda u: 0.5 / (u * u), 2.0, 1.0, -1.0, 0.0),
 }
 
 
@@ -213,6 +237,129 @@ def _gk_rule(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray,
     return kron, np.abs(kron - gauss)
 
 
+def _lobatto_to_chebyshev(n: int) -> np.ndarray:
+    """(n+1, n+1) map from values at cos(j pi/n) to their interpolant's Chebyshev coefficients."""
+    k = np.arange(n + 1)
+    ends = np.where((k == 0) | (k == n), 0.5, 1.0)
+    return (2.0 / n) * np.outer(ends, ends) * np.cos(np.pi * np.outer(k, k) / n)
+
+
+@functools.cache
+def _filon_weights(kernel: str) -> np.ndarray:
+    """``kernel``'s FCC weights at every level, shape (levels, 3, 50): rows 1, cos and sin.
+
+    Row r, level L holds the integrals over [-1, 1] of the Lagrange
+    basis of the Chebyshev-Lobatto nodes _FCC_NODES times 1, cos(k x) or
+    sin(k x), k = omega (pi/2) 2**-L the frequency in x of the kernel's
+    oscillation on a panel of that level: columns 0-24 for FCC-25, and
+    columns 25, 27, ..., 49 for FCC-13 on the even-numbered nodes (the
+    others zero).  They are the moments Int T_j(x) e^{ikx} dx, j <= 24,
+    taken by the 129-node Clenshaw-Curtis rule (exact to rounding for
+    k <= pi, where e^{ikx} is a polynomial of degree about 40 to double
+    precision), mapped through the interpolants' Chebyshev coefficients.
+    """
+    kappa = 0.5 * _FILON_KERNELS[kernel][1] * _FILON_WIDTH
+    n = 128
+    i = np.arange(n + 1)
+    m = np.arange(1, n // 2 + 1)
+    ends = np.where((i == 0) | (i == n), 1.0, 2.0) / n
+    damp = np.where(m == n // 2, 1.0, 2.0) / (4.0 * m * m - 1.0)
+    clenshaw_curtis = ends * (1.0 - damp @ np.cos(2.0 * np.pi * np.outer(m, i) / n))
+    kx = np.outer(kappa * 2.0 ** -np.arange(_FILON_LEVELS), np.cos(np.pi * i / n))
+    waves = np.stack([np.ones_like(kx), np.cos(kx), np.sin(kx)], axis=1) * clenshaw_curtis
+    moments = waves @ np.cos(np.pi * np.outer(i, np.arange(25)) / n)  # T_j(x_i) = cos(j i pi/n)
+    table = np.zeros((_FILON_LEVELS, 3, 2, 25))
+    table[:, :, 0] = moments @ _lobatto_to_chebyshev(24)
+    table[:, :, 1, ::2] = moments[..., :13] @ _lobatto_to_chebyshev(12)
+    table.flags.writeable = False  # cached: every caller shares it
+    return table.reshape(_FILON_LEVELS, 3, 50)
+
+
+def _fcc_weights(lo: np.ndarray, hi: np.ndarray, kernel: str) -> np.ndarray:
+    """Per panel, the FCC-25 and FCC-13 weight vectors of ``kernel``, shape (panels, 2, 25).
+
+    A panel holds g(u) (c0 + cc cos(omega u) + cs sin(omega u)); with
+    u = m + h x the weight is c0 + A cos(omega h x) + B sin(omega h x),
+    A = cc cos(omega m) + cs sin(omega m), B = cs cos(omega m) - cc
+    sin(omega m), so a panel's vectors are h (c0 w1 + A wcos + B wsin),
+    from the table row of its level.
+    """
+    _, omega, c0, cc, cs = _FILON_KERNELS[kernel]
+    half = 0.5 * (hi - lo)
+    level = np.rint(np.log2(0.5 * _FILON_WIDTH / half)).astype(np.intp)
+    phase = omega * (0.5 * (lo + hi))
+    cos_m, sin_m = np.cos(phase), np.sin(phase)
+    coef = np.stack([np.full_like(half, c0), cc * cos_m + cs * sin_m, cs * cos_m - cc * sin_m], axis=1)
+    coef *= half[:, None]
+    return np.einsum("pk,pkj->pj", coef, _filon_weights(kernel)[level]).reshape(-1, 2, 25)
+
+
+def _fcc_rule(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FCC-25 values and |FCC-25 - FCC-13| estimates of one component from its (panels, 25) values of g."""
+    both = np.einsum("pkj,pj->pk", weights, y)
+    return both[:, 0], np.abs(both[:, 0] - both[:, 1])
+
+
+class _Head(NamedTuple):
+    """The kernel of integrate_semi_infinite's head, and its number of Filon panels."""
+
+    kernel: str
+    filon_panels: int
+
+
+def _panel_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, filon_end: float):
+    """Evaluate every panel's nodes in one call; return (rule, k), k the number of components.
+
+    Without ``head`` each panel takes GK15 of f.  With it, f is an
+    envelope: a panel right of ``filon_end`` takes GK15 of f times the
+    head kernel, one left of it FCC-25/13 of f times the kernel's smooth
+    factor.  rule(c, rows) returns (lo, hi, vals, errs) of component c on
+    the panels ``rows`` (an index array, or slice(None) for all in
+    order).  Each rule sees c's values in ``rows`` order, the arrays a
+    run on c alone forms, so c's results are bit-identical to that run's.
+    """
+    fcc = hi <= filon_end if head is not None and head.filon_panels else None
+    n_fcc = 0 if fcc is None else int(np.count_nonzero(fcc))
+    if not n_fcc:
+        if head is None:
+            y = _evaluate_panels(evaluate, lo, hi)
+        else:
+            kernel = _KERNELS[head.kernel][2]
+            y = _evaluate_panels(lambda u: evaluate(u) * kernel(u), lo, hi)
+
+        def gk_rule(c, rows):
+            lo_rows, hi_rows = lo[rows], hi[rows]
+            return lo_rows, hi_rows, *_gk_rule(y[c][rows], lo_rows, hi_rows)
+
+        return gk_rule, len(y)
+    gk = ~fcc
+    lo_f, hi_f, lo_g, hi_g = lo[fcc], hi[fcc], lo[gk], hi[gk]
+    u_fcc = (0.5 * (lo_f + hi_f)[:, None] + 0.5 * (hi_f - lo_f)[:, None] * _FCC_NODES).ravel()
+    u_gk = (0.5 * (lo_g + hi_g)[:, None] + 0.5 * (hi_g - lo_g)[:, None] * _GK_NODES).ravel()
+    y = evaluate(np.concatenate([u_fcc, u_gk]))
+    y_fcc = (y[:, :u_fcc.size] * _FILON_KERNELS[head.kernel][0](u_fcc)).reshape(len(y), lo_f.size, 25)
+    y_gk = (y[:, u_fcc.size:] * _KERNELS[head.kernel][2](u_gk)).reshape(len(y), lo_g.size, 15)
+    weights = _fcc_weights(lo_f, hi_f, head.kernel)
+    lo_fg, hi_fg = np.concatenate([lo_f, lo_g]), np.concatenate([hi_f, hi_g])
+    pos = np.empty(lo.size, dtype=np.intp)
+    pos[fcc], pos[gk] = np.arange(lo_f.size), np.arange(lo_g.size)
+
+    def rule(c, rows):
+        vals_f, errs_f = _fcc_rule(y_fcc[c], weights)  # a panel's row does not depend on the others
+        if isinstance(rows, slice):  # every panel: the Filon ones, then the GK15 ones
+            vals_g, errs_g = _gk_rule(y_gk[c], lo_g, hi_g)
+            return lo_fg, hi_fg, np.concatenate([vals_f, vals_g]), np.concatenate([errs_f, errs_g])
+        on = fcc[rows]
+        f_rows, g_rows = rows[on], rows[~on]
+        f_pos = pos[f_rows]
+        vals_g, errs_g = _gk_rule(y_gk[c][pos[g_rows]], lo[g_rows], hi[g_rows])
+        order = np.concatenate([f_rows, g_rows])
+        vals = np.concatenate([vals_f[f_pos], vals_g])
+        return lo[order], hi[order], vals, np.concatenate([errs_f[f_pos], errs_g])
+
+    return rule, len(y)
+
+
 def _tolerance(spec: QuadratureSpec, value):
     """Tolerance max(abs_tol, rel_tol * |value|), per component for arrays."""
     return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
@@ -227,9 +374,8 @@ class _Partition:
     panel decisions are not).
     """
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, y: np.ndarray, label: str) -> None:
-        self.lo, self.hi = lo, hi
-        self.vals, self.errs = _gk_rule(y, lo, hi)
+    def __init__(self, lo, hi, vals, errs, label: str) -> None:
+        self.lo, self.hi, self.vals, self.errs = lo, hi, vals, errs
         self.splits = 0
         self.label = label
         self.result: tuple[float, float] | None = None
@@ -272,9 +418,8 @@ class _Partition:
         self.splits += n_split
         return mask
 
-    def refine(self, mask: np.ndarray, new_lo: np.ndarray, new_hi: np.ndarray, y: np.ndarray) -> None:
-        """Replace the masked panels by their halves (left halves first)."""
-        new_vals, new_errs = _gk_rule(y, new_lo, new_hi)
+    def refine(self, mask: np.ndarray, new_lo, new_hi, new_vals, new_errs) -> None:
+        """Replace the masked panels by their halves, given with their values and errors."""
         lo = np.concatenate([self.lo[~mask], new_lo])
         hi = np.concatenate([self.hi[~mask], new_hi])
         vals = np.concatenate([self.vals[~mask], new_vals])
@@ -290,6 +435,8 @@ def integrate_adaptive(
     spec: QuadratureSpec | None = None,
     max_panel_width: float | None = None,
     breakpoints: np.ndarray | None = None,
+    *,
+    _head: _Head | None = None,
 ):
     """Adaptive GK15 panel quadrature of f on the finite interval [a, b].
 
@@ -311,6 +458,11 @@ def integrate_adaptive(
     a run on that component alone; they are returned as length-k arrays.
     An (N,)-valued ``f`` gives floats; so does an empty interval, which
     evaluates nothing.
+
+    ``_head`` is internal to integrate_semi_infinite: ``f`` is then an
+    envelope against the head kernel, the first ``filon_panels`` panels
+    from ``a`` are _FILON_WIDTH wide and take Filon-Clenshaw-Curtis
+    (their halves too), and ``max_panel_width`` splits the rest.
     """
     spec = spec or QuadratureSpec()
     if b == a:
@@ -319,18 +471,24 @@ def integrate_adaptive(
         raise ValueError("integration bounds must satisfy a <= b")
     evaluate = _as_evaluator(f)
 
+    filon_end = a
+    if _head is not None and _head.filon_panels:
+        filon_edges = a + _FILON_WIDTH * np.arange(_head.filon_panels + 1, dtype=float)
+        filon_end = float(filon_edges[-1])
     if max_panel_width is not None and max_panel_width > 0.0:
-        n0 = min(int(math.ceil((b - a) / max_panel_width)), _MAX_INITIAL_PANELS)
+        n0 = min(int(math.ceil((b - filon_end) / max_panel_width)), _MAX_INITIAL_PANELS)
     else:
         n0 = 1
-    edges = np.linspace(a, b, n0 + 1)
+    edges = np.linspace(filon_end, b, n0 + 1)
+    if filon_end > a:
+        edges = np.concatenate([filon_edges[:-1], edges])
     if breakpoints is not None:
         inner = np.asarray(breakpoints, dtype=float)
         edges = np.unique(np.concatenate([edges, inner[(inner > a) & (inner < b)]]))
     lo, hi = edges[:-1], edges[1:]
-    y = _evaluate_panels(evaluate, lo, hi)
-    labels = [f" in component {c}" if len(y) > 1 else "" for c in range(len(y))]
-    parts = [_Partition(lo, hi, y_c, label) for y_c, label in zip(y, labels)]
+    rule, k = _panel_values(evaluate, lo, hi, _head, filon_end)
+    labels = [f" in component {c}" if k > 1 else "" for c in range(k)]
+    parts = [_Partition(*rule(c, slice(None)), label) for c, label in enumerate(labels)]
 
     span = b - a
     while True:
@@ -347,21 +505,24 @@ def integrate_adaptive(
             [np.stack([parts[c].lo[m], parts[c].hi[m]]) for c, m in masks.items()], axis=1
         )
         if len(masks) == 1:
-            unique, inverse = parents, np.arange(parents.shape[1])
+            unique = parents
         else:
             unique, inverse = np.unique(parents, axis=1, return_inverse=True)
             inverse = inverse.ravel()
         mid = 0.5 * (unique[0] + unique[1])
         child_lo = np.concatenate([unique[0], mid])
         child_hi = np.concatenate([mid, unique[1]])
-        y = _evaluate_panels(evaluate, child_lo, child_hi)
+        rule, _ = _panel_values(evaluate, child_lo, child_hi, _head, filon_end)
+        if len(masks) == 1:  # its marked panels are the parents, in order
+            (c, mask), = masks.items()
+            parts[c].refine(mask, *rule(c, slice(None)))
+            continue
         n_unique = unique.shape[1]
         start = 0
         for c, mask in masks.items():
             rows = inverse[start:start + int(np.count_nonzero(mask))]
             start += rows.size
-            take = np.concatenate([rows, rows + n_unique])
-            parts[c].refine(mask, child_lo[take], child_hi[take], y[c][take])
+            parts[c].refine(mask, *rule(c, np.concatenate([rows, rows + n_unique])))
 
     value = np.array([part.result[0] for part in parts])
     err = np.array([part.result[1] for part in parts])
@@ -455,7 +616,7 @@ def _semi_infinite(evaluate, spec: QuadratureSpec, lower: float, kernel: str, cu
 
     A given ``cut`` (an extension past structure) skips the probe.
     """
-    period, phase, head_kernel, part, far_weight = _KERNELS[kernel]
+    period, phase, _, part, far_weight = _KERNELS[kernel]
     half = 0.5 * period
 
     def zero_past(u):
@@ -463,9 +624,13 @@ def _semi_infinite(evaluate, spec: QuadratureSpec, lower: float, kernel: str, cu
 
     probe = cut is None
     cut = zero_past(max(lower, 0.0) + _CUT_MARGIN) if probe else cut
+    # Filon panels from lower to the last panel edge at or left of -_CUT_MARGIN.
+    filon = min(math.floor((-_CUT_MARGIN - lower) / _FILON_WIDTH), _MAX_INITIAL_PANELS)
+    if filon < _FILON_MIN_PANELS:
+        filon = 0
     head, head_err = np.atleast_1d(*integrate_adaptive(
-        lambda u: evaluate(u) * head_kernel(u), lower, cut, spec, max_panel_width=0.5 * half,
-        breakpoints=lower + 0.5 * half * _ORIGIN_BREAKS,
+        evaluate, lower, cut, spec, max_panel_width=0.5 * half,
+        breakpoints=None if filon else lower + 0.5 * half * _ORIGIN_BREAKS, _head=_Head(kernel, filon),
     ))
     value, err = head, head_err
     if far_weight:
@@ -493,13 +658,25 @@ def integrate_semi_infinite(
     ``f`` is the non-oscillating envelope and ``kernel`` names k:
     ``"sinc"`` (sin(u)/u, period 2 pi) or ``"sinc2"`` (its square,
     period pi).  The head [lower, cut], cut the first zero of the
-    kernel's oscillating tail part at or past max(lower, 0) + 96, is
-    panelled adaptively in quarter periods, the first one also at
-    lower + (period/4) * 2**-k, k = 1..40, so an integrand in a sliver
-    next to ``lower`` is still seen.  Past the cut the kernel is
-    sin(u) (1/u), resp. 1/(2u^2) - cos(2u)/(2u^2): the non-oscillating
-    part is one adaptive integral on x = cut/u in (0, 1] (with the same
-    geometric breakpoints toward x = 0), and the oscillating part is
+    kernel's oscillating tail part at or past max(lower, 0) + 96, is one
+    adaptive integral.  Near resonance its GK15 panels span at most a
+    quarter period, the first one also cut at lower + (period/4) * 2**-k,
+    k = 1..40, so an integrand in a sliver next to ``lower`` is still
+    seen.  Left of u = -96 the kernel is as far off resonance as the
+    tail, sin(u) (1/u), resp. (1 - cos 2u) / (2u^2), and when at least
+    64 pi-wide panels fit between ``lower`` and -96 the head takes them
+    with Filon-Clenshaw-Curtis from ``lower`` (QUADPACK's QAWO
+    scheme): f times the smooth factor at 25 Chebyshev-Lobatto nodes,
+    integrated against 1, cos and sin with exact weights, the 13-node
+    subset giving the error estimate.  Their nodes include the panel
+    ends, so a sliver at ``lower`` needs no breakpoints; lines down to
+    width 0.05 in u and a step there are tested to the tolerance.  At
+    most 20000 such panels are laid; past them GK15 takes over.
+
+    Past the cut the kernel is sin(u) (1/u), resp. 1/(2u^2) -
+    cos(2u)/(2u^2): the non-oscillating part is one adaptive integral on
+    x = cut/u in (0, 1] (with the same geometric breakpoints toward
+    x = 0), and the oscillating part is
     summed half period by half period and extrapolated with Wynn's
     epsilon algorithm (as in QUADPACK's QAWF).  That needs an envelope
     smooth over a batch of periods, so the first 768 half periods past

@@ -361,6 +361,25 @@ class TestShutteredComparison:
             free = unshuttered_survival(params_hot, model_hot, 0, 0.25 * k)
             assert comp.unshuttered[k] == free.probability
 
+    @pytest.mark.parametrize("n_measurements", [1, 60])
+    def test_one_markov_rate_per_comparison(self, params_hot, model_hot, monkeypatch,
+                                            n_measurements):
+        # Every free-decay time shares one Markov rate.
+        calls = []
+        markov = dynamics.markovian_decay_rate
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return markov(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "markovian_decay_rate", counting)
+        comp = shuttered_comparison(params_hot, model_hot, 0, 0.25, n_measurements)
+        assert calls == [0]
+        calls.clear()
+        free = unshuttered_survival(params_hot, model_hot, 0, 0.25 * n_measurements)
+        assert calls == [0]
+        assert free.probability == comp.unshuttered[-1]
+
     @pytest.mark.parametrize(
         "r, theta, n, tau", [(0.5, 100.0, 0, 0.25), (0.5, 100.0, 3, 0.25), (10.0, 100.0, 2, 0.1)]
     )

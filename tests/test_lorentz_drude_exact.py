@@ -387,6 +387,29 @@ class TestQuadratureAgreement:
         integrated_pair(params, QuadratureLorentzDrude(0.5), 2.0)
         assert len(calls) == 2
 
+    def test_far_left_head_node_budget(self, monkeypatch):
+        # At tau = 1e4 the omega - omega0 half's head reaches u = -5000; its
+        # Filon panels left of u = -96 take 39,059 nodes (quarter-period
+        # GK15 panels took 94,270).
+        far_left = []
+        semi_infinite = coefficients.integrate_semi_infinite
+
+        def counted(f, *args, **kwargs):
+            def envelope(u):
+                far_left.append(np.count_nonzero(u < -96.0))
+                return f(u)
+
+            return semi_infinite(envelope, *args, **kwargs)
+
+        monkeypatch.setattr(coefficients, "integrate_semi_infinite", counted)
+        params = ReservoirParams(r=0.5, theta=1.0, alpha=0.1)
+        got = integrated_pair(params, QuadratureLorentzDrude(0.5), 1e4)
+        assert sum(far_left) <= 50_000
+        monkeypatch.undo()
+        want = integrated_pair(params, params.spectral_model(), 1e4)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * abs(w)
+
 
 # Property tests on the exact path: fixed examples (derandomized), no database.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

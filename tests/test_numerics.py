@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qbmzeno import numerics
 from qbmzeno.numerics import (
     InvalidBracketError,
     NonConvergenceError,
@@ -45,6 +46,31 @@ class TestSpecValidation:
 
 def _exp_sinc2(a):
     return math.atan(2.0 / a) - 0.25 * a * math.log1p(4.0 / (a * a))
+
+
+# Left of resonance a narrow feature's whole value is far below the default
+# abs_tol (a line of width 0.05 at u = -2000 is worth about 1e-9 under
+# sinc^2), so these tests ask for the relative tolerance alone.
+LEFT_SPEC = QuadratureSpec(abs_tol=1e-16)
+REFERENCE_SPEC = QuadratureSpec(abs_tol=1e-17, rel_tol=1e-12, max_subdivisions=100000)
+
+
+def _kernel_value(kernel, u):
+    k = np.sinc(u / np.pi)
+    return k if kernel == "sinc" else k * k
+
+
+def _quarter_period_reference(envelope, kernel, a, b, breakpoints=None):
+    value, _ = integrate_adaptive(
+        lambda u: envelope(u) * _kernel_value(kernel, u), a, b, REFERENCE_SPEC,
+        max_panel_width=0.25 * np.pi, breakpoints=breakpoints,
+    )
+    return value
+
+
+def _bar(ref):
+    """The final check's bound: four times the tolerance max(abs_tol, rel_tol |ref|)."""
+    return 4.0 * max(LEFT_SPEC.abs_tol, LEFT_SPEC.rel_tol * abs(ref))
 
 
 class TestSemiInfinite:
@@ -156,6 +182,51 @@ class TestSemiInfinite:
         value, _ = integrate_semi_infinite(envelope, QuadratureSpec(), kernel=kernel)
         assert abs(value - ref) < 1e-10
 
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    @pytest.mark.parametrize("width", [0.5, 0.1, 0.05])
+    def test_narrow_line_left_of_resonance(self, kernel, width):
+        # A Gaussian line anywhere in [-4900, -200], where the head takes
+        # pi-wide Filon panels (a user bath with a narrow resonance below
+        # omega0 at long times).  Reference: quarter-period panels over
+        # the line.
+        for center in np.random.default_rng(20240613).uniform(-4900.0, -200.0, 40):
+            def envelope(u, center=center):
+                return np.exp(-0.5 * ((u - center) / width) ** 2)
+
+            ref = _quarter_period_reference(envelope, kernel, center - 40.0 * width,
+                                            center + 40.0 * width)
+            value, _ = integrate_semi_infinite(envelope, LEFT_SPEC, lower=-5000.0, kernel=kernel)
+            assert abs(value - ref) <= _bar(ref), (center, value, ref)
+
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    @pytest.mark.parametrize("lower", [-5000.0, -300.0])
+    @pytest.mark.parametrize("width", [0.3, 3e-2, 3e-3, 3e-4])
+    def test_sliver_at_a_far_lower_end(self, kernel, lower, width):
+        # All weight within a few widths of lower, the first Filon panel's
+        # left edge (a narrow bath at omega -> 0 seen at long times).
+        def envelope(u):
+            return np.exp(-(u - lower) / width) / width
+
+        end = lower + 60.0 * width
+        ref = _quarter_period_reference(envelope, kernel, lower, end,
+                                        breakpoints=lower + (end - lower) * 2.0 ** -np.arange(1, 40))
+        value, _ = integrate_semi_infinite(envelope, LEFT_SPEC, lower=lower, kernel=kernel)
+        assert abs(value - ref) <= _bar(ref), (value, ref)
+
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    def test_step_left_of_resonance(self, kernel):
+        # The envelope switches off at u = -1234.5, inside a Filon panel.
+        from scipy.special import sici
+
+        def antiderivative(u):  # of sinc, resp. sinc^2 = sin^2 u / u^2
+            return sici(u)[0] if kernel == "sinc" else sici(2.0 * u)[0] - np.sin(u) ** 2 / u
+
+        ref = antiderivative(-1234.5) - antiderivative(-5000.0)
+        value, _ = integrate_semi_infinite(
+            lambda u: np.where(u < -1234.5, 1.0, 0.0), LEFT_SPEC, lower=-5000.0, kernel=kernel
+        )
+        assert abs(value - ref) <= _bar(ref), (value, ref)
+
     def test_non_convergence(self):
         # Integrable but endpoint-singular: the subdivision budget runs out.
         spec = QuadratureSpec(max_subdivisions=8)
@@ -229,6 +300,97 @@ class TestVectorIntegrand:
             QuadratureSpec(), lower=0.3, kernel="sinc2",
         )
         assert value == pytest.approx(np.sinc(0.3 / np.pi) ** 2, rel=1e-5)
+
+
+def _lagrange_moments(n, kappa):
+    """mpmath: Int_{-1}^{1} l_j(x) {1, cos kappa x, sin kappa x} dx, l_j the Lagrange basis of cos(j pi/n).
+
+    The monomial moments come from their Taylor series in kappa; the
+    basis from the inverse Vandermonde matrix, at 40 digits.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        k = mp.mpf(kappa)
+        one, cos, sin = ([mp.mpf(0)] * (n + 1) for _ in range(3))
+        for m in range(n + 1):
+            for q in range(60):
+                if m % 2 == 0:
+                    cos[m] += (-1) ** q * k ** (2 * q) / mp.factorial(2 * q) * 2 / (m + 2 * q + 1)
+                else:
+                    sin[m] += (-1) ** q * k ** (2 * q + 1) / mp.factorial(2 * q + 1) * 2 / (m + 2 * q + 2)
+            one[m] = mp.mpf(2) / (m + 1) if m % 2 == 0 else mp.mpf(0)
+        nodes = [mp.cos(mp.pi * j / n) for j in range(n + 1)]
+        inverse = mp.inverse(mp.matrix([[x**m for m in range(n + 1)] for x in nodes]))
+        return np.array([
+            [float(sum(inverse[m, j] * mu[m] for m in range(n + 1))) for j in range(n + 1)]
+            for mu in (one, cos, sin)
+        ])
+
+
+class TestFilonRule:
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    def test_weights_match_mpmath(self, kernel):
+        # At the panel half-width pi/2 and three bisection levels below it.
+        omega = numerics._FILON_KERNELS[kernel][1]
+        kappa = 0.5 * omega * numerics._FILON_WIDTH
+        weights = numerics._filon_weights(kernel)
+        for level in range(4):
+            want25 = _lagrange_moments(24, kappa * 2.0**-level)
+            want13 = _lagrange_moments(12, kappa * 2.0**-level)
+            assert np.max(np.abs(weights[level, :, :25] - want25)) <= 1e-14
+            assert np.max(np.abs(weights[level, :, 25::2] - want13)) <= 1e-14
+            assert not np.any(weights[level, :, 26::2])
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_degree_24_polynomial_times_cos_2u_is_exact(self, level):
+        # A sinc^2 panel integrates g(u) (1 - cos 2u) for g of degree 24
+        # to rounding.  g is given at the nodes exactly (g(m + h x) = p(x)),
+        # so only the rule is tested.
+        import mpmath as mp
+
+        lo = -1000.3
+        hi = lo + numerics._FILON_WIDTH * 2.0**-level
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        coef = np.random.default_rng(7).standard_normal(25)
+        y = np.polynomial.chebyshev.chebval(numerics._FCC_NODES, coef)[None, :]
+        value, _ = numerics._fcc_rule(y, numerics._fcc_weights(np.array([lo]), np.array([hi]), "sinc2"))
+
+        def p(x):  # Clenshaw's recurrence for sum_j coef_j T_j(x)
+            b1 = b2 = mp.mpf(0)
+            for c in coef[:0:-1]:
+                b1, b2 = mp.mpf(c) + 2 * x * b1 - b2, b1
+            return mp.mpf(coef[0]) + x * b1 - b2
+
+        with mp.workdps(30):
+            want = half * mp.quad(lambda x: p(x) * (1 - mp.cos(2 * mid + 2 * half * x)), [-1, 0, 1])
+            scale = half * mp.quad(lambda x: abs(p(x)), [-1, 0, 1])
+        assert abs(value[0] - float(want)) <= 1e-14 * float(scale)
+
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    def test_components_refining_differently_match_their_scalar_runs(self, kernel):
+        # One smooth component and one with a narrow line on the Filon
+        # stretch: the second bisects panels the first never touches.
+        def pair(u):
+            out = np.empty((2, u.size))
+            out[0] = np.exp((u + 5000.0) / -3000.0)
+            out[1] = out[0] + np.exp(-0.5 * ((u + 2000.3) / 0.05) ** 2)
+            return out
+
+        value, err = integrate_semi_infinite(pair, LEFT_SPEC, lower=-5000.0, kernel=kernel)
+        nodes = []
+        for c in range(2):
+            seen = [0]
+
+            def alone(u, c=c, seen=seen):
+                seen[0] += u.size
+                return pair(u)[c]
+
+            assert (value[c], err[c]) == integrate_semi_infinite(
+                alone, LEFT_SPEC, lower=-5000.0, kernel=kernel
+            )
+            nodes.append(seen[0])
+        assert nodes[1] > nodes[0]
 
 
 class TestAdaptive:

@@ -12,16 +12,18 @@ so it takes ``integrate_semi_infinite`` once per half, and its rate is
 rate is off the reference by more than ``--rel``.
 
 Prints the failures as (r, theta, n, tau), the worst relative error of
-IDelta, Igamma and the rate over the points that did not raise, the
+IDelta, Igamma and the rate over the points that did not raise, and the
 integrand nodes evaluated (counted through the envelope handed to
-``integrate_semi_infinite``) and the wall time.  The exit status is 1 if
-any point fails.
+``integrate_semi_infinite``) and the wall time, per decade of tau and in
+total.  The exit status is 1 if any point fails.
 """
 
 import argparse
 import json
+import math
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,17 +62,23 @@ def main(argv=None) -> int:
 
     coefficients.integrate_semi_infinite = counted
     failures, worst = [], {"IDelta": 0.0, "Igamma": 0.0, "rate": 0.0}
-    start = time.perf_counter()
+    decades = defaultdict(lambda: [0, 0, 0.0])  # floor(log10 tau) -> [points, nodes, seconds]
     try:
         for q in pool:
             params = ReservoirParams(r=q["r"], theta=q["theta"], alpha=data["alpha"])
             point = (q["r"], q["theta"], q["n"], q["tau"])
+            decade = decades[math.floor(math.log10(q["tau"]))]
+            nodes[0], start = 0, time.perf_counter()
             try:
                 i_delta, i_gamma = coefficients.integrated_pair(params, ExponentialOhmic(q["r"]),
                                                                 q["tau"])
             except Exception as exc:  # a failed point is reported, not fatal
                 failures.append((point, type(exc).__name__))
                 continue
+            finally:
+                decade[0] += 1
+                decade[1] += nodes[0]
+                decade[2] += time.perf_counter() - start
             m = 2 * q["n"] + 1
             errs = {
                 "IDelta": _rel(i_delta, q["int_delta"]),
@@ -83,13 +91,17 @@ def main(argv=None) -> int:
                 failures.append((point, f"rate off by {errs['rate']:.1e}"))
     finally:
         coefficients.integrate_semi_infinite = semi_infinite
-    elapsed = time.perf_counter() - start
 
     print(f"points {len(pool)}  failures {len(failures)} (raised, or rate off by > {args.rel:g})")
     for (r, theta, n, tau), why in failures:
         print(f"  r={r:.4g} theta={theta:g} n={n} tau={tau:.4g}: {why}")
     print("worst relative error  " + "  ".join(f"{k} {v:.2e}" for k, v in worst.items()))
-    print(f"nodes {nodes[0]:,}  time {elapsed:.2f} s")
+    print(f"{'tau decade':>12} {'points':>7} {'nodes':>11} {'time s':>7}")
+    for exponent, (count, decade_nodes, seconds) in sorted(decades.items()):
+        print(f"{f'1e{exponent}':>12} {count:7d} {decade_nodes:11,} {seconds:7.2f}")
+    total_nodes = sum(d[1] for d in decades.values())
+    total_time = sum(d[2] for d in decades.values())
+    print(f"nodes {total_nodes:,}  time {total_time:.2f} s")
     return 1 if failures else 0
 
 
