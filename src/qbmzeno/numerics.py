@@ -7,8 +7,7 @@ envelope against the sinc or sinc^2 kernel (pi-wide Filon-Clenshaw-
 Curtis panels left of u = -96, quarter-period GK15 panels from there up
 to a cut, past it a non-oscillating integral on x = cut/u and
 half-period cycle sums extrapolated with Wynn's epsilon algorithm, with
-the head extended per component past structure that samples of the
-tail show),
+the head extended past structure that samples of the tail show),
 deterministic Brent-Dekker root refinement on sign-change brackets
 (``bisect``: a handful of calls per smooth root at any tolerance), and
 the ordered (optionally multi-process) map behind every grid.  All
@@ -19,11 +18,12 @@ Integrand contract: called with a 1-D array of N nodes, an integrand
 (for ``integrate_semi_infinite``, the envelope; the engine applies the
 kernel) returns N values, or a (k, N) array holding k integrands that
 share the nodes (for example two weights against one kernel).  The
-quadratures then return length-k arrays; each component is refined,
-stopped and checked against its own tolerance max(abs_tol,
-rel_tol*|I_c|), and only the evaluations are shared.  Any other shape
-raises ValueError, and every exception and warning an integrand raises
-reaches the caller.
+quadratures then return length-k arrays.  The components share the
+nodes, the panels and the cut, while each is stopped and checked
+against its own tolerance max(abs_tol, rel_tol*|I_c|): a panel that
+one component needs is bisected for all of them, and no node is
+evaluated twice.  Any other shape raises ValueError, and every
+exception and warning an integrand raises reaches the caller.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def _evaluate_panels(evaluate, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _gk_rule(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GK15 values and error estimates of one component from its (panels, 15) node values."""
+    """GK15 values and error estimates, shape (k, panels), from (k, panels, 15) node values."""
     half = 0.5 * (hi - lo)
     kron = half * (y @ _K15_WEIGHTS)
     gauss = half * (y @ _G7_WEIGHTS)
@@ -295,9 +295,11 @@ def _fcc_weights(lo: np.ndarray, hi: np.ndarray, kernel: str) -> np.ndarray:
 
 
 def _fcc_rule(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """FCC-25 values and |FCC-25 - FCC-13| estimates of one component from its (panels, 25) values of g."""
-    both = np.einsum("pkj,pj->pk", weights, y)
-    return both[:, 0], np.abs(both[:, 0] - both[:, 1])
+    """FCC-25 values and |FCC-25 - FCC-13| estimates, shape (k, panels), from (k, panels, 25) values of g."""
+    # One einsum per component: with a batch axis that the weights lack,
+    # einsum takes a loop about four times slower.
+    both = np.stack([np.einsum("pkj,pj->pk", weights, y_c) for y_c in y])
+    return both[..., 0], np.abs(both[..., 0] - both[..., 1])
 
 
 class _Head(NamedTuple):
@@ -308,124 +310,36 @@ class _Head(NamedTuple):
 
 
 def _panel_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, filon_end: float):
-    """Evaluate every panel's nodes in one call; return (rule, k), k the number of components.
+    """(values, errors) of every panel, each (k, panels) in panel order, from one evaluation call.
 
     Without ``head`` each panel takes GK15 of f.  With it, f is an
     envelope: a panel right of ``filon_end`` takes GK15 of f times the
     head kernel, one left of it FCC-25/13 of f times the kernel's smooth
-    factor.  rule(c, rows) returns (lo, hi, vals, errs) of component c on
-    the panels ``rows`` (an index array, or slice(None) for all in
-    order).  Each rule sees c's values in ``rows`` order, the arrays a
-    run on c alone forms, so c's results are bit-identical to that run's.
+    factor.
     """
-    fcc = hi <= filon_end if head is not None and head.filon_panels else None
-    n_fcc = 0 if fcc is None else int(np.count_nonzero(fcc))
-    if not n_fcc:
-        if head is None:
-            y = _evaluate_panels(evaluate, lo, hi)
-        else:
-            kernel = _KERNELS[head.kernel][2]
-            y = _evaluate_panels(lambda u: evaluate(u) * kernel(u), lo, hi)
-
-        def gk_rule(c, rows):
-            lo_rows, hi_rows = lo[rows], hi[rows]
-            return lo_rows, hi_rows, *_gk_rule(y[c][rows], lo_rows, hi_rows)
-
-        return gk_rule, len(y)
+    if head is None:
+        return _gk_rule(_evaluate_panels(evaluate, lo, hi), lo, hi)
+    fcc = hi <= filon_end
     gk = ~fcc
     lo_f, hi_f, lo_g, hi_g = lo[fcc], hi[fcc], lo[gk], hi[gk]
     u_fcc = (0.5 * (lo_f + hi_f)[:, None] + 0.5 * (hi_f - lo_f)[:, None] * _FCC_NODES).ravel()
     u_gk = (0.5 * (lo_g + hi_g)[:, None] + 0.5 * (hi_g - lo_g)[:, None] * _GK_NODES).ravel()
     y = evaluate(np.concatenate([u_fcc, u_gk]))
-    y_fcc = (y[:, :u_fcc.size] * _FILON_KERNELS[head.kernel][0](u_fcc)).reshape(len(y), lo_f.size, 25)
-    y_gk = (y[:, u_fcc.size:] * _KERNELS[head.kernel][2](u_gk)).reshape(len(y), lo_g.size, 15)
-    weights = _fcc_weights(lo_f, hi_f, head.kernel)
-    lo_fg, hi_fg = np.concatenate([lo_f, lo_g]), np.concatenate([hi_f, hi_g])
-    pos = np.empty(lo.size, dtype=np.intp)
-    pos[fcc], pos[gk] = np.arange(lo_f.size), np.arange(lo_g.size)
-
-    def rule(c, rows):
-        vals_f, errs_f = _fcc_rule(y_fcc[c], weights)  # a panel's row does not depend on the others
-        if isinstance(rows, slice):  # every panel: the Filon ones, then the GK15 ones
-            vals_g, errs_g = _gk_rule(y_gk[c], lo_g, hi_g)
-            return lo_fg, hi_fg, np.concatenate([vals_f, vals_g]), np.concatenate([errs_f, errs_g])
-        on = fcc[rows]
-        f_rows, g_rows = rows[on], rows[~on]
-        f_pos = pos[f_rows]
-        vals_g, errs_g = _gk_rule(y_gk[c][pos[g_rows]], lo[g_rows], hi[g_rows])
-        order = np.concatenate([f_rows, g_rows])
-        vals = np.concatenate([vals_f[f_pos], vals_g])
-        return lo[order], hi[order], vals, np.concatenate([errs_f[f_pos], errs_g])
-
-    return rule, len(y)
+    out = np.empty((2, len(y), lo.size))  # values, errors
+    out[..., gk] = _gk_rule(
+        (y[:, u_fcc.size:] * _KERNELS[head.kernel][2](u_gk)).reshape(len(y), lo_g.size, 15), lo_g, hi_g
+    )
+    if lo_f.size:
+        out[..., fcc] = _fcc_rule(
+            (y[:, :u_fcc.size] * _FILON_KERNELS[head.kernel][0](u_fcc)).reshape(len(y), lo_f.size, 25),
+            _fcc_weights(lo_f, hi_f, head.kernel),
+        )
+    return out
 
 
 def _tolerance(spec: QuadratureSpec, value):
     """Tolerance max(abs_tol, rel_tol * |value|), per component for arrays."""
     return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
-
-
-class _Partition:
-    """One component's panels in the adaptive head.
-
-    Each component of a (k, N) integrand refines its own partition by its
-    own tolerance, exactly as it would alone, so its result does not
-    depend on the other components (the evaluations are shared, the
-    panel decisions are not).
-    """
-
-    def __init__(self, lo, hi, vals, errs, label: str) -> None:
-        self.lo, self.hi, self.vals, self.errs = lo, hi, vals, errs
-        self.splits = 0
-        self.label = label
-        self.result: tuple[float, float] | None = None
-
-    def next_split(self, spec: QuadratureSpec, span: float) -> np.ndarray | None:
-        """Mask of the panels to bisect next, or None once converged."""
-        total = float(np.sum(self.vals))
-        err_total = float(np.sum(self.errs))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if err_total <= tol:
-            self.result = (total, err_total)
-            return None
-        # Splitting does not take |K15 - G7| below its rounding part,
-        # about 50 eps sum|K15|: an estimate there is noise, and that
-        # floor is the error.
-        floor = 50.0 * np.finfo(float).eps * float(np.sum(np.abs(self.vals)))
-        if err_total <= floor:
-            self.result = (total, float(floor))
-            return None
-        # Refine every panel above its width-share of half the budget;
-        # skip panels already at floating-point resolution.
-        lo, hi = self.lo, self.hi
-        widths = hi - lo
-        splittable = widths > 64.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
-        mask = (self.errs > 0.5 * tol * widths / span) & splittable
-        n_split = int(np.count_nonzero(mask))
-        if n_split == 0:
-            if err_total <= 2.0 * tol:
-                self.result = (total, err_total)
-                return None
-            raise NonConvergenceError(
-                f"error estimate {err_total:.3e} above tolerance {tol:.3e}{self.label} "
-                "with no splittable panel left"
-            )
-        if self.splits + n_split > spec.max_subdivisions:
-            raise NonConvergenceError(
-                f"subdivision budget {spec.max_subdivisions} exhausted{self.label} "
-                f"(error estimate {err_total:.3e}, tolerance {tol:.3e})"
-            )
-        self.splits += n_split
-        return mask
-
-    def refine(self, mask: np.ndarray, new_lo, new_hi, new_vals, new_errs) -> None:
-        """Replace the masked panels by their halves, given with their values and errors."""
-        lo = np.concatenate([self.lo[~mask], new_lo])
-        hi = np.concatenate([self.hi[~mask], new_hi])
-        vals = np.concatenate([self.vals[~mask], new_vals])
-        errs = np.concatenate([self.errs[~mask], new_errs])
-        order = np.argsort(lo, kind="stable")
-        self.lo, self.hi, self.vals, self.errs = lo[order], hi[order], vals[order], errs[order]
 
 
 def integrate_adaptive(
@@ -444,20 +358,21 @@ def integrate_adaptive(
     bisected until the summed estimate meets max(abs_tol, rel_tol*|I|),
     or falls to its rounding floor 50 eps sum|K15| (returned as the
     error, which may then exceed the tolerance: a caller that needs the
-    tolerance compares err itself), or the subdivision budget is
-    exhausted (NonConvergenceError).
+    tolerance compares err itself), or ``max_subdivisions`` bisections
+    have been made (NonConvergenceError).
     ``max_panel_width`` pre-splits the interval so no initial panel spans
     more than that width (used to keep oscillations resolved);
     ``breakpoints`` inside (a, b) are added to the initial panel edges.
 
     ``f`` may return one value per node or a (k, N) array for N nodes:
-    k integrands sharing every node.  Each component then has its own
-    tolerance and its own panels: a panel is bisected for the components
-    above their share on it, and halves wanted by several components are
-    evaluated once.  Every component's (value, error) is bit-identical to
-    a run on that component alone; they are returned as length-k arrays.
-    An (N,)-valued ``f`` gives floats; so does an empty interval, which
-    evaluates nothing.
+    k integrands sharing every node.  They share one partition too: each
+    component has its own tolerance, a panel is bisected when any
+    component short of its tolerance is above its share on it, and the
+    loop stops once every component meets its tolerance or its floor.
+    The budget counts bisections of that one partition, and an error
+    names the component that failed.  Values and errors are then
+    length-k arrays; an (N,)-valued ``f`` gives floats, and so does an
+    empty interval, which evaluates nothing.
 
     ``_head`` is internal to integrate_semi_infinite: ``f`` is then an
     envelope against the head kernel, the first ``filon_panels`` panels
@@ -486,47 +401,54 @@ def integrate_adaptive(
         inner = np.asarray(breakpoints, dtype=float)
         edges = np.unique(np.concatenate([edges, inner[(inner > a) & (inner < b)]]))
     lo, hi = edges[:-1], edges[1:]
-    rule, k = _panel_values(evaluate, lo, hi, _head, filon_end)
-    labels = [f" in component {c}" if k > 1 else "" for c in range(k)]
-    parts = [_Partition(*rule(c, slice(None)), label) for c, label in enumerate(labels)]
+    vals, errs = _panel_values(evaluate, lo, hi, _head, filon_end)
 
     span = b - a
+    splits = 0
     while True:
-        masks = {}
-        for c, part in enumerate(parts):
-            if part.result is None:
-                mask = part.next_split(spec, span)
-                if mask is not None:
-                    masks[c] = mask
-        if not masks:
+        total, err_total = np.sum(vals, axis=1), np.sum(errs, axis=1)
+        tol = _tolerance(spec, total)
+        # Splitting does not take |K15 - G7| below its rounding part,
+        # about 50 eps sum|K15|: an estimate there is noise, and that
+        # floor is the error.
+        floor = 50.0 * np.finfo(float).eps * np.sum(np.abs(vals), axis=1)
+        short = (err_total > tol) & (err_total > floor)
+        if not np.any(short):
             break
-        # Bisect each marked panel once, however many components marked it.
-        parents = np.concatenate(
-            [np.stack([parts[c].lo[m], parts[c].hi[m]]) for c, m in masks.items()], axis=1
-        )
-        if len(masks) == 1:
-            unique = parents
-        else:
-            unique, inverse = np.unique(parents, axis=1, return_inverse=True)
-            inverse = inverse.ravel()
-        mid = 0.5 * (unique[0] + unique[1])
-        child_lo = np.concatenate([unique[0], mid])
-        child_hi = np.concatenate([mid, unique[1]])
-        rule, _ = _panel_values(evaluate, child_lo, child_hi, _head, filon_end)
-        if len(masks) == 1:  # its marked panels are the parents, in order
-            (c, mask), = masks.items()
-            parts[c].refine(mask, *rule(c, slice(None)))
-            continue
-        n_unique = unique.shape[1]
-        start = 0
-        for c, mask in masks.items():
-            rows = inverse[start:start + int(np.count_nonzero(mask))]
-            start += rows.size
-            parts[c].refine(mask, *rule(c, np.concatenate([rows, rows + n_unique])))
+        worst = int(np.argmax(np.where(short, err_total / tol, 0.0)))
+        where = f" in component {worst}" if len(vals) > 1 else ""
+        # Refine every panel above a short component's width-share of half
+        # its budget; skip panels already at floating-point resolution.
+        widths = hi - lo
+        splittable = widths > 64.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+        mask = np.any(errs[short] > 0.5 * tol[short, None] * widths / span, axis=0) & splittable
+        n_split = int(np.count_nonzero(mask))
+        if n_split == 0:
+            if np.all(err_total[short] <= 2.0 * tol[short]):
+                break
+            raise NonConvergenceError(
+                f"error estimate {err_total[worst]:.3e} above tolerance {tol[worst]:.3e}{where} "
+                "with no splittable panel left"
+            )
+        splits += n_split
+        if splits > spec.max_subdivisions:
+            raise NonConvergenceError(
+                f"subdivision budget {spec.max_subdivisions} exhausted{where} "
+                f"(error estimate {err_total[worst]:.3e}, tolerance {tol[worst]:.3e})"
+            )
+        mid = 0.5 * (lo[mask] + hi[mask])
+        child_lo, child_hi = np.concatenate([lo[mask], mid]), np.concatenate([mid, hi[mask]])
+        child_vals, child_errs = _panel_values(evaluate, child_lo, child_hi, _head, filon_end)
+        keep = ~mask
+        lo, hi = np.concatenate([lo[keep], child_lo]), np.concatenate([hi[keep], child_hi])
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
+        # take and compress: along axis 1 they are several times faster than [:, index]
+        vals = np.concatenate([vals.compress(keep, axis=1), child_vals], axis=1).take(order, axis=1)
+        errs = np.concatenate([errs.compress(keep, axis=1), child_errs], axis=1).take(order, axis=1)
 
-    value = np.array([part.result[0] for part in parts])
-    err = np.array([part.result[1] for part in parts])
-    return evaluate.result(value), evaluate.result(err)
+    err = np.where(err_total > tol, np.maximum(err_total, floor), err_total)
+    return evaluate.result(total), evaluate.result(err)
 
 
 def _wynn_estimates(sums: np.ndarray) -> np.ndarray:
@@ -572,12 +494,11 @@ def _cycle_sum(integrand: Callable, start: float, half: float, tol: np.ndarray):
         first = batch * _CYCLES_PER_BATCH
         edges = start + half * np.arange(first, first + _CYCLES_PER_BATCH + 1, dtype=float)
         lo, hi = edges[:-1], edges[1:]
-        y = _evaluate_panels(integrand, lo, hi)
-        block = np.empty((tol.size, _CYCLES_PER_BATCH))
-        for c, y_c in enumerate(y):
-            vals, errs = _gk_rule(y_c, lo, hi)
-            block[c] = np.cumsum(vals) + (sums[c, -1] if first else 0.0)
-            rule_err[c] += np.sum(errs)
+        vals, errs = _gk_rule(_evaluate_panels(integrand, lo, hi), lo, hi)
+        block = np.cumsum(vals, axis=1)
+        if first:
+            block += sums[:, -1:]
+        rule_err += np.sum(errs, axis=1)
         sums = np.concatenate([sums, block], axis=1)
         tips = _wynn_estimates(sums)
         est_err = rule_err + np.sum(np.abs(tips[:, :3] - tips[:, 3:]), axis=1)
@@ -590,15 +511,15 @@ def _cycle_sum(integrand: Callable, start: float, half: float, tol: np.ndarray):
     return value, err
 
 
-def _structure_end(evaluate, part: Callable, cut: float, half: float, tol: np.ndarray):
-    """Per component, where structure seen in the tail ends (``cut`` if none).
+def _structure_end(evaluate, part: Callable, cut: float, half: float, tol: np.ndarray) -> float:
+    """Where structure seen in the tail of any component ends (``cut`` if none).
 
     Samples g = |f part| at the crests of ``part`` over the first
     _PROBE_HALF_PERIODS half periods past the cut.  Extrapolating from a
     batch steps over g changing by more than a factor 2 between samples
     (a bump or edge narrower than about a period) or growing by more
     than that over a batch; such a change counts where its larger
-    sample is worth more than ``tol`` over a half period.
+    sample is worth more than its component's ``tol`` over a half period.
     """
     u = cut + half * (np.arange(_PROBE_HALF_PERIODS) + 0.5)
     g = np.abs(evaluate(u) * part(u))
@@ -607,8 +528,10 @@ def _structure_end(evaluate, part: Callable, cut: float, half: float, tol: np.nd
     mark = np.pad(step & (worth[:, 1:] | worth[:, :-1]), ((0, 0), (1, 0)))
     m = _CYCLES_PER_BATCH
     mark[:, m:] |= (g[:, m:] > 2.0 * g[:, :-m]) & worth[:, m:]
-    last = u.size - np.argmax(mark[:, ::-1], axis=1)
-    return np.where(mark.any(axis=1), u[np.minimum(last, u.size - 1)], cut)
+    mark = mark.any(axis=0)
+    if not mark.any():
+        return cut
+    return float(u[min(u.size - np.argmax(mark[::-1]), u.size - 1)])
 
 
 def _semi_infinite(evaluate, spec: QuadratureSpec, lower: float, kernel: str, cut=None):
@@ -640,14 +563,12 @@ def _semi_infinite(evaluate, spec: QuadratureSpec, lower: float, kernel: str, cu
         )
         value, err = value + far, err + far_err
     tol = 0.5 * _tolerance(spec, value)
+    end = _structure_end(evaluate, part, cut, half, tol) if probe else cut
+    if end > cut:  # move the cut past the structure, for every component
+        more, more_err = _semi_infinite(evaluate, spec, cut, kernel, zero_past(end))
+        return head + more, head_err + more_err
     tail, tail_err = _cycle_sum(lambda u: evaluate(u) * part(u), cut, half, tol)
-    value, err = value + tail, err + tail_err
-    for c, end in enumerate(_structure_end(evaluate, part, cut, half, tol) if probe else ()):
-        if end > cut:  # redo this component's tail with the structure in its head
-            alone = _Evaluator(lambda u, c=c: evaluate(u)[c])
-            more, more_err = _semi_infinite(alone, spec, cut, kernel, zero_past(end))
-            value[c], err[c] = head[c] + more[0], head_err[c] + more_err[0]
-    return value, err
+    return value + tail, err + tail_err
 
 
 def integrate_semi_infinite(
@@ -681,17 +602,19 @@ def integrate_semi_infinite(
     epsilon algorithm (as in QUADPACK's QAWF).  That needs an envelope
     smooth over a batch of periods, so the first 768 half periods past
     the cut are sampled once each: where they show a narrow bump, an
-    edge or fast growth, that component's cut moves past it and its
-    tail is redone.  Structure further out, or too faint to move a
-    sample, is not seen.
+    edge or fast growth in any component, the cut moves past it and the
+    stretch up to the new cut becomes one more adaptive integral.
+    Structure further out, or too faint to move a sample, is not seen.
 
     ``f`` returns one value per node, or a (k, N) array for N nodes
     holding k envelopes that share every evaluation (for example two
-    weights against one kernel).  Each component keeps its own tolerance
-    max(abs_tol, rel_tol*|I_c|) in the head, the tail and the final
-    check, which raises NonConvergenceError if any component fails, so
-    its result is bit-identical to integrating it alone; the value and
-    error are then length-k arrays.  An (N,)-valued ``f`` gives floats.
+    weights against one kernel).  They share the head's panels and one
+    cut, while each component keeps its own tolerance max(abs_tol,
+    rel_tol*|I_c|) in the head, the tail and the final check, which
+    raises NonConvergenceError naming the component that fails.  A
+    component may thus end on finer panels, or a further cut, than it
+    would alone; the value and error are then length-k arrays.  An
+    (N,)-valued ``f`` gives floats.
     """
     spec = spec or QuadratureSpec()
     if not math.isfinite(lower):

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -171,8 +172,8 @@ class TestPairPasses:
 
     @pytest.mark.parametrize("r, theta", [(0.5, 100.0), (0.5, 0.0), (10.0, 1.0), (0.1, 0.2)])
     def test_pairs_match_single_coefficients(self, r, theta):
-        # Each pair component refines its own panels, so it reproduces the
-        # single-coefficient pass bit for bit.
+        # The single coefficients are components of the same closed-form
+        # pass, so the pair reproduces them bit for bit.
         params = ReservoirParams(r=r, theta=theta, alpha=0.1)
         model = params.spectral_model()
         for t in (1e-3, 0.37, 5.0, 300.0):
@@ -209,6 +210,50 @@ class TestPairPasses:
         i_delta, _ = integrated_pair(params, model, tau)
         assert i_delta == pytest.approx(expected, rel=1e-6)
         assert integrated_diffusion(params, model, tau) == i_delta
+
+
+def exponential_oracle(r, t, alpha=0.1):
+    """mpmath (Delta, gamma, IDelta, Igamma) at theta = 0 for ExponentialCutoff(r), omega0 = 1.
+
+    In the time domain, nu(s) = Int J cos(ws) dw = (1/pi) Re (a + is)^-2
+    and eta(s) = Int J sin(ws) dw = -(1/pi) Im (a + is)^-2, a = 1/r, so
+    Delta(t) = alpha^2 Int_0^t nu(s) cos s ds, gamma(t) the same with
+    eta(s) sin s, and IDelta(t), Igamma(t) these with weight (t - s):
+    smooth integrands over [0, t], split at a and at every unit of s.
+    """
+    with mp.workdps(30):
+        a, t = 1 / mp.mpf(r), mp.mpf(t)
+
+        def nu(s):
+            return mp.re((a + 1j * s) ** -2) / mp.pi
+
+        def eta(s):
+            return -mp.im((a + 1j * s) ** -2) / mp.pi
+
+        points = sorted({mp.mpf(0), min(a, t)} | set(mp.linspace(0, t, int(mp.ceil(t)) + 1)))
+        return tuple(float(alpha**2 * mp.quad(f, points)) for f in (
+            lambda s: nu(s) * mp.cos(s),
+            lambda s: eta(s) * mp.sin(s),
+            lambda s: (t - s) * nu(s) * mp.cos(s),
+            lambda s: (t - s) * eta(s) * mp.sin(s),
+        ))
+
+
+class TestExponentialBathOracle:
+    # The quadrature route against an oracle that never goes through
+    # half_kernel_integral.  Measured worst relative errors: 3.2e-15, and
+    # for gamma, Igamma at t = 1e-3, where each is the small difference of
+    # two separately integrated halves, 4.3e-10 and 1.2e-9.
+    @pytest.mark.parametrize("r", [0.2, 1.0, 5.0])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 30.0])
+    def test_pairs_match_mpmath(self, r, t):
+        params = ReservoirParams(r=r, theta=0.0, alpha=0.1)
+        model = ExponentialCutoff(r)
+        got = coefficient_pair(params, model, t) + integrated_pair(params, model, t)
+        want = exponential_oracle(r, t)
+        for name, value, ref in zip(("Delta", "gamma", "IDelta", "Igamma"), got, want):
+            bound = 1.2e-8 if name in ("gamma", "Igamma") and t <= 1e-3 else 3.2e-14
+            assert abs(value - ref) <= bound * abs(ref), (name, value, ref)
 
 
 class TestTabulation:

@@ -26,6 +26,7 @@ from qbmzeno.zeno import (
     effective_decay_rate,
     effective_decay_rate_fd,
     find_crossover_time,
+    high_t_ratio,
     markovian_decay_rate,
 )
 
@@ -257,6 +258,18 @@ class TestHighTemperatureLimit:
             params = ReservoirParams(r=r, theta=theta, alpha=0.1)
             for n in (0, 1, 50):
                 assert find_crossover_time(params, params.spectral_model(), n, self.TAUS, 24) == []
+
+    @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 10.0])
+    def test_high_t_ratio_converges_like_inverse_theta_squared(self, r):
+        # IDelta(tau) / (tau Delta_M) -> 1 - excess(tau) / tau; the
+        # difference falls as 1/theta^2 (7.0e-4, 7.9e-6, 8.0e-8 at r = 10,
+        # tau = 0.01), at most 0.4 of this bound everywhere here.
+        for tau in (1e-2, 0.7, 3.0, 50.0):
+            limit = 1.0 - high_temperature_excess(tau, r) / tau
+            for theta in self.THETAS:
+                params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+                ratio = high_t_ratio(params, params.spectral_model(), tau)
+                assert abs(ratio - limit) <= 2e-3 * (100.0 / theta) ** 2, (tau, theta, ratio, limit)
 
 
 class TestZeroTemperatureClosedForm:
