@@ -283,10 +283,10 @@ def cmd_fig1(cfg: RunConfig) -> int:
             # One grid pass per column, in contiguous chunks over --jobs
             # workers; fig1 writes no crossover, so none is refined.
             if quantity == "ratio":
-                rates = _map_grid(zeno._rate_chunk, (params, model, n, None), taus, cfg.jobs)
+                rates = _map_grid(zeno._rate_chunk, (params, model, n), taus, cfg.jobs)
                 columns.append(rates / zeno.markovian_decay_rate(params, model, n))
             else:
-                pairs = _map_grid(_pair_chunk, (params, model, ("sinc",), None), taus, cfg.jobs)
+                pairs = _map_grid(_pair_chunk, (params, model, ("sinc",)), taus, cfg.jobs)
                 columns.append(pairs[0] / markovian_limits(params, model).delta_m)
             header.append(f"r={r:g}")
         files = _write_table(out, f"{name}.csv", f"{name}.json", header, columns,

@@ -3,10 +3,11 @@
 The second-order coefficients are double integrals (bath frequency times
 evolution time).  For the Ohmic Lorentz-Drude bath itself (``type(model)
 is OhmicLorentzDrude``) both integrals are done in closed form over the
-bath's cutoff and Matsubara poles (``_matsubara``); ``spec`` is unused
-there.  For every other model, subclasses included, the time integration
-is carried out in closed form, so every quantity is a single
-semi-infinite frequency integral:
+bath's cutoff and Matsubara poles (``_matsubara``).  For every other
+model, subclasses included, the time integration is carried out in
+closed form, so every quantity is a single semi-infinite frequency
+integral, evaluated at the tolerance of ``numerics``' default
+``QuadratureSpec``:
 
   Delta(t)    = alpha^2 * (t/2)   * Int J coth [sinc(u-) + sinc(u+)] domega
   gamma(t)    = alpha^2 * (t/2)   * Int J      [sinc(u-) - sinc(u+)] domega
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import _matsubara
 from ._table import write_csv
-from .numerics import QuadratureSpec, _map_grid, integrate_semi_infinite
+from .numerics import _map_grid, integrate_semi_infinite
 from .spectral import (
     BaseSpectralDensity,
     OhmicLorentzDrude,
@@ -84,7 +85,6 @@ def half_kernel_integral(
     scale: float,
     kernel: str,
     shift: int,
-    spec: QuadratureSpec | None = None,
 ):
     """One half of a coefficient integral, in oscillation coordinates.
 
@@ -108,11 +108,11 @@ def half_kernel_integral(
         values /= scale
         return values
 
-    value, _ = integrate_semi_infinite(envelope, spec, lower=shift * omega0 * scale, kernel=kernel)
+    value, _ = integrate_semi_infinite(envelope, lower=shift * omega0 * scale, kernel=kernel)
     return value
 
 
-def _kernel_pass(params, model, time, kernel, spec):
+def _kernel_pass(params, model, time, kernel):
     """Quadrature (Delta-type, gamma-type) alpha^2 * pref(time) * (lower +- upper).
 
     ``time`` is t for the sinc kernel (Delta, gamma; pref = t/2) and tau
@@ -122,30 +122,33 @@ def _kernel_pass(params, model, time, kernel, spec):
     scale = time if kernel == "sinc" else 0.5 * time
     weight = _pair_weight(model, params)
     lower, upper = (
-        half_kernel_integral(weight, params.omega0, scale, kernel, shift, spec) for shift in (-1, +1)
+        half_kernel_integral(weight, params.omega0, scale, kernel, shift) for shift in (-1, +1)
     )
     pref = 0.5 * time if kernel == "sinc" else 0.25 * time**2
     return params.alpha**2 * pref * (lower + _PAIR_SIGNS * upper)
 
 
-def _pairs(params, model, times, kernel, spec) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(params, model, times, kernel) -> tuple[np.ndarray, np.ndarray]:
     """The (Delta-type, gamma-type) pair on one kernel at every time of a grid, by model type.
 
     The Ohmic Lorentz-Drude bath itself takes the closed-form Matsubara
-    evaluator, one pass for the whole grid (``spec`` unused); every other
-    model, subclasses included, takes the quadrature, time by time.  A
-    time's values do not depend on the rest of the grid, so every
-    per-point function is this with one time.
+    evaluator, one pass for the whole grid; every other model,
+    subclasses included, takes the quadrature, time by time.  A time's
+    values do not depend on the rest of the grid, so every per-point
+    function is this with one time.
     """
     times = np.asarray(times, dtype=float)
+    name = "t" if kernel == "sinc" else "tau"
     if np.count_nonzero(times < 0.0):
-        raise ValueError(f"{'t' if kernel == 'sinc' else 'tau'} must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative")
+    if not np.isfinite(times).all():
+        raise ValueError(f"{name} must be finite")
     if np.count_nonzero(times) < times.size:
         # t = 0 rows are zero; the others are the grid without them.
         delta, gamma = np.zeros_like(times), np.zeros_like(times)
         live = times != 0.0
         if np.count_nonzero(live):
-            delta[live], gamma[live] = _pairs(params, model, times[live], kernel, spec)
+            delta[live], gamma[live] = _pairs(params, model, times[live], kernel)
         return delta, gamma
     check_model_consistency(params, model)
     if type(model) is OhmicLorentzDrude:
@@ -153,80 +156,74 @@ def _pairs(params, model, times, kernel, spec) -> tuple[np.ndarray, np.ndarray]:
         power, unit = (1, omega0) if kernel == "sinc" else (2, 1.0)
         delta, gamma = _matsubara.pair(model.omega_c / omega0, params.theta, omega0 * times, power)
         return params.alpha**2 * (unit * delta), params.alpha**2 * (unit * gamma)
-    pairs = [_kernel_pass(params, model, float(t), kernel, spec) for t in times]
+    pairs = [_kernel_pass(params, model, float(t), kernel) for t in times]
     return tuple(np.array(pairs, dtype=float).reshape(-1, 2).T)
 
 
-def _pair(params, model, time, kernel, spec) -> tuple[float, float]:
+def _pair(params, model, time, kernel) -> tuple[float, float]:
     """``_pairs`` at one time, as floats."""
-    delta, gamma = _pairs(params, model, np.array([time], dtype=float), kernel, spec)
+    delta, gamma = _pairs(params, model, np.array([time], dtype=float), kernel)
     return float(delta[0]), float(gamma[0])
 
 
 def _pair_chunk(args) -> np.ndarray:
     """Rows (Delta, gamma) per kernel of ``_pairs`` on one chunk of a time grid."""
-    params, model, kernels, spec, times = args
-    return np.vstack([_pairs(params, model, times, kernel, spec) for kernel in kernels])
+    params, model, kernels, times = args
+    return np.vstack([_pairs(params, model, times, kernel) for kernel in kernels])
 
 
 def coefficient_pair(
     params: ReservoirParams,
     model: BaseSpectralDensity,
     t: float,
-    spec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
     """(Delta(t), gamma(t)), from one sinc quadrature per half or in closed form."""
-    return _pair(params, model, t, "sinc", spec)
+    return _pair(params, model, t, "sinc")
 
 
 def integrated_pair(
     params: ReservoirParams,
     model: BaseSpectralDensity,
     tau: float,
-    spec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
     """(IDelta(tau), Igamma(tau)), from one sinc^2 quadrature per half or in closed form."""
-    return _pair(params, model, tau, "sinc2", spec)
+    return _pair(params, model, tau, "sinc2")
 
 
 def diffusion_coefficient(
     params: ReservoirParams,
     model: BaseSpectralDensity,
     t: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Time-dependent diffusion coefficient Delta(t); vanishes at t = 0."""
-    return coefficient_pair(params, model, t, spec)[0]
+    return coefficient_pair(params, model, t)[0]
 
 
 def damping_coefficient(
     params: ReservoirParams,
     model: BaseSpectralDensity,
     t: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Time-dependent damping coefficient gamma(t); temperature-free."""
-    return coefficient_pair(params, model, t, spec)[1]
+    return coefficient_pair(params, model, t)[1]
 
 
 def integrated_diffusion(
     params: ReservoirParams,
     model: BaseSpectralDensity,
     tau: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Running integral Int_0^tau Delta(t) dt."""
-    return integrated_pair(params, model, tau, spec)[0]
+    return integrated_pair(params, model, tau)[0]
 
 
 def integrated_damping(
     params: ReservoirParams,
     model: BaseSpectralDensity,
     tau: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Running integral Int_0^tau gamma(t) dt."""
-    return integrated_pair(params, model, tau, spec)[1]
+    return integrated_pair(params, model, tau)[1]
 
 
 @dataclass(frozen=True)
@@ -263,7 +260,6 @@ def markovian_limits_numerical(
     params: ReservoirParams,
     model: BaseSpectralDensity,
     t: float = 200.0,
-    spec: QuadratureSpec | None = None,
 ) -> MarkovianLimits:
     """Large-t estimate of the Markovian limits: (Delta(t), gamma(t)).
 
@@ -275,7 +271,7 @@ def markovian_limits_numerical(
     """
     if not (t > 0.0):
         raise ValueError("t must be positive")
-    delta_m, gamma_m = coefficient_pair(params, model, t, spec)
+    delta_m, gamma_m = coefficient_pair(params, model, t)
     return MarkovianLimits(delta_m=delta_m, gamma_m=gamma_m)
 
 
@@ -320,7 +316,6 @@ def tabulate_coefficients(
     model: BaseSpectralDensity,
     t_max: float,
     n_points: int,
-    spec: QuadratureSpec | None = None,
     jobs: int = 1,
 ) -> CoefficientSeries:
     """Uniform-grid tabulation of Delta, gamma and their running integrals.
@@ -332,12 +327,12 @@ def tabulate_coefficients(
     per worker process, and joins them in order.  Every row is the same
     bit for bit whatever ``jobs`` is.
     """
-    if not (t_max > 0.0):
-        raise ValueError("t_max must be positive")
+    if not (0.0 < t_max < np.inf):
+        raise ValueError("t_max must be positive and finite")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
-    rows = _map_grid(_pair_chunk, (params, model, ("sinc", "sinc2"), spec), times[1:], jobs)
+    rows = _map_grid(_pair_chunk, (params, model, ("sinc", "sinc2")), times[1:], jobs)
     table = np.hstack([np.zeros((4, 1)), rows])
     return CoefficientSeries(
         times=times,

@@ -33,7 +33,6 @@ from .errors import (
     PerturbativeBreakdownError,
     TruncationLeakageError,
 )
-from .numerics import QuadratureSpec
 from .spectral import BaseSpectralDensity, ReservoirParams
 from .zeno import Regime, markovian_decay_rate
 
@@ -74,8 +73,8 @@ class MeasurementSchedule:
     mode: MeasurementMode = MeasurementMode.SHUTTERED
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0.0):
-            raise ValueError("tau must be positive")
+        if not (0.0 < self.tau < math.inf):
+            raise ValueError("tau must be positive and finite")
         if self.n_measurements < 1:
             raise ValueError("n_measurements must be at least 1")
 
@@ -124,7 +123,6 @@ def transition_probabilities(
     model: BaseSpectralDensity,
     n: int,
     tau: float,
-    spec: QuadratureSpec | None = None,
 ) -> tuple[float, float]:
     """(P_up, P_down) for |n> over one measurement interval tau.
 
@@ -137,7 +135,7 @@ def transition_probabilities(
         raise ValueError("tau must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    i_delta, i_gamma = integrated_pair(params, model, tau, spec)
+    i_delta, i_gamma = integrated_pair(params, model, tau)
     return _transitions(n, tau, i_delta, i_gamma)
 
 
@@ -162,10 +160,9 @@ def survival_probability(
     model: BaseSpectralDensity,
     n: int,
     tau: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Probability that |n> survives one interval: 1 - P_up - P_down."""
-    p_up, p_down = transition_probabilities(params, model, n, tau, spec)
+    p_up, p_down = transition_probabilities(params, model, n, tau)
     return 1.0 - p_up - p_down
 
 
@@ -174,7 +171,6 @@ def survival_after_measurements(
     model: BaseSpectralDensity,
     n: int,
     schedule: MeasurementSchedule,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Survival of |n> after the scheduled measurement train.
 
@@ -183,8 +179,8 @@ def survival_after_measurements(
     total duration, no intermediate resets.
     """
     if schedule.mode is MeasurementMode.UNSHUTTERED:
-        return unshuttered_survival(params, model, n, schedule.total_time, spec).probability
-    p = survival_probability(params, model, n, schedule.tau, spec)
+        return unshuttered_survival(params, model, n, schedule.total_time).probability
+    p = survival_probability(params, model, n, schedule.tau)
     return p**schedule.n_measurements
 
 
@@ -208,14 +204,13 @@ def unshuttered_survival(
     model: BaseSpectralDensity,
     n: int,
     t_total: float,
-    spec: QuadratureSpec | None = None,
 ) -> UnshutteredSurvival:
     """Survival of |n> with the noise on continuously for t_total."""
     if not (t_total > 0.0):
         raise ValueError("t_total must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    i_delta, i_gamma = integrated_pair(params, model, t_total, spec)
+    i_delta, i_gamma = integrated_pair(params, model, t_total)
     return _unshuttered(n, t_total, i_delta, i_gamma, markovian_decay_rate(params, model, n))
 
 
@@ -240,7 +235,6 @@ def eid_attenuation(
     model: BaseSpectralDensity,
     dx: float,
     tau: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Position-coherence attenuation factor exp(-dx^2 * IDelta(tau)).
 
@@ -251,7 +245,7 @@ def eid_attenuation(
         raise ValueError("tau must be nonnegative")
     if tau == 0.0:
         return 1.0
-    return math.exp(-(dx**2) * integrated_diffusion(params, model, tau, spec))
+    return math.exp(-(dx**2) * integrated_diffusion(params, model, tau))
 
 
 def _cumulative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -326,14 +320,13 @@ def _rate_rows(
     t0: float,
     t_end: float,
     dt: float,
-    spec: QuadratureSpec | None,
 ):
     """(times, gamma, IDelta, Igamma) over [t0, t_end], integrals taken from t0."""
     if not (dt > 0.0 and t_end > t0):
         raise ValueError("dt must be positive and t_end must exceed the state's time")
     points = max(4, math.ceil((t_end - t0) / dt - 1e-12) + 1)
     if coefficients is None:
-        coefficients = tabulate_coefficients(params, model, t_end, points, spec)
+        coefficients = tabulate_coefficients(params, model, t_end, points)
     if isinstance(coefficients, CoefficientSeries):
         times = coefficients.times
         if t0 != 0.0 or len(times) < 4 or not math.isclose(times[-1], t_end, rel_tol=1e-12):
@@ -356,7 +349,6 @@ def evolve_ladder(
     dt: float,
     t_end: float,
     coefficients=None,
-    spec: QuadratureSpec | None = None,
 ) -> LadderState:
     """Evolve the Fock-ladder populations to t_end by the exact ladder map.
 
@@ -370,7 +362,7 @@ def evolve_ladder(
     1e-6 of the population ends above n_max.
     """
     times, gamma, i_delta, i_gamma = _rate_rows(
-        params, model, coefficients, state.time, t_end, dt, spec
+        params, model, coefficients, state.time, t_end, dt
     )
     a, b = _ladder_maps(times, gamma, i_delta, i_gamma)
     final = _populations(state.populations, a[-1:], b[-1:])[0]
@@ -452,8 +444,6 @@ def shuttered_comparison(
     n: int,
     tau: float,
     n_measurements: int,
-    spec: QuadratureSpec | None = None,
-    n_max: int | None = None,
 ) -> ShutteredComparison:
     """Rate-equation comparison of the shuttered-noise measurement protocol.
 
@@ -461,7 +451,8 @@ def shuttered_comparison(
     reservoir (a non-selective measurement); the survival of |n> under N
     such switch off-on periods is compared against leaving the noise on
     for the same total duration.  Shuttered > unshuttered signals QZE,
-    the reverse AZE.
+    the reverse AZE.  The ladder is truncated with headroom above the
+    expected upward drift.
     """
     schedule = MeasurementSchedule(tau=tau, n_measurements=n_measurements)
     if n < 0:
@@ -471,17 +462,16 @@ def shuttered_comparison(
     # clock.  The free decay takes the integrated pair at every k tau in
     # one grid pass; its first entry, at tau, is that of one interval
     # (bit-identical to integrated_pair at tau), so P(tau) reuses it.
-    table = tabulate_coefficients(params, model, tau, _SEGMENT_ROWS, spec)
+    table = tabulate_coefficients(params, model, tau, _SEGMENT_ROWS)
     times = schedule.tau * np.arange(n_measurements + 1, dtype=float)
-    i_delta, i_gamma = _pairs(params, model, times[1:], "sinc2", spec)
+    i_delta, i_gamma = _pairs(params, model, times[1:], "sinc2")
     p_up, p_down = _transitions(n, schedule.tau, float(i_delta[0]), float(i_gamma[0]))
     p_single = 1.0 - p_up - p_down
     shuttered = p_single ** np.arange(n_measurements + 1)
-    if n_max is None:
-        # High-T baths pump population up the ladder roughly one level per
-        # unit escape; leave generous headroom above that drift.
-        total_escape = n_measurements * (1.0 - p_single)
-        n_max = n + max(10, 12 + int(math.ceil(16.0 * total_escape)))
+    # High-T baths pump population up the ladder roughly one level per
+    # unit escape; leave generous headroom above that drift.
+    total_escape = n_measurements * (1.0 - p_single)
+    n_max = n + max(10, 12 + int(math.ceil(16.0 * total_escape)))
 
     unshuttered = np.ones(n_measurements + 1)
     extrapolated = False

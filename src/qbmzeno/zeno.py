@@ -29,14 +29,8 @@ from .coefficients import (
     integrated_pair,
     markovian_limits,
 )
-from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
-from .numerics import (
-    QuadratureSpec,
-    _map_grid,
-    bisect,
-    brackets_from_samples,
-    scan_for_bracket,
-)
+from .errors import DegenerateDenominatorError
+from .numerics import _map_grid, bisect, brackets_from_samples, scan_for_bracket
 from .spectral import BaseSpectralDensity, ReservoirParams, check_model_consistency
 
 __all__ = [
@@ -68,6 +62,30 @@ class Regime(Enum):
     MARGINAL = "Marginal"
 
 
+def _regime(ratio: float) -> Regime:
+    """QZE if ratio < 1 - RATIO_TOL, AZE if > 1 + RATIO_TOL, else Marginal.
+
+    An infinite ratio falls on its side of the band; NaN, on neither,
+    is Marginal.
+    """
+    if ratio < 1.0 - RATIO_TOL:
+        return Regime.QZE
+    if ratio > 1.0 + RATIO_TOL:
+        return Regime.AZE
+    return Regime.MARGINAL
+
+
+def _check_tau_grid(taus: np.ndarray) -> None:
+    """Raise ValueError unless taus is 1-D, finite, positive and strictly increasing."""
+    if (
+        taus.ndim != 1
+        or not np.all(np.isfinite(taus))
+        or np.any(taus <= 0.0)
+        or np.any(np.diff(taus) <= 0.0)
+    ):
+        raise ValueError("taus must be a 1-D grid of finite, positive, strictly increasing values")
+
+
 def degeneracy_guard(params: ReservoirParams) -> float:
     """Threshold below which the Markovian rate counts as degenerate."""
     return 1e-12 * params.alpha**2 * params.omega0
@@ -93,15 +111,11 @@ def _ratio_denominator(params: ReservoirParams, model: BaseSpectralDensity, n: i
     return denominator
 
 
-def _check_perturbative(escape: float, tau: float, strict: bool) -> None:
+def _check_perturbative(escape: float, tau: float) -> None:
     # Markovian-regime scans evaluate rates at large tau where the escape
     # probability leaves the perturbative window; the rate remains a
-    # well-defined formal quantity there, so by default this only warns.
+    # well-defined formal quantity there, so this only warns.
     if escape > _ESCAPE_FAIL:
-        if strict:
-            raise PerturbativeBreakdownError(
-                f"escape probability {escape:.3g} > {_ESCAPE_FAIL} at tau={tau}"
-            )
         warnings.warn(
             f"escape probability {escape:.3g} > {_ESCAPE_FAIL} at tau={tau}: "
             "the effective rate is a formal (extrapolated) quantity here",
@@ -120,22 +134,20 @@ def effective_decay_rate(
     model: BaseSpectralDensity,
     n: int,
     tau: float,
-    spec: QuadratureSpec | None = None,
-    strict: bool = False,
 ) -> float:
     """Effective decay rate of |n> for measurement interval tau (time domain).
 
     Canonical route: (1/tau)[(2n+1) IDelta(tau) - Igamma(tau)].  Escape
-    probabilities above 0.1 warn; above 0.5 they warn loudly (or raise
-    PerturbativeBreakdownError with strict=True).
+    probabilities above 0.1 warn that perturbation theory is marginal;
+    above 0.5 they warn that the rate is a formal (extrapolated) value.
     """
     if not (tau > 0.0):
         raise ValueError("tau must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    i_delta, i_gamma = integrated_pair(params, model, tau, spec)
+    i_delta, i_gamma = integrated_pair(params, model, tau)
     escape = (2 * n + 1) * i_delta - i_gamma
-    _check_perturbative(escape, tau, strict)
+    _check_perturbative(escape, tau)
     return escape / tau
 
 
@@ -144,7 +156,6 @@ def _rates(
     model: BaseSpectralDensity,
     n: int,
     taus: np.ndarray,
-    spec: QuadratureSpec | None = None,
 ) -> np.ndarray:
     """effective_decay_rate at every tau of a grid, in one pass and without escape checks.
 
@@ -158,14 +169,14 @@ def _rates(
         raise ValueError("tau must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    i_delta, i_gamma = _pairs(params, model, taus, "sinc2", spec)
+    i_delta, i_gamma = _pairs(params, model, taus, "sinc2")
     return ((2 * n + 1) * i_delta - i_gamma) / taus
 
 
 def _rate_chunk(args) -> np.ndarray:
     """_rates on one chunk of a tau grid (a task of numerics._map_grid)."""
-    params, model, n, spec, taus = args
-    return _rates(params, model, n, taus, spec)
+    params, model, n, taus = args
+    return _rates(params, model, n, taus)
 
 
 def effective_decay_rate_fd(
@@ -173,8 +184,6 @@ def effective_decay_rate_fd(
     model: BaseSpectralDensity,
     n: int,
     tau: float,
-    spec: QuadratureSpec | None = None,
-    strict: bool = False,
 ) -> float:
     """Effective decay rate via the frequency-domain sinc^2 kernel.
 
@@ -186,8 +195,8 @@ def effective_decay_rate_fd(
     act as mutual numerical oracles.  It is always a quadrature, also
     for the Lorentz-Drude bath, whose time route is closed form.
     """
-    if not (tau > 0.0):
-        raise ValueError("tau must be positive")
+    if not (0.0 < tau < np.inf):
+        raise ValueError("tau must be positive and finite")
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_model_consistency(params, model)
@@ -203,10 +212,10 @@ def effective_decay_rate_fd(
         return m * coth + bare
 
     half = 0.5 * tau
-    lower = half_kernel_integral(weight_minus, params.omega0, half, "sinc2", -1, spec)
-    upper = half_kernel_integral(weight_plus, params.omega0, half, "sinc2", +1, spec)
+    lower = half_kernel_integral(weight_minus, params.omega0, half, "sinc2", -1)
+    upper = half_kernel_integral(weight_plus, params.omega0, half, "sinc2", +1)
     rate = params.alpha**2 * 0.25 * tau * (lower + upper)
-    _check_perturbative(rate * tau, tau, strict)
+    _check_perturbative(rate * tau, tau)
     return rate
 
 
@@ -227,7 +236,6 @@ def zeno_ratio(
     model: BaseSpectralDensity,
     n: int,
     tau: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """rate_z(n, tau) / markovian rate; the QZE/AZE decider.
 
@@ -236,14 +244,13 @@ def zeno_ratio(
     the measurements always enhance the decay.
     """
     denominator = _ratio_denominator(params, model, n)
-    return effective_decay_rate(params, model, n, tau, spec) / denominator
+    return effective_decay_rate(params, model, n, tau) / denominator
 
 
 def high_t_ratio(
     params: ReservoirParams,
     model: BaseSpectralDensity,
     tau: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """High-temperature limit of the decay-rate ratio: IDelta(tau)/(tau Delta_M).
 
@@ -254,7 +261,7 @@ def high_t_ratio(
     if not (tau > 0.0):
         raise ValueError("tau must be positive")
     lim = markovian_limits(params, model)
-    return integrated_diffusion(params, model, tau, spec) / (tau * lim.delta_m)
+    return integrated_diffusion(params, model, tau) / (tau * lim.delta_m)
 
 
 def classify_regime(
@@ -262,22 +269,16 @@ def classify_regime(
     model: BaseSpectralDensity,
     n: int,
     tau: float,
-    spec: QuadratureSpec | None = None,
-    ratio_tol: float = RATIO_TOL,
 ) -> Regime:
-    """QZE if ratio < 1 - tol, AZE if > 1 + tol, else Marginal.
+    """QZE if ratio < 1 - RATIO_TOL, AZE if > 1 + RATIO_TOL, else Marginal.
 
     The degenerate (zero-denominator) case maps to AZE.
     """
     try:
-        ratio = zeno_ratio(params, model, n, tau, spec)
+        ratio = zeno_ratio(params, model, n, tau)
     except DegenerateDenominatorError:
         return Regime.AZE
-    if ratio < 1.0 - ratio_tol:
-        return Regime.QZE
-    if ratio > 1.0 + ratio_tol:
-        return Regime.AZE
-    return Regime.MARGINAL
+    return _regime(ratio)
 
 
 def find_crossover_time(
@@ -286,7 +287,6 @@ def find_crossover_time(
     n: int,
     tau_range: tuple[float, float],
     grid_points: int = 64,
-    spec: QuadratureSpec | None = None,
 ) -> list[float]:
     """All crossover times tau* with rate ratio = 1 inside tau_range.
 
@@ -300,16 +300,16 @@ def find_crossover_time(
     the AZE-divergent case.
     """
     lo, hi = tau_range
-    if not (0.0 < lo < hi):
-        raise ValueError("tau_range must be positive and ordered")
+    if not (0.0 < lo < hi < np.inf):
+        raise ValueError("tau_range must be finite, positive and ordered")
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
     denominator = _ratio_denominator(params, model, n)
     taus = np.geomspace(lo, hi, grid_points)
-    excess = _rates(params, model, n, taus, spec) / denominator - 1.0
+    excess = _rates(params, model, n, taus) / denominator - 1.0
     samples = dict(zip(taus.tolist(), excess.tolist()))
     brackets = scan_for_bracket(samples.__getitem__, taus)
-    return _crossovers(params, model, n, denominator, spec, brackets)
+    return _crossovers(params, model, n, denominator, brackets)
 
 
 def _crossovers(
@@ -317,7 +317,6 @@ def _crossovers(
     model: BaseSpectralDensity,
     n: int,
     denominator: float,
-    spec: QuadratureSpec | None,
     brackets,
 ) -> list[float]:
     """Crossover times: the roots of ratio(tau) - 1 in its sign-change brackets.
@@ -328,7 +327,7 @@ def _crossovers(
     """
 
     def excess(tau: float) -> float:
-        return float(_rates(params, model, n, np.array([tau]), spec)[0]) / denominator - 1.0
+        return float(_rates(params, model, n, np.array([tau]))[0]) / denominator - 1.0
 
     return [bisect(excess, b, tol=1e-12 * b.hi) for b in brackets]
 
@@ -348,24 +347,16 @@ class ZenoScan:
     def __post_init__(self) -> None:
         if len(self.taus) != len(self.rate_z) or len(self.taus) != len(self.ratio):
             raise ValueError("taus, rate_z and ratio must have equal length")
-        if np.any(self.taus <= 0.0) or np.any(np.diff(self.taus) <= 0.0):
-            raise ValueError("taus must be positive and strictly increasing")
+        _check_tau_grid(np.asarray(self.taus))
 
     @property
     def degenerate(self) -> bool:
         """True in the AZE-divergent regime (ratio column is infinite)."""
         return _is_degenerate(self.markov_rate, self.params)
 
-    def regimes(self, ratio_tol: float = RATIO_TOL) -> list[Regime]:
-        out = []
-        for rho in self.ratio:
-            if not np.isfinite(rho) or rho > 1.0 + ratio_tol:
-                out.append(Regime.AZE)
-            elif rho < 1.0 - ratio_tol:
-                out.append(Regime.QZE)
-            else:
-                out.append(Regime.MARGINAL)
-        return out
+    def regimes(self) -> list[Regime]:
+        """The regime at every tau, banded as in classify_regime."""
+        return [_regime(rho) for rho in self.ratio]
 
     def table(self) -> tuple[list[str], list]:
         """(header, columns): tau, rate_z, ratio and the regime names."""
@@ -401,7 +392,6 @@ def zeno_scan(
     model: BaseSpectralDensity,
     n: int,
     taus,
-    spec: QuadratureSpec | None = None,
     jobs: int = 1,
 ) -> ZenoScan:
     """Tabulate the effective decay rate and ratio over a tau grid.
@@ -412,12 +402,15 @@ def zeno_scan(
     one per worker process, and joins them in order, with every value
     the same bit for bit whatever ``jobs`` is.  Crossovers are refined
     to 1e-12 relative width (as in find_crossover_time) from the sign
-    changes of the tabulated ratio.
+    changes of the tabulated ratio.  Raises ValueError, before any rate
+    is computed, unless taus is a 1-D grid of finite, positive, strictly
+    increasing values.
     """
     taus = np.asarray(taus, dtype=float)
+    _check_tau_grid(taus)
     denominator = markovian_decay_rate(params, model, n)
     degenerate = _is_degenerate(denominator, params)
-    rates = _map_grid(_rate_chunk, (params, model, n, spec), taus, jobs)
+    rates = _map_grid(_rate_chunk, (params, model, n), taus, jobs)
 
     if degenerate:
         ratio = np.full_like(rates, np.inf)
@@ -425,7 +418,7 @@ def zeno_scan(
     else:
         ratio = rates / denominator
         brackets = brackets_from_samples(taus, ratio - 1.0)
-        crossovers = _crossovers(params, model, n, denominator, spec, brackets)
+        crossovers = _crossovers(params, model, n, denominator, brackets)
     return ZenoScan(
         n=n,
         taus=taus,

@@ -17,9 +17,29 @@ from qbmzeno.coefficients import (
     markovian_limits_numerical,
     tabulate_coefficients,
 )
+from qbmzeno.dynamics import eid_attenuation, shuttered_comparison
 from qbmzeno.spectral import BaseSpectralDensity, OhmicLorentzDrude, ReservoirParams
+from qbmzeno.zeno import effective_decay_rate, effective_decay_rate_fd, find_crossover_time
 
 GOLDEN = Path(__file__).parent / "data" / "golden_coefficients_theta100_r05.csv"
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda p, m: integrated_pair(p, m, math.nan), "tau"),
+        (lambda p, m: coefficient_pair(p, m, math.inf), "t"),
+        (lambda p, m: eid_attenuation(p, m, 1.0, math.nan), "tau"),
+        (lambda p, m: effective_decay_rate(p, m, 0, math.inf), "tau"),
+        (lambda p, m: effective_decay_rate_fd(p, m, 0, math.inf), "tau"),
+        (lambda p, m: find_crossover_time(p, m, 0, (0.1, math.inf)), "tau_range"),
+        (lambda p, m: tabulate_coefficients(p, m, math.inf, 10), "t_max"),
+        (lambda p, m: shuttered_comparison(p, m, 0, math.inf, 3), "tau"),
+    ],
+)
+def test_non_finite_time_raises_value_error_naming_it(params_hot, model_hot, call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be (positive and )?finite"):
+        call(params_hot, model_hot)
 
 
 class TestPointValues:

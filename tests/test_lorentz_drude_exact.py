@@ -105,7 +105,7 @@ class TestMpmathOracle:
         model = params.spectral_model()
         taus = (1e-4, 1e-2, 1.0, 1e2, 1e4)
         # The same corners through the grid route, all five times in one pass.
-        grid = {kernel: _pairs(params, model, np.array(taus), kernel, None)
+        grid = {kernel: _pairs(params, model, np.array(taus), kernel)
                 for kernel in ("sinc", "sinc2")}
         for i, tau in enumerate(taus):
             for kernel, pair, power in (("sinc", coefficient_pair, 1),
@@ -495,10 +495,10 @@ class TestGridRoute:
         grid = np.unique(np.concatenate([np.array(part) for part in times]))
         chunks = np.split(grid, sorted({c for c in cuts if c < len(grid)}))
         for kernel, pair in (("sinc", coefficient_pair), ("sinc2", integrated_pair)):
-            delta, gamma = _pairs(params, model, grid, kernel, None)
+            delta, gamma = _pairs(params, model, grid, kernel)
             points = np.array([pair(params, model, float(t)) for t in grid])
             assert np.array_equal(delta, points[:, 0])
             assert np.array_equal(gamma, points[:, 1])
-            pieces = [_pairs(params, model, chunk, kernel, None) for chunk in chunks]
+            pieces = [_pairs(params, model, chunk, kernel) for chunk in chunks]
             assert np.array_equal(np.concatenate([p[0] for p in pieces]), delta)
             assert np.array_equal(np.concatenate([p[1] for p in pieces]), gamma)

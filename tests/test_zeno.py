@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from qbmzeno.errors import DegenerateDenominatorError, PerturbativeBreakdownError
+from qbmzeno import zeno
+from qbmzeno.errors import DegenerateDenominatorError
 from qbmzeno.spectral import ReservoirParams
 from qbmzeno.zeno import (
     RATIO_TOL,
     Regime,
+    ZenoScan,
     classify_regime,
     effective_decay_rate,
     effective_decay_rate_fd,
@@ -48,9 +50,9 @@ class TestEffectiveDecayRate:
         r0 = effective_decay_rate(params_hot, model_hot, 0, 50.0)
         assert r10 / r0 == pytest.approx(21.0, rel=0.01)
 
-    def test_strict_mode_raises(self, params_hot, model_hot):
-        with pytest.raises(PerturbativeBreakdownError):
-            effective_decay_rate(params_hot, model_hot, 0, 50.0, strict=True)
+    def test_breakdown_escape_warns(self, params_hot, model_hot):
+        with pytest.warns(UserWarning, match="formal"):
+            effective_decay_rate(params_hot, model_hot, 0, 50.0)
 
     def test_marginal_escape_warns(self, params_hot, model_hot):
         with pytest.warns(UserWarning, match="escape probability"):
@@ -205,6 +207,25 @@ class TestClassification:
             assert classify_regime(params, model, 0, tau) is Regime.AZE
 
 
+    @pytest.mark.parametrize("ratio, regime", [
+        (1.0 - 2 * RATIO_TOL, Regime.QZE),
+        (1.0 - RATIO_TOL, Regime.MARGINAL),
+        (1.0 + RATIO_TOL, Regime.MARGINAL),
+        (1.0 + 2 * RATIO_TOL, Regime.AZE),
+        (np.inf, Regime.AZE),
+        (-np.inf, Regime.QZE),
+        (np.nan, Regime.MARGINAL),
+    ])
+    def test_scan_regimes_band_like_classify_regime(self, params_hot, model_hot, monkeypatch,
+                                                     ratio, regime):
+        monkeypatch.setattr(zeno, "zeno_ratio", lambda *args: ratio)
+        scan = ZenoScan(n=0, taus=np.array([1.0]), rate_z=np.array([ratio]),
+                        ratio=np.array([ratio]), markov_rate=1.0, crossovers=[],
+                        params=params_hot)
+        assert classify_regime(params_hot, model_hot, 0, 1.0) is regime
+        assert scan.regimes() == [regime]
+
+
 class TestScan:
     def test_scan_contents(self, params_hot, model_hot):
         taus = np.geomspace(0.01, 30.0, 24)
@@ -232,6 +253,8 @@ class TestScan:
         assert scan.crossovers == []
         assert scan.metadata()["regime"] == "AZE-divergent"
         assert all(reg is Regime.AZE for reg in scan.regimes())
+        model = params.spectral_model()
+        assert scan.regimes() == [classify_regime(params, model, 0, tau) for tau in scan.taus]
 
     def test_serialization(self, params_hot, model_hot, tmp_path):
         scan = zeno_scan(params_hot, model_hot, 0, np.geomspace(0.1, 5.0, 5))
@@ -253,3 +276,19 @@ class TestScan:
         serial = zeno_scan(params_hot, model_hot, 0, taus, jobs=1)
         parallel = zeno_scan(params_hot, model_hot, 0, taus, jobs=2)
         np.testing.assert_array_equal(serial.rate_z, parallel.rate_z)
+
+    @pytest.mark.parametrize("taus", [
+        [3.0, 0.01, 10.0],
+        [[0.1, 1.0], [2.0, 3.0]],
+        [0.1, np.nan, 1.0],
+        [0.1, 1.0, np.inf],
+        [0.0, 1.0],
+        [0.1, 0.1, 1.0],
+    ])
+    def test_rejects_bad_taus_before_any_rate(self, params_hot, model_hot, monkeypatch, taus):
+        def no_rates(*args):
+            raise AssertionError("a rate was computed before taus were checked")
+
+        monkeypatch.setattr(zeno, "_pairs", no_rates)
+        with pytest.raises(ValueError, match="taus must be a 1-D grid"):
+            zeno_scan(params_hot, model_hot, 0, taus)
