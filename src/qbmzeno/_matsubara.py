@@ -33,12 +33,16 @@ keeps its digits when the two nearly cancel (theta = 0, n = 0).
 
 At theta = 0 the integral of G is taken in closed form: partial
 fractions over the poles {i, wc, -wc} leave logarithms and exponential
-integrals E1 and Ei (scipy.special, scaled by e^{-+x} and asymptotic
-for large x), with a series form at small t (``_theta0_delta``).
+integrals E1 and Ei, with a series form at small t (``_theta0_delta``).
+They are computed here with numpy alone (DLMF 6.6, 6.12): the power
+series of Ein for E1 below |z| = 1 and for Ei below x = 40, the
+asymptotic series of e^{-x} Ei(x) from there on, and e^z E1(z) = Int_0^inf
+e^{-s} / (z + s) ds by a fixed trapezoid rule for |z| >= 1.
 
 The Matsubara sum is direct up to an index set by (r, theta, t) and
 capped at _MAX_TERMS.  Past it the summand is either a power series in
-1/nu, summed with Hurwitz zeta functions, or (small theta t) it is
+1/nu, summed with Hurwitz zeta functions (Euler-Maclaurin, DLMF 2.10.1
+and 25.11), or (small theta t) it is
 completed by Gregory's endpoint formula around Int_a^inf G dnu.  G is
 analytic near the positive axis and falls like 1/nu^2, so in x = ln(nu
 - a) the integrand decays exponentially at both ends and the plain
@@ -64,7 +68,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1, expi, zeta
 
 # Taylor terms of phi_p (|w| < 1) and of its divided differences (|w| < 1.5).
 _SERIES_TERMS = 24
@@ -91,16 +94,30 @@ _TAIL_SPAN = 40.0
 # values of w per block of Taylor power rows (24 powers each).
 _BLOCK_TERMS = 4096
 _SERIES_CHUNK = 128
+# Hurwitz zeta: terms summed directly before the Euler-Maclaurin
+# remainder, and the Bernoulli numbers B_2 .. B_12 of its correction.
+_ZETA_SHIFT = 10
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730))
 # theta = 0: the small-t form below t = _SMALL_T / max(1, wc) (unsplit
-# kernel), and the scaled exponential integrals' asymptotic series from
-# x = _ASYMPTOTIC_X on, with _ASYMPTOTIC_TERMS terms.
+# kernel), and the asymptotic series of e^{-x} Ei(x) from x =
+# _ASYMPTOTIC_X on, with _ASYMPTOTIC_TERMS terms.
 _SMALL_T = 0.1
 _ASYMPTOTIC_X = 40.0
 _ASYMPTOTIC_TERMS = 40
-_SIGNS = np.array([[1.0], [-1.0]])  # Ei, E1
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(_ASYMPTOTIC_TERMS)])
 _EULER_GAMMA = 0.57721566490153286
-# (Ein(x) - x) / x^2 = Sum_n (-1)^(n+1) x^n / ((n+2) (n+2)!), 12 terms for |x| <= _SMALL_T.
-_EIN_TAIL = np.array([(-1) ** (n + 1) / ((n + 2) * math.factorial(n + 2)) for n in range(12)])
+# S(y) = Sum_{k >= 1} y^k / (k k!), with Ei(x) = gamma_E + ln x + S(x) and
+# E1(z) = -gamma_E - ln z - S(-z) (DLMF 6.6): 104 terms for |y| < _ASYMPTOTIC_X.
+_EI_SERIES = np.array([0.0] + [1 / (k * math.factorial(k)) for k in range(1, 105)])
+# e^z E1(z) = Int_0^inf e^{-s} / (z + s) ds for |z| >= 1, Re z >= 0: the
+# trapezoid rule in w, s = exp(w - e^-w) (the double-exponential map of
+# [0, inf), Takahasi and Mori 1974), step 0.12 over [-4.5, 4.02].  The
+# integrand falls like exp(-e^-w) and exp(-e^w) at the two ends; the 72
+# nodes hold 1e-15 for z = x in [1, 40] and z = -it, t in [1, 1e6].
+_E1_STEP = 0.12
+_E1_ABSCISSAE = -4.5 + _E1_STEP * np.arange(72)
+_E1_NODES = np.exp(_E1_ABSCISSAE - np.exp(-_E1_ABSCISSAE))
+_E1_WEIGHTS = _E1_STEP * _E1_NODES * (1.0 + np.exp(-_E1_ABSCISSAE)) * np.exp(-_E1_NODES)
 
 
 def _taylor(power: int) -> np.ndarray:
@@ -128,7 +145,7 @@ def _powers(w: np.ndarray, count: int) -> np.ndarray:
     out = np.empty(w.shape + (count,), dtype=w.dtype)
     out[..., 0] = 1.0
     out[..., 1:] = w[..., None]
-    return np.cumprod(out, axis=-1, out=out)
+    return np.multiply.accumulate(out, axis=-1, out=out)
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
@@ -361,6 +378,44 @@ _SERIES_TABLE = _series_table()
 _WC_POWERS = np.arange(0, _SERIES_ORDER, 2)
 
 
+def _zeta_remainder() -> np.ndarray:
+    """Q[n, m] of Sum_{j >= 0} (b + j)^-m ~ Sum_n Q[n, m] b^(1-m-n), m = 2 .. _SERIES_ORDER.
+
+    Euler-Maclaurin for f(x) = x^-m: the integral b^(1-m)/(m-1), half
+    the end term b^-m/2 and B_2k/(2k)! (m)_(2k-1) b^(1-m-2k).
+    """
+    table = np.zeros((2 * len(_BERNOULLI) + 1, len(_ORDERS)))
+    for col, m in enumerate(_ORDERS.tolist()):
+        table[:2, col] = 1.0 / (m - 1), 0.5
+        for k, (num, den) in enumerate(_BERNOULLI, 1):
+            pochhammer = math.perm(m + 2 * k - 2, 2 * k - 1)  # (m)_(2k-1)
+            table[2 * k, col] = num * pochhammer / (den * math.factorial(2 * k))
+    return table
+
+
+_ZETA_REMAINDER = _zeta_remainder()
+_ZETA_OFFSETS = np.arange(_ZETA_SHIFT + 1.0)
+# Index of b^(1-m-n) among the powers b^-1, b^-2, ... of _hurwitz_zeta.
+_ZETA_HANKEL = np.arange(len(_ZETA_REMAINDER))[:, None] + _ORDERS - 2
+
+
+def _hurwitz_zeta(a: np.ndarray) -> np.ndarray:
+    """zeta(m, a) for m = 2 .. _SERIES_ORDER (columns) at each a >= 2 (rows).
+
+    The first _ZETA_SHIFT terms (a + j)^-m as they are, the rest by
+    Euler-Maclaurin at b = a + _ZETA_SHIFT (``_ZETA_REMAINDER``), with
+    fixed term counts; within 2e-15 of mpmath for a in [2, 1e6].  The
+    terms lie along the middle axis, not the contiguous one, so numpy
+    adds them row by row in order, and a row does not depend on the
+    others.
+    """
+    y = 1.0 / (a[:, None] + _ZETA_OFFSETS)
+    powers = np.multiply.accumulate(y[..., None].repeat(_ZETA_HANKEL[-1, -1] + 1, axis=-1), axis=-1)
+    remainder = _ZETA_REMAINDER * powers[:, -1, _ZETA_HANKEL]
+    terms = np.concatenate((powers[:, :-1, 1:_SERIES_ORDER], remainder), axis=1)
+    return np.add.reduce(terms, axis=1)
+
+
 def _zeta_tails(kernel: _Kernel, rows: np.ndarray, last: np.ndarray, step: float) -> np.ndarray:
     """Sum_{k > last} G(k step) per row from the 1/nu series of G (exponentials dropped).
 
@@ -372,7 +427,7 @@ def _zeta_tails(kernel: _Kernel, rows: np.ndarray, last: np.ndarray, step: float
     p, q, r = _row_sums(_SERIES_TABLE * kernel.wc**_WC_POWERS)
     coeff = a1[:, None] * p + a2 * q - kernel.h_c[rows][:, None] * r
     scale = step**_NEG_ORDERS
-    return _row_sums(coeff * (scale * zeta(_ORDERS, last[:, None] + 1.0)))
+    return _row_sums(coeff * (scale * _hurwitz_zeta(last + 1.0)))
 
 
 def _gregory(kernel: _Kernel, rows: np.ndarray, start: np.ndarray, step: float):
@@ -420,31 +475,50 @@ def _tail_integrals(kernel: _Kernel, rows: np.ndarray, lower: np.ndarray) -> np.
 def _scaled_exponential_integrals(x: np.ndarray) -> np.ndarray:
     """e^{-x} Ei(x) (Ei as the principal value) and e^{x} E1(x) for x > 0, as rows.
 
-    As written below _ASYMPTOTIC_X, where neither factor overflows;
-    from there on the asymptotic series (1/x) Sum_k k! (+-1/x)^k, summed
-    by Horner's rule over _ASYMPTOTIC_TERMS terms, the last of which is
-    below 1e-16 of the first.
+    Ei from the series S(x) of positive terms below _ASYMPTOTIC_X, from
+    there on (1/x) Sum_k k! x^-k over _ASYMPTOTIC_TERMS terms, the last
+    of which is below 1e-16 of the first; E1 from S(-x) below x = 1 and
+    from ``_exp_e1`` above.  One series call takes both S(x) and S(-x).
     """
     out = np.empty((2, len(x)))
-    near = x < _ASYMPTOTIC_X
-    if np.count_nonzero(near):
-        x_near = x[near]
-        out[0, near] = np.exp(-x_near) * expi(x_near)
-        out[1, near] = np.exp(x_near) * exp1(x_near)
-    far = ~near
-    if np.count_nonzero(far):
-        x_far = x[far]
-        y = _SIGNS / x_far
-        series = np.ones_like(y)
-        for k in range(_ASYMPTOTIC_TERMS - 1, 0, -1):
-            series = 1.0 + k * y * series
-        out[:, far] = series / x_far
+    near, small = x < _ASYMPTOTIC_X, x < 1.0
+    count = np.count_nonzero(near)
+    y = np.concatenate((x[near], -x[small]))
+    if len(y):
+        logs = _EULER_GAMMA + np.log(np.abs(y)) + _power_series(y, _EI_SERIES)
+        out[0, near] = np.exp(-y[:count]) * logs[:count]
+        out[1, small] = -np.exp(-y[count:]) * logs[count:]
+    if count < len(x):
+        x_far = x[~near]
+        out[0, ~near] = _power_series(1.0 / x_far, _FACTORIALS) / x_far
+    if len(y) - count < len(x):
+        out[1, ~small] = _exp_e1(x[~small])
+    return out
+
+
+def _exp_e1(z: np.ndarray) -> np.ndarray:
+    """e^z E1(z) for |z| >= 1 with Re z >= 0 (z = x > 0 or z = -it), by the rule of _E1_NODES."""
+    return _row_sums(_E1_WEIGHTS / (z[:, None] + _E1_NODES))
+
+
+def _e1_imaginary(t: np.ndarray) -> np.ndarray:
+    """E1(-it) for t > 0: -gamma_E - ln(-it) - S(it) below t = 1, e^{it} _exp_e1(-it) above."""
+    out = np.empty(len(t), dtype=complex)
+    small = t < 1.0
+    if np.count_nonzero(small):
+        t_small = t[small]
+        series = _power_series(1j * t_small, _EI_SERIES)
+        out[small] = complex(-_EULER_GAMMA, 0.5 * np.pi) - np.log(t_small) - series
+    large = ~small
+    if np.count_nonzero(large):
+        t_large = t[large]
+        out[large] = np.exp(1j * t_large) * _exp_e1(-1j * t_large)
     return out
 
 
 def _ein_tail(x: np.ndarray) -> np.ndarray:
-    """Ein(x) - x = Sum_{k >= 2} (-1)^(k+1) x^k / (k k!), for |x| <= _SMALL_T."""
-    return x * x * _power_series(x, _EIN_TAIL)
+    """Ein(x) - x = -S(-x) - x = -x^2 Sum_n (-x)^n / ((n+2) (n+2)!), for |x| <= _SMALL_T."""
+    return -x * x * _power_series(-x, _EI_SERIES[2:14])
 
 
 def _theta0_delta(kernel: _Kernel) -> np.ndarray:
@@ -463,30 +537,34 @@ def _theta0_delta(kernel: _Kernel) -> np.ndarray:
       p = 2:  K_b = (Phi_b - Lg) / d^2 + (t (Lg + E1(-it)) - i expm1(it)) / d
                                                 (split: no Lg in the second part)
 
-    Below t = _SMALL_T / max(1, wc) the unsplit forms cancel; there E1(x)
-    = -gamma_E - ln x + Ein(x) takes the logarithms out analytically,
-    with L = gamma_E + ln(wc t), so that every remaining term is of the
-    order of the result (see _theta0_small).
+    Below t = _SMALL_T / max(1, wc) (only unsplit kernels get there) the
+    forms cancel; there E1(x) = -gamma_E - ln x + Ein(x) takes the
+    logarithms out analytically, with L = gamma_E + ln(wc t), so that
+    every remaining term is of the order of the result (see _theta0_small).
     """
     wc, t, power = kernel.wc, kernel.t, kernel.power
-    e_it = np.exp(1j * t)
-    e1_it = exp1(-1j * t)
-    log_part = complex(-math.log(wc), -0.5 * math.pi)
-    if power == 2:
-        linear = -1j * np.expm1(1j * t) + t * (e1_it + log_part if kernel.c else e1_it)
-    ei, e1 = _scaled_exponential_integrals(wc * t)
-    total = np.zeros(len(t), dtype=complex)
-    for b, e_b in ((wc, -ei), (-wc, e1)):
-        d = complex(b, -1.0)
-        phi = e_it * e_b - e1_it
-        if power == 1:
-            total += ((log_part if kernel.c else 0.0) - phi) / d
-        else:
-            total += (phi - log_part) / (d * d) + linear / d
-    if kernel.c:
-        small = t <= _SMALL_T / max(1.0, wc)
-        if np.count_nonzero(small):
-            total[small] = _theta0_small(wc, t[small], power)
+    total = np.empty(len(t), dtype=complex)
+    small = t <= _SMALL_T / max(1.0, wc)
+    if np.count_nonzero(small):
+        total[small] = _theta0_small(wc, t[small], power)
+    rest = ~small
+    if np.count_nonzero(rest):
+        t = t[rest]
+        e_it = np.exp(1j * t)
+        e1_it = _e1_imaginary(t)
+        log_part = complex(-math.log(wc), -0.5 * math.pi)
+        if power == 2:
+            linear = -1j * np.expm1(1j * t) + t * (e1_it + log_part if kernel.c else e1_it)
+        ei, e1 = _scaled_exponential_integrals(wc * t)
+        sums = np.zeros(len(t), dtype=complex)
+        for b, e_b in ((wc, -ei), (-wc, e1)):
+            d = complex(b, -1.0)
+            phi = e_it * e_b - e1_it
+            if power == 1:
+                sums += ((log_part if kernel.c else 0.0) - phi) / d
+            else:
+                sums += (phi - log_part) / (d * d) + linear / d
+        total[rest] = sums
     return wc * wc / (2.0 * np.pi) * total.real
 
 
@@ -531,13 +609,14 @@ def _matsubara_sums(kernel: _Kernel, step: float) -> np.ndarray:
     k_exp = np.ceil(_EXP_CUT / (step * kernel.t))
     last = np.maximum(k_exp, k_series)
     direct = last <= _MAX_TERMS
+    total = np.empty(len(last))
     rows = np.flatnonzero(direct)
-    count = last[rows].astype(np.int64)
-    total = _direct_sums(kernel, rows, count, step) + _zeta_tails(kernel, rows, count, step)
+    if len(rows):
+        count = last[rows].astype(np.int64)
+        total[rows] = (_direct_sums(kernel, rows, count, step)
+                       + _zeta_tails(kernel, rows, count, step))
     if len(rows) == len(last):
         return total
-    total, direct_total = np.empty(len(last)), total
-    total[rows] = direct_total
     rows = np.flatnonzero(~direct)
     # Gregory from K past the exponentials if the cap allows; otherwise
     # step * t < _EXP_CUT / _MAX_TERMS and the differences of e^{-nu t}

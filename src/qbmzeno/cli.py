@@ -31,7 +31,7 @@ from . import dynamics, zeno
 from ._table import json_columns, write_atomic, write_csv
 from .coefficients import _pair_chunk, markovian_limits, tabulate_coefficients
 from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
-from .numerics import QuadratureError, _map_grid, ordered_map
+from .numerics import QuadratureError, _map_grids, ordered_map
 from .spectral import ReservoirParams
 
 __all__ = ["GridConfig", "OutputConfig", "RunConfig", "main"]
@@ -273,23 +273,29 @@ def cmd_fig1(cfg: RunConfig) -> int:
     taus = cfg.grids.tau_grid()
     out = Path(cfg.output.directory)
     manifest = {"x_label": "tau (units of 1/omega0)", "panels": []}
-    for name, theta, n, r_values, quantity, y_label in _FIG1_PANELS:
-        header = ["tau"]
-        columns: list[np.ndarray] = [taus]
+    # One grid pass per column, every column's chunks in one map over the
+    # --jobs workers; fig1 writes no crossover, so none is refined.
+    columns, scales = [], []
+    for _, theta, n, r_values, quantity, _ in _FIG1_PANELS:
         for r in r_values:
             params = ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
                                      omega0=cfg.params.omega0)
             model = params.spectral_model()
-            # One grid pass per column, in contiguous chunks over --jobs
-            # workers; fig1 writes no crossover, so none is refined.
             if quantity == "ratio":
-                rates = _map_grid(zeno._rate_chunk, (params, model, n), taus, cfg.jobs)
-                columns.append(rates / zeno.markovian_decay_rate(params, model, n))
+                columns.append((zeno._rate_chunk, (params, model, n)))
+                scales.append(zeno.markovian_decay_rate(params, model, n))
             else:
-                pairs = _map_grid(_pair_chunk, (params, model, ("sinc",)), taus, cfg.jobs)
-                columns.append(pairs[0] / markovian_limits(params, model).delta_m)
-            header.append(f"r={r:g}")
-        files = _write_table(out, f"{name}.csv", f"{name}.json", header, columns,
+                columns.append((_pair_chunk, (params, model, ("sinc",))))
+                scales.append(markovian_limits(params, model).delta_m)
+    values = iter(_map_grids(columns, taus, cfg.jobs))
+    scales = iter(scales)
+    for name, theta, n, r_values, quantity, y_label in _FIG1_PANELS:
+        header = ["tau"] + [f"r={r:g}" for r in r_values]
+        data: list[np.ndarray] = [taus]
+        for _ in r_values:
+            column = next(values)
+            data.append((column if quantity == "ratio" else column[0]) / next(scales))
+        files = _write_table(out, f"{name}.csv", f"{name}.json", header, data,
                              cfg.output.format)
         manifest["panels"].append({
             "name": name,

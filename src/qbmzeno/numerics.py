@@ -731,9 +731,27 @@ def _map_grid(fn: Callable, args: tuple, grid, jobs: int = 1) -> np.ndarray:
     its chunk's points; it must give each point the same value in any
     chunk for the result not to depend on ``jobs``.
     """
+    return _map_grids([(fn, args)], grid, jobs)[0]
+
+
+def _map_grids(columns: Sequence[tuple[Callable, tuple]], grid, jobs: int = 1) -> list[np.ndarray]:
+    """_map_grid for every (fn, args) of ``columns`` on one grid, in one ordered_map call.
+
+    All the columns' chunks go to the same ``jobs`` workers, so a command
+    that fills many columns starts one process pool, not one per column.
+    """
     grid = np.asarray(grid, dtype=float)
     chunks = np.array_split(grid, max(1, min(jobs, grid.size)))
-    return np.concatenate(ordered_map(fn, [(*args, chunk) for chunk in chunks], jobs), axis=-1)
+    tasks = [(fn, (*args, chunk)) for fn, args in columns for chunk in chunks]
+    parts = ordered_map(_apply, tasks, jobs)
+    return [np.concatenate(parts[i:i + len(chunks)], axis=-1)
+            for i in range(0, len(parts), len(chunks))]
+
+
+def _apply(task: tuple[Callable, tuple]):
+    """fn(args) for a task (fn, args) of _map_grids."""
+    fn, args = task
+    return fn(args)
 
 
 def scan_for_bracket(f: Callable[[float], float], grid: Sequence[float]) -> list[RootBracket]:

@@ -151,6 +151,25 @@ class TestFig1:
         for name in names:
             assert (tmp_path / name).read_bytes() == (fig1_dir / name).read_bytes(), name
 
+    def test_jobs_two_opens_one_process_pool(self, tmp_path, monkeypatch):
+        # The twelve columns share one pool, whatever their kind.
+        import concurrent.futures
+
+        opened = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        class CountedPool(pool):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        code = run([
+            "fig1", "--alpha", "0.1", "--tau-points", "8", "--jobs", "2", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert opened == [2]
+
     def test_manifest_lists_all_panels(self, fig1_dir):
         manifest = json.loads((fig1_dir / "fig1_manifest.json").read_text())
         assert [p["name"] for p in manifest["panels"]] == ["fig1a", "fig1b", "fig1c", "fig1d"]

@@ -1,4 +1,4 @@
-"""What ``import qbmzeno`` loads: none of the slow-to-import scipy subpackages."""
+"""What ``import qbmzeno`` loads: numpy, and neither scipy nor test machinery."""
 
 import json
 import os
@@ -7,20 +7,32 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-UNWANTED = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.stats")
+# Packages a numpy-only runtime has no reason to load; scipy.special alone
+# pulls in numpy.testing, numpy.f2py and unittest.
+UNWANTED = ("scipy", "mpmath", "numpy.testing", "numpy.f2py", "unittest")
 
 
-def test_import_loads_no_unwanted_scipy_subpackage():
+def _newly_loaded(module: str) -> list[str]:
+    """The modules that ``import module`` adds to sys.modules in a fresh interpreter."""
     code = (
-        "import json, sys, qbmzeno; "
-        f"print(json.dumps(sorted(m for m in {UNWANTED!r} if m in sys.modules)))"
+        "import json, sys; before = set(sys.modules); "
+        f"import {module}; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == []
+    return json.loads(result.stdout)
+
+
+def test_import_loads_no_unwanted_scipy_subpackage():
+    for module in ("qbmzeno", "qbmzeno.cli"):
+        loaded = _newly_loaded(module)
+        assert module in loaded and "numpy" in loaded
+        unwanted = [m for m in loaded if any(m == u or m.startswith(u + ".") for u in UNWANTED)]
+        assert unwanted == [], module
 
 
 def test_physics_api_takes_no_quadrature_or_policy_knobs():

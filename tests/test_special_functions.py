@@ -1,0 +1,107 @@
+"""The numpy special functions of the closed-form path against mpmath and scipy.
+
+``_matsubara`` needs three: the Hurwitz zeta functions zeta(m, a) of its
+zeta tails (m = 2 .. 20, a = K + 1 >= 2), the scaled exponential
+integrals e^{-x} Ei(x) and e^{x} E1(x) (x = wc t > 0) and E1(-it) (t > 0)
+of the theta = 0 closed form.  Each is checked over the arguments the
+module can produce, on both sides of every switch between its forms, to
+1e-14 relative, and is the same bit for bit whatever array it sits in.
+"""
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from qbmzeno import _matsubara
+
+REL = 1e-14
+ORDERS = list(range(2, _matsubara._SERIES_ORDER + 1))
+# mpmath.zeta(20, 4097) is 5.8e-13 off at 60 digits (and zeta(20, 65) 3.7e-10
+# off at 30): the oracle works at 120.
+ZETA_DPS = 120
+ZETA_POINTS = [2.0, 3.0, 9.0, 10.0, 11.0, 65.0, 4097.0, 1e6]
+# Below and above the E1 series / rule switch at 1 and the Ei series /
+# asymptotic switch at _ASYMPTOTIC_X = 40, and a log grid from 1e-6 to 40.
+X_SWITCHES = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+              np.nextafter(40.0, 0.0), 40.0, np.nextafter(40.0, 41.0)]
+X_POINTS = sorted(np.geomspace(1e-6, 40.0, 49).tolist() + X_SWITCHES)
+T_POINTS = sorted(np.geomspace(1e-15, 1e6, 43).tolist() + X_SWITCHES[:3])
+
+
+def _relative(got, want):
+    return abs(got - want) / abs(want)
+
+
+class TestHurwitzZeta:
+    def test_matches_mpmath(self):
+        got = _matsubara._hurwitz_zeta(np.array(ZETA_POINTS))
+        with mp.workdps(ZETA_DPS):
+            for row, a in zip(got, ZETA_POINTS):
+                for m, value in zip(ORDERS, row):
+                    want = float(mp.zeta(m, a))
+                    assert _relative(value, want) <= REL, (m, a, value, want)
+
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        a = np.unique(np.concatenate([np.arange(2.0, 4098.0), np.geomspace(2.0, 1e6, 400).round()]))
+        want = special.zeta(np.array(ORDERS), a[:, None])
+        assert np.max(np.abs(_matsubara._hurwitz_zeta(a) / want - 1.0)) <= REL
+
+
+def _ei_condition(x):
+    """|x d ln Ei / dx| = e^x / |Ei(x)|, at least 1."""
+    return max(1.0, float(mp.exp(x) / abs(mp.ei(x))))
+
+
+class TestExponentialIntegrals:
+    def test_matches_mpmath(self):
+        # Ei has a zero at x = 0.3725...; near it no evaluation from a
+        # rounded x holds a relative bound, so there the bound is REL
+        # times Ei's condition number (which is 1 to 2.7 for x >= 0.6).
+        ei, e1 = _matsubara._scaled_exponential_integrals(np.array(X_POINTS))
+        with mp.workdps(34):
+            for x, got_ei, got_e1 in zip(X_POINTS, ei, e1):
+                want_ei = float(mp.exp(-x) * mp.ei(x))
+                want_e1 = float(mp.exp(x) * mp.e1(x))
+                assert _relative(got_ei, want_ei) <= REL * _ei_condition(x), (x, got_ei, want_ei)
+                assert _relative(got_e1, want_e1) <= REL, (x, got_e1, want_e1)
+
+    def test_e1_imaginary_matches_mpmath(self):
+        got = _matsubara._e1_imaginary(np.array(T_POINTS))
+        with mp.workdps(34):
+            for t, value in zip(T_POINTS, got):
+                want = complex(mp.e1(mp.mpc(0.0, -t)))
+                assert _relative(value, want) <= REL, (t, value, want)
+
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.geomspace(1e-6, 40.0, 20001)[:-1]
+        ei, e1 = _matsubara._scaled_exponential_integrals(x)
+        away = np.abs(x - 0.372507) > 0.05  # Ei's zero: see test_matches_mpmath
+        assert np.max(np.abs(ei / (np.exp(-x) * special.expi(x)) - 1.0)[away]) <= REL
+        assert np.max(np.abs(e1 / (np.exp(x) * special.exp1(x)) - 1.0)) <= REL
+        t = np.geomspace(1e-15, 1e6, 20001)
+        assert np.max(np.abs(_matsubara._e1_imaginary(t) / special.exp1(-1j * t) - 1.0)) <= REL
+
+
+class TestGridIndependence:
+    """A value is the same bit for bit alone and inside a 1000-element array."""
+
+    @staticmethod
+    def _check(function, grid, points):
+        for value in points:
+            for i in (0, 437, len(grid) - 1):
+                embedded = grid.copy()
+                embedded[i] = value
+                alone = function(np.array([value]))
+                assert np.array_equal(function(embedded)[..., i], alone[..., 0]), (value, i)
+
+    def test_hurwitz_zeta(self):
+        grid = np.geomspace(2.0, 4097.0, 1000).round()
+        self._check(lambda a: _matsubara._hurwitz_zeta(a).T, grid, ZETA_POINTS)
+
+    def test_exponential_integrals(self):
+        grid = np.geomspace(1e-6, 1e3, 1000)
+        self._check(_matsubara._scaled_exponential_integrals, grid, X_POINTS[::4] + X_SWITCHES)
+        grid = np.geomspace(1e-15, 1e6, 1000)
+        self._check(_matsubara._e1_imaginary, grid, T_POINTS[::4] + X_SWITCHES[:3])
