@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -29,9 +30,9 @@ import numpy as np
 
 from . import dynamics, zeno
 from ._table import json_columns, write_atomic, write_csv
-from .coefficients import _pair_chunk, markovian_limits, tabulate_coefficients
+from .coefficients import _pairs, markovian_limits, tabulate_coefficients
 from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
-from .numerics import QuadratureError, _map_grids, ordered_map
+from .numerics import QuadratureError, ordered_map
 from .spectral import ReservoirParams
 
 __all__ = ["GridConfig", "OutputConfig", "RunConfig", "main"]
@@ -63,6 +64,11 @@ class GridConfig:
             raise ValueError("t_max must be positive")
         if self.tau_points < 2 or self.t_points < 2:
             raise ValueError("grids need at least 2 points")
+        if not self.map_r or not all(0.0 < r < math.inf for r in self.map_r):
+            raise ValueError(f"map_r must be nonempty, finite and positive, got {self.map_r}")
+        if not self.map_theta or not all(0.0 <= t < math.inf for t in self.map_theta):
+            raise ValueError(
+                f"map_theta must be nonempty, finite and nonnegative, got {self.map_theta}")
 
     def tau_grid(self) -> np.ndarray:
         if self.log_spaced:
@@ -154,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--points", type=int, help="coefficient tabulation points")
     common.add_argument("--out", type=str, help="output directory")
     common.add_argument("--format", choices=("csv", "json", "both"), help="output format")
-    common.add_argument("--jobs", type=int, help="max concurrent grid evaluations")
     common.add_argument("--config", type=str, help="JSON config file mirroring RunConfig")
     common.add_argument("--dump-config", action="store_true",
                         help="print the effective config as JSON and exit")
@@ -178,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="smallest crossover time over an (r, theta) grid")
     mapper.add_argument("--map-r", type=str, help="comma-separated r values")
     mapper.add_argument("--map-theta", type=str, help="comma-separated theta values")
+    mapper.add_argument("--jobs", type=int, help="worker processes for crossover-map cells")
     return parser
 
 
@@ -215,8 +221,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         directory = os.environ[_ENV_OUT]
     fmt = args.format if args.format is not None else cfg.output.format
     cfg.output = OutputConfig(directory=directory, format=fmt)
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None:
+        cfg.jobs = jobs
 
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,8 +245,7 @@ def _check_command_inputs(args: argparse.Namespace) -> None:
 
 def cmd_coeffs(cfg: RunConfig) -> int:
     params, model = cfg.params, cfg.params.spectral_model()
-    series = tabulate_coefficients(params, model, cfg.grids.t_max, cfg.grids.t_points,
-                                   jobs=cfg.jobs)
+    series = tabulate_coefficients(params, model, cfg.grids.t_max, cfg.grids.t_points)
     out = Path(cfg.output.directory)
     _write_table(out, "coefficients.csv", "coefficients_table.json", *series.table(),
                  cfg.output.format)
@@ -250,7 +256,7 @@ def cmd_coeffs(cfg: RunConfig) -> int:
 
 def cmd_scan(cfg: RunConfig, n: int) -> int:
     params, model = cfg.params, cfg.params.spectral_model()
-    scan = zeno.zeno_scan(params, model, n, cfg.grids.tau_grid(), jobs=cfg.jobs)
+    scan = zeno.zeno_scan(params, model, n, cfg.grids.tau_grid())
     out = Path(cfg.output.directory)
     _write_table(out, "zeno_scan.csv", "zeno_scan_table.json", *scan.table(), cfg.output.format)
     _write_json(out / "zeno_scan.json", scan.metadata())
@@ -273,28 +279,20 @@ def cmd_fig1(cfg: RunConfig) -> int:
     taus = cfg.grids.tau_grid()
     out = Path(cfg.output.directory)
     manifest = {"x_label": "tau (units of 1/omega0)", "panels": []}
-    # One grid pass per column, every column's chunks in one map over the
-    # --jobs workers; fig1 writes no crossover, so none is refined.
-    columns, scales = [], []
-    for _, theta, n, r_values, quantity, _ in _FIG1_PANELS:
+    # One grid pass per column; fig1 writes no crossover, so none is refined.
+    for name, theta, n, r_values, quantity, y_label in _FIG1_PANELS:
+        header = ["tau"] + [f"r={r:g}" for r in r_values]
+        data: list[np.ndarray] = [taus]
         for r in r_values:
             params = ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
                                      omega0=cfg.params.omega0)
             model = params.spectral_model()
             if quantity == "ratio":
-                columns.append((zeno._rate_chunk, (params, model, n)))
-                scales.append(zeno.markovian_decay_rate(params, model, n))
+                markov = zeno.markovian_decay_rate(params, model, n)
+                data.append(zeno._rates(params, model, n, taus) / markov)
             else:
-                columns.append((_pair_chunk, (params, model, ("sinc",))))
-                scales.append(markovian_limits(params, model).delta_m)
-    values = iter(_map_grids(columns, taus, cfg.jobs))
-    scales = iter(scales)
-    for name, theta, n, r_values, quantity, y_label in _FIG1_PANELS:
-        header = ["tau"] + [f"r={r:g}" for r in r_values]
-        data: list[np.ndarray] = [taus]
-        for _ in r_values:
-            column = next(values)
-            data.append((column if quantity == "ratio" else column[0]) / next(scales))
+                delta_m = markovian_limits(params, model).delta_m
+                data.append(_pairs(params, model, taus, "sinc")[0] / delta_m)
         files = _write_table(out, f"{name}.csv", f"{name}.json", header, data,
                              cfg.output.format)
         manifest["panels"].append({

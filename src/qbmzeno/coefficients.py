@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _matsubara
 from ._table import write_csv
-from .numerics import _map_grid, integrate_semi_infinite
+from .numerics import integrate_semi_infinite
 from .spectral import (
     BaseSpectralDensity,
     OhmicLorentzDrude,
@@ -164,12 +164,6 @@ def _pair(params, model, time, kernel) -> tuple[float, float]:
     """``_pairs`` at one time, as floats."""
     delta, gamma = _pairs(params, model, np.array([time], dtype=float), kernel)
     return float(delta[0]), float(gamma[0])
-
-
-def _pair_chunk(args) -> np.ndarray:
-    """Rows (Delta, gamma) per kernel of ``_pairs`` on one chunk of a time grid."""
-    params, model, kernels, times = args
-    return np.vstack([_pairs(params, model, times, kernel) for kernel in kernels])
 
 
 def coefficient_pair(
@@ -316,23 +310,21 @@ def tabulate_coefficients(
     model: BaseSpectralDensity,
     t_max: float,
     n_points: int,
-    jobs: int = 1,
 ) -> CoefficientSeries:
     """Uniform-grid tabulation of Delta, gamma and their running integrals.
 
     Each integral column is evaluated at the grid time itself, not by
     chaining trapezoids, so every row is independently accurate.  The
-    grid is evaluated in one pass (closed form for the Lorentz-Drude
-    bath); ``jobs > 1`` splits it into that many contiguous chunks, one
-    per worker process, and joins them in order.  Every row is the same
-    bit for bit whatever ``jobs`` is.
+    grid is evaluated in this process, one pass per kernel (closed form
+    for the Lorentz-Drude bath); every row is bit-identical to the
+    per-point functions at its time.
     """
     if not (0.0 < t_max < np.inf):
         raise ValueError("t_max must be positive and finite")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     times = np.linspace(0.0, t_max, n_points)
-    rows = _map_grid(_pair_chunk, (params, model, ("sinc", "sinc2")), times[1:], jobs)
+    rows = np.vstack([_pairs(params, model, times[1:], kernel) for kernel in ("sinc", "sinc2")])
     table = np.hstack([np.zeros((4, 1)), rows])
     return CoefficientSeries(
         times=times,

@@ -10,9 +10,9 @@ half-period cycle sums extrapolated with Wynn's epsilon algorithm, with
 the head extended past structure that samples of the tail show),
 deterministic Brent-Dekker root refinement on sign-change brackets
 (``bisect``: a handful of calls per smooth root at any tolerance), and
-the ordered (optionally multi-process) map behind every grid.  All
-routines are pure functions of their inputs and bit-reproducible for a
-fixed spec on one platform (fixed evaluation and summation order).
+an ordered map over independent tasks, in worker processes if asked.
+All routines are pure functions of their inputs and bit-reproducible
+for a fixed spec on one platform (fixed evaluation and summation order).
 
 Integrand contract: called with a 1-D array of N nodes, an integrand
 (for ``integrate_semi_infinite``, the envelope; the engine applies the
@@ -708,50 +708,22 @@ def brackets_from_samples(xs: np.ndarray, ys: np.ndarray) -> list[RootBracket]:
 
 
 def ordered_map(fn: Callable, tasks: Sequence, jobs: int = 1) -> list:
-    """[fn(task) for task in tasks], over ``jobs`` worker processes if jobs > 1.
+    """[fn(task) for task in tasks], over up to ``jobs`` worker processes.
 
-    Results come back in task order whatever the worker count, so the
-    output is the same as the in-process run; ``jobs <= 1`` runs in this
-    process.  With workers, ``fn`` and the tasks must be picklable.
+    The pool gets min(jobs, len(tasks)) workers, since it starts them
+    all at once whatever the task count; one or fewer runs in this
+    process.  Results come back in task order, so the output is the
+    same as the in-process run.  With workers, ``fn`` and the tasks
+    must be picklable.  Each task should cost more than starting a
+    worker: on a grid, only whole crossover-map cells do.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
-
-
-def _map_grid(fn: Callable, args: tuple, grid, jobs: int = 1) -> np.ndarray:
-    """fn((*args, chunk)) over contiguous chunks of ``grid``, joined along the last axis.
-
-    The grid is split into ``jobs`` chunks (at most one per point) and
-    mapped by ordered_map, so ``jobs <= 1`` is a single in-process call
-    on the whole grid.  ``fn`` returns an array whose last axis runs over
-    its chunk's points; it must give each point the same value in any
-    chunk for the result not to depend on ``jobs``.
-    """
-    return _map_grids([(fn, args)], grid, jobs)[0]
-
-
-def _map_grids(columns: Sequence[tuple[Callable, tuple]], grid, jobs: int = 1) -> list[np.ndarray]:
-    """_map_grid for every (fn, args) of ``columns`` on one grid, in one ordered_map call.
-
-    All the columns' chunks go to the same ``jobs`` workers, so a command
-    that fills many columns starts one process pool, not one per column.
-    """
-    grid = np.asarray(grid, dtype=float)
-    chunks = np.array_split(grid, max(1, min(jobs, grid.size)))
-    tasks = [(fn, (*args, chunk)) for fn, args in columns for chunk in chunks]
-    parts = ordered_map(_apply, tasks, jobs)
-    return [np.concatenate(parts[i:i + len(chunks)], axis=-1)
-            for i in range(0, len(parts), len(chunks))]
-
-
-def _apply(task: tuple[Callable, tuple]):
-    """fn(args) for a task (fn, args) of _map_grids."""
-    fn, args = task
-    return fn(args)
 
 
 def scan_for_bracket(f: Callable[[float], float], grid: Sequence[float]) -> list[RootBracket]:

@@ -30,7 +30,7 @@ from .coefficients import (
     markovian_limits,
 )
 from .errors import DegenerateDenominatorError
-from .numerics import _map_grid, bisect, brackets_from_samples, scan_for_bracket
+from .numerics import bisect, brackets_from_samples, scan_for_bracket
 from .spectral import BaseSpectralDensity, ReservoirParams, check_model_consistency
 
 __all__ = [
@@ -159,8 +159,10 @@ def _rates(
 ) -> np.ndarray:
     """effective_decay_rate at every tau of a grid, in one pass and without escape checks.
 
-    Each value is bit-identical to effective_decay_rate at that tau.  The
-    grid callers (scans, crossover grids and their root refinement,
+    Each value is bit-identical to effective_decay_rate at that tau,
+    whatever else the grid holds, so a grid is never split for speed:
+    on the Lorentz-Drude bath one pass costs less than a worker process.
+    The grid callers (scans, crossover grids and their root refinement,
     fig1) look at large tau on purpose, so they do not check the
     perturbative window.
     """
@@ -171,12 +173,6 @@ def _rates(
         raise ValueError("n must be nonnegative")
     i_delta, i_gamma = _pairs(params, model, taus, "sinc2")
     return ((2 * n + 1) * i_delta - i_gamma) / taus
-
-
-def _rate_chunk(args) -> np.ndarray:
-    """_rates on one chunk of a tau grid (a task of numerics._map_grid)."""
-    params, model, n, taus = args
-    return _rates(params, model, n, taus)
 
 
 def effective_decay_rate_fd(
@@ -392,15 +388,12 @@ def zeno_scan(
     model: BaseSpectralDensity,
     n: int,
     taus,
-    jobs: int = 1,
 ) -> ZenoScan:
     """Tabulate the effective decay rate and ratio over a tau grid.
 
     In the degenerate (AZE-divergent) case the scan still tabulates the
     rates, with the ratio column set to +infinity.  The grid is evaluated
-    in one pass; ``jobs > 1`` splits it into that many contiguous chunks,
-    one per worker process, and joins them in order, with every value
-    the same bit for bit whatever ``jobs`` is.  Crossovers are refined
+    in this process, in one pass (``_rates``).  Crossovers are refined
     to 1e-12 relative width (as in find_crossover_time) from the sign
     changes of the tabulated ratio.  Raises ValueError, before any rate
     is computed, unless taus is a 1-D grid of finite, positive, strictly
@@ -410,7 +403,7 @@ def zeno_scan(
     _check_tau_grid(taus)
     denominator = markovian_decay_rate(params, model, n)
     degenerate = _is_degenerate(denominator, params)
-    rates = _map_grid(_rate_chunk, (params, model, n), taus, jobs)
+    rates = _rates(params, model, n, taus)
 
     if degenerate:
         ratio = np.full_like(rates, np.inf)

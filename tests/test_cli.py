@@ -81,17 +81,6 @@ class TestScan:
             tmp_path / "b" / "zeno_scan.csv"
         ).read_bytes()
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        args = [
-            "scan", "--n", "0", "--theta", "100", "--r", "0.5", "--alpha", "0.1",
-            "--tau-min", "0.01", "--tau-max", "10", "--tau-points", "8",
-        ]
-        run(args + ["--jobs", "1", "--out", str(tmp_path / "serial")])
-        run(args + ["--jobs", "2", "--out", str(tmp_path / "parallel")])
-        assert (tmp_path / "serial" / "zeno_scan.csv").read_bytes() == (
-            tmp_path / "parallel" / "zeno_scan.csv"
-        ).read_bytes()
-
 
 @pytest.fixture(scope="module")
 def fig1_run(tmp_path_factory):
@@ -140,19 +129,9 @@ class TestFig1:
         assert sum(len(grid) for grid in grids) == 180
         assert points == []
 
-    def test_jobs_two_writes_the_same_files(self, fig1_dir, tmp_path):
-        # Both kinds of column go through the chunked grid route.
-        code = run([
-            "fig1", "--alpha", "0.1", "--tau-points", "30", "--jobs", "2", "--out", str(tmp_path),
-        ])
-        assert code == 0
-        names = sorted(path.name for path in fig1_dir.iterdir())
-        assert names == sorted(path.name for path in tmp_path.iterdir())
-        for name in names:
-            assert (tmp_path / name).read_bytes() == (fig1_dir / name).read_bytes(), name
-
     def test_jobs_two_opens_one_process_pool(self, tmp_path, monkeypatch):
-        # The twelve columns share one pool, whatever their kind.
+        # fig1 runs every grid in this process; only crossover-map's cells
+        # go to a pool, one for the whole map.
         import concurrent.futures
 
         opened = []
@@ -164,10 +143,15 @@ class TestFig1:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-        code = run([
-            "fig1", "--alpha", "0.1", "--tau-points", "8", "--jobs", "2", "--out", str(tmp_path),
-        ])
-        assert code == 0
+        assert run([
+            "fig1", "--alpha", "0.1", "--tau-points", "8", "--out", str(tmp_path / "fig1"),
+        ]) == 0
+        assert opened == []
+        assert run([
+            "crossover-map", "--n", "0", "--alpha", "0.1", "--map-r", "0.5,10",
+            "--map-theta", "0,100", "--tau-points", "16", "--jobs", "2",
+            "--out", str(tmp_path / "map"),
+        ]) == 0
         assert opened == [2]
 
     def test_manifest_lists_all_panels(self, fig1_dir):
@@ -415,6 +399,31 @@ class TestConfigHandling:
 
     def test_invalid_params_exit_code(self, tmp_path):
         assert run(["scan", "--r", "-1", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--map-r", "0"), ("--map-r", "-1"), ("--map-r", "nan"), ("--map-r", "0.5,inf"),
+        ("--map-theta", "-1"), ("--map-theta", "nan"), ("--map-theta", "1,inf"),
+    ])
+    def test_bad_map_values_are_config_errors(self, flag, value, tmp_path, capsys):
+        assert run(["crossover-map", f"{flag}={value}", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: " + flag[2:].replace("-", "_"))
+        assert not list(tmp_path.iterdir())
+
+    def test_empty_map_in_config_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.json"
+        cfg.write_text(json.dumps({"grids": {"map_r": []}}))
+        assert run(["crossover-map", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: map_r")
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs"], ["scan"], ["fig1"], ["ion", "--tau", "0.25", "--N", "3"],
+    ], ids=["coeffs", "scan", "fig1", "ion"])
+    def test_only_crossover_map_takes_jobs(self, argv, tmp_path):
+        # Every other command's grids run in this process.
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--jobs", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["ion", "--tau", "0.25", "--N", "0"],

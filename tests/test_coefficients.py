@@ -328,12 +328,6 @@ class TestTabulation:
         with pytest.raises(ValueError):
             tabulate_coefficients(params_hot, model_hot, 1.0, 1)
 
-    def test_parallel_matches_serial(self, params_hot, model_hot):
-        serial = tabulate_coefficients(params_hot, model_hot, 1.0, 6, jobs=1)
-        parallel = tabulate_coefficients(params_hot, model_hot, 1.0, 6, jobs=2)
-        np.testing.assert_array_equal(serial.delta, parallel.delta)
-        np.testing.assert_array_equal(serial.int_gamma, parallel.int_gamma)
-
 
 @pytest.mark.slow
 class TestGoldenTable:

@@ -37,12 +37,13 @@ def test_import_loads_no_unwanted_scipy_subpackage():
 
 def test_physics_api_takes_no_quadrature_or_policy_knobs():
     # The quadrature tolerance is decided in numerics alone; the escape
-    # check only warns; the regime band is RATIO_TOL.
+    # check only warns; the regime band is RATIO_TOL; every grid runs in
+    # this process.
     import inspect
 
     from qbmzeno import coefficients, dynamics, zeno
 
-    knobs = {"spec", "strict", "ratio_tol"}
+    knobs = {"spec", "strict", "ratio_tol", "jobs"}
     found = []
     for module in (coefficients, dynamics, zeno):
         for name in module.__all__:

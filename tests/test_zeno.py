@@ -271,12 +271,6 @@ class TestScan:
         meta = json.loads(json_path.read_text())
         assert set(meta) == {"n", "params", "markov_rate", "crossovers", "regime"}
 
-    def test_parallel_matches_serial(self, params_hot, model_hot):
-        taus = np.geomspace(0.05, 2.0, 6)
-        serial = zeno_scan(params_hot, model_hot, 0, taus, jobs=1)
-        parallel = zeno_scan(params_hot, model_hot, 0, taus, jobs=2)
-        np.testing.assert_array_equal(serial.rate_z, parallel.rate_z)
-
     @pytest.mark.parametrize("taus", [
         [3.0, 0.01, 10.0],
         [[0.1, 1.0], [2.0, 3.0]],

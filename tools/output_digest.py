@@ -2,11 +2,12 @@
 """Print one SHA-256 per output file of a fixed set of CLI runs.
 
 Runs the five README commands at reduced sizes, plus a degenerate scan,
-JSON-only output, two-process (``--jobs 2``) runs and the ion protocol
-at the benchmark's size (``--N 60``), each in its own fresh interpreter
-against the ``src/`` tree next to this script and into its own
-subdirectory of a temporary directory.  Two checkouts that
-print the same lines write byte-identical files:
+JSON-only output, a two-process crossover map (``--jobs 2``, which only
+``crossover-map`` takes) and the ion protocol at the benchmark's size
+(``--N 60``), each in its own fresh interpreter against the ``src/``
+tree next to this script and into its own subdirectory of a temporary
+directory.  Two checkouts that print the same lines write
+byte-identical files:
 
     python3 tools/output_digest.py > digests.txt
 
@@ -43,9 +44,6 @@ RUNS = (
                          "--tau-points", "12"]),
     ("coeffs-json", ["coeffs", *HOT, "--t-max", "2", "--points", "9", "--format", "json"]),
     ("scan-json", ["scan", "--n", "0", *HOT, "--tau-points", "12", "--format", "json"]),
-    ("coeffs-jobs2", ["coeffs", *HOT, "--t-max", "3", "--points", "30", "--jobs", "2"]),
-    ("scan-jobs2", ["scan", "--n", "0", *HOT, "--log", "--tau-points", "40", "--jobs", "2"]),
-    ("fig1-jobs2", ["fig1", "--alpha", "0.1", "--tau-points", "16", "--jobs", "2"]),
     ("crossover-map-jobs2", ["crossover-map", *MAP, "--jobs", "2"]),
 )
 
