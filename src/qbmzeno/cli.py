@@ -32,7 +32,7 @@ from . import dynamics, zeno
 from ._table import json_columns, write_atomic, write_csv
 from .coefficients import _pairs, markovian_limits, tabulate_coefficients
 from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
-from .numerics import QuadratureError, ordered_map
+from .numerics import QuadratureError
 from .spectral import ReservoirParams
 
 __all__ = ["GridConfig", "OutputConfig", "RunConfig", "main"]
@@ -58,10 +58,11 @@ class GridConfig:
     map_theta: list[float] = field(default_factory=lambda: [0.0, 1.0, 10.0, 100.0])
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tau_min < self.tau_max):
-            raise ValueError("tau grid bounds must be positive and ordered")
-        if not (self.t_max > 0.0):
-            raise ValueError("t_max must be positive")
+        if not (0.0 < self.tau_min < self.tau_max < math.inf):
+            raise ValueError(f"tau_min < tau_max must be finite and positive, "
+                             f"got {self.tau_min} and {self.tau_max}")
+        if not (0.0 < self.t_max < math.inf):
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if self.tau_points < 2 or self.t_points < 2:
             raise ValueError("grids need at least 2 points")
         if not self.map_r or not all(0.0 < r < math.inf for r in self.map_r):
@@ -91,26 +92,23 @@ class RunConfig:
     params: ReservoirParams
     grids: GridConfig
     output: OutputConfig
-    jobs: int = 1
 
     def to_dict(self) -> dict:
         return {
             "params": dataclasses.asdict(self.params),
             "grids": dataclasses.asdict(self.grids),
             "output": dataclasses.asdict(self.output),
-            "jobs": self.jobs,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = sorted(set(data) - {"params", "grids", "output", "jobs"})
+        unknown = sorted(set(data) - {"params", "grids", "output"})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         return cls(
             params=ReservoirParams(**data.get("params", {"r": 1.0, "theta": 0.0, "alpha": 0.1})),
             grids=GridConfig(**data.get("grids", {})),
             output=OutputConfig(**data.get("output", {})),
-            jobs=int(data.get("jobs", 1)),
         )
 
 
@@ -183,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="smallest crossover time over an (r, theta) grid")
     mapper.add_argument("--map-r", type=str, help="comma-separated r values")
     mapper.add_argument("--map-theta", type=str, help="comma-separated theta values")
-    mapper.add_argument("--jobs", type=int, help="worker processes for crossover-map cells")
     return parser
 
 
@@ -221,9 +218,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         directory = os.environ[_ENV_OUT]
     fmt = args.format if args.format is not None else cfg.output.format
     cfg.output = OutputConfig(directory=directory, format=fmt)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        cfg.jobs = jobs
 
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -233,12 +227,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_command_inputs(args: argparse.Namespace) -> None:
-    """Reject a negative --n and, for ion, a nonpositive --tau or --N."""
+    """Reject a negative --n and, for ion, a --tau not finite and positive or a --N below 1."""
     if args.n is not None and args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     if args.command == "ion":
-        if not (args.tau > 0.0):
-            raise ValueError(f"--tau must be positive, got {args.tau}")
+        if not (0.0 < args.tau < math.inf):
+            raise ValueError(f"--tau must be finite and positive, got {args.tau}")
         if args.N < 1:
             raise ValueError(f"--N must be at least 1, got {args.N}")
 
@@ -328,9 +322,10 @@ def cmd_ion(cfg: RunConfig, n: int, tau: float, n_measurements: int) -> int:
     return EXIT_OK
 
 
-def _map_cell(args) -> float | str:
+def _map_cell(params: ReservoirParams, n: int, tau_range: tuple[float, float],
+              grid_points: int) -> float | str:
     """The smallest crossover time, or "divergent", "error" or "none"."""
-    params, model, n, tau_range, grid_points = args
+    model = params.spectral_model()
     try:
         stars = zeno.find_crossover_time(params, model, n, tau_range, grid_points)
     except DegenerateDenominatorError:
@@ -345,17 +340,15 @@ def _map_cell(args) -> float | str:
 def cmd_crossover_map(cfg: RunConfig, n: int) -> int:
     grid = cfg.grids
     tau_range = (grid.tau_min, grid.tau_max)
+    # Brackets come from a log grid of this many points, whatever --log says.
     grid_points = max(16, min(grid.tau_points, 96))
-    tasks = []
-    for r in grid.map_r:
-        for theta in grid.map_theta:
-            params = ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
-                                     omega0=cfg.params.omega0)
-            tasks.append((params, params.spectral_model(), n, tau_range, grid_points))
-    cells = ordered_map(_map_cell, tasks, cfg.jobs)
-
-    n_theta = len(grid.map_theta)
-    rows = [cells[i * n_theta:(i + 1) * n_theta] for i in range(len(grid.map_r))]
+    rows = [
+        [_map_cell(params=ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
+                                          omega0=cfg.params.omega0),
+                   n=n, tau_range=tau_range, grid_points=grid_points)
+         for theta in grid.map_theta]
+        for r in grid.map_r
+    ]
     header = ["r\\theta"] + [format(t, "g") for t in grid.map_theta]
     # Text columns: a crossover time is written as %.16e, like a numeric cell.
     text_rows = [[c if isinstance(c, str) else format(c, ".16e") for c in row] for row in rows]

@@ -8,9 +8,8 @@ Curtis panels left of u = -96, quarter-period GK15 panels from there up
 to a cut, past it a non-oscillating integral on x = cut/u and
 half-period cycle sums extrapolated with Wynn's epsilon algorithm, with
 the head extended past structure that samples of the tail show),
-deterministic Brent-Dekker root refinement on sign-change brackets
-(``bisect``: a handful of calls per smooth root at any tolerance), and
-an ordered map over independent tasks, in worker processes if asked.
+and deterministic Brent-Dekker root refinement on sign-change brackets
+(``bisect``: a handful of calls per smooth root at any tolerance).
 All routines are pure functions of their inputs and bit-reproducible
 for a fixed spec on one platform (fixed evaluation and summation order).
 
@@ -45,7 +44,6 @@ __all__ = [
     "integrate_adaptive",
     "integrate_semi_infinite",
     "bisect",
-    "ordered_map",
     "scan_for_bracket",
 ]
 
@@ -705,25 +703,6 @@ def brackets_from_samples(xs: np.ndarray, ys: np.ndarray) -> list[RootBracket]:
         elif y0 == 0.0 and y1 != 0.0 and i == 0:
             brackets.append(RootBracket(float(xs[i]), float(xs[i + 1]), 0.0, float(y1)))
     return brackets
-
-
-def ordered_map(fn: Callable, tasks: Sequence, jobs: int = 1) -> list:
-    """[fn(task) for task in tasks], over up to ``jobs`` worker processes.
-
-    The pool gets min(jobs, len(tasks)) workers, since it starts them
-    all at once whatever the task count; one or fewer runs in this
-    process.  Results come back in task order, so the output is the
-    same as the in-process run.  With workers, ``fn`` and the tasks
-    must be picklable.  Each task should cost more than starting a
-    worker: on a grid, only whole crossover-map cells do.
-    """
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        return [fn(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def scan_for_bracket(f: Callable[[float], float], grid: Sequence[float]) -> list[RootBracket]:

@@ -95,14 +95,12 @@ class ReservoirParams:
     omega0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.omega0 > 0.0):
-            raise ValueError("omega0 must be positive")
-        if not (self.r > 0.0):
-            raise ValueError("cutoff ratio r must be positive")
-        if self.theta < 0.0:
-            raise ValueError("theta must be nonnegative")
-        if not (self.alpha > 0.0):
-            raise ValueError("alpha must be positive")
+        for name in ("omega0", "r", "alpha"):
+            value = getattr(self, name)
+            if not (0.0 < value < np.inf):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (0.0 <= self.theta < np.inf):
+            raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
 
     @property
     def omega_c(self) -> float:

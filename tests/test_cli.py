@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +12,33 @@ from qbmzeno.cli import main
 from qbmzeno.numerics import NonConvergenceError
 
 FAST_SCAN = ["--tau-min", "1e-3", "--tau-max", "100", "--tau-points", "36", "--log"]
+SRC = Path(__file__).resolve().parent.parent / "src"
+HOT = ["--r", "0.5", "--theta", "100", "--alpha", "0.1"]
+# The five commands of the README's command-line section, at its sizes.
+README_COMMANDS = {
+    "coeffs": ["coeffs", *HOT, "--t-max", "30", "--points", "300"],
+    "scan": ["scan", "--n", "0", *HOT, "--log"],
+    "fig1": ["fig1", "--alpha", "0.1"],
+    "ion": ["ion", "--n", "0", *HOT, "--tau", "0.25", "--N", "6"],
+    "crossover-map": ["crossover-map", "--n", "0", "--alpha", "0.1",
+                      "--map-r", "0.1,0.5,1,2,10", "--map-theta", "0,1,10,100"],
+}
 
 
 def run(argv):
     return main(argv)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS.values(), ids=README_COMMANDS.keys())
+def test_readme_command_runs_clean_with_warnings_as_errors(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("QBMZENO_OUT", None)
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qbmzeno.cli", *argv, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 class TestCoeffs:
@@ -129,31 +156,6 @@ class TestFig1:
         assert sum(len(grid) for grid in grids) == 180
         assert points == []
 
-    def test_jobs_two_opens_one_process_pool(self, tmp_path, monkeypatch):
-        # fig1 runs every grid in this process; only crossover-map's cells
-        # go to a pool, one for the whole map.
-        import concurrent.futures
-
-        opened = []
-        pool = concurrent.futures.ProcessPoolExecutor
-
-        class CountedPool(pool):
-            def __init__(self, *args, **kwargs):
-                opened.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-        assert run([
-            "fig1", "--alpha", "0.1", "--tau-points", "8", "--out", str(tmp_path / "fig1"),
-        ]) == 0
-        assert opened == []
-        assert run([
-            "crossover-map", "--n", "0", "--alpha", "0.1", "--map-r", "0.5,10",
-            "--map-theta", "0,100", "--tau-points", "16", "--jobs", "2",
-            "--out", str(tmp_path / "map"),
-        ]) == 0
-        assert opened == [2]
-
     def test_manifest_lists_all_panels(self, fig1_dir):
         manifest = json.loads((fig1_dir / "fig1_manifest.json").read_text())
         assert [p["name"] for p in manifest["panels"]] == ["fig1a", "fig1b", "fig1c", "fig1d"]
@@ -262,18 +264,6 @@ class TestCrossoverMap:
                     assert cell_lo == cell_hi
 
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        args = [
-            "crossover-map", "--n", "0", "--alpha", "0.1",
-            "--map-r", "0.5,10", "--map-theta", "0,100", "--tau-points", "16",
-        ]
-        assert run(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
-        assert run(args + ["--jobs", "2", "--out", str(tmp_path / "parallel")]) == 0
-        for name in ("crossover_map.csv", "crossover_map.json"):
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "parallel" / name
-            ).read_bytes()
-
     def test_readme_map_refines_roots_in_few_rate_calls(self, tmp_path, monkeypatch):
         # The README grid at benchmark size: each cell's 24 taus are one
         # batched grid, and the root refinements of its 24 roots are grids
@@ -289,7 +279,7 @@ class TestCrossoverMap:
             assert run([
                 "crossover-map", "--n", n, "--alpha", "0.1", "--map-r", "0.1,0.5,1,2,10",
                 "--map-theta", "0,1,10,100", "--tau-min", "1e-3", "--tau-max", "100",
-                "--tau-points", "24", "--jobs", "1", "--out", str(tmp_path / n),
+                "--tau-points", "24", "--out", str(tmp_path / n),
             ]) == 0
         assert set(sizes) == {1, 24}
         assert 0 < sizes.count(1) <= 180
@@ -308,7 +298,7 @@ class TestCrossoverMap:
             assert run([
                 "crossover-map", "--n", n, "--alpha", "0.1", "--map-r", "0.1,0.5,1,2,10",
                 "--map-theta", "0,1,10,100", "--tau-min", "1e-3", "--tau-max", "100",
-                "--tau-points", "24", "--jobs", "1", "--out", str(tmp_path / n),
+                "--tau-points", "24", "--out", str(tmp_path / n),
             ]) == 0
         assert len(calls) == 0
 
@@ -342,7 +332,7 @@ class TestCrossoverMap:
         monkeypatch.setattr(zeno, "find_crossover_time", failing)
         code = run([
             "crossover-map", "--n", "0", "--alpha", "0.1",
-            "--map-r", "0.5,10", "--map-theta", "1,100", "--jobs", "1", "--out", str(tmp_path),
+            "--map-r", "0.5,10", "--map-theta", "1,100", "--out", str(tmp_path),
         ])
         assert code == 3
         rows = (tmp_path / "crossover_map.csv").read_text().splitlines()
@@ -356,7 +346,7 @@ class TestCrossoverMap:
         with pytest.raises(TypeError, match="a bug"):
             run([
                 "crossover-map", "--n", "0", "--alpha", "0.1",
-                "--map-r", "0.5", "--map-theta", "100", "--jobs", "1", "--out", str(tmp_path),
+                "--map-r", "0.5", "--map-theta", "100", "--out", str(tmp_path),
             ])
 
 
@@ -416,21 +406,42 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("config error: map_r")
 
     @pytest.mark.parametrize("argv", [
-        ["coeffs"], ["scan"], ["fig1"], ["ion", "--tau", "0.25", "--N", "3"],
-    ], ids=["coeffs", "scan", "fig1", "ion"])
-    def test_only_crossover_map_takes_jobs(self, argv, tmp_path):
-        # Every other command's grids run in this process.
+        ["coeffs"], ["scan"], ["fig1"], ["ion", "--tau", "0.25", "--N", "3"], ["crossover-map"],
+    ], ids=["coeffs", "scan", "fig1", "ion", "crossover-map"])
+    def test_no_command_takes_jobs(self, argv, tmp_path):
+        # Every command computes in this process.
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--jobs", "2", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
+
+    def test_jobs_in_config_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "jobs.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        out = tmp_path / "out"
+        assert run(["crossover-map", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key(s): jobs\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["ion", "--tau", "0.25", "--N", "0"],
         ["ion", "--tau", "-1", "--N", "3"],
         ["scan", "--n", "-1"],
         ["ion", "--n", "-1", "--tau", "0.25", "--N", "3"],
-    ], ids=["ion-N-0", "ion-tau-negative", "scan-n-negative", "ion-n-negative"])
+        ["scan", "--r=inf"],
+        ["scan", "--alpha=inf"],
+        ["scan", "--omega0=inf"],
+        ["scan", "--theta=nan"],
+        ["ion", "--theta=nan", "--tau", "0.25", "--N", "3"],
+        ["scan", "--tau-max=inf"],
+        ["fig1", "--tau-max=inf"],
+        ["crossover-map", "--tau-max=inf"],
+        ["coeffs", "--t-max=inf"],
+        ["ion", "--tau=inf", "--N", "3"],
+    ], ids=["ion-N-0", "ion-tau-negative", "scan-n-negative", "ion-n-negative",
+            "scan-r-inf", "scan-alpha-inf", "scan-omega0-inf", "scan-theta-nan", "ion-theta-nan",
+            "scan-tau-max-inf", "fig1-tau-max-inf", "map-tau-max-inf", "coeffs-t-max-inf",
+            "ion-tau-inf"])
     def test_invalid_command_inputs_are_config_errors(self, argv, tmp_path, capsys):
         assert run([*argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")

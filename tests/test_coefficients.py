@@ -232,23 +232,29 @@ class TestPairPasses:
         assert integrated_diffusion(params, model, tau) == i_delta
 
 
-def exponential_oracle(r, t, alpha=0.1):
-    """mpmath (Delta, gamma, IDelta, Igamma) at theta = 0 for ExponentialCutoff(r), omega0 = 1.
+def exponential_oracle(r, t, alpha=0.1, theta=0.0):
+    """mpmath (Delta, gamma, IDelta, Igamma) for ExponentialCutoff(r), omega0 = 1.
 
-    In the time domain, nu(s) = Int J cos(ws) dw = (1/pi) Re (a + is)^-2
-    and eta(s) = Int J sin(ws) dw = -(1/pi) Im (a + is)^-2, a = 1/r, so
+    In the time domain, with a = 1/r and z = a - is, the noise kernel is
+    nu(s) = Int J coth(w/2theta) cos(ws) dw = (1/pi) Re z^-2 at theta = 0
+    and, summing coth(w/2theta) = 1 + 2 sum_k exp(-kw/theta),
+    nu(s) = (1/pi) Re[2 theta^2 psi_1(theta z) - z^-2] above it (psi_1 the
+    trigamma function); eta(s) = Int J sin(ws) dw = (1/pi) Im z^-2.  So
     Delta(t) = alpha^2 Int_0^t nu(s) cos s ds, gamma(t) the same with
     eta(s) sin s, and IDelta(t), Igamma(t) these with weight (t - s):
     smooth integrands over [0, t], split at a and at every unit of s.
     """
     with mp.workdps(30):
-        a, t = 1 / mp.mpf(r), mp.mpf(t)
+        a, t, theta = 1 / mp.mpf(r), mp.mpf(t), mp.mpf(theta)
 
         def nu(s):
-            return mp.re((a + 1j * s) ** -2) / mp.pi
+            z = a - 1j * s
+            if theta == 0:
+                return mp.re(z**-2) / mp.pi
+            return mp.re(2 * theta**2 * mp.psi(1, theta * z) - z**-2) / mp.pi
 
         def eta(s):
-            return -mp.im((a + 1j * s) ** -2) / mp.pi
+            return mp.im((a - 1j * s) ** -2) / mp.pi
 
         points = sorted({mp.mpf(0), min(a, t)} | set(mp.linspace(0, t, int(mp.ceil(t)) + 1)))
         return tuple(float(alpha**2 * mp.quad(f, points)) for f in (
@@ -261,19 +267,34 @@ def exponential_oracle(r, t, alpha=0.1):
 
 class TestExponentialBathOracle:
     # The quadrature route against an oracle that never goes through
-    # half_kernel_integral.  Measured worst relative errors: 3.2e-15, and
-    # for gamma, Igamma at t = 1e-3, where each is the small difference of
-    # two separately integrated halves, 4.3e-10 and 1.2e-9.
-    @pytest.mark.parametrize("r", [0.2, 1.0, 5.0])
-    @pytest.mark.parametrize("t", [1e-3, 1.0, 30.0])
-    def test_pairs_match_mpmath(self, r, t):
-        params = ReservoirParams(r=r, theta=0.0, alpha=0.1)
+    # half_kernel_integral.  Measured worst relative errors, at theta = 0
+    # and above: 4.1e-15, and for gamma, Igamma at t = 1e-3, where each is
+    # the small difference of two separately integrated halves, 4.3e-10
+    # and 1.2e-9.
+    @staticmethod
+    def _check(r, theta, t):
+        params = ReservoirParams(r=r, theta=theta, alpha=0.1)
         model = ExponentialCutoff(r)
         got = coefficient_pair(params, model, t) + integrated_pair(params, model, t)
-        want = exponential_oracle(r, t)
+        want = exponential_oracle(r, t, theta=theta)
         for name, value, ref in zip(("Delta", "gamma", "IDelta", "Igamma"), got, want):
             bound = 1.2e-8 if name in ("gamma", "Igamma") and t <= 1e-3 else 3.2e-14
             assert abs(value - ref) <= bound * abs(ref), (name, value, ref)
+
+    @pytest.mark.parametrize("r", [0.2, 1.0, 5.0])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 30.0])
+    def test_pairs_match_mpmath(self, r, t):
+        self._check(r, 0.0, t)
+
+    # The oracle costs about 10 s at t = 30 and theta > 0, so that time
+    # gets one point.
+    @pytest.mark.parametrize("r, theta, t", [
+        *((r, theta, t) for r in (0.2, 1.0, 5.0) for theta in (0.2, 1.0, 10.0)
+          for t in (1e-3, 1.0)),
+        (1.0, 10.0, 30.0),
+    ])
+    def test_thermal_pairs_match_mpmath(self, r, theta, t):
+        self._check(r, theta, t)
 
 
 class TestTabulation:

@@ -14,7 +14,6 @@ from qbmzeno.numerics import (
     bisect,
     integrate_adaptive,
     integrate_semi_infinite,
-    ordered_map,
     scan_for_bracket,
 )
 
@@ -436,49 +435,6 @@ class TestAdaptive:
             max_panel_width=np.pi / 2.0,
         )
         assert abs(value) < 1e-9
-
-
-def _square(x):
-    return x * x
-
-
-class TestOrderedMap:
-    def test_in_process_keeps_task_order(self):
-        assert ordered_map(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
-        assert ordered_map(_square, [3, 1, 2], jobs=0) == [9, 1, 4]
-        assert ordered_map(_square, [], jobs=1) == []
-
-    def test_workers_match_in_process(self):
-        tasks = [0.5 * k for k in range(7)]
-        assert ordered_map(_square, tasks, jobs=2) == ordered_map(_square, tasks, jobs=1)
-
-    @pytest.mark.parametrize("jobs, n_tasks, pools", [
-        (500, 20, [20]), (500, 1, []), (500, 0, []), (2, 20, [2]), (1, 20, []),
-    ])
-    def test_pool_is_capped_at_the_task_count(self, jobs, n_tasks, pools, monkeypatch):
-        # A pool starts all its workers at once, so it never gets more
-        # than one per task; the fake pool records that and maps in-process.
-        import concurrent.futures
-
-        opened = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        tasks = list(range(n_tasks))
-        assert ordered_map(_square, tasks, jobs=jobs) == [k * k for k in tasks]
-        assert opened == pools
 
 
 class TestRootFinding:

@@ -131,6 +131,12 @@ class TestReservoirParams:
             {"r": 1.0, "theta": -1.0, "alpha": 0.1},
             {"r": 1.0, "theta": 1.0, "alpha": 0.0},
             {"r": 1.0, "theta": 1.0, "alpha": 0.1, "omega0": 0.0},
+            {"r": math.inf, "theta": 1.0, "alpha": 0.1},
+            {"r": math.nan, "theta": 1.0, "alpha": 0.1},
+            {"r": 1.0, "theta": math.inf, "alpha": 0.1},
+            {"r": 1.0, "theta": math.nan, "alpha": 0.1},
+            {"r": 1.0, "theta": 1.0, "alpha": math.inf},
+            {"r": 1.0, "theta": 1.0, "alpha": 0.1, "omega0": math.inf},
         ],
     )
     def test_validation(self, kwargs):

@@ -2,8 +2,7 @@
 """Print one SHA-256 per output file of a fixed set of CLI runs.
 
 Runs the five README commands at reduced sizes, plus a degenerate scan,
-JSON-only output, a two-process crossover map (``--jobs 2``, which only
-``crossover-map`` takes) and the ion protocol at the benchmark's size
+JSON-only output and the ion protocol at the benchmark's size
 (``--N 60``), each in its own fresh interpreter against the ``src/``
 tree next to this script and into its own subdirectory of a temporary
 directory.  Two checkouts that print the same lines write
@@ -44,7 +43,6 @@ RUNS = (
                          "--tau-points", "12"]),
     ("coeffs-json", ["coeffs", *HOT, "--t-max", "2", "--points", "9", "--format", "json"]),
     ("scan-json", ["scan", "--n", "0", *HOT, "--tau-points", "12", "--format", "json"]),
-    ("crossover-map-jobs2", ["crossover-map", *MAP, "--jobs", "2"]),
 )
 
 
