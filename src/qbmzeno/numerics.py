@@ -4,10 +4,11 @@ Physics-agnostic engines used by every coefficient and decay-rate
 computation: an adaptive Gauss-Kronrod integrator that stops at the
 rounding floor of its error estimate, a semi-infinite integrator of an
 envelope against the sinc or sinc^2 kernel (pi-wide Filon-Clenshaw-
-Curtis panels left of u = -96, quarter-period GK15 panels from there up
-to a cut, past it a non-oscillating integral on x = cut/u and
-half-period cycle sums extrapolated with Wynn's epsilon algorithm, with
-the head extended past structure that samples of the tail show),
+Curtis panels left of u = -96, applied as one moment product per
+bisection level, quarter-period GK15 panels from there up to a cut,
+past it a non-oscillating integral on x = cut/u and half-period cycle
+sums extrapolated with Wynn's epsilon algorithm, with the head
+extended past structure that samples of the tail show),
 and deterministic Brent-Dekker root refinement on sign-change brackets
 (``bisect``: a handful of calls per smooth root at any tolerance).
 All routines are pure functions of their inputs and bit-reproducible
@@ -273,30 +274,37 @@ def _filon_weights(kernel: str) -> np.ndarray:
     return table.reshape(_FILON_LEVELS, 3, 50)
 
 
-def _fcc_weights(lo: np.ndarray, hi: np.ndarray, kernel: str) -> np.ndarray:
-    """Per panel, the FCC-25 and FCC-13 weight vectors of ``kernel``, shape (panels, 2, 25).
+def _fcc_rule(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, kernel: str) -> tuple[np.ndarray, np.ndarray]:
+    """FCC-25 values and |FCC-25 - FCC-13| estimates, shape (k, panels), from (k, panels, 25) values of g.
 
     A panel holds g(u) (c0 + cc cos(omega u) + cs sin(omega u)); with
     u = m + h x the weight is c0 + A cos(omega h x) + B sin(omega h x),
     A = cc cos(omega m) + cs sin(omega m), B = cs cos(omega m) - cc
-    sin(omega m), so a panel's vectors are h (c0 w1 + A wcos + B wsin),
-    from the table row of its level.
+    sin(omega m).  So a panel's two rules are h (c0 M1 + A Mcos + B
+    Msin), M the moments of g against the table rows of the panel's
+    level: one matrix product per level present.
     """
     _, omega, c0, cc, cs = _FILON_KERNELS[kernel]
     half = 0.5 * (hi - lo)
     level = np.rint(np.log2(0.5 * _FILON_WIDTH / half)).astype(np.intp)
+    table = _filon_weights(kernel).reshape(_FILON_LEVELS, 6, 25)  # rows (1, cos, sin) x (FCC-25, FCC-13)
+    # A contiguous (25, 6) right operand: BLAS takes it about twice as
+    # fast as the transposed view.
+    if np.all(level == level[0]):  # the usual call: no gather
+        moments = g.reshape(-1, 25) @ np.ascontiguousarray(table[level[0]].T)
+    else:
+        moments = np.empty((g.shape[0], lo.size, 6))
+        for at_level in np.unique(level):
+            at = level == at_level
+            moments[:, at] = g[:, at] @ np.ascontiguousarray(table[at_level].T)
+    moments = moments.reshape(g.shape[0], lo.size, 3, 2)
     phase = omega * (0.5 * (lo + hi))
     cos_m, sin_m = np.cos(phase), np.sin(phase)
-    coef = np.stack([np.full_like(half, c0), cc * cos_m + cs * sin_m, cs * cos_m - cc * sin_m], axis=1)
-    coef *= half[:, None]
-    return np.einsum("pk,pkj->pj", coef, _filon_weights(kernel)[level]).reshape(-1, 2, 25)
-
-
-def _fcc_rule(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """FCC-25 values and |FCC-25 - FCC-13| estimates, shape (k, panels), from (k, panels, 25) values of g."""
-    # One einsum per component: with a batch axis that the weights lack,
-    # einsum takes a loop about four times slower.
-    both = np.stack([np.einsum("pkj,pj->pk", weights, y_c) for y_c in y])
+    both = (
+        (c0 * half)[:, None] * moments[:, :, 0]
+        + (half * (cc * cos_m + cs * sin_m))[:, None] * moments[:, :, 1]
+        + (half * (cs * cos_m - cc * sin_m))[:, None] * moments[:, :, 2]
+    )
     return both[..., 0], np.abs(both[..., 0] - both[..., 1])
 
 
@@ -330,7 +338,7 @@ def _panel_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, 
     if lo_f.size:
         out[..., fcc] = _fcc_rule(
             (y[:, :u_fcc.size] * _FILON_KERNELS[head.kernel][0](u_fcc)).reshape(len(y), lo_f.size, 25),
-            _fcc_weights(lo_f, hi_f, head.kernel),
+            lo_f, hi_f, head.kernel,
         )
     return out
 
@@ -457,9 +465,12 @@ def _wynn_estimates(sums: np.ndarray) -> np.ndarray:
     of the last four prefixes of the sums, the tip of the highest even
     column that prefix reaches.  A repeated value (a converged or zero
     sequence) makes its column entries non-finite; those never replace
-    the estimate of a lower column.
+    the estimate of a lower column.  So when every row is constant,
+    from column 1 on every entry is, and the table is not built.
     """
     tips = sums[:, -4:].copy()
+    if np.all(sums == sums[:, :1]):
+        return tips
     prev, cur = np.zeros((sums.shape[0], sums.shape[1] + 1)), sums
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for column in range(1, sums.shape[1]):
@@ -522,8 +533,11 @@ def _structure_end(evaluate, part: Callable, cut: float, half: float, tol: np.nd
     u = cut + half * (np.arange(_PROBE_HALF_PERIODS) + 0.5)
     g = np.abs(evaluate(u) * part(u))
     worth = half * g > tol[:, None]
+    if not worth.any():  # every change below needs a sample worth something
+        return cut
     step = np.maximum(g[:, 1:], g[:, :-1]) > 2.0 * np.minimum(g[:, 1:], g[:, :-1])
-    mark = np.pad(step & (worth[:, 1:] | worth[:, :-1]), ((0, 0), (1, 0)))
+    mark = np.zeros_like(worth)
+    np.logical_and(step, worth[:, 1:] | worth[:, :-1], out=mark[:, 1:])
     m = _CYCLES_PER_BATCH
     mark[:, m:] |= (g[:, m:] > 2.0 * g[:, :-m]) & worth[:, m:]
     mark = mark.any(axis=0)
@@ -587,7 +601,11 @@ def integrate_semi_infinite(
     with Filon-Clenshaw-Curtis from ``lower`` (QUADPACK's QAWO
     scheme): f times the smooth factor at 25 Chebyshev-Lobatto nodes,
     integrated against 1, cos and sin with exact weights, the 13-node
-    subset giving the error estimate.  Their nodes include the panel
+    subset giving the error estimate.  The weights depend on a panel
+    only through its bisection level, so the panels of one level take
+    one matrix product of their node values with that level's weights
+    (the moments against 1, cos and sin), and each panel combines its
+    three moments with its own phase.  Their nodes include the panel
     ends, so a sliver at ``lower`` needs no breakpoints; lines down to
     width 0.05 in u and a step there are tested to the tolerance.  At
     most 20000 such panels are laid; past them GK15 takes over.

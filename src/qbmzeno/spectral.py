@@ -87,6 +87,9 @@ class ReservoirParams:
     theta  -- dimensionless temperature k_B T / (hbar omega0), >= 0
     alpha  -- dimensionless system-reservoir coupling, > 0
     omega0 -- system oscillator frequency (default 1, the unit of frequency)
+
+    alpha**2, omega0**2 and omega_c**2 = (r omega0)**2 must be finite
+    and nonzero as doubles.
     """
 
     r: float
@@ -101,6 +104,11 @@ class ReservoirParams:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not (0.0 <= self.theta < np.inf):
             raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
+        # The rates take alpha**2, and the baths the squares of omega0 and omega_c.
+        for name in ("alpha", "omega0", "omega_c"):
+            value = getattr(self, name)
+            if not (0.0 < value * value < np.inf):
+                raise ValueError(f"{name} must have a finite nonzero square, got {value}")
 
     @property
     def omega_c(self) -> float:
@@ -161,14 +169,16 @@ def _omega_times_coth(omega, theta: float, omega0: float):
     Even in omega with value 2 theta omega0 at the origin; the small-x
     series keeps it accurate where x / tanh(x) would lose digits.
     """
-    omega = np.asarray(omega, dtype=float)
     scale = 2.0 * theta * omega0
-    x = omega / scale
+    x = np.asarray(omega, dtype=float) / scale
     small = np.abs(x) < 1e-4
-    xs = np.where(small, 0.0, x)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(small, 1.0 + x * x / 3.0, xs / np.tanh(xs))
-    return scale * ratio
+    out = np.tanh(x, out=np.empty_like(x))  # a buffer even for 0-d input, where x is a scalar
+    np.divide(x, out, out=out, where=~small)
+    if small.any():
+        xs = x[small]
+        out[small] = 1.0 + xs * xs / 3.0
+    out *= scale
+    return out
 
 
 def weighted_spectral_density(model: BaseSpectralDensity, params: ReservoirParams, omega):

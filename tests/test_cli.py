@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +446,21 @@ class TestConfigHandling:
     def test_invalid_command_inputs_are_config_errors(self, argv, tmp_path, capsys):
         assert run([*argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--alpha", "1e200", "alpha"),
+        ("--omega0", "1e-300", "omega0"),
+        ("--r", "1e-300", "omega_c"),
+        ("--omega0", "1e200", "omega0"),
+    ])
+    def test_out_of_range_squares_are_config_errors(self, flag, value, name, tmp_path, capsys):
+        # Once an OverflowError traceback (alpha**2), or exit 0 with a NaN
+        # ratio column and a RuntimeWarning (a frequency's square at 0).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["scan", f"{flag}={value}", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name} must have a finite nonzero square")
         assert not list(tmp_path.iterdir())
 
     def test_environment_output_override(self, tmp_path, monkeypatch):

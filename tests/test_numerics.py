@@ -360,7 +360,7 @@ class TestFilonRule:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         coef = np.random.default_rng(7).standard_normal(25)
         y = np.polynomial.chebyshev.chebval(numerics._FCC_NODES, coef)[None, None, :]
-        (value,), _ = numerics._fcc_rule(y, numerics._fcc_weights(np.array([lo]), np.array([hi]), "sinc2"))
+        (value,), _ = numerics._fcc_rule(y, np.array([lo]), np.array([hi]), "sinc2")
 
         def p(x):  # Clenshaw's recurrence for sum_j coef_j T_j(x)
             b1 = b2 = mp.mpf(0)
@@ -372,6 +372,37 @@ class TestFilonRule:
             want = half * mp.quad(lambda x: p(x) * (1 - mp.cos(2 * mid + 2 * half * x)), [-1, 0, 1])
             scale = half * mp.quad(lambda x: abs(p(x)), [-1, 0, 1])
         assert abs(value[0] - float(want)) <= 1e-14 * float(scale)
+
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    def test_panels_of_two_levels_in_one_call_match_mpmath(self, kernel):
+        # One moment product per level: panels of levels 0 and 1, mixed in
+        # order, for two components, against the mpmath weights.
+        _, omega, c0, cc, cs = numerics._FILON_KERNELS[kernel]
+        kappa = 0.5 * omega * numerics._FILON_WIDTH
+        width = numerics._FILON_WIDTH * np.array([1.0, 0.5, 0.5, 1.0, 0.5])
+        lo = -3000.7 + np.concatenate([[0.0], np.cumsum(width[:-1])])
+        hi = lo + width
+        g = np.random.default_rng(11).standard_normal((2, lo.size, 25))
+        value, err = numerics._fcc_rule(g, lo, hi, kernel)
+        assert value.shape == err.shape == (2, lo.size)
+        want = {
+            level: (_lagrange_moments(24, kappa * 2.0**-level), _lagrange_moments(12, kappa * 2.0**-level))
+            for level in (0, 1)
+        }
+        for p in range(lo.size):
+            mid, half = 0.5 * (lo[p] + hi[p]), 0.5 * (hi[p] - lo[p])
+            coef = half * np.array([
+                c0,
+                cc * np.cos(omega * mid) + cs * np.sin(omega * mid),
+                cs * np.cos(omega * mid) - cc * np.sin(omega * mid),
+            ])
+            w25, w13 = want[0 if width[p] == numerics._FILON_WIDTH else 1]
+            for c in range(2):
+                fcc25 = coef @ (w25 @ g[c, p])
+                fcc13 = coef @ (w13 @ g[c, p, ::2])
+                scale = half * np.sum(np.abs(g[c, p]))
+                assert abs(value[c, p] - fcc25) <= 1e-14 * scale
+                assert abs(err[c, p] - abs(fcc25 - fcc13)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
     def test_components_refining_differently_match_their_scalar_runs(self, kernel):
@@ -403,6 +434,59 @@ class TestFilonRule:
             nodes.append(seen[0])
         assert nodes[1] > nodes[0]
         assert joint[0] <= sum(nodes)
+
+
+def _wynn_table(sums):
+    """_wynn_estimates built column by column for every input, with no shortcut."""
+    tips = sums[:, -4:].copy()
+    prev, cur = np.zeros((sums.shape[0], sums.shape[1] + 1)), sums
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for column in range(1, sums.shape[1]):
+            prev, cur = cur, prev[:, 1:-1] + 1.0 / (cur[:, 1:] - cur[:, :-1])
+            if column % 2 == 0:
+                last = cur[:, -4:]
+                tips[:, 4 - last.shape[1]:] = np.where(np.isfinite(last), last, tips[:, 4 - last.shape[1]:])
+    return tips
+
+
+class TestTailShortcuts:
+    """Work the tail skips where its result is fixed gives the same result."""
+
+    @pytest.mark.parametrize("rows", [
+        [np.zeros(16)],
+        [np.full(16, -2.5e-7)],
+        [np.zeros(32), np.full(32, 3.0)],
+        [np.zeros(16), np.cumsum((-0.5) ** np.arange(16))],
+        [np.cumsum(1.0 / (1.0 + np.arange(16)) ** 2), np.cumsum((-0.5) ** np.arange(16))],
+    ], ids=["zeros", "constant", "two-constant-rows", "constant-and-alternating", "converging"])
+    def test_wynn_estimates_equal_the_full_table(self, rows):
+        sums = np.array(rows)
+        got = numerics._wynn_estimates(sums)
+        want = _wynn_table(sums)
+        assert np.array_equal(got, want)
+        if np.all(sums == sums[:, :1]):
+            assert np.array_equal(got, sums[:, -4:])
+
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    def test_structure_probe_below_tolerance_returns_the_cut(self, kernel):
+        # A narrow line past the cut that no sample can make worth its
+        # tolerance moves nothing; the samples are still evaluated, once.
+        period, phase, _, part, _ = numerics._KERNELS[kernel]
+        cut = phase + 96.0 * period  # a zero of part, so the samples sit on its crests
+        line = cut + 200.3
+        seen = []
+
+        def envelope(u):
+            seen.append(u.size)
+            return np.stack([1e-30 * np.exp(-0.5 * ((u - line) / 0.5) ** 2), np.zeros_like(u)])
+
+        end = numerics._structure_end(numerics._Evaluator(envelope), part, cut, 0.5 * period,
+                                      np.array([1e-12, 1e-12]))
+        assert end == cut
+        assert seen == [numerics._PROBE_HALF_PERIODS]
+        # The same line, worth its tolerance, moves the cut past it.
+        assert numerics._structure_end(numerics._Evaluator(lambda u: 1e30 * envelope(u)), part, cut,
+                                       0.5 * period, np.array([1e-12, 1e-12])) > line
 
 
 class TestAdaptive:

@@ -5,6 +5,7 @@ import pytest
 
 from qbmzeno.errors import IndeterminateAtZeroError, NegativeFrequencyError
 from qbmzeno.spectral import (
+    _omega_times_coth,
     BaseSpectralDensity,
     OhmicLorentzDrude,
     ReservoirParams,
@@ -119,6 +120,44 @@ class TestWeightedSpectralDensity:
             assert np.all(np.diff(vals) >= 0.0)
 
 
+def _omega_times_coth_by_where(omega, theta, omega0):
+    """omega coth(omega / (2 theta omega0)) as two full-size np.where branches."""
+    omega = np.asarray(omega, dtype=float)
+    scale = 2.0 * theta * omega0
+    x = omega / scale
+    small = np.abs(x) < 1e-4
+    xs = np.where(small, 0.0, x)
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(small, 1.0 + x * x / 3.0, xs / np.tanh(xs))
+    return scale * ratio
+
+
+class TestOmegaTimesCoth:
+    """The in-place thermal weight takes the same floating-point steps as the branch form."""
+
+    @pytest.mark.parametrize("theta, omega0", [(0.7, 1.0), (100.0, 1.0), (0.05, 3.0)])
+    def test_bit_equal_to_the_branch_form(self, theta, omega0):
+        scale = 2.0 * theta * omega0
+        edge = 1e-4 * scale  # |x| = 1e-4, where the series hands over to x / tanh(x)
+        omega = np.concatenate([
+            [0.0, -0.0, edge, -edge, np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0),
+             np.nextafter(edge, np.inf), -np.nextafter(edge, np.inf)],
+            np.geomspace(1e-9, 1e3, 97) * scale,
+        ])
+        omega = np.concatenate([omega, -omega])  # even in omega
+        got = _omega_times_coth(omega, theta, omega0)
+        want = _omega_times_coth_by_where(omega, theta, omega0)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("omega", [0.0, 1e-7, 0.3, -0.3, 40.0])
+    def test_zero_dimensional_input(self, omega):
+        for arg in (omega, np.array(omega)):
+            got = _omega_times_coth(arg, 0.7, 1.0)
+            assert np.ndim(got) == 0
+            assert float(got) == float(_omega_times_coth_by_where(arg, 0.7, 1.0))
+
+
 class TestReservoirParams:
     def test_omega_c(self):
         assert ReservoirParams(r=0.5, theta=1.0, alpha=0.1).omega_c == 0.5
@@ -137,11 +176,26 @@ class TestReservoirParams:
             {"r": 1.0, "theta": math.nan, "alpha": 0.1},
             {"r": 1.0, "theta": 1.0, "alpha": math.inf},
             {"r": 1.0, "theta": 1.0, "alpha": 0.1, "omega0": math.inf},
+            # alpha**2 and the squares of omega0 and omega_c = r omega0
+            # enter the rates and the baths; one that overflows or
+            # underflows would raise OverflowError or give NaN results.
+            {"r": 1.0, "theta": 1.0, "alpha": 1e200},
+            {"r": 1.0, "theta": 1.0, "alpha": 1e-300},
+            {"r": 1.0, "theta": 1.0, "alpha": 0.1, "omega0": 1e-300},
+            {"r": 1.0, "theta": 1.0, "alpha": 0.1, "omega0": 1e200},
+            {"r": 1e-300, "theta": 1.0, "alpha": 0.1},
+            {"r": 1e200, "theta": 1.0, "alpha": 0.1},
+            {"r": 1e-160, "theta": 1.0, "alpha": 0.1, "omega0": 1e-10},
+            {"r": 1e160, "theta": 1.0, "alpha": 0.1, "omega0": 1e10},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ReservoirParams(**kwargs)
+
+    def test_squares_in_range_are_accepted(self):
+        edge = ReservoirParams(r=1e-150, theta=1.0, alpha=1e150, omega0=1e-3)
+        assert edge.omega_c == pytest.approx(1e-153)
 
     def test_model_consistency(self):
         params = ReservoirParams(r=0.5, theta=1.0, alpha=0.1)

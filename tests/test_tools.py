@@ -1,10 +1,12 @@
 """Smoke tests of the measurement tools under tools/."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 def test_import_cost_reports_both_statements():
@@ -21,3 +23,19 @@ def test_import_cost_reports_both_statements():
         assert runs == 1 and 0 < import_ms < process_ms and maxrss_mb > 0 and modules > 0
     # qbmzeno imports numpy and its own modules on top.
     assert numbers[1][4] > numbers[0][4]
+
+
+def test_quadrature_sweep_holds_every_point_with_the_pinned_node_count():
+    # The user-bath quadrature over all 640 exponential-bath points of the
+    # benchmark pool: exit 0 means no point raised or left the mpmath
+    # reference by more than 1e-6.  The node total is pinned, so a change
+    # to the semi-infinite engine that moves it shows here and has to be
+    # recorded with its new count.
+    result = subprocess.run(
+        [sys.executable, str(TOOLS / "quadrature_sweep.py")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("points 640  failures 0 ")
+    assert lines[-1].split()[:2] == ["nodes", "6,953,560"]
