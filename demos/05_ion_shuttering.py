@@ -48,11 +48,11 @@ for tau in (1.0, 0.5, 0.25, 0.125):
 
 print()
 print("=== Fock-ladder populations over one noisy interval ===")
-# The table is used on its own grid; dt is the sampling step that
-# callable rates (delta(t), gamma(t)) would be taken at.
+# The table is used on its own grid; callable rates (delta(t), gamma(t))
+# would also need a sampling step dt.
 table = tabulate_coefficients(params, model, 1.0, 120)
 state = LadderState.fock(0, n_max=20)
-out = evolve_ladder(params, model, state, dt=0.005, t_end=1.0, coefficients=table)
+out = evolve_ladder(state, 1.0, table)
 occupied = {k: float(v) for k, v in enumerate(out.populations[:5])}
 print(f"populations after t = 1: {occupied}")
 print(f"total probability retained: {out.total():.8f}")

@@ -282,14 +282,11 @@ class _Kernel:
     def summand(self, nu: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """G(nu) = (h(nu) - h(wc)) / (nu^2 - wc^2) with h(lambda) = lambda Re F.
 
-        At nodes ``nu`` of the times ``t[rows]`` (broadcast together).
-        Below nu = wc/2 as written; from there on as Re[F(nu) + wc (F(nu)
-        - F(wc)) / (nu - wc)] / (nu + wc), which is smooth through nu = wc
-        but cancels like nu/wc below it.
+        At 1-D nodes ``nu`` of the times ``t[rows]``.  Below nu = wc/2 as
+        written; from there on as Re[F(nu) + wc (F(nu) - F(wc)) / (nu -
+        wc)] / (nu + wc), which is smooth through nu = wc but cancels like
+        nu/wc below it.
         """
-        shape = nu.shape
-        if nu.ndim > 1:
-            nu, rows = (a.ravel() for a in np.broadcast_arrays(nu, rows))
         t, tp = self.t[rows], self.tp[rows]
         w = nu - 1j
         w *= t
@@ -298,7 +295,7 @@ class _Kernel:
         low = nu < 0.5 * self.wc
         if not np.count_nonzero(low):
             f += (self.wc * tp * t) * self.divided(w, k, rows)
-            return (f.real / (nu + self.wc)).reshape(shape)
+            return f.real / (nu + self.wc)
         out = np.empty(nu.shape)
         nu_low = nu[low]
         out[low] = (nu_low * f.real[low] - self.h_c[rows[low]]) / (
@@ -309,7 +306,7 @@ class _Kernel:
             rows, nu = rows[high], nu[high]
             f = f[high] + (self.wc * tp[high] * t[high]) * self.divided(w[high], k[high], rows)
             out[high] = f.real / (nu + self.wc)
-        return out.reshape(shape)
+        return out
 
     def asymptotic(self, rows: np.ndarray) -> tuple[np.ndarray, float]:
         """(a1, a2) of the large-nu form F -> a1/z + a2/z^2, z = nu - i, per row."""

@@ -113,7 +113,6 @@ class RunConfig:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, [(json.dumps(payload, indent=2) + "\n").encode()])
 
 
@@ -129,7 +128,6 @@ def _write_table(
 
     With ``json_name`` None the table gets no JSON form.
     """
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt in ("csv", "both"):
         write_csv(out / csv_name, header, columns)
@@ -140,26 +138,44 @@ def _write_table(
     return written
 
 
+def _float_list(text: str) -> list[float]:
+    """Comma-separated numbers, as ``--map-r`` and ``--map-theta`` take them."""
+    return [float(v) for v in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--r", type=float, help="cutoff ratio omega_c/omega0")
-    common.add_argument("--theta", type=float, help="dimensionless temperature k_B T/(hbar omega0)")
-    common.add_argument("--alpha", type=float, help="dimensionless coupling")
-    common.add_argument("--omega0", type=float, help="system frequency (default 1)")
-    common.add_argument("--n", type=int, help="initial Fock index (default 0)")
-    common.add_argument("--tau-min", type=float, help="smallest measurement interval")
-    common.add_argument("--tau-max", type=float, help="largest measurement interval")
-    common.add_argument("--tau-points", type=int, help="number of tau grid points")
-    common.add_argument("--log", dest="log_spaced", action="store_true", default=None,
-                        help="log-space the tau grid (default)")
-    common.add_argument("--linear", dest="log_spaced", action="store_false",
-                        help="linearly space the tau grid")
-    common.add_argument("--t-max", type=float, help="coefficient tabulation horizon")
-    common.add_argument("--points", type=int, help="coefficient tabulation points")
-    common.add_argument("--out", type=str, help="output directory")
-    common.add_argument("--format", choices=("csv", "json", "both"), help="output format")
-    common.add_argument("--config", type=str, help="JSON config file mirroring RunConfig")
-    common.add_argument("--dump-config", action="store_true",
+    """The CLI parser: each command takes only the flags it reads.
+
+    Every flag that sets a config value has that RunConfig field as its
+    dest, so ``_merge_config`` overlays each section by field name.
+    """
+    bath = argparse.ArgumentParser(add_help=False)
+    bath.add_argument("--r", type=float, help="cutoff ratio omega_c/omega0")
+    bath.add_argument("--theta", type=float, help="dimensionless temperature k_B T/(hbar omega0)")
+    coupling = argparse.ArgumentParser(add_help=False)
+    coupling.add_argument("--alpha", type=float, help="dimensionless coupling")
+    coupling.add_argument("--omega0", type=float, help="system frequency (default 1)")
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--n", type=int, default=0, help="initial Fock index (default 0)")
+    tau_grid = argparse.ArgumentParser(add_help=False)
+    tau_grid.add_argument("--tau-min", type=float, help="smallest measurement interval")
+    tau_grid.add_argument("--tau-max", type=float, help="largest measurement interval")
+    tau_grid.add_argument("--tau-points", type=int, help="number of tau grid points")
+    spacing = argparse.ArgumentParser(add_help=False)
+    spacing.add_argument("--log", dest="log_spaced", action="store_true", default=None,
+                         help="log-space the tau grid (default)")
+    spacing.add_argument("--linear", dest="log_spaced", action="store_false",
+                         help="linearly space the tau grid")
+    t_grid = argparse.ArgumentParser(add_help=False)
+    t_grid.add_argument("--t-max", type=float, help="coefficient tabulation horizon")
+    t_grid.add_argument("--points", dest="t_points", type=int,
+                        help="coefficient tabulation points")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json", "both"), help="output format")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", dest="directory", metavar="DIR", help="output directory")
+    output.add_argument("--config", type=str, help="JSON config file mirroring RunConfig")
+    output.add_argument("--dump-config", action="store_true",
                         help="print the effective config as JSON and exit")
 
     parser = argparse.ArgumentParser(
@@ -167,21 +183,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zeno/anti-Zeno analysis of quantum Brownian motion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("coeffs", parents=[common],
+    sub.add_parser("coeffs", parents=[bath, coupling, t_grid, fmt, output],
                    help="tabulate the diffusion/damping coefficients")
-    sub.add_parser("scan", parents=[common],
+    sub.add_parser("scan", parents=[bath, coupling, state, tau_grid, spacing, fmt, output],
                    help="effective decay rate and ratio over a tau grid")
-    sub.add_parser("fig1", parents=[common],
+    sub.add_parser("fig1", parents=[coupling, tau_grid, spacing, fmt, output],
                    help="crossover curve families (four panels)")
-    ion = sub.add_parser("ion", parents=[common],
+    ion = sub.add_parser("ion", parents=[bath, coupling, state, output],
                          help="shuttered vs un-shuttered survival comparison")
     ion.add_argument("--tau", type=float, required=True, help="shuttering interval")
     ion.add_argument("--N", type=int, required=True, help="number of shuttering periods")
-    mapper = sub.add_parser("crossover-map", parents=[common],
+    mapper = sub.add_parser("crossover-map", parents=[coupling, state, tau_grid, fmt, output],
                             help="smallest crossover time over an (r, theta) grid")
-    mapper.add_argument("--map-r", type=str, help="comma-separated r values")
-    mapper.add_argument("--map-theta", type=str, help="comma-separated theta values")
+    mapper.add_argument("--map-r", type=_float_list, help="comma-separated r values")
+    mapper.add_argument("--map-theta", type=_float_list, help="comma-separated theta values")
     return parser
+
+
+def _overlay(section, args: argparse.Namespace):
+    """``section`` with each field that a flag of ``args`` set replaced (and revalidated)."""
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(section)}
+    return dataclasses.replace(section, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -189,35 +211,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         data = json.loads(Path(args.config).read_text())
     cfg = RunConfig.from_dict(data)
-
-    params_kw = dataclasses.asdict(cfg.params)
-    for flag, key in (("r", "r"), ("theta", "theta"), ("alpha", "alpha"), ("omega0", "omega0")):
-        value = getattr(args, flag)
-        if value is not None:
-            params_kw[key] = value
-    cfg.params = ReservoirParams(**params_kw)
-
-    grids_kw = dataclasses.asdict(cfg.grids)
-    for flag, key in (
-        ("tau_min", "tau_min"), ("tau_max", "tau_max"), ("tau_points", "tau_points"),
-        ("log_spaced", "log_spaced"), ("t_max", "t_max"), ("points", "t_points"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            grids_kw[key] = value
-    for flag, key in (("map_r", "map_r"), ("map_theta", "map_theta")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            grids_kw[key] = [float(v) for v in value.split(",")]
-    cfg.grids = GridConfig(**grids_kw)
-
-    directory = cfg.output.directory
-    if args.out is not None:
-        directory = args.out
-    elif os.environ.get(_ENV_OUT):
-        directory = os.environ[_ENV_OUT]
-    fmt = args.format if args.format is not None else cfg.output.format
-    cfg.output = OutputConfig(directory=directory, format=fmt)
+    cfg.params = _overlay(cfg.params, args)
+    cfg.grids = _overlay(cfg.grids, args)
+    cfg.output = _overlay(cfg.output, args)
+    if args.directory is None and os.environ.get(_ENV_OUT):
+        cfg.output = dataclasses.replace(cfg.output, directory=os.environ[_ENV_OUT])
 
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -228,7 +226,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def _check_command_inputs(args: argparse.Namespace) -> None:
     """Reject a negative --n and, for ion, a --tau not finite and positive or a --N below 1."""
-    if args.n is not None and args.n < 0:
+    if getattr(args, "n", 0) < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     if args.command == "ion":
         if not (0.0 < args.tau < math.inf):
@@ -305,8 +303,8 @@ def cmd_ion(cfg: RunConfig, n: int, tau: float, n_measurements: int) -> int:
     params, model = cfg.params, cfg.params.spectral_model()
     comparison = dynamics.shuttered_comparison(params, model, n, tau, n_measurements)
     out = Path(cfg.output.directory)
-    _write_table(out, "ion_comparison.csv", None, *comparison.table(), "csv")
-    _write_table(out, "ion_trace.csv", None, *comparison.trace.table(), "csv")
+    write_csv(out / "ion_comparison.csv", *comparison.table())
+    write_csv(out / "ion_trace.csv", *comparison.trace.table())
     verdict = comparison.verdict.value
     _write_json(out / "ion_verdict.json", {
         "n": n,
@@ -340,7 +338,7 @@ def _map_cell(params: ReservoirParams, n: int, tau_range: tuple[float, float],
 def cmd_crossover_map(cfg: RunConfig, n: int) -> int:
     grid = cfg.grids
     tau_range = (grid.tau_min, grid.tau_max)
-    # Brackets come from a log grid of this many points, whatever --log says.
+    # Brackets come from a log grid of this many points.
     grid_points = max(16, min(grid.tau_points, 96))
     rows = [
         [_map_cell(params=ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
@@ -382,18 +380,17 @@ def main(argv=None) -> int:
         print(json.dumps(cfg.to_dict(), indent=2))
         return EXIT_OK
 
-    n = args.n if args.n is not None else 0
     try:
         if args.command == "coeffs":
             return cmd_coeffs(cfg)
         if args.command == "scan":
-            return cmd_scan(cfg, n)
+            return cmd_scan(cfg, args.n)
         if args.command == "fig1":
             return cmd_fig1(cfg)
         if args.command == "ion":
-            return cmd_ion(cfg, n, args.tau, args.N)
+            return cmd_ion(cfg, args.n, args.tau, args.N)
         if args.command == "crossover-map":
-            return cmd_crossover_map(cfg, n)
+            return cmd_crossover_map(cfg, args.n)
     except DegenerateDenominatorError as exc:
         print(f"degenerate Markovian rate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

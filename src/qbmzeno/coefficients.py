@@ -315,9 +315,9 @@ def tabulate_coefficients(
 
     Each integral column is evaluated at the grid time itself, not by
     chaining trapezoids, so every row is independently accurate.  The
-    grid is evaluated in this process, one pass per kernel (closed form
-    for the Lorentz-Drude bath); every row is bit-identical to the
-    per-point functions at its time.
+    grid is evaluated in one pass per kernel (closed form for the
+    Lorentz-Drude bath); every row is bit-identical to the per-point
+    functions at its time.
     """
     if not (0.0 < t_max < np.inf):
         raise ValueError("t_max must be positive and finite")

@@ -313,21 +313,13 @@ def _populations(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rate_rows(
-    params: ReservoirParams,
-    model: BaseSpectralDensity,
-    coefficients,
-    t0: float,
-    t_end: float,
-    dt: float,
-):
+def _rate_rows(coefficients, t0: float, t_end: float, dt: float | None):
     """(times, gamma, IDelta, Igamma) over [t0, t_end], integrals taken from t0."""
-    if not (dt > 0.0 and t_end > t0):
-        raise ValueError("dt must be positive and t_end must exceed the state's time")
-    points = max(4, math.ceil((t_end - t0) / dt - 1e-12) + 1)
-    if coefficients is None:
-        coefficients = tabulate_coefficients(params, model, t_end, points)
+    if not (t_end > t0):
+        raise ValueError("t_end must exceed the state's time")
     if isinstance(coefficients, CoefficientSeries):
+        if dt is not None:
+            raise ValueError("a coefficient table is used on its own grid: pass no dt with it")
         times = coefficients.times
         if t0 != 0.0 or len(times) < 4 or not math.isclose(times[-1], t_end, rel_tol=1e-12):
             raise ValueError(
@@ -335,6 +327,9 @@ def _rate_rows(
                 f"from t = 0 to {times[-1]!r}, the evolution from {t0!r} to {t_end!r}"
             )
         return times, coefficients.gamma, coefficients.int_delta, coefficients.int_gamma
+    if dt is None or not (dt > 0.0):
+        raise ValueError(f"callable rates need a positive sampling step dt, got {dt!r}")
+    points = max(4, math.ceil((t_end - t0) / dt - 1e-12) + 1)
     delta_fn, gamma_fn = coefficients
     times = np.linspace(t0, t_end, points)
     delta = np.array([delta_fn(t) for t in times], dtype=float)
@@ -343,27 +338,22 @@ def _rate_rows(
 
 
 def evolve_ladder(
-    params: ReservoirParams,
-    model: BaseSpectralDensity,
     state: LadderState,
-    dt: float,
     t_end: float,
-    coefficients=None,
+    coefficients,
+    dt: float | None = None,
 ) -> LadderState:
     """Evolve the Fock-ladder populations to t_end by the exact ladder map.
 
     Time-dependent rates come from ``coefficients``: a CoefficientSeries,
-    used on its own grid, which must end at t_end; a pair of callables
-    (delta(t), gamma(t)), sampled at a step of at most ``dt`` and
-    integrated by a fourth-order cumulative rule; or None to tabulate
-    the model's coefficients over [0, t_end] at a step of at most
-    ``dt``.  ``dt`` is that sampling step and nothing else; a table
-    needs a state at t = 0.  Raises TruncationLeakageError when more than
-    1e-6 of the population ends above n_max.
+    used on its own grid, which must run from t = 0 (the state's time)
+    to t_end and takes no ``dt``; or a pair of callables (delta(t),
+    gamma(t)), sampled at a step of at most ``dt``, which they require,
+    and integrated by a fourth-order cumulative rule.  Raises
+    TruncationLeakageError when more than 1e-6 of the population ends
+    above n_max.
     """
-    times, gamma, i_delta, i_gamma = _rate_rows(
-        params, model, coefficients, state.time, t_end, dt
-    )
+    times, gamma, i_delta, i_gamma = _rate_rows(coefficients, state.time, t_end, dt)
     a, b = _ladder_maps(times, gamma, i_delta, i_gamma)
     final = _populations(state.populations, a[-1:], b[-1:])[0]
     return LadderState(populations=np.clip(final, 0.0, 1.0), time=t_end, n_max=state.n_max)

@@ -25,6 +25,9 @@ __all__ = [
     "weighted_spectral_density",
 ]
 
+# The smallest normal double.
+_TINY = np.finfo(float).tiny
+
 
 class BaseSpectralDensity:
     """Extension point for user-supplied spectral densities J(omega).
@@ -40,7 +43,6 @@ class BaseSpectralDensity:
     finite omega -> 0 limit, so thermal weighting stays smooth at zero.
     """
 
-    name = "user"
     tail_exponent = 1.0
 
     def density(self, omega):
@@ -60,7 +62,6 @@ class OhmicLorentzDrude(BaseSpectralDensity):
     """
 
     omega_c: float
-    name = "ohmic-lorentz-drude"
     tail_exponent = 1.0
 
     def __post_init__(self) -> None:
@@ -89,7 +90,7 @@ class ReservoirParams:
     omega0 -- system oscillator frequency (default 1, the unit of frequency)
 
     alpha**2, omega0**2 and omega_c**2 = (r omega0)**2 must be finite
-    and nonzero as doubles.
+    and normal (not subnormal) as doubles.
     """
 
     r: float
@@ -104,11 +105,15 @@ class ReservoirParams:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not (0.0 <= self.theta < np.inf):
             raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
-        # The rates take alpha**2, and the baths the squares of omega0 and omega_c.
+        # The rates take alpha**2, and the baths the squares of omega0 and
+        # omega_c; a subnormal square would lose digits or underflow the rates.
         for name in ("alpha", "omega0", "omega_c"):
             value = getattr(self, name)
-            if not (0.0 < value * value < np.inf):
-                raise ValueError(f"{name} must have a finite nonzero square, got {value}")
+            if not (_TINY <= value * value < np.inf):
+                raise ValueError(
+                    f"{name} must have a finite nonzero square that is a normal double, "
+                    f"got {value}"
+                )
 
     @property
     def omega_c(self) -> float:

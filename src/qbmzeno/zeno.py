@@ -38,7 +38,6 @@ __all__ = [
     "Regime",
     "ZenoScan",
     "classify_regime",
-    "degeneracy_guard",
     "effective_decay_rate",
     "effective_decay_rate_fd",
     "find_crossover_time",
@@ -86,27 +85,37 @@ def _check_tau_grid(taus: np.ndarray) -> None:
         raise ValueError("taus must be a 1-D grid of finite, positive, strictly increasing values")
 
 
-def degeneracy_guard(params: ReservoirParams) -> float:
-    """Threshold below which the Markovian rate counts as degenerate."""
-    return 1e-12 * params.alpha**2 * params.omega0
+def _markov_rate(
+    params: ReservoirParams, model: BaseSpectralDensity, n: int
+) -> tuple[float, bool]:
+    """The Markovian rate (2n+1) Delta_M - gamma_M and whether it is degenerate.
 
-
-def _is_degenerate(markov_rate: float, params: ReservoirParams) -> bool:
-    return abs(markov_rate) < degeneracy_guard(params)
+    Degenerate means that its two terms cancel to 12 digits,
+    |(2n+1) Delta_M - gamma_M| <= 1e-12 ((2n+1) Delta_M + gamma_M), a
+    rule free of the rate's scale (which goes like J(omega0)).  It holds
+    at theta = 0, n = 0, where Delta_M == gamma_M, and for a pair that
+    underflowed to zero.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    lim = markovian_limits(params, model)
+    diffusion = (2 * n + 1) * lim.delta_m
+    rate = diffusion - lim.gamma_m
+    return rate, abs(rate) <= 1e-12 * (diffusion + lim.gamma_m)
 
 
 def _ratio_denominator(params: ReservoirParams, model: BaseSpectralDensity, n: int) -> float:
     """The Markovian rate as a ratio denominator.
 
-    Raises DegenerateDenominatorError below the degeneracy guard
-    (theta ~ 0, n = 0): no finite ratio or crossover exists there and
-    the measurements always enhance the decay.
+    Raises DegenerateDenominatorError when it is degenerate (theta ~ 0,
+    n = 0): no finite ratio or crossover exists there and the
+    measurements always enhance the decay.
     """
-    denominator = markovian_decay_rate(params, model, n)
-    if _is_degenerate(denominator, params):
+    denominator, degenerate = _markov_rate(params, model, n)
+    if degenerate:
         raise DegenerateDenominatorError(
-            f"Markovian rate {denominator:.3e} below guard "
-            f"{degeneracy_guard(params):.3e}: AZE-divergent regime, no finite crossover"
+            f"Markovian rate {denominator:.3e} cancels to 12 digits: "
+            "AZE-divergent regime, no finite crossover"
         )
     return denominator
 
@@ -160,11 +169,9 @@ def _rates(
     """effective_decay_rate at every tau of a grid, in one pass and without escape checks.
 
     Each value is bit-identical to effective_decay_rate at that tau,
-    whatever else the grid holds, so a grid is never split for speed:
-    on the Lorentz-Drude bath one pass costs less than a worker process.
-    The grid callers (scans, crossover grids and their root refinement,
-    fig1) look at large tau on purpose, so they do not check the
-    perturbative window.
+    whatever else the grid holds.  The grid callers (scans, crossover
+    grids and their root refinement, fig1) look at large tau on purpose,
+    so they do not check the perturbative window.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all(taus > 0.0):
@@ -221,10 +228,7 @@ def markovian_decay_rate(params: ReservoirParams, model: BaseSpectralDensity, n:
     The minus sign follows from the tau -> infinity limit of the
     time-domain rate; it vanishes exactly at theta = 0, n = 0.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    lim = markovian_limits(params, model)
-    return (2 * n + 1) * lim.delta_m - lim.gamma_m
+    return _markov_rate(params, model, n)[0]
 
 
 def zeno_ratio(
@@ -235,9 +239,9 @@ def zeno_ratio(
 ) -> float:
     """rate_z(n, tau) / markovian rate; the QZE/AZE decider.
 
-    Raises DegenerateDenominatorError when the Markovian rate is below
-    the degeneracy guard (theta ~ 0, n = 0): no finite ratio exists and
-    the measurements always enhance the decay.
+    Raises DegenerateDenominatorError when the Markovian rate is
+    degenerate (theta ~ 0, n = 0): no finite ratio exists and the
+    measurements always enhance the decay.
     """
     denominator = _ratio_denominator(params, model, n)
     return effective_decay_rate(params, model, n, tau) / denominator
@@ -330,7 +334,11 @@ def _crossovers(
 
 @dataclass(frozen=True)
 class ZenoScan:
-    """Effective decay rate and ratio over a grid of measurement intervals."""
+    """Effective decay rate and ratio over a grid of measurement intervals.
+
+    ``degenerate`` is set in the AZE-divergent regime, where the ratio
+    column is infinite.
+    """
 
     n: int
     taus: np.ndarray
@@ -339,16 +347,12 @@ class ZenoScan:
     markov_rate: float
     crossovers: list[float]
     params: ReservoirParams
+    degenerate: bool = False
 
     def __post_init__(self) -> None:
         if len(self.taus) != len(self.rate_z) or len(self.taus) != len(self.ratio):
             raise ValueError("taus, rate_z and ratio must have equal length")
         _check_tau_grid(np.asarray(self.taus))
-
-    @property
-    def degenerate(self) -> bool:
-        """True in the AZE-divergent regime (ratio column is infinite)."""
-        return _is_degenerate(self.markov_rate, self.params)
 
     def regimes(self) -> list[Regime]:
         """The regime at every tau, banded as in classify_regime."""
@@ -393,16 +397,15 @@ def zeno_scan(
 
     In the degenerate (AZE-divergent) case the scan still tabulates the
     rates, with the ratio column set to +infinity.  The grid is evaluated
-    in this process, in one pass (``_rates``).  Crossovers are refined
-    to 1e-12 relative width (as in find_crossover_time) from the sign
-    changes of the tabulated ratio.  Raises ValueError, before any rate
-    is computed, unless taus is a 1-D grid of finite, positive, strictly
-    increasing values.
+    in one pass (``_rates``).  Crossovers are refined to 1e-12 relative
+    width (as in find_crossover_time) from the sign changes of the
+    tabulated ratio.  Raises ValueError, before any rate is computed,
+    unless taus is a 1-D grid of finite, positive, strictly increasing
+    values.
     """
     taus = np.asarray(taus, dtype=float)
     _check_tau_grid(taus)
-    denominator = markovian_decay_rate(params, model, n)
-    degenerate = _is_degenerate(denominator, params)
+    denominator, degenerate = _markov_rate(params, model, n)
     rates = _rates(params, model, n, taus)
 
     if degenerate:
@@ -420,4 +423,5 @@ def zeno_scan(
         markov_rate=denominator,
         crossovers=crossovers,
         params=params,
+        degenerate=degenerate,
     )

@@ -30,7 +30,6 @@ from qbmzeno.dynamics import (
 from qbmzeno.numerics import QuadratureSpec, integrate_semi_infinite
 from qbmzeno.spectral import ReservoirParams
 from qbmzeno.zeno import (
-    degeneracy_guard,
     effective_decay_rate,
     effective_decay_rate_fd,
     find_crossover_time,
@@ -133,17 +132,18 @@ def test_criterion_05_zero_temperature_excited_crossover():
 
 def test_criterion_06_ground_state_divergence(tmp_path):
     params = _params(0.5, 0.0)
-    rate = markovian_decay_rate(params, params.spectral_model(), 0)
+    lim = markovian_limits(params, params.spectral_model())
     code = cli_main([
         "scan", "--n", "0", "--theta", "0", "--r", "0.5", "--alpha", str(ALPHA),
         "--tau-points", "12", "--out", str(tmp_path),
     ])
     meta = json.loads((tmp_path / "zeno_scan.json").read_text())
-    ok = abs(rate) < degeneracy_guard(params) and code == 4 and meta["regime"] == "AZE-divergent"
+    ok = lim.delta_m == lim.gamma_m and code == 4 and meta["regime"] == "AZE-divergent"
     _report(
         6,
         ok,
-        f"theta=0, n=0 denominator {rate:.1e} below guard; scan exits 4 with AZE-divergent",
+        f"theta=0, n=0: Delta_M = gamma_M = {lim.gamma_m:.3e}, a zero Markovian rate; "
+        "scan exits 4 with AZE-divergent",
     )
 
 
@@ -252,10 +252,7 @@ def test_criterion_11_oracle_checks():
 
     # Ladder versus the closed-form two-state decay (Delta = gamma).
     c, t_end = 0.03, 2.0
-    out = evolve_ladder(
-        params, model, LadderState.fock(1, n_max=6), 0.01, t_end,
-        coefficients=(lambda t: c, lambda t: c),
-    )
+    out = evolve_ladder(LadderState.fock(1, n_max=6), t_end, (lambda t: c, lambda t: c), 0.01)
     p1 = math.exp(-2.0 * c * t_end)
     ladder_err = max(abs(out.populations[1] - p1), abs(out.populations[0] - (1.0 - p1)))
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +15,8 @@ from qbmzeno.cli import main
 from qbmzeno.numerics import NonConvergenceError
 
 FAST_SCAN = ["--tau-min", "1e-3", "--tau-max", "100", "--tau-points", "36", "--log"]
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 HOT = ["--r", "0.5", "--theta", "100", "--alpha", "0.1"]
 # The five commands of the README's command-line section, at its sizes.
 README_COMMANDS = {
@@ -25,9 +28,48 @@ README_COMMANDS = {
                       "--map-r", "0.1,0.5,1,2,10", "--map-theta", "0,1,10,100"],
 }
 
+# The settings each command does not read, and argv that sets each one.
+UNREAD_SETTINGS = {
+    "coeffs": ["--n", "--tau-min", "--tau-max", "--tau-points", "--log/--linear"],
+    "scan": ["--t-max", "--points"],
+    "fig1": ["--r", "--theta", "--n", "--t-max", "--points"],
+    "ion": ["--tau-min", "--tau-max", "--tau-points", "--log/--linear", "--t-max", "--points",
+            "--format"],
+    "crossover-map": ["--r", "--theta", "--log/--linear", "--t-max", "--points"],
+}
+SETTING_ARGV = {
+    "--r": [["--r", "0.5"]],
+    "--theta": [["--theta", "1"]],
+    "--n": [["--n", "1"]],
+    "--tau-min": [["--tau-min", "0.01"]],
+    "--tau-max": [["--tau-max", "10"]],
+    "--tau-points": [["--tau-points", "8"]],
+    "--log/--linear": [["--log"], ["--linear"]],
+    "--t-max": [["--t-max", "3"]],
+    "--points": [["--points", "5"]],
+    "--format": [["--format", "json"]],
+}
+COMMAND_ARGV = {"ion": ["ion", "--tau", "0.25", "--N", "3"]}
+
 
 def run(argv):
     return main(argv)
+
+
+def test_readme_flag_table_matches_the_parser():
+    section = (ROOT / "README.md").read_text().split("## Command-line interface")[1]
+    section = section.split("\n## ")[0]
+    rows = re.findall(r"^\| `([\w-]+)` \|(.*)\|$", section, flags=re.M)
+    table = {command: set(re.findall(r"`(-[\w-]+)`", cells)) for command, cells in rows}
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert table == parsed
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS.values(), ids=README_COMMANDS.keys())
@@ -88,6 +130,22 @@ class TestScan:
         meta = json.loads((tmp_path / "zeno_scan.json").read_text())
         assert meta["regime"] == "AZE-divergent"
         assert (tmp_path / "zeno_scan.csv").exists()
+
+    @pytest.mark.parametrize("bath, code, regime", [
+        (["--r", "1e-4", "--theta", "0.1"], 0, "mixed"),
+        (["--r", "1e-6", "--theta", "1"], 0, "mixed"),
+        (["--theta", "0", "--n", "0"], 4, "AZE-divergent"),
+    ], ids=["r-1e-4-theta-0.1", "r-1e-6-theta-1", "theta-0-n-0"])
+    def test_degeneracy_is_free_of_the_rate_scale(self, bath, code, regime, tmp_path):
+        # The Markovian rate goes like J(omega0) ~ r^2; only a cancellation
+        # of its two terms, exact at theta = 0, n = 0, makes it degenerate.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["scan", *bath, "--alpha", "0.1", "--tau-points", "12",
+                        "--out", str(tmp_path)]) == code
+        assert json.loads((tmp_path / "zeno_scan.json").read_text())["regime"] == regime
+        ratio = np.loadtxt(tmp_path / "zeno_scan.csv", delimiter=",", skiprows=1, usecols=2)
+        assert np.all(np.isfinite(ratio) if code == 0 else np.isinf(ratio))
 
     def test_cold_excited_wide_bath_has_crossover(self, tmp_path):
         code = run([
@@ -416,6 +474,19 @@ class TestConfigHandling:
         assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, setting", [
+        (command, setting) for command, settings in UNREAD_SETTINGS.items() for setting in settings
+    ], ids=lambda value: value.replace("--", ""))
+    def test_unread_settings_are_refused(self, command, setting, tmp_path, capsys):
+        # Each command takes only the flags it reads.
+        for argv in SETTING_ARGV[setting]:
+            out = tmp_path / "out"
+            with pytest.raises(SystemExit) as exc:
+                run([*COMMAND_ARGV.get(command, [command]), *argv, "--out", str(out)])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_jobs_in_config_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "jobs.json"
         cfg.write_text(json.dumps({"jobs": 2}))
@@ -453,10 +524,14 @@ class TestConfigHandling:
         ("--omega0", "1e-300", "omega0"),
         ("--r", "1e-300", "omega_c"),
         ("--omega0", "1e200", "omega0"),
+        ("--alpha", "1e-160", "alpha"),
+        ("--omega0", "1e-160", "omega0"),
+        ("--r", "1e-155", "omega_c"),
     ])
     def test_out_of_range_squares_are_config_errors(self, flag, value, name, tmp_path, capsys):
         # Once an OverflowError traceback (alpha**2), or exit 0 with a NaN
-        # ratio column and a RuntimeWarning (a frequency's square at 0).
+        # ratio column and a RuntimeWarning (a frequency's square at 0 or
+        # subnormal, or a subnormal alpha**2).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["scan", f"{flag}={value}", "--out", str(tmp_path)]) == 2

@@ -217,25 +217,19 @@ class TestLadder:
         with pytest.raises(ValueError):
             LadderState.fock(3, n_max=6)
 
-    def test_zero_rates_leave_state_unchanged(self, params_hot, model_hot):
+    def test_zero_rates_leave_state_unchanged(self):
         state = LadderState.fock(2)
-        out = evolve_ladder(
-            params_hot, model_hot, state, 0.05, 1.0,
-            coefficients=(lambda t: 0.0, lambda t: 0.0),
-        )
+        out = evolve_ladder(state, 1.0, (lambda t: 0.0, lambda t: 0.0), 0.05)
         np.testing.assert_array_equal(out.populations, state.populations)
         assert out.time == 1.0
 
-    def test_two_state_decay_closed_form(self, params_hot, model_hot):
+    def test_two_state_decay_closed_form(self):
         # Delta = gamma switches the upward channel off exactly, leaving a
         # clean two-state decay |1> -> |0> with rate Delta + gamma.
         c = 0.03
         t_end = 2.0
         state = LadderState.fock(1, n_max=6)
-        out = evolve_ladder(
-            params_hot, model_hot, state, 0.01, t_end,
-            coefficients=(lambda t: c, lambda t: c),
-        )
+        out = evolve_ladder(state, t_end, (lambda t: c, lambda t: c), 0.01)
         p1 = math.exp(-2.0 * c * t_end)
         expected = np.zeros(7)
         expected[1] = p1
@@ -263,35 +257,42 @@ class TestLadder:
     def test_probability_conservation(self, params_hot, model_hot):
         table = coefficients.tabulate_coefficients(params_hot, model_hot, 2.0, 120)
         state = LadderState.fock(0, n_max=25)
-        out = evolve_ladder(params_hot, model_hot, state, 0.005, 2.0, coefficients=table)
+        out = evolve_ladder(state, 2.0, table)
         assert abs(out.total() - 1.0) <= 1e-8 * 2.0
 
     def test_short_time_matches_survival(self, params_hot, model_hot):
         tau = 0.4
         table = coefficients.tabulate_coefficients(params_hot, model_hot, tau, 100)
         state = LadderState.fock(0, n_max=20)
-        out = evolve_ladder(params_hot, model_hot, state, 0.002, tau, coefficients=table)
+        out = evolve_ladder(state, tau, table)
         survival = survival_probability(params_hot, model_hot, 0, tau)
         escape = 1.0 - survival
         assert abs(out.populations[0] - survival) <= escape**2
 
-    def test_fourth_order_step_contract(self, params_hot, model_hot):
+    def test_fourth_order_step_contract(self):
         rates = (lambda t: 0.05 * (1.0 + 0.5 * math.sin(3.0 * t)), lambda t: 0.01)
         state = LadderState.fock(0, n_max=8)
-        coarse = evolve_ladder(params_hot, model_hot, state, 0.02, 1.0, coefficients=rates)
-        halved = evolve_ladder(params_hot, model_hot, state, 0.01, 1.0, coefficients=rates)
-        fine = evolve_ladder(params_hot, model_hot, state, 0.0025, 1.0, coefficients=rates)
+        coarse = evolve_ladder(state, 1.0, rates, 0.02)
+        halved = evolve_ladder(state, 1.0, rates, 0.01)
+        fine = evolve_ladder(state, 1.0, rates, 0.0025)
         err_coarse = np.max(np.abs(coarse.populations - fine.populations))
         err_halved = np.max(np.abs(halved.populations - fine.populations))
         assert err_halved <= err_coarse / 12.0  # ~16x for a 4th-order step
 
-    def test_truncation_leakage(self, params_hot, model_hot):
+    def test_truncation_leakage(self):
         state = LadderState.fock(0, n_max=5)
         with pytest.raises(TruncationLeakageError):
-            evolve_ladder(
-                params_hot, model_hot, state, 0.01, 8.0,
-                coefficients=(lambda t: 0.2, lambda t: 0.0),
-            )
+            evolve_ladder(state, 8.0, (lambda t: 0.2, lambda t: 0.0), 0.01)
+
+    def test_step_goes_with_callables_only(self, params_hot, model_hot):
+        # A table is used on its own grid and refuses a dt; callables need one.
+        table = coefficients.tabulate_coefficients(params_hot, model_hot, 1.0, 40)
+        state = LadderState.fock(0, n_max=8)
+        with pytest.raises(ValueError, match="own grid"):
+            evolve_ladder(state, 1.0, table, 0.01)
+        for dt in (None, 0.0, -0.01):
+            with pytest.raises(ValueError, match="sampling step"):
+                evolve_ladder(state, 1.0, (lambda t: 0.01, lambda t: 0.0), dt)
 
 
 class TestEidAttenuation:

@@ -187,6 +187,10 @@ class TestReservoirParams:
             {"r": 1e200, "theta": 1.0, "alpha": 0.1},
             {"r": 1e-160, "theta": 1.0, "alpha": 0.1, "omega0": 1e-10},
             {"r": 1e160, "theta": 1.0, "alpha": 0.1, "omega0": 1e10},
+            # A subnormal square loses digits and can underflow the rates.
+            {"r": 1.0, "theta": 1.0, "alpha": 1e-160},
+            {"r": 1.0, "theta": 1.0, "alpha": 0.1, "omega0": 1e-160},
+            {"r": 1e-155, "theta": 1.0, "alpha": 0.1},
         ],
     )
     def test_validation(self, kwargs):
@@ -196,6 +200,12 @@ class TestReservoirParams:
     def test_squares_in_range_are_accepted(self):
         edge = ReservoirParams(r=1e-150, theta=1.0, alpha=1e150, omega0=1e-3)
         assert edge.omega_c == pytest.approx(1e-153)
+
+    def test_smallest_normal_square_is_the_edge(self):
+        # 1.5e-154**2 is just above the smallest normal double, 1.4e-154**2 below it.
+        assert ReservoirParams(r=1.0, theta=1.0, alpha=1.5e-154).alpha == 1.5e-154
+        with pytest.raises(ValueError, match="normal double"):
+            ReservoirParams(r=1.0, theta=1.0, alpha=1.4e-154)
 
     def test_model_consistency(self):
         params = ReservoirParams(r=0.5, theta=1.0, alpha=0.1)
