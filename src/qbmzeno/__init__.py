@@ -42,18 +42,7 @@ from .errors import (
     PerturbativeBreakdownError,
     TruncationLeakageError,
 )
-from .numerics import (
-    InvalidBracketError,
-    NonConvergenceError,
-    NonFiniteError,
-    QuadratureError,
-    QuadratureSpec,
-    RootBracket,
-    bisect,
-    integrate_adaptive,
-    integrate_semi_infinite,
-    scan_for_bracket,
-)
+from .numerics import NonConvergenceError, NonFiniteError, QuadratureError
 from .spectral import (
     BaseSpectralDensity,
     OhmicLorentzDrude,

@@ -8,11 +8,10 @@ Subcommands
   ion            shuttered versus un-shuttered survival comparison
   crossover-map  smallest crossover time over an (r, theta) grid
 
-Exit codes: 0 ok, 2 config error, 3 quadrature failure, 4 degenerate
-Markovian rate (AZE-divergent), 5 perturbative breakdown.  All outputs
-are written to a temp file and renamed on success, so failures leave no
-partial files.  The QBMZENO_OUT environment variable overrides the
-configured output directory (an explicit --out flag wins over both).
+Exit codes: 0 ok, 2 config error (overflowing inputs too), 4 degenerate
+Markovian rate (AZE-divergent), 5 perturbative breakdown.  Commands compute
+before writing temp files renamed on success: failures leave no partial
+files.  QBMZENO_OUT overrides a configured output directory, --out both.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from . import dynamics, zeno
 from ._table import json_columns, write_atomic, write_csv
 from .coefficients import _pairs, markovian_limits, tabulate_coefficients
 from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
-from .numerics import QuadratureError
 from .spectral import ReservoirParams
 
 __all__ = ["GridConfig", "OutputConfig", "RunConfig", "main"]
@@ -41,7 +39,6 @@ _ENV_OUT = "QBMZENO_OUT"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_QUADRATURE = 3
 EXIT_DEGENERATE = 4
 EXIT_PERTURBATIVE = 5
 
@@ -89,27 +86,35 @@ class OutputConfig:
 
 @dataclass
 class RunConfig:
-    params: ReservoirParams
-    grids: GridConfig
-    output: OutputConfig
+    params: ReservoirParams = field(
+        default_factory=lambda: ReservoirParams(r=1.0, theta=0.0, alpha=0.1))
+    grids: GridConfig = field(default_factory=GridConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, read) -> dict:
+        """Each section's fields that are named in ``read``."""
         return {
-            "params": dataclasses.asdict(self.params),
-            "grids": dataclasses.asdict(self.grids),
-            "output": dataclasses.asdict(self.output),
+            name: {k: v for k, v in dataclasses.asdict(section).items() if k in read}
+            for name, section in vars(self).items()
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = sorted(set(data) - {"params", "grids", "output"})
+    def from_dict(cls, data: dict, args: argparse.Namespace) -> "RunConfig":
+        """The defaults overlaid by ``data``, then by the flags set in ``args``;
+        ``data`` may set only the fields behind the flags of ``args.command``."""
+        sections, read = dict(vars(cls())), vars(args)
+        unknown = sorted(set(data) - set(sections))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        return cls(
-            params=ReservoirParams(**data.get("params", {"r": 1.0, "theta": 0.0, "alpha": 0.1})),
-            grids=GridConfig(**data.get("grids", {})),
-            output=OutputConfig(**data.get("output", {})),
-        )
+        for name, default in sections.items():
+            fields = {f.name for f in dataclasses.fields(default)} & set(read)
+            given = data.get(name, {})
+            unread = [key for key in given if key not in fields]
+            if unread:
+                raise ValueError(f"{name}.{unread[0]} is not read by {args.command}")
+            flags = {key: read[key] for key in fields if read[key] is not None}
+            sections[name] = dataclasses.replace(default, **{**given, **flags})
+        return cls(**sections)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -147,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser: each command takes only the flags it reads.
 
     Every flag that sets a config value has that RunConfig field as its
-    dest, so ``_merge_config`` overlays each section by field name.
+    dest, so the parsed namespace names the fields a command reads.
     """
     bath = argparse.ArgumentParser(add_help=False)
     bath.add_argument("--r", type=float, help="cutoff ratio omega_c/omega0")
@@ -200,20 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overlay(section, args: argparse.Namespace):
-    """``section`` with each field that a flag of ``args`` set replaced (and revalidated)."""
-    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(section)}
-    return dataclasses.replace(section, **{k: v for k, v in flags.items() if v is not None})
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    data: dict = {}
-    if args.config:
-        data = json.loads(Path(args.config).read_text())
-    cfg = RunConfig.from_dict(data)
-    cfg.params = _overlay(cfg.params, args)
-    cfg.grids = _overlay(cfg.grids, args)
-    cfg.output = _overlay(cfg.output, args)
+    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    cfg = RunConfig.from_dict(data, args)
     if args.directory is None and os.environ.get(_ENV_OUT):
         cfg.output = dataclasses.replace(cfg.output, directory=os.environ[_ENV_OUT])
 
@@ -238,10 +232,10 @@ def _check_command_inputs(args: argparse.Namespace) -> None:
 def cmd_coeffs(cfg: RunConfig) -> int:
     params, model = cfg.params, cfg.params.spectral_model()
     series = tabulate_coefficients(params, model, cfg.grids.t_max, cfg.grids.t_points)
+    lim = markovian_limits(params, model)
     out = Path(cfg.output.directory)
     _write_table(out, "coefficients.csv", "coefficients_table.json", *series.table(),
                  cfg.output.format)
-    lim = markovian_limits(params, model)
     _write_json(out / "markovian_limits.json", {"delta_m": lim.delta_m, "gamma_m": lim.gamma_m})
     return EXIT_OK
 
@@ -271,9 +265,9 @@ def cmd_fig1(cfg: RunConfig) -> int:
     taus = cfg.grids.tau_grid()
     out = Path(cfg.output.directory)
     manifest = {"x_label": "tau (units of 1/omega0)", "panels": []}
-    # One grid pass per column; fig1 writes no crossover, so none is refined.
-    for name, theta, n, r_values, quantity, y_label in _FIG1_PANELS:
-        header = ["tau"] + [f"r={r:g}" for r in r_values]
+    # One grid pass per column (no crossover is refined); every panel before any write.
+    tables = []
+    for _, theta, n, r_values, quantity, _ in _FIG1_PANELS:
         data: list[np.ndarray] = [taus]
         for r in r_values:
             params = ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
@@ -285,6 +279,9 @@ def cmd_fig1(cfg: RunConfig) -> int:
             else:
                 delta_m = markovian_limits(params, model).delta_m
                 data.append(_pairs(params, model, taus, "sinc")[0] / delta_m)
+        tables.append(data)
+    for (name, theta, n, r_values, _, y_label), data in zip(_FIG1_PANELS, tables):
+        header = ["tau"] + [f"r={r:g}" for r in r_values]
         files = _write_table(out, f"{name}.csv", f"{name}.json", header, data,
                              cfg.output.format)
         manifest["panels"].append({
@@ -322,14 +319,12 @@ def cmd_ion(cfg: RunConfig, n: int, tau: float, n_measurements: int) -> int:
 
 def _map_cell(params: ReservoirParams, n: int, tau_range: tuple[float, float],
               grid_points: int) -> float | str:
-    """The smallest crossover time, or "divergent", "error" or "none"."""
+    """The smallest crossover time, or "divergent" or "none"."""
     model = params.spectral_model()
     try:
         stars = zeno.find_crossover_time(params, model, n, tau_range, grid_points)
     except DegenerateDenominatorError:
         return "divergent"
-    except QuadratureError:
-        return "error"
     if not stars:
         return "none"
     return min(stars)
@@ -360,9 +355,6 @@ def cmd_crossover_map(cfg: RunConfig, n: int) -> int:
             "theta": list(grid.map_theta),
             "smallest_crossover": rows,
         })
-    if all(cell == "error" for row in rows for cell in row):
-        print("every grid point failed", file=sys.stderr)
-        return EXIT_QUADRATURE
     return EXIT_OK
 
 
@@ -377,7 +369,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     if args.dump_config:
-        print(json.dumps(cfg.to_dict(), indent=2))
+        print(json.dumps(cfg.to_dict(vars(args)), indent=2))
         return EXIT_OK
 
     try:
@@ -391,15 +383,12 @@ def main(argv=None) -> int:
             return cmd_ion(cfg, args.n, args.tau, args.N)
         if args.command == "crossover-map":
             return cmd_crossover_map(cfg, args.n)
-    except DegenerateDenominatorError as exc:
-        print(f"degenerate Markovian rate: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except PerturbativeBreakdownError as exc:
         print(f"perturbative breakdown: {exc}", file=sys.stderr)
         return EXIT_PERTURBATIVE
-    except QuadratureError as exc:
-        print(f"quadrature failure: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
+    except OverflowError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

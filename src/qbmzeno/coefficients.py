@@ -132,10 +132,10 @@ def _pairs(params, model, times, kernel) -> tuple[np.ndarray, np.ndarray]:
     """The (Delta-type, gamma-type) pair on one kernel at every time of a grid, by model type.
 
     The Ohmic Lorentz-Drude bath itself takes the closed-form Matsubara
-    evaluator, one pass for the whole grid; every other model,
-    subclasses included, takes the quadrature, time by time.  A time's
-    values do not depend on the rest of the grid, so every per-point
-    function is this with one time.
+    evaluator, one pass for the whole grid; every other model, subclasses
+    included, the quadrature, time by time.  A time's values do not depend
+    on the rest of the grid, so every per-point function is this with one
+    time.  Overflow, of a value or inside the closed form, raises OverflowError.
     """
     times = np.asarray(times, dtype=float)
     name = "t" if kernel == "sinc" else "tau"
@@ -154,10 +154,19 @@ def _pairs(params, model, times, kernel) -> tuple[np.ndarray, np.ndarray]:
     if type(model) is OhmicLorentzDrude:
         omega0 = params.omega0
         power, unit = (1, omega0) if kernel == "sinc" else (2, 1.0)
-        delta, gamma = _matsubara.pair(model.omega_c / omega0, params.theta, omega0 * times, power)
-        return params.alpha**2 * (unit * delta), params.alpha**2 * (unit * gamma)
-    pairs = [_kernel_pass(params, model, float(t), kernel) for t in times]
-    return tuple(np.array(pairs, dtype=float).reshape(-1, 2).T)
+        try:  # raised, not warned, so that -W error cannot make it a RuntimeWarning
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                delta, gamma = _matsubara.pair(
+                    model.omega_c / omega0, params.theta, omega0 * times, power)
+                return params.alpha**2 * (unit * delta), params.alpha**2 * (unit * gamma)
+        except FloatingPointError:
+            pass
+    else:
+        pairs = [_kernel_pass(params, model, float(t), kernel) for t in times]
+        delta, gamma = np.array(pairs, dtype=float).reshape(-1, 2).T
+        if np.isfinite(delta).all() and np.isfinite(gamma).all():
+            return delta, gamma
+    raise OverflowError(f"the coefficients at some {name} overflow a double at {params}")
 
 
 def _pair(params, model, time, kernel) -> tuple[float, float]:
@@ -238,7 +247,8 @@ def markovian_limits(params: ReservoirParams, model: BaseSpectralDensity) -> Mar
 
     At theta = 0 the two coincide exactly.  These closed forms are
     canonical; ``markovian_limits_numerical`` provides the large-t
-    cross-check (slowly convergent, diagnostic only).
+    cross-check (slowly convergent, diagnostic only).  A limit that does
+    not fit in a double raises OverflowError.
     """
     check_model_consistency(params, model)
     pref = 0.5 * np.pi * params.alpha**2
@@ -247,6 +257,8 @@ def markovian_limits(params: ReservoirParams, model: BaseSpectralDensity) -> Mar
         delta_m = gamma_m
     else:
         delta_m = pref * float(weighted_spectral_density(model, params, params.omega0))
+    if not (np.isfinite(delta_m) and np.isfinite(gamma_m)):
+        raise OverflowError(f"the Markovian limits overflow a double at {params}")
     return MarkovianLimits(delta_m=delta_m, gamma_m=gamma_m)
 
 

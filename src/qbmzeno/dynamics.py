@@ -128,8 +128,8 @@ def transition_probabilities(
 
     P_up = (n+1) [IDelta - Igamma], P_down = n [IDelta + Igamma].
     Negative values beyond -1e-12 raise NegativeProbabilityError (they
-    signal quadrature failure, not physics); the pair must stay within
-    the perturbative window P_up + P_down <= 0.5.
+    signal an error in the integrated pair, not physics); the pair must
+    stay within the perturbative window P_up + P_down <= 0.5.
     """
     if not (tau > 0.0):
         raise ValueError("tau must be positive")

@@ -23,7 +23,7 @@ class IndeterminateAtZeroError(ValueError):
 
 
 class DegenerateDenominatorError(ArithmeticError):
-    """The Markovian rate (2n+1) Delta_M - gamma_M is below the degeneracy guard.
+    """The two terms of the Markovian rate (2n+1) Delta_M - gamma_M cancel to 12 digits.
 
     This is the zero-temperature ground-state case: the decay-rate ratio
     diverges and the measurements always enhance the decay (AZE).
@@ -35,8 +35,8 @@ class PerturbativeBreakdownError(RuntimeError):
 
 
 class NegativeProbabilityError(RuntimeError):
-    """A probability came out negative beyond roundoff, signalling a
-    quadrature failure rather than physics."""
+    """A probability came out below -1e-12: an error in the integrated
+    coefficients that it was formed from, not physics."""
 
 
 class TruncationLeakageError(RuntimeError):

@@ -94,12 +94,14 @@ def _markov_rate(
     |(2n+1) Delta_M - gamma_M| <= 1e-12 ((2n+1) Delta_M + gamma_M), a
     rule free of the rate's scale (which goes like J(omega0)).  It holds
     at theta = 0, n = 0, where Delta_M == gamma_M, and for a pair that
-    underflowed to zero.
+    underflowed to zero.  Terms that overflow a double raise OverflowError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     lim = markovian_limits(params, model)
     diffusion = (2 * n + 1) * lim.delta_m
+    if not np.isfinite(diffusion + lim.gamma_m):
+        raise OverflowError(f"the Markovian rate of n={n} overflows a double at {params}")
     rate = diffusion - lim.gamma_m
     return rate, abs(rate) <= 1e-12 * (diffusion + lim.gamma_m)
 
@@ -120,7 +122,9 @@ def _ratio_denominator(params: ReservoirParams, model: BaseSpectralDensity, n: i
     return denominator
 
 
-def _check_perturbative(escape: float, tau: float) -> None:
+def _check_rate(rate: float, escape: float, tau: float) -> None:
+    if not -np.inf < rate < np.inf:  # math.isfinite's cost, on the single-tau path
+        raise OverflowError(f"the rate at tau={tau} overflows a double")
     # Markovian-regime scans evaluate rates at large tau where the escape
     # probability leaves the perturbative window; the rate remains a
     # well-defined formal quantity there, so this only warns.
@@ -149,6 +153,7 @@ def effective_decay_rate(
     Canonical route: (1/tau)[(2n+1) IDelta(tau) - Igamma(tau)].  Escape
     probabilities above 0.1 warn that perturbation theory is marginal;
     above 0.5 they warn that the rate is a formal (extrapolated) value.
+    A rate that does not fit in a double raises OverflowError.
     """
     if not (tau > 0.0):
         raise ValueError("tau must be positive")
@@ -156,8 +161,9 @@ def effective_decay_rate(
         raise ValueError("n must be nonnegative")
     i_delta, i_gamma = integrated_pair(params, model, tau)
     escape = (2 * n + 1) * i_delta - i_gamma
-    _check_perturbative(escape, tau)
-    return escape / tau
+    rate = escape / tau
+    _check_rate(rate, escape, tau)
+    return rate
 
 
 def _rates(
@@ -179,7 +185,11 @@ def _rates(
     if n < 0:
         raise ValueError("n must be nonnegative")
     i_delta, i_gamma = _pairs(params, model, taus, "sinc2")
-    return ((2 * n + 1) * i_delta - i_gamma) / taus
+    try:
+        with np.errstate(over="raise"):  # raised, not warned, even under -W error
+            return ((2 * n + 1) * i_delta - i_gamma) / taus
+    except FloatingPointError:
+        raise OverflowError(f"the rates of n={n} overflow a double at {params}") from None
 
 
 def effective_decay_rate_fd(
@@ -218,7 +228,7 @@ def effective_decay_rate_fd(
     lower = half_kernel_integral(weight_minus, params.omega0, half, "sinc2", -1)
     upper = half_kernel_integral(weight_plus, params.omega0, half, "sinc2", +1)
     rate = params.alpha**2 * 0.25 * tau * (lower + upper)
-    _check_perturbative(rate * tau, tau)
+    _check_rate(rate, rate * tau, tau)
     return rate
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from qbmzeno import cli, numerics, zeno
 from qbmzeno.cli import main
-from qbmzeno.numerics import NonConvergenceError
 
 FAST_SCAN = ["--tau-min", "1e-3", "--tau-max", "100", "--tau-points", "36", "--log"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,10 +49,39 @@ SETTING_ARGV = {
     "--format": [["--format", "json"]],
 }
 COMMAND_ARGV = {"ion": ["ion", "--tau", "0.25", "--N", "3"]}
+# The config fields each command does not read, and a valid value of each.
+UNREAD_FIELDS = {
+    "coeffs": ["grids.tau_min", "grids.tau_max", "grids.tau_points", "grids.log_spaced",
+               "grids.map_r", "grids.map_theta"],
+    "scan": ["grids.t_max", "grids.t_points", "grids.map_r", "grids.map_theta"],
+    "fig1": ["params.r", "params.theta", "grids.t_max", "grids.t_points", "grids.map_r",
+             "grids.map_theta"],
+    "ion": ["grids.tau_min", "grids.tau_max", "grids.tau_points", "grids.log_spaced",
+            "grids.t_max", "grids.t_points", "grids.map_r", "grids.map_theta", "output.format"],
+    "crossover-map": ["params.r", "params.theta", "grids.log_spaced", "grids.t_max",
+                      "grids.t_points"],
+}
+FIELD_VALUE = {
+    "r": 0.5, "theta": 1.0, "tau_min": 0.01, "tau_max": 10.0, "tau_points": 8,
+    "log_spaced": False, "t_max": 3.0, "t_points": 5, "map_r": [0.5], "map_theta": [1.0],
+    "format": "json",
+}
+ALL_FIELDS = {
+    *(f"params.{f}" for f in ("r", "theta", "alpha", "omega0")),
+    *(f"grids.{f}" for f in ("tau_min", "tau_max", "tau_points", "log_spaced", "t_max",
+                             "t_points", "map_r", "map_theta")),
+    "output.directory", "output.format",
+}
 
 
 def run(argv):
     return main(argv)
+
+
+def test_readme_exit_codes_match_the_cli():
+    sentence = (ROOT / "README.md").read_text().split("Exit codes:")[1].split("\n\n")[0]
+    documented = {int(code) for code in re.findall(r"`(\d+)`", sentence)}
+    assert documented == {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
 
 
 def test_readme_flag_table_matches_the_parser():
@@ -206,6 +234,19 @@ class TestFig1:
         header = lines[0].split(",")
         data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         return header, data
+
+    def test_a_late_panel_failure_writes_nothing(self, tmp_path, monkeypatch):
+        # Every panel is computed before the first is written.
+        rate = zeno.markovian_decay_rate
+
+        def cold_overflows(params, model, n):
+            if params.theta == 0.0:
+                raise OverflowError("the Markovian rate overflows a double")
+            return rate(params, model, n)
+
+        monkeypatch.setattr(zeno, "markovian_decay_rate", cold_overflows)
+        assert run(["fig1", "--alpha", "0.1", "--tau-points", "16", "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
 
     def test_ratio_panels_make_one_rate_per_cell(self, fig1_run):
         # Two ratio panels x three r values, one batched grid of 30 taus
@@ -384,22 +425,9 @@ class TestCrossoverMap:
                     kinds.add("number")
         assert kinds == {"number", "divergent", "none"}
 
-    def test_quadrature_failures_are_error_cells(self, tmp_path, monkeypatch):
-        def failing(*args, **kwargs):
-            raise NonConvergenceError("starved")
-
-        monkeypatch.setattr(zeno, "find_crossover_time", failing)
-        code = run([
-            "crossover-map", "--n", "0", "--alpha", "0.1",
-            "--map-r", "0.5,10", "--map-theta", "1,100", "--out", str(tmp_path),
-        ])
-        assert code == 3
-        rows = (tmp_path / "crossover_map.csv").read_text().splitlines()
-        assert rows == ["r\\theta,1,100", "0.5,error,error", "10,error,error"]
-
     def test_programming_errors_propagate(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
-            raise TypeError("a bug, not a quadrature failure")
+            raise TypeError("a bug, not an input error")
 
         monkeypatch.setattr(zeno, "find_crossover_time", broken)
         with pytest.raises(TypeError, match="a bug"):
@@ -410,32 +438,47 @@ class TestCrossoverMap:
 
 
 class TestConfigHandling:
-    def test_dump_config_round_trip(self, tmp_path, capsys):
-        assert run(["scan", "--r", "2", "--theta", "5", "--alpha", "0.2",
-                    "--out", str(tmp_path), "--dump-config"]) == 0
+    @pytest.mark.parametrize("command", README_COMMANDS)
+    def test_dump_config_round_trip(self, command, tmp_path, capsys):
+        # The dump holds exactly the fields the command reads, and reads back.
+        argv = README_COMMANDS[command]
+        assert run([*argv, "--out", str(tmp_path), "--dump-config"]) == 0
         dumped = capsys.readouterr().out
+        fields = {f"{section}.{key}" for section, values in json.loads(dumped).items()
+                  for key in values}
+        assert fields == ALL_FIELDS - set(UNREAD_FIELDS[command])
         cfg_file = tmp_path / "config.json"
         cfg_file.write_text(dumped)
-        assert run(["scan", "--config", str(cfg_file), "--dump-config"]) == 0
+        assert run([*COMMAND_ARGV.get(command, [command]), "--config", str(cfg_file),
+                    "--dump-config"]) == 0
         assert json.loads(capsys.readouterr().out) == json.loads(dumped)
+
+    @pytest.mark.parametrize("command, field", [
+        (command, field) for command, fields in UNREAD_FIELDS.items() for field in fields
+    ], ids=lambda value: value.split(".")[-1])
+    def test_unread_config_fields_are_refused(self, command, field, tmp_path, capsys):
+        section, key = field.split(".")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({section: {key: FIELD_VALUE[key]}}))
+        out = tmp_path / "out"
+        assert run([*COMMAND_ARGV.get(command, [command]), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {field} is not read by {command}\n"
+        assert not out.exists()
+
+    def test_config_section_overlays_the_defaults_field_by_field(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"params": {"alpha": 0.2}, "grids": {"tau_points": 8}}))
+        assert run(["fig1", "--config", str(cfg), "--tau-max", "10", "--dump-config"]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert dumped["params"] == {"alpha": 0.2, "omega0": 1.0}
+        assert dumped["grids"] == {"tau_min": 1e-3, "tau_max": 10.0, "tau_points": 8,
+                                   "log_spaced": True}
 
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["scan", "--config", str(bad)]) == 2
-
-    def test_quadrature_failure_exit_code(self, tmp_path, monkeypatch):
-        # An exhausted subdivision budget must surface as exit 3.
-        def starved(*args, **kwargs):
-            raise NonConvergenceError("subdivision budget exhausted")
-
-        monkeypatch.setattr(cli, "tabulate_coefficients", starved)
-        code = run([
-            "coeffs", "--r", "0.5", "--theta", "100", "--alpha", "0.1",
-            "--t-max", "2", "--points", "4", "--out", str(tmp_path),
-        ])
-        assert code == 3
-        assert not (tmp_path / "coefficients.csv").exists()
 
     def test_removed_quadrature_key_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "old.json"
@@ -536,6 +579,31 @@ class TestConfigHandling:
             warnings.simplefilter("error")
             assert run(["scan", f"{flag}={value}", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {name} must have a finite nonzero square")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["W-error", "W-default"])
+    @pytest.mark.parametrize("argv", [
+        ["crossover-map", "--n", "0", "--alpha", "1e153", "--map-r", "0.5", "--map-theta", "10",
+         "--tau-points", "24"],
+        ["crossover-map", "--n", "0", "--alpha", "1e154", "--map-r", "0.5", "--map-theta", "10",
+         "--tau-points", "24"],
+        ["crossover-map", "--n", "0", "--alpha", "10", "--map-r", "0.5", "--map-theta", "1e306",
+         "--tau-points", "24"],
+        ["scan", "--n", "0", "--r", "0.5", "--theta", "10", "--alpha", "1e154"],
+        ["coeffs", "--r", "0.5", "--theta", "100", "--alpha", "1e154", "--points", "4"],
+        ["fig1", "--alpha", "1e154", "--tau-points", "16"],
+        ["ion", "--n", "0", "--r", "0.5", "--theta", "100", "--alpha", "1e154", "--tau", "0.25",
+         "--N", "3"],
+        ["scan", "--n", "1" + "0" * 400],
+    ], ids=["map-alpha-1e153", "map-alpha-1e154", "map-theta-1e306", "scan-alpha-1e154",
+            "coeffs-alpha-1e154", "fig1-alpha-1e154", "ion-alpha-1e154", "scan-n-1e400"])
+    def test_overflowing_inputs_are_config_errors(self, argv, strict, tmp_path, capsys):
+        # Once an error cell (exit 3), a divergent cell or AZE-divergent
+        # scan (exit 0 or 4), inf/nan tables (exit 0) or a traceback.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if strict else "default")
+            assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
         assert not list(tmp_path.iterdir())
 
     def test_environment_output_override(self, tmp_path, monkeypatch):

@@ -60,3 +60,19 @@ def test_physics_api_takes_no_quadrature_or_policy_knobs():
                 found += [f"{module.__name__}.{qualname}({p})" for p in sorted(params & knobs)]
     assert found == []
     assert "n_max" not in inspect.signature(dynamics.shuttered_comparison).parameters
+
+
+def test_top_level_is_the_physics_and_its_errors():
+    # The quadrature engine (QuadratureSpec, RootBracket, bisect,
+    # integrate_*, scan_for_bracket) stays in qbmzeno.numerics.
+    import inspect
+
+    import qbmzeno
+    from qbmzeno import coefficients, dynamics, errors, spectral, zeno
+
+    physics = {name for module in (coefficients, dynamics, zeno, spectral, errors)
+               for name in module.__all__}
+    kept = {"QuadratureError", "NonConvergenceError", "NonFiniteError"}
+    public = {name for name, obj in vars(qbmzeno).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public - physics == kept

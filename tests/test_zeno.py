@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,57 @@ class TestMarkovianDecayRate:
         r5 = markovian_decay_rate(params_hot, model_hot, 5)
         r0 = markovian_decay_rate(params_hot, model_hot, 0)
         assert r5 / r0 == pytest.approx(11.0, rel=5e-3)
+
+
+class TestOverflow:
+    # Values that would not fit in a double raise OverflowError, warnings
+    # as errors or not; none comes back as inf or nan.
+    @pytest.mark.parametrize("strict", [True, False], ids=["W-error", "W-default"])
+    def test_markovian_limits_overflow(self, strict):
+        from qbmzeno.coefficients import markovian_limits
+
+        params = ReservoirParams(r=0.5, theta=10.0, alpha=1e154)
+        model = params.spectral_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if strict else "default")
+            with pytest.raises(OverflowError, match="Markovian limits"):
+                markovian_limits(params, model)
+            # Once reported as degenerate: the cancellation test passes for inf.
+            with pytest.raises(OverflowError):
+                zeno_scan(params, model, 0, np.geomspace(1e-3, 1e2, 8))
+            with pytest.raises(OverflowError):
+                find_crossover_time(params, model, 0, (1e-3, 1e2), 24)
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["W-error", "W-default"])
+    def test_rates_and_coefficients_overflow(self, strict):
+        from qbmzeno.coefficients import integrated_pair, tabulate_coefficients
+
+        params = ReservoirParams(r=0.5, theta=10.0, alpha=1e153)
+        model = params.spectral_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if strict else "default")
+            with pytest.raises(OverflowError, match="coefficients at some tau"):
+                integrated_pair(params, model, 100.0)
+            with pytest.raises(OverflowError):
+                effective_decay_rate(params, model, 0, 100.0)
+            with pytest.raises(OverflowError, match="coefficients at some t"):
+                tabulate_coefficients(params, model, 100.0, 8)
+            big = ReservoirParams(r=0.5, theta=10.0, alpha=1.3e154)
+            with pytest.raises(OverflowError, match="rate at tau"):
+                effective_decay_rate_fd(big, big.spectral_model(), 0, 8.0)
+            # (2n+1) Delta_M itself overflows, though Delta_M fits.
+            with pytest.raises(OverflowError, match="Markovian rate"):
+                markovian_decay_rate(params, model, 10**160)
+            # (2n+1) IDelta(tau) overflows, though (2n+1) Delta_M fits.
+            cold = ReservoirParams(r=1.0, theta=0.0, alpha=1e145)
+            with pytest.raises(OverflowError, match="rates of n"):
+                zeno_scan(cold, cold.spectral_model(), 5 * 10**9, [1e9, 1e10])
+
+    def test_largest_fitting_inputs_are_finite(self):
+        params = ReservoirParams(r=0.5, theta=10.0, alpha=1e152)
+        model = params.spectral_model()
+        scan = zeno_scan(params, model, 0, np.geomspace(1e-3, 1e2, 8))
+        assert np.isfinite(scan.rate_z).all() and not scan.degenerate
 
 
 class TestEffectiveDecayRate:
