@@ -55,12 +55,15 @@ a far above max(1, wc) and at a = wc, it is within 1e-13 of mpmath.
 ``pair`` takes a whole grid of times and evaluates it in one pass: the
 direct terms and the Gregory integrals' nodes of every t in blocks of
 about _BLOCK_TERMS entries, the zeta tails as one array per grid, and
-theta = 0 elementwise.  A single time is the grid of one.  The value at
-a given t is bit-identical whatever other times share its grid, because
-nothing a t's value is made of depends on them: its terms and nodes are
-formed elementwise, from constants that are the same for every t, and
-summed over its own segment (``np.add.reduceat``) or along the term
-axis from the left.
+theta = 0 elementwise.  The rows of one pass may belong to different
+cells (wc, theta): a crossover map's grids, or one Brent-Dekker step of
+each of its brackets, are one call.  A single time of one cell is the
+grid of one.  The value at a given t is bit-identical whatever other
+rows share its call, because nothing a row's value is made of depends
+on them: its terms and nodes are formed elementwise, from its cell's
+constants (each computed once per distinct cell, by the scalar
+expression a one-cell call uses), and summed over its own segment
+(``np.add.reduceat``) or along the term axis from the left.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ _SERIES_CHUNK = 128
 # Hurwitz zeta: terms summed directly before the Euler-Maclaurin
 # remainder, and the Bernoulli numbers B_2 .. B_12 of its correction.
 _ZETA_SHIFT = 10
+_ZETA_ROWS = 32  # values of a at once (341 powers each)
 _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730))
 # theta = 0: the small-t form below t = _SMALL_T / max(1, wc) (unsplit
 # kernel), and the asymptotic series of e^{-x} Ei(x) from x =
@@ -137,7 +141,7 @@ def _divided_hankel(a: np.ndarray) -> np.ndarray:
 
 _DIVIDED_TAYLOR = {p: _divided_hankel(a) for p, a in _TAYLOR.items()}
 # Rows of divided-difference coefficients formed at once (23 x 23 terms each).
-_TAYLOR_ROWS = 64
+_TAYLOR_ROWS = 32
 
 
 def _powers(w: np.ndarray, count: int) -> np.ndarray:
@@ -202,6 +206,9 @@ def _exp_divided(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return -np.exp(-a) * _k(np.maximum(w1, w2) - a, 1)
 
 
+_ALL = slice(None)  # every row of a kernel
+
+
 class _Kernel:
     """The time kernel F = t^p k((lambda - i) t) and the summand G(nu), for a grid of t.
 
@@ -212,36 +219,73 @@ class _Kernel:
     difference of k between w and w_c; it is formed without
     cancellation, from the same recurrence, so G is smooth through
     nu = wc.
+
+    ``wc`` and ``theta`` (read by the Matsubara sums only) are the floats
+    of one cell or arrays like ``t``, each row's own cell.  A constant of
+    a cell (``per_cell``) is then computed once per distinct (wc, theta),
+    by the expression a one-cell kernel evaluates, and gathered to the
+    rows that need it (``at``), so every row is what its cell alone gives.
     """
 
-    def __init__(self, wc: float, t: np.ndarray, power: int, split: bool) -> None:
-        self.wc, self.t, self.power = wc, t, power
+    def __init__(self, wc, t: np.ndarray, power: int, split: bool, theta=0.0) -> None:
+        self.t, self.power = t, power
         self.c = 0.0 if split else 1.0
+        self.one_cell = not isinstance(wc, np.ndarray)
+        if not self.one_cell:  # the distinct cells, by (wc, theta) as one complex key
+            cells, self._cell_of = np.unique(wc + 1j * theta, return_inverse=True)
+            wc, theta = cells.real, cells.imag
+            self._cells = list(zip(wc.tolist(), theta.tolist()))
+        self.wc, self.theta = wc, theta
+        self.wc_rows = self.at(wc, _ALL)  # the float of one cell
         self.tp = t**power
-        self.w_c = complex(wc, -1.0) * t
+        self.w_c = (self.wc_rows - 1j) * t
         self.k_c = _k(self.w_c, power, self.c)
         self.f_c = self.tp * self.k_c  # t^p k(w_c): gamma-like and h(wc) / wc
-        self.h_c = wc * self.f_c.real
+        self.h_c = self.wc_rows * self.f_c.real
         # Rows whose divided differences near w_c take the Taylor form.
         self.taylor_rows = np.abs(self.w_c) < 1.0
         self._divided_taylor = None
+
+    def per_cell(self, function):
+        """function(wc, theta) of one cell, or over the distinct cells: an array (a tuple
+        of arrays where the function returns a tuple)."""
+        if self.one_cell:
+            return function(self.wc, self.theta)
+        values = [function(wc, theta) for wc, theta in self._cells]
+        if isinstance(values[0], tuple):
+            return tuple(np.array(column) for column in zip(*values))
+        return np.array(values)
+
+    def at(self, value, rows):
+        """A per-cell value (``per_cell``, ``wc``, ``theta``) at the given rows."""
+        if self.one_cell:
+            return value
+        index = self._cell_of[rows]
+        return tuple(v[index] for v in value) if isinstance(value, tuple) else value[index]
+
+    def cell(self, function, rows):
+        """function(wc, theta) of each row's cell, at the given rows."""
+        if self.one_cell:
+            return function(self.wc, self.theta)
+        return self.at(self.per_cell(function), rows)
 
     def k(self, w: np.ndarray) -> np.ndarray:
         return _k(w, self.power, self.c)
 
     def divided_taylor(self) -> np.ndarray:
-        """Per row, the Taylor coefficients b_j of (k(w) - k(w_c)) / (w - w_c) in w.
+        """Per Taylor row, the coefficients b_j of (k(w) - k(w_c)) / (w - w_c) in w.
 
         From Sum_n a_n (w^n - w_c^n) / (w - w_c) = Sum_j b_j w^j with
         b_j = Sum_{m >= 0} a_{j+1+m} w_c^m, summed over m from the left.
         """
         if self._divided_taylor is None:
             hankel = _DIVIDED_TAYLOR[self.power]
-            b = np.empty((len(self.t), len(hankel)), dtype=complex)
-            for r0 in range(0, len(b), _TAYLOR_ROWS):
-                w_c = self.w_c[r0:r0 + _TAYLOR_ROWS]
-                terms = _powers(w_c, len(hankel))[:, :, None] * hankel
-                b[r0:r0 + _TAYLOR_ROWS] = np.cumsum(terms, axis=1)[:, -1, :]
+            b = np.empty((len(self.t), len(hankel)), dtype=complex)  # set at taylor_rows only
+            rows = np.flatnonzero(self.taylor_rows)
+            for r0 in range(0, len(rows), _TAYLOR_ROWS):
+                part = rows[r0:r0 + _TAYLOR_ROWS]
+                terms = _powers(self.w_c[part], len(hankel))[:, :, None] * hankel
+                b[part] = np.add.reduce(terms, axis=1)  # over m in order: not the contiguous axis
             self._divided_taylor = b
         return self._divided_taylor
 
@@ -287,25 +331,26 @@ class _Kernel:
         wc)] / (nu + wc), which is smooth through nu = wc but cancels like
         nu/wc below it.
         """
-        t, tp = self.t[rows], self.tp[rows]
+        t, tp, wc = self.t[rows], self.tp[rows], self.at(self.wc, rows)
         w = nu - 1j
         w *= t
         k = self.k(w)
         f = tp * k
-        low = nu < 0.5 * self.wc
+        low = nu < 0.5 * wc
         if not np.count_nonzero(low):
-            f += (self.wc * tp * t) * self.divided(w, k, rows)
-            return f.real / (nu + self.wc)
+            f += (wc * tp * t) * self.divided(w, k, rows)
+            return f.real / (nu + wc)
         out = np.empty(nu.shape)
-        nu_low = nu[low]
+        nu_low, wc_low = nu[low], self.at(self.wc, rows[low])
         out[low] = (nu_low * f.real[low] - self.h_c[rows[low]]) / (
-            (nu_low - self.wc) * (nu_low + self.wc)
+            (nu_low - wc_low) * (nu_low + wc_low)
         )
         high = ~low
         if np.count_nonzero(high):
             rows, nu = rows[high], nu[high]
-            f = f[high] + (self.wc * tp[high] * t[high]) * self.divided(w[high], k[high], rows)
-            out[high] = f.real / (nu + self.wc)
+            wc = self.at(self.wc, rows)
+            f = f[high] + (wc * tp[high] * t[high]) * self.divided(w[high], k[high], rows)
+            out[high] = f.real / (nu + wc)
         return out
 
     def asymptotic(self, rows: np.ndarray) -> tuple[np.ndarray, float]:
@@ -345,11 +390,13 @@ def _terms(counts: np.ndarray):
         yield i0, i1, k, np.repeat(np.arange(i0, i1), lengths), starts
 
 
-def _direct_sums(kernel: _Kernel, rows: np.ndarray, last: np.ndarray, step: float) -> np.ndarray:
-    """Sum_{k=1}^{last} G(k step) per row, each over its own segment."""
+def _direct_sums(kernel: _Kernel, rows: np.ndarray, last: np.ndarray, step) -> np.ndarray:
+    """Sum_{k=1}^{last} G(k step) per row, each over its own segment (``step`` per cell)."""
     out = np.empty(len(rows))
     for i0, i1, k, index, starts in _terms(last):
-        out[i0:i1] = np.add.reduceat(kernel.summand(step * k, rows[index]), starts)
+        nodes = rows[index]
+        values = kernel.summand(kernel.at(step, nodes) * k, nodes)
+        out[i0:i1] = np.add.reduceat(values, starts)
     return out
 
 
@@ -404,8 +451,11 @@ def _hurwitz_zeta(a: np.ndarray) -> np.ndarray:
     fixed term counts; within 2e-15 of mpmath for a in [2, 1e6].  The
     terms lie along the middle axis, not the contiguous one, so numpy
     adds them row by row in order, and a row does not depend on the
-    others.
+    others; _ZETA_ROWS rows at a time.
     """
+    if len(a) > _ZETA_ROWS:
+        return np.concatenate([_hurwitz_zeta(a[i:i + _ZETA_ROWS])
+                               for i in range(0, len(a), _ZETA_ROWS)])
     y = 1.0 / (a[:, None] + _ZETA_OFFSETS)
     powers = np.multiply.accumulate(y[..., None].repeat(_ZETA_HANKEL[-1, -1] + 1, axis=-1), axis=-1)
     remainder = _ZETA_REMAINDER * powers[:, -1, _ZETA_HANKEL]
@@ -413,21 +463,22 @@ def _hurwitz_zeta(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=1)
 
 
-def _zeta_tails(kernel: _Kernel, rows: np.ndarray, last: np.ndarray, step: float) -> np.ndarray:
+def _zeta_tails(kernel: _Kernel, rows: np.ndarray, last: np.ndarray, scale) -> np.ndarray:
     """Sum_{k > last} G(k step) per row from the 1/nu series of G (exponentials dropped).
 
     With G = Sum_m C_m nu^-m, Sum_{k > K} G(k step) = Sum_m C_m step^-m
     zeta(m, K + 1); the bound K keeps nu > _SERIES_MARGIN max(1, wc), so
-    the terms fall off like (wc / nu_K)^m.
+    the terms fall off like (wc / nu_K)^m.  ``scale`` is step^-m per cell.
     """
     a1, a2 = kernel.asymptotic(rows)
-    p, q, r = _row_sums(_SERIES_TABLE * kernel.wc**_WC_POWERS)
+    # (P, Q, R) of the row's cell: (3, orders), or (rows, 3, orders) for rows of several cells.
+    pqr = kernel.cell(lambda wc, _: _row_sums(_SERIES_TABLE * wc**_WC_POWERS), rows)
+    p, q, r = pqr[..., 0, :], pqr[..., 1, :], pqr[..., 2, :]
     coeff = a1[:, None] * p + a2 * q - kernel.h_c[rows][:, None] * r
-    scale = step**_NEG_ORDERS
-    return _row_sums(coeff * (scale * _hurwitz_zeta(last + 1.0)))
+    return _row_sums(coeff * (kernel.at(scale, rows) * _hurwitz_zeta(last + 1.0)))
 
 
-def _gregory(kernel: _Kernel, rows: np.ndarray, start: np.ndarray, step: float):
+def _gregory(kernel: _Kernel, rows: np.ndarray, start: np.ndarray, step):
     """Gregory's parts of Sum_{k >= 1} G(k step) per row, all but the integral.
 
     Sum_{k >= K} f(k) = Int_K^inf f + f(K)/2 + Sum_n c_n Delta^n f(K), so
@@ -438,7 +489,8 @@ def _gregory(kernel: _Kernel, rows: np.ndarray, start: np.ndarray, step: float):
     correction = np.empty(len(rows))
     counts = start + len(_GREGORY)
     for i0, i1, k, index, starts in _terms(counts):
-        values = kernel.summand(step * k, rows[index])
+        nodes = rows[index]
+        values = kernel.summand(kernel.at(step, nodes) * k, nodes)
         first = starts + start[i0:i1] - 1  # the term at K
         head[i0:i1] = np.add.reduceat(values, np.ravel([starts, first], order="F"))[::2]
         diffs = values[first[:, None] + np.arange(len(_GREGORY) + 1)]
@@ -457,9 +509,10 @@ def _tail_integrals(kernel: _Kernel, rows: np.ndarray, lower: np.ndarray) -> np.
     row's own range ln(min(1, wc, 1/t)) - _TAIL_SPAN .. ln(max(1, wc,
     1/t)) + _TAIL_SPAN, each row summed from the left over its segment.
     """
-    inverse, wc = 1.0 / kernel.t[rows], kernel.wc
-    first = np.log(np.minimum(inverse, min(1.0, wc))) - _TAIL_SPAN
-    width = np.log(np.maximum(inverse, max(1.0, wc))) + _TAIL_SPAN - first
+    inverse = 1.0 / kernel.t[rows]
+    low, high = (kernel.cell(lambda wc, _: bound(1.0, wc), rows) for bound in (min, max))
+    first = np.log(np.minimum(inverse, low)) - _TAIL_SPAN
+    width = np.log(np.maximum(inverse, high)) + _TAIL_SPAN - first
     counts = np.ceil(width / _TAIL_STEP).astype(np.int64)
     out = np.empty(len(rows))
     for i0, i1, k, index, starts in _terms(counts):
@@ -539,34 +592,43 @@ def _theta0_delta(kernel: _Kernel) -> np.ndarray:
     logarithms out analytically, with L = gamma_E + ln(wc t), so that
     every remaining term is of the order of the result (see _theta0_small).
     """
-    wc, t, power = kernel.wc, kernel.t, kernel.power
+    t, power = kernel.t, kernel.power
     total = np.empty(len(t), dtype=complex)
-    small = t <= _SMALL_T / max(1.0, wc)
+    high, *constants = kernel.per_cell(_theta0)
+    small = t <= _SMALL_T / kernel.at(high, _ALL)
     if np.count_nonzero(small):
-        total[small] = _theta0_small(wc, t[small], power)
+        total[small] = _theta0_small(kernel, small, constants[1:])
     rest = ~small
     if np.count_nonzero(rest):
         t = t[rest]
         e_it = np.exp(1j * t)
         e1_it = _e1_imaginary(t)
-        log_part = complex(-math.log(wc), -0.5 * math.pi)
+        log_part, d_plus, d_minus, d2_plus, d2_minus = kernel.at(tuple(constants), rest)
         if power == 2:
             linear = -1j * np.expm1(1j * t) + t * (e1_it + log_part if kernel.c else e1_it)
-        ei, e1 = _scaled_exponential_integrals(wc * t)
+        ei, e1 = _scaled_exponential_integrals(kernel.at(kernel.wc, rest) * t)
         sums = np.zeros(len(t), dtype=complex)
-        for b, e_b in ((wc, -ei), (-wc, e1)):
-            d = complex(b, -1.0)
+        for d, d2, e_b in ((d_plus, d2_plus, -ei), (d_minus, d2_minus, e1)):
             phi = e_it * e_b - e1_it
             if power == 1:
                 sums += ((log_part if kernel.c else 0.0) - phi) / d
             else:
-                sums += (phi - log_part) / (d * d) + linear / d
+                sums += (phi - log_part) / d2 + linear / d
         total[rest] = sums
+    wc = kernel.wc_rows
     return wc * wc / (2.0 * np.pi) * total.real
 
 
-def _theta0_small(wc: float, t: np.ndarray, power: int) -> np.ndarray:
-    """Sum_b K_b of _theta0_delta for the unsplit kernel at small t, without cancellation.
+def _theta0(wc: float, _) -> tuple:
+    """A cell's constants at theta = 0: max(1, wc), Lg = -ln wc - i pi/2, and
+    d = b - i at the poles b = wc and -wc, then their squares."""
+    d_plus, d_minus = complex(wc, -1.0), complex(-wc, -1.0)
+    log_part = complex(-math.log(wc), -0.5 * math.pi)
+    return max(1.0, wc), log_part, d_plus, d_minus, d_plus * d_plus, d_minus * d_minus
+
+
+def _theta0_small(kernel: _Kernel, small: np.ndarray, poles) -> np.ndarray:
+    """Sum_b K_b of _theta0_delta for the unsplit kernel at its small t, without cancellation.
 
     With Ein(x) = E1(x) + gamma_E + ln x and L = gamma_E + ln(wc t),
     Phi_b - Lg = -expm1(-dt) L + e^{-dt} Ein(-bt) - Ein(-it), and p = 1
@@ -575,16 +637,17 @@ def _theta0_small(wc: float, t: np.ndarray, power: int) -> np.ndarray:
     Ein(x) - x, e^{-w} - 1 + w = w^2 phi_2(w) and expm1(x) - x = x^2
     phi_2(-x), d^2 K_b = -(dt)^2 phi_2(dt) L - bt expm1(-dt) + e^{-dt}
     (Ein(-bt) + bt) - (Ein(-it) + it) + dt Ein(-it) + i d t^2 phi_2(-it),
-    each term of order t^2.
+    each term of order t^2.  ``poles`` are the cells' d and d^2 of ``_theta0``.
     """
+    t, power, wc = kernel.t[small], kernel.power, kernel.at(kernel.wc, small)
+    d_plus, d_minus, d2_plus, d2_minus = kernel.at(tuple(poles), small)
     log = _EULER_GAMMA + np.log(wc * t)
     it = 1j * t
     tail_i = _ein_tail(-it)  # Ein(-it) + it
     if power == 2:
         q = 1j * t * t * _k(-it, 2)  # -i (expm1(it) - it)
     total = np.zeros(len(t), dtype=complex)
-    for b in (wc, -wc):
-        d = complex(b, -1.0)
+    for b, d, d2 in ((wc, d_plus, d2_plus), (-wc, d_minus, d2_minus)):
         w = d * t
         e = np.exp(-w)
         tail_b = _ein_tail(-b * t)  # Ein(-bt) + bt
@@ -592,26 +655,35 @@ def _theta0_small(wc: float, t: np.ndarray, power: int) -> np.ndarray:
             total += (np.expm1(-w) * log - e * (tail_b - b * t) + tail_i - it) / d
         else:
             total += (-w * w * _k(w, 2) * log - b * t * np.expm1(-w) + e * tail_b - tail_i
-                      + w * (tail_i - it) + d * q) / (d * d)
+                      + w * (tail_i - it) + d * q) / d2
     return total
 
 
-def _matsubara_sums(kernel: _Kernel, step: float) -> np.ndarray:
+def _thermal(wc: float, theta: float) -> tuple:
+    """A cell's constants at theta > 0: the Matsubara step 2 pi theta, the bound
+    k_series past which the 1/nu series of G holds, step^-m of the zeta tails
+    and tanh(1 / 2 theta) of the Markovian Delta_M."""
+    step = 2.0 * np.pi * theta
+    k_series = float(max(math.ceil(_SERIES_MARGIN * max(1.0, wc) / step), 1))
+    return step, k_series, step**_NEG_ORDERS, math.tanh(0.5 / theta)
+
+
+def _matsubara_sums(kernel: _Kernel, step, k_series, scale) -> np.ndarray:
     """Sum_{k >= 1} G(k step) for every t of ``kernel``: direct up to a bound, completed past it.
 
-    Past the bound the zeta tail completes the direct sum; where the
-    bound is over the cap, Gregory's formula does.
+    step, k_series and scale are per cell (``_thermal``).  Past the bound
+    the zeta tail completes the direct sum; where the bound is over the
+    cap, Gregory's formula does.
     """
-    k_series = max(math.ceil(_SERIES_MARGIN * max(1.0, kernel.wc) / step), 1)
-    k_exp = np.ceil(_EXP_CUT / (step * kernel.t))
-    last = np.maximum(k_exp, k_series)
+    k_exp = np.ceil(_EXP_CUT / (kernel.at(step, _ALL) * kernel.t))
+    last = np.maximum(k_exp, kernel.at(k_series, _ALL))
     direct = last <= _MAX_TERMS
     total = np.empty(len(last))
     rows = np.flatnonzero(direct)
     if len(rows):
         count = last[rows].astype(np.int64)
         total[rows] = (_direct_sums(kernel, rows, count, step)
-                       + _zeta_tails(kernel, rows, count, step))
+                       + _zeta_tails(kernel, rows, count, scale))
     if len(rows) == len(last):
         return total
     rows = np.flatnonzero(~direct)
@@ -622,44 +694,63 @@ def _matsubara_sums(kernel: _Kernel, step: float) -> np.ndarray:
     start = np.where(k <= _MAX_TERMS, np.maximum(k, _GREGORY_START), _GREGORY_START)
     start = start.astype(np.int64)
     head, correction = _gregory(kernel, rows, start, step)
+    step = kernel.at(step, rows)
     total[rows] = head + _tail_integrals(kernel, rows, start * step) / step + correction
     return total
 
 
-def pair(wc: float, theta: float, t: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
+def pair(wc, theta, t: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
     """Coupling-free (Delta, gamma) (power 1) or (IDelta, Igamma) (power 2) at w0 = 1.
 
-    ``wc`` is the cutoff ratio r and ``t`` a 1-D array of positive
-    times; returns two arrays like ``t``.  Each value is the same bit
-    for bit whatever other times share ``t``.  Multiply by alpha^2 (and
-    by w0 for power 1, with t scaled by w0) for the physical values.
-    The gamma-like value depends on (wc, t) only.
+    ``t`` is a 1-D array of positive times.  ``wc`` (the cutoff ratio r)
+    and ``theta`` are floats, one cell for every time, or arrays like
+    ``t``, row i being the cell (wc[i], theta[i]): its rows then go
+    through one pass, grouped by theta = 0 or not and by the t >= 1
+    split.  Returns two arrays like ``t``.  Each value is the same bit
+    for bit whatever other rows, of its own cell or of others, share the
+    call.  Multiply by alpha^2 (and by w0 for power 1, with t scaled by
+    w0) for the physical values.  The gamma-like value depends on (wc,
+    t) only.
     """
     split = t >= 1.0
-    late = np.count_nonzero(split)
-    if late in (0, len(t)):
-        groups = None
-        kernels = [_Kernel(wc, t, power, late > 0)]
+    if isinstance(wc, np.ndarray) or isinstance(theta, np.ndarray):
+        wc, theta = np.broadcast_to(wc, t.shape), np.broadcast_to(theta, t.shape)
+        hot = theta != 0.0
+        groups = [(np.flatnonzero((hot == thermal) & (split == late)), thermal, late)
+                  for thermal in (False, True) for late in (False, True)]
+        kernels = [(rows, thermal, _Kernel(wc[rows], t[rows], power, late, theta[rows]))
+                   for rows, thermal, late in groups if len(rows)]
     else:
-        groups = [np.flatnonzero(~split), np.flatnonzero(split)]
-        kernels = [_Kernel(wc, t[rows], power, late) for rows, late in zip(groups, (False, True))]
-    if theta == 0.0:
-        deltas = [_theta0_delta(kernel) for kernel in kernels]
-    else:
-        step = 2.0 * np.pi * theta
-        deltas = [theta * (kernel.h_c + 2.0 * wc * wc * _matsubara_sums(kernel, step))
-                  for kernel in kernels]
-    pairs = []
-    for kernel, delta in zip(kernels, deltas):
-        gamma = 0.5 * wc * wc * kernel.f_c.imag
-        if not kernel.c:
-            markov = kernel.t ** (power - 1) * wc * wc / (2.0 * (wc * wc + 1.0))
-            gamma = gamma + markov
-            delta = delta + (markov if theta == 0.0 else markov / math.tanh(0.5 / theta))
-        pairs.append((delta, gamma))
-    if groups is None:
+        thermal, late = theta != 0.0, np.count_nonzero(split)
+        if late in (0, len(t)):
+            kernels = [(None, thermal, _Kernel(wc, t, power, late > 0, theta))]
+        else:
+            kernels = [(rows, thermal, _Kernel(wc, t[rows], power, late, theta))
+                       for rows, late in ((np.flatnonzero(~split), False),
+                                          (np.flatnonzero(split), True))]
+    pairs = [_kernel_pair(kernel, thermal) for _, thermal, kernel in kernels]
+    if kernels and kernels[0][0] is None:
         return pairs[0]
     delta, gamma = np.empty_like(t), np.empty_like(t)
-    for rows, (d, g) in zip(groups, pairs):
+    for (rows, _, _), (d, g) in zip(kernels, pairs):
         delta[rows], gamma[rows] = d, g
+    return delta, gamma
+
+
+def _kernel_pair(kernel: _Kernel, thermal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``pair`` at the times of one kernel: every row at theta > 0 (``thermal``) or at 0."""
+    wc = kernel.wc_rows
+    if thermal:
+        step, k_series, scale, tanh = kernel.per_cell(_thermal)
+        theta = kernel.at(kernel.theta, _ALL)
+        delta = theta * (kernel.h_c + 2.0 * wc * wc * _matsubara_sums(kernel, step, k_series, scale))
+    else:
+        delta = _theta0_delta(kernel)
+    gamma = 0.5 * wc * wc * kernel.f_c.imag
+    if not kernel.c:
+        markov = kernel.t ** (kernel.power - 1) * wc * wc / (2.0 * (wc * wc + 1.0))
+        gamma = gamma + markov
+        if thermal:
+            markov = markov / kernel.at(tanh, _ALL)
+        delta = delta + markov
     return delta, gamma

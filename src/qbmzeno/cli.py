@@ -30,7 +30,7 @@ import numpy as np
 from . import dynamics, zeno
 from ._table import json_columns, write_atomic, write_csv
 from .coefficients import _pairs, markovian_limits, tabulate_coefficients
-from .errors import DegenerateDenominatorError, PerturbativeBreakdownError
+from .errors import PerturbativeBreakdownError
 from .spectral import ReservoirParams
 
 __all__ = ["GridConfig", "OutputConfig", "RunConfig", "main"]
@@ -103,12 +103,17 @@ class RunConfig:
         """The defaults overlaid by ``data``, then by the flags set in ``args``;
         ``data`` may set only the fields behind the flags of ``args.command``."""
         sections, read = dict(vars(cls())), vars(args)
+        if not isinstance(data, dict):
+            raise ValueError(f"a config file holds a JSON object, not {type(data).__name__}")
         unknown = sorted(set(data) - set(sections))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         for name, default in sections.items():
             fields = {f.name for f in dataclasses.fields(default)} & set(read)
             given = data.get(name, {})
+            if not isinstance(given, dict):
+                raise ValueError(f"config section {name} must be a JSON object, "
+                                 f"not {type(given).__name__}")
             unread = [key for key in given if key not in fields]
             if unread:
                 raise ValueError(f"{name}.{unread[0]} is not read by {args.command}")
@@ -317,31 +322,17 @@ def cmd_ion(cfg: RunConfig, n: int, tau: float, n_measurements: int) -> int:
     return EXIT_OK
 
 
-def _map_cell(params: ReservoirParams, n: int, tau_range: tuple[float, float],
-              grid_points: int) -> float | str:
-    """The smallest crossover time, or "divergent" or "none"."""
-    model = params.spectral_model()
-    try:
-        stars = zeno.find_crossover_time(params, model, n, tau_range, grid_points)
-    except DegenerateDenominatorError:
-        return "divergent"
-    if not stars:
-        return "none"
-    return min(stars)
-
-
 def cmd_crossover_map(cfg: RunConfig, n: int) -> int:
     grid = cfg.grids
-    tau_range = (grid.tau_min, grid.tau_max)
     # Brackets come from a log grid of this many points.
     grid_points = max(16, min(grid.tau_points, 96))
-    rows = [
-        [_map_cell(params=ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
-                                          omega0=cfg.params.omega0),
-                   n=n, tau_range=tau_range, grid_points=grid_points)
-         for theta in grid.map_theta]
-        for r in grid.map_r
-    ]
+    points = [ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha, omega0=cfg.params.omega0)
+              for r in grid.map_r for theta in grid.map_theta]
+    found = zeno._crossover_map(points, n, (grid.tau_min, grid.tau_max), grid_points)
+    # The smallest crossover time, or "divergent" or "none".
+    cells = ["divergent" if stars is None else min(stars) if stars else "none" for stars in found]
+    width = len(grid.map_theta)
+    rows = [cells[i:i + width] for i in range(0, len(cells), width)]
     header = ["r\\theta"] + [format(t, "g") for t in grid.map_theta]
     # Text columns: a crossover time is written as %.16e, like a numeric cell.
     text_rows = [[c if isinstance(c, str) else format(c, ".16e") for c in row] for row in rows]

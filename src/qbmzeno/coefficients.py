@@ -152,21 +152,56 @@ def _pairs(params, model, times, kernel) -> tuple[np.ndarray, np.ndarray]:
         return delta, gamma
     check_model_consistency(params, model)
     if type(model) is OhmicLorentzDrude:
-        omega0 = params.omega0
-        power, unit = (1, omega0) if kernel == "sinc" else (2, 1.0)
-        try:  # raised, not warned, so that -W error cannot make it a RuntimeWarning
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                delta, gamma = _matsubara.pair(
-                    model.omega_c / omega0, params.theta, omega0 * times, power)
-                return params.alpha**2 * (unit * delta), params.alpha**2 * (unit * gamma)
-        except FloatingPointError:
-            pass
+        pairs = _closed_form(model.omega_c / params.omega0, params.theta, params.omega0,
+                             params.alpha**2, times, kernel)
+        if pairs is not None:
+            return pairs
     else:
         pairs = [_kernel_pass(params, model, float(t), kernel) for t in times]
         delta, gamma = np.array(pairs, dtype=float).reshape(-1, 2).T
         if np.isfinite(delta).all() and np.isfinite(gamma).all():
             return delta, gamma
     raise OverflowError(f"the coefficients at some {name} overflow a double at {params}")
+
+
+def _closed_form(wc, theta, omega0, alpha2, times, kernel):
+    """The Lorentz-Drude pair on one kernel from ``_matsubara.pair``, or None if it overflows.
+
+    The bath's numbers (cutoff ratio, theta, omega0, alpha^2) are one
+    cell's floats or arrays like ``times``, each row's own cell.  An
+    overflow is raised, not warned, so that -W error cannot make it a
+    RuntimeWarning.
+    """
+    power, unit = (1, omega0) if kernel == "sinc" else (2, 1.0)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            delta, gamma = _matsubara.pair(wc, theta, omega0 * times, power)
+            return alpha2 * (unit * delta), alpha2 * (unit * gamma)
+    except FloatingPointError:
+        return None
+
+
+def _cell_pairs(points, times, index, kernel):
+    """``_pairs`` of several Lorentz-Drude cells in one closed-form pass, or None.
+
+    ``points`` is a list of (params, model); row i is times[i] (positive
+    and finite) of points[index[i]], and its values are those of
+    ``_pairs`` of its own cell, bit for bit.  None, for the caller to go
+    cell by cell through ``_pairs``, unless every model is the Ohmic
+    Lorentz-Drude bath itself and no value overflows.
+    """
+    if not all(type(model) is OhmicLorentzDrude for _, model in points):
+        return None
+    for params, model in points:
+        check_model_consistency(params, model)
+
+    def rows(value):
+        return np.array([value(params, model) for params, model in points])[index]
+
+    return _closed_form(rows(lambda params, model: model.omega_c / params.omega0),
+                        rows(lambda params, _: params.theta),
+                        rows(lambda params, _: params.omega0),
+                        rows(lambda params, _: params.alpha**2), times, kernel)
 
 
 def _pair(params, model, time, kernel) -> tuple[float, float]:
@@ -248,15 +283,20 @@ def markovian_limits(params: ReservoirParams, model: BaseSpectralDensity) -> Mar
     At theta = 0 the two coincide exactly.  These closed forms are
     canonical; ``markovian_limits_numerical`` provides the large-t
     cross-check (slowly convergent, diagnostic only).  A limit that does
-    not fit in a double raises OverflowError.
+    not fit in a double, or a bath that overflows on the way to it (the
+    Lorentz-Drude omega_c^2 + omega0^2 near 1e308), raises OverflowError.
     """
     check_model_consistency(params, model)
     pref = 0.5 * np.pi * params.alpha**2
-    gamma_m = pref * float(model.density(params.omega0))
-    if params.theta == 0.0:
-        delta_m = gamma_m
-    else:
-        delta_m = pref * float(weighted_spectral_density(model, params, params.omega0))
+    try:  # raised, not warned, so that -W error cannot make it a RuntimeWarning
+        with np.errstate(over="raise"):
+            gamma_m = pref * float(model.density(params.omega0))
+            if params.theta == 0.0:
+                delta_m = gamma_m
+            else:
+                delta_m = pref * float(weighted_spectral_density(model, params, params.omega0))
+    except FloatingPointError:
+        delta_m = gamma_m = np.inf  # the bath overflowed on the way
     if not (np.isfinite(delta_m) and np.isfinite(gamma_m)):
         raise OverflowError(f"the Markovian limits overflow a double at {params}")
     return MarkovianLimits(delta_m=delta_m, gamma_m=gamma_m)

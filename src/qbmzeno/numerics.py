@@ -10,7 +10,8 @@ past it a non-oscillating integral on x = cut/u and half-period cycle
 sums extrapolated with Wynn's epsilon algorithm, with the head
 extended past structure that samples of the tail show),
 and deterministic Brent-Dekker root refinement on sign-change brackets
-(``bisect``: a handful of calls per smooth root at any tolerance).
+(``brent_dekker``, one step per f value, driven for one function by
+``bisect``: a handful of calls per smooth root at any tolerance).
 All routines are pure functions of their inputs and bit-reproducible
 for a fixed spec on one platform (fixed evaluation and summation order).
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "integrate_adaptive",
     "integrate_semi_infinite",
     "bisect",
+    "brent_dekker",
     "scan_for_bracket",
 ]
 
@@ -650,22 +652,24 @@ def integrate_semi_infinite(
     return evaluate.result(value), evaluate.result(err)
 
 
-def bisect(f: Callable[[float], float], bracket: RootBracket, tol: float) -> float:
-    """Root of f in a validated bracket by Brent-Dekker, to a bracket narrower than tol.
+def brent_dekker(bracket: RootBracket, tol: float) -> Generator[float, float, float]:
+    """Brent-Dekker on a validated bracket, one step at a time: x goes out, f(x) comes back.
 
-    The algorithm of scipy's ``brentq`` (Brent 1973, ch. 4): inverse
-    quadratic or secant steps inside a sign-change bracket, with a
-    bisection fallback, taking the bracket's f_lo and f_hi as given.
-    Returns the end of the final bracket with the smaller |f|, so f
+    A generator: each ``send`` of f at the x it last yielded returns the
+    next x to evaluate, and the root ends it (``StopIteration.value``).
+    ``bisect`` drives it with one function; a caller may drive many in
+    lock step.  The algorithm of scipy's ``brentq`` (Brent 1973, ch. 4):
+    inverse quadratic or secant steps inside a sign-change bracket, with
+    a bisection fallback, taking the bracket's f_lo and f_hi as given.
+    The root is the end of the final bracket with the smaller |f|, so f
     changes sign within tol of it; a zero endpoint or a zero of f hit on
     the way is returned as is.  Deterministic, and the sign-change
     invariant holds at every step.  Steps are floored at two doubles
     (2 ulp(x), about brentq's 4 eps|x|/2), so a tol below the spacing of
     doubles ends at floating-point resolution.  A smooth simple root takes
-    a handful of calls; the worst cases tested (a step, a pole, a ninth-
+    a handful of steps; the worst cases tested (a step, a pole, a ninth-
     power root) stay within three times bisection's count.  Raises
-    NonFiniteError on a NaN or infinite f.  The name is that of the
-    plain bisection it replaced, kept for existing callers.
+    NonFiniteError on a NaN or infinite f.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -703,9 +707,25 @@ def bisect(f: Callable[[float], float], bracket: RootBracket, tol: float) -> flo
             s_pre = s_cur = s_bis
         x_pre, f_pre = x_cur, f_cur
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = f(x_cur)
+        f_cur = yield x_cur
         if not math.isfinite(f_cur):
             raise NonFiniteError(f"function returned a non-finite value at x={x_cur!r}")
+
+
+def bisect(f: Callable[[float], float], bracket: RootBracket, tol: float) -> float:
+    """Root of f in a validated bracket by Brent-Dekker, to a bracket narrower than tol.
+
+    The scalar driver of ``brent_dekker``: f is called once per step,
+    with a float.  The name is that of the plain bisection it replaced,
+    kept for existing callers.
+    """
+    steps = brent_dekker(bracket, tol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def brackets_from_samples(xs: np.ndarray, ys: np.ndarray) -> list[RootBracket]:

@@ -17,11 +17,13 @@ import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from ._table import write_atomic, write_csv
 from .coefficients import (
+    _cell_pairs,
     _pair_weight,
     _pairs,
     half_kernel_integral,
@@ -30,7 +32,7 @@ from .coefficients import (
     markovian_limits,
 )
 from .errors import DegenerateDenominatorError
-from .numerics import bisect, brackets_from_samples, scan_for_bracket
+from .numerics import bisect, brackets_from_samples, brent_dekker, scan_for_bracket
 from .spectral import BaseSpectralDensity, ReservoirParams, check_model_consistency
 
 __all__ = [
@@ -291,6 +293,100 @@ def classify_regime(
     return _regime(ratio)
 
 
+class _Cell(NamedTuple):
+    """One (params, model) point of a crossover search and its Markovian rate."""
+
+    params: ReservoirParams
+    model: BaseSpectralDensity
+    denominator: float
+
+
+def _excess(cells: list[_Cell], n: int, taus: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """ratio - 1 at every row: taus[i] in cells[index[i]].
+
+    Lorentz-Drude cells go through one closed-form pass together
+    (``coefficients._cell_pairs``); one cell, other models, or a pass
+    that overflows go cell by cell through ``_rates``.  Each row is
+    bit-identical to its own cell's ``_rates`` at that tau alone.
+    """
+    rates = None
+    if len(cells) > 1:
+        pairs = _cell_pairs([(cell.params, cell.model) for cell in cells], taus, index, "sinc2")
+        if pairs is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rates = ((2 * n + 1) * pairs[0] - pairs[1]) / taus
+            if not np.isfinite(rates).all():
+                rates = None  # cell by cell, to name the one that overflows
+    if rates is None:
+        rates = np.empty_like(taus)
+        for c, cell in enumerate(cells):
+            rows = index == c
+            rates[rows] = _rates(cell.params, cell.model, n, taus[rows])
+    return rates / np.array([cell.denominator for cell in cells])[index] - 1.0
+
+
+def _crossovers(cells: list[_Cell], n: int, brackets: list[list]) -> list[list[float]]:
+    """Crossover times of each cell: the roots of ratio(tau) - 1 in its sign-change brackets.
+
+    Every bracket of every cell is refined by Brent-Dekker
+    (``numerics.brent_dekker``) to 1e-12 relative width, from the grid
+    values at its ends, in lock step: each round takes the next tau of
+    every live bracket, and one ``_excess`` call evaluates them all, a
+    row each.  A row is what its cell's single-tau rate would be, bit
+    for bit, so each bracket takes the steps that refining it alone
+    would.  Each root is then ``bisect`` replaying the bracket's
+    trajectory (tau -> ratio - 1) without a rate call; a KeyError there
+    would mean that the lock step left the scalar path.
+    """
+    jobs = [(c, bracket) for c, found in enumerate(brackets) for bracket in found]
+    steps = [brent_dekker(bracket, 1e-12 * bracket.hi) for _, bracket in jobs]
+    trajectories: list[dict] = [{} for _ in jobs]
+    pending: dict[int, float] = {}  # job -> the tau it waits for
+
+    def advance(j: int, value) -> None:
+        try:
+            pending[j] = steps[j].send(value)
+        except StopIteration:
+            pending.pop(j, None)
+
+    for j in range(len(jobs)):
+        advance(j, None)
+    while pending:
+        live = list(pending)
+        taus = np.array([pending[j] for j in live])
+        values = _excess(cells, n, taus, np.array([jobs[j][0] for j in live])).tolist()
+        for j, tau, value in zip(live, taus.tolist(), values):
+            trajectories[j][tau] = value
+            advance(j, value)
+    roots: list[list[float]] = [[] for _ in cells]
+    for (c, bracket), trajectory in zip(jobs, trajectories):
+        roots[c].append(bisect(trajectory.__getitem__, bracket, tol=1e-12 * bracket.hi))
+    return roots
+
+
+def _crossover_grid(tau_range: tuple[float, float], grid_points: int) -> np.ndarray:
+    """The log grid of a crossover search, after checking its range and size."""
+    lo, hi = tau_range
+    if not (0.0 < lo < hi < np.inf):
+        raise ValueError("tau_range must be finite, positive and ordered")
+    if grid_points < 16:
+        raise ValueError("grid_points must be at least 16")
+    return np.geomspace(lo, hi, grid_points)
+
+
+def _grid_crossovers(cells: list[_Cell], n: int, taus: np.ndarray) -> list[list[float]]:
+    """Every crossover of each cell on one tau grid: one pass for all cells, then _crossovers."""
+    if not cells:
+        return []
+    index = np.repeat(np.arange(len(cells)), len(taus))
+    excess = _excess(cells, n, np.tile(taus, len(cells)), index).reshape(len(cells), -1)
+    brackets = []
+    for row in excess:
+        samples = dict(zip(taus.tolist(), row.tolist()))
+        brackets.append(scan_for_bracket(samples.__getitem__, taus))
+    return _crossovers(cells, n, brackets)
+
+
 def find_crossover_time(
     params: ReservoirParams,
     model: BaseSpectralDensity,
@@ -301,45 +397,46 @@ def find_crossover_time(
     """All crossover times tau* with rate ratio = 1 inside tau_range.
 
     Evaluates ratio - 1 on a log-spaced grid in one pass, brackets every
-    sign change and refines each bracket by Brent-Dekker to 1e-12
-    relative width, one rate per step (a handful of steps per root).
-    On the closed-form Lorentz-Drude path tau* is then good to about
-    1e-12; on quadrature baths it is only as exact as the rate.  An
-    empty list means no crossover in range; the oscillatory coefficients
-    at r < 1 can produce several.  Raises DegenerateDenominatorError in
-    the AZE-divergent case.
+    sign change and refines every bracket by Brent-Dekker to 1e-12
+    relative width, all brackets in lock step (``_crossovers``: one rate
+    grid per round, a handful of rounds per root).  On the closed-form
+    Lorentz-Drude path tau* is then good to about 1e-12; on quadrature
+    baths it is only as exact as the rate.  An empty list means no
+    crossover in range; the oscillatory coefficients at r < 1 can
+    produce several.  Raises DegenerateDenominatorError in the
+    AZE-divergent case.
     """
-    lo, hi = tau_range
-    if not (0.0 < lo < hi < np.inf):
-        raise ValueError("tau_range must be finite, positive and ordered")
-    if grid_points < 16:
-        raise ValueError("grid_points must be at least 16")
+    taus = _crossover_grid(tau_range, grid_points)
     denominator = _ratio_denominator(params, model, n)
-    taus = np.geomspace(lo, hi, grid_points)
-    excess = _rates(params, model, n, taus) / denominator - 1.0
-    samples = dict(zip(taus.tolist(), excess.tolist()))
-    brackets = scan_for_bracket(samples.__getitem__, taus)
-    return _crossovers(params, model, n, denominator, brackets)
+    return _grid_crossovers([_Cell(params, model, denominator)], n, taus)[0]
 
 
-def _crossovers(
-    params: ReservoirParams,
-    model: BaseSpectralDensity,
+def _crossover_map(
+    points: list[ReservoirParams],
     n: int,
-    denominator: float,
-    brackets,
-) -> list[float]:
-    """Crossover times: the roots of ratio(tau) - 1 in its sign-change brackets.
+    tau_range: tuple[float, float],
+    grid_points: int,
+) -> list[list[float] | None]:
+    """find_crossover_time at every point with its own bath, all at once; None where degenerate.
 
-    Each bracket is refined by Brent-Dekker (``numerics.bisect``) to
-    1e-12 relative width, from the grid values at its ends, one
-    single-tau ``_rates`` grid per step.
+    Every cell whose Markovian rate is not degenerate joins one grid
+    pass, and then the lock-step refinement of all their brackets, so a
+    map of Lorentz-Drude cells is one closed-form call per grid and per
+    Brent-Dekker round (``_excess``), not one per cell and step.  Each
+    list is what find_crossover_time returns for its point, bit for bit.
     """
-
-    def excess(tau: float) -> float:
-        return float(_rates(params, model, n, np.array([tau]))[0]) / denominator - 1.0
-
-    return [bisect(excess, b, tol=1e-12 * b.hi) for b in brackets]
+    taus = _crossover_grid(tau_range, grid_points)
+    cells, live = [], []
+    for i, params in enumerate(points):
+        model = params.spectral_model()
+        denominator, degenerate = _markov_rate(params, model, n)
+        if not degenerate:
+            cells.append(_Cell(params, model, denominator))
+            live.append(i)
+    found: list[list[float] | None] = [None] * len(points)
+    for i, roots in zip(live, _grid_crossovers(cells, n, taus)):
+        found[i] = roots
+    return found
 
 
 @dataclass(frozen=True)
@@ -424,7 +521,7 @@ def zeno_scan(
     else:
         ratio = rates / denominator
         brackets = brackets_from_samples(taus, ratio - 1.0)
-        crossovers = _crossovers(params, model, n, denominator, brackets)
+        crossovers = _crossovers([_Cell(params, model, denominator)], n, [brackets])[0]
     return ZenoScan(
         n=n,
         taus=taus,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbmzeno import cli, numerics, zeno
+from qbmzeno import _matsubara, cli, numerics, zeno
 from qbmzeno.cli import main
 
 FAST_SCAN = ["--tau-min", "1e-3", "--tau-max", "100", "--tau-points", "36", "--log"]
@@ -365,24 +365,35 @@ class TestCrossoverMap:
 
 
     def test_readme_map_refines_roots_in_few_rate_calls(self, tmp_path, monkeypatch):
-        # The README grid at benchmark size: each cell's 24 taus are one
-        # batched grid, and the root refinements of its 24 roots are grids
-        # of one tau, one per Brent-Dekker step.
-        rates, sizes = zeno._rates, []
+        # The README grid at benchmark size: the 24 taus of every cell that
+        # is not divergent (15 at n = 0, 20 at n = 50) are one closed-form
+        # pass, and the Brent-Dekker steps of all their roots (11 and 13)
+        # run in lock step, one pass per round with a row per live bracket.
+        # No cell goes through _rates on its own.
+        pair, sizes = _matsubara.pair, []
 
-        def counted_rates(*args, **kwargs):
-            sizes.append(len(args[3]))
-            return rates(*args, **kwargs)
+        def counted_pair(wc, theta, t, power):
+            sizes[-1].append(len(t))
+            return pair(wc, theta, t, power)
 
-        monkeypatch.setattr(zeno, "_rates", counted_rates)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map cell took _rates on its own")
+
+        monkeypatch.setattr(_matsubara, "pair", counted_pair)
+        monkeypatch.setattr(zeno, "_rates", refuse)
         for n in ("0", "50"):
+            sizes.append([])
             assert run([
                 "crossover-map", "--n", n, "--alpha", "0.1", "--map-r", "0.1,0.5,1,2,10",
                 "--map-theta", "0,1,10,100", "--tau-min", "1e-3", "--tau-max", "100",
                 "--tau-points", "24", "--out", str(tmp_path / n),
             ]) == 0
-        assert set(sizes) == {1, 24}
-        assert 0 < sizes.count(1) <= 180
+        (grid0, *rounds0), (grid50, *rounds50) = sizes
+        assert (grid0, grid50) == (15 * 24, 20 * 24)
+        assert (len(rounds0), len(rounds50)) == (9, 10)
+        assert (max(rounds0), max(rounds50)) == (11, 13)
+        # One row per Brent-Dekker step: the traced zeno.root_steps.
+        assert sum(rounds0) + sum(rounds50) == 151
 
     def test_readme_map_makes_few_adaptive_integrals(self, tmp_path, monkeypatch):
         # Every cell is the Lorentz-Drude bath, closed form at every
@@ -429,7 +440,7 @@ class TestCrossoverMap:
         def broken(*args, **kwargs):
             raise TypeError("a bug, not an input error")
 
-        monkeypatch.setattr(zeno, "find_crossover_time", broken)
+        monkeypatch.setattr(zeno, "_crossover_map", broken)
         with pytest.raises(TypeError, match="a bug"):
             run([
                 "crossover-map", "--n", "0", "--alpha", "0.1",
@@ -530,6 +541,25 @@ class TestConfigHandling:
             assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (["params"], "a config file holds a JSON object, not list"),
+        ("params", "a config file holds a JSON object, not str"),
+        (None, "a config file holds a JSON object, not NoneType"),
+        ({"params": ["x"]}, "config section params must be a JSON object, not list"),
+        ({"grids": 1}, "config section grids must be a JSON object, not int"),
+        ({"output": None}, "config section output must be a JSON object, not NoneType"),
+    ], ids=["list", "string", "null", "params-list", "grids-number", "output-null"])
+    def test_config_that_is_not_an_object_is_a_config_error(self, content, message, tmp_path,
+                                                            capsys):
+        # Once an AttributeError traceback (a list), or "params.x is not
+        # read by scan" for a section holding a list.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        assert run(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_jobs_in_config_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "jobs.json"
         cfg.write_text(json.dumps({"jobs": 2}))
@@ -595,8 +625,10 @@ class TestConfigHandling:
         ["ion", "--n", "0", "--r", "0.5", "--theta", "100", "--alpha", "1e154", "--tau", "0.25",
          "--N", "3"],
         ["scan", "--n", "1" + "0" * 400],
+        ["scan", "--omega0", "1e154", "--r", "1", "--theta", "1", "--tau-points", "4"],
     ], ids=["map-alpha-1e153", "map-alpha-1e154", "map-theta-1e306", "scan-alpha-1e154",
-            "coeffs-alpha-1e154", "fig1-alpha-1e154", "ion-alpha-1e154", "scan-n-1e400"])
+            "coeffs-alpha-1e154", "fig1-alpha-1e154", "ion-alpha-1e154", "scan-n-1e400",
+            "scan-omega0-1e154"])
     def test_overflowing_inputs_are_config_errors(self, argv, strict, tmp_path, capsys):
         # Once an error cell (exit 3), a divergent cell or AZE-divergent
         # scan (exit 0 or 4), inf/nan tables (exit 0) or a traceback.

@@ -5,7 +5,8 @@ zeta tails (m = 2 .. 20, a = K + 1 >= 2), the scaled exponential
 integrals e^{-x} Ei(x) and e^{x} E1(x) (x = wc t > 0) and E1(-it) (t > 0)
 of the theta = 0 closed form.  Each is checked over the arguments the
 module can produce, on both sides of every switch between its forms, to
-1e-14 relative, and is the same bit for bit whatever array it sits in.
+1e-14 relative, and is the same bit for bit whatever array it sits in;
+so is ``pair`` itself, whatever rows of other cells share its call.
 """
 
 import mpmath as mp
@@ -99,6 +100,21 @@ class TestGridIndependence:
     def test_hurwitz_zeta(self):
         grid = np.geomspace(2.0, 4097.0, 1000).round()
         self._check(lambda a: _matsubara._hurwitz_zeta(a).T, grid, ZETA_POINTS)
+
+    def test_mixed_cell_rows(self):
+        # Rows of different (wc, theta) in one pair call, over the README
+        # map's r and theta (theta = 0 included) and t from 1e-4 to 1e4 on
+        # both sides of the t = 1 split: each row is its one-row call.
+        rng = np.random.default_rng(20)
+        wc = rng.choice([0.1, 0.5, 1.0, 2.0, 10.0], 240)
+        theta = rng.choice([0.0, 1.0, 10.0, 100.0], 240)
+        t = 10.0 ** rng.uniform(-4.0, 4.0, 240)
+        t[:6] = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e-4, 1e4, 0.5]
+        for power in (1, 2):
+            delta, gamma = _matsubara.pair(wc, theta, t, power)
+            for i in range(len(t)):
+                alone = _matsubara.pair(float(wc[i]), float(theta[i]), t[i:i + 1], power)
+                assert delta[i] == alone[0][0] and gamma[i] == alone[1][0], (wc[i], theta[i], t[i])
 
     def test_exponential_integrals(self):
         grid = np.geomspace(1e-6, 1e3, 1000)

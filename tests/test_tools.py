@@ -39,3 +39,20 @@ def test_quadrature_sweep_holds_every_point_with_the_pinned_node_count():
     lines = result.stdout.splitlines()
     assert lines[0].startswith("points 640  failures 0 ")
     assert lines[-1].split()[:2] == ["nodes", "6,953,560"]
+
+
+def test_crossover_sweep_holds_every_root_with_the_pinned_map_call_counts():
+    # Every root of the sweep is within 1e-11 of plain bisection (exit 0),
+    # with the Brent-Dekker step total pinned.  The README crossover map
+    # at the benchmark's 24 grid points is one closed-form grid pass plus
+    # one pass per lock-step Brent-Dekker round: 10 _matsubara.pair calls
+    # at n = 0 and 11 at n = 50 (79 and 107 when every cell and every step
+    # took its own).  A change that moves either count shows here.
+    result = subprocess.run(
+        [sys.executable, str(TOOLS / "crossover_sweep.py")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[-3].startswith("roots 51, refine steps 277 ")
+    assert lines[-1] == "README crossover map, _matsubara.pair calls: n=0 10, n=50 11"

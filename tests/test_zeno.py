@@ -5,7 +5,8 @@ import pytest
 
 from qbmzeno import zeno
 from qbmzeno.errors import DegenerateDenominatorError
-from qbmzeno.spectral import ReservoirParams
+from qbmzeno.numerics import bisect, brackets_from_samples
+from qbmzeno.spectral import OhmicLorentzDrude, ReservoirParams
 from qbmzeno.zeno import (
     RATIO_TOL,
     Regime,
@@ -243,6 +244,60 @@ class TestCrossover:
             find_crossover_time(params_hot, model_hot, 0, (1.0, 0.5), 32)
         with pytest.raises(ValueError):
             find_crossover_time(params_hot, model_hot, 0, (0.5, 1.0), 8)
+
+
+class QuadratureLorentzDrude(OhmicLorentzDrude):
+    """The Lorentz-Drude bath as a subclass: it takes the quadrature route."""
+
+
+class TestLockStepMap:
+    # The README map's r and theta at the benchmark's grid of 24 points.
+    R = (0.1, 0.5, 1.0, 2.0, 10.0)
+    THETAS = (0.0, 1.0, 10.0, 100.0)
+    TAUS = (1e-3, 1e2)
+
+    def _one_by_one(self, params, n):
+        """The cell's crossovers with every Brent-Dekker step a single-tau rate of its own."""
+        model = params.spectral_model()
+        denominator = markovian_decay_rate(params, model, n)
+        taus = np.geomspace(*self.TAUS, 24)
+        excess = zeno._rates(params, model, n, taus) / denominator - 1.0
+
+        def single(tau):
+            return float(zeno._rates(params, model, n, np.array([tau]))[0]) / denominator - 1.0
+
+        return [bisect(single, b, tol=1e-12 * b.hi) for b in brackets_from_samples(taus, excess)]
+
+    @pytest.mark.parametrize("n", [0, 1, 50])
+    def test_map_is_find_crossover_time_per_cell(self, n):
+        points = [ReservoirParams(r=r, theta=theta, alpha=0.1)
+                  for r in self.R for theta in self.THETAS]
+        found = zeno._crossover_map(points, n, self.TAUS, 24)
+        assert len(found) == len(points)
+        for params, stars in zip(points, found):
+            try:
+                want = find_crossover_time(params, params.spectral_model(), n, self.TAUS, 24)
+            except DegenerateDenominatorError:
+                assert stars is None and n == 0 and params.theta == 0.0
+                continue
+            assert stars == want == self._one_by_one(params, n), params
+        assert sum(len(stars) for stars in found if stars) >= 11
+
+    def test_other_baths_go_cell_by_cell(self):
+        # A quadrature bath among closed-form cells: every row is still its
+        # own cell's _rates.
+        params = ReservoirParams(r=0.5, theta=100.0, alpha=0.1)
+        cold = ReservoirParams(r=10.0, theta=0.0, alpha=0.1)
+        cells = [zeno._Cell(params, params.spectral_model(), 1.0),
+                 zeno._Cell(params, QuadratureLorentzDrude(0.5), 1.0),
+                 zeno._Cell(cold, cold.spectral_model(), 2.0)]
+        taus = np.array([0.3, 2.0, 0.3, 2.0, 0.7])
+        index = np.array([0, 1, 1, 0, 2])
+        got = zeno._excess(cells, 0, taus, index)
+        for i, (tau, c) in enumerate(zip(taus, index)):
+            cell = cells[c]
+            rate = zeno._rates(cell.params, cell.model, 0, np.array([tau]))[0]
+            assert got[i] == rate / cell.denominator - 1.0
 
 
 class TestClassification:

@@ -5,24 +5,32 @@
 
 For every r in {0.1, 0.5, 1, 2, 10}, theta in {0, 0.2, 1, 10, 100} and
 n in {0, 1, 50}, ``find_crossover_time`` looks for the crossovers in
-tau in [1e-4, 1e4] on a 64-point grid.  The rate calls of each root's
-refine are counted through ``zeno.bisect`` (the grid is one batched
-pass), and every root is compared with plain bisection of the same
-function, ratio - 1, on the same bracket down to adjacent doubles.
+tau in [1e-4, 1e4] on a 64-point grid.  The Brent-Dekker steps of each
+root are counted through ``zeno.bisect``, which replays the steps its
+bracket took in the lock-step refinement (the grid is one batched pass),
+and every root is compared with plain bisection of the same function,
+ratio - 1 from single-tau rates, on the same bracket down to adjacent
+doubles.
 
-Prints one line per (r, theta): for each n the roots found and the rate
-calls per root ("divergent" where the Markovian rate vanishes, theta = 0
-and n = 0), then the totals, the most calls any root took and the
-largest relative distance to the bisected root.  The exit status is 1
-if that distance exceeds ``--rel``.
+Prints one line per (r, theta): for each n the roots found and the steps
+per root ("divergent" where the Markovian rate vanishes, theta = 0 and
+n = 0), then the totals, the most steps any root took and the largest
+relative distance to the bisected root.  Last, the ``_matsubara.pair``
+calls of the README crossover map (its r and theta, tau in [1e-3, 1e2],
+``--tau-points 24`` as the benchmark runs it) through ``qbmzeno.cli``,
+at n = 0 and n = 50.  The exit status is 1 if the distance exceeds
+``--rel``.
 """
 
 import argparse
 import sys
+import tempfile
 import time
 import warnings
 
-from qbmzeno import zeno
+import numpy as np
+
+from qbmzeno import _matsubara, cli, zeno
 from qbmzeno.errors import DegenerateDenominatorError
 from qbmzeno.spectral import ReservoirParams
 
@@ -31,6 +39,8 @@ THETAS = (0.0, 0.2, 1.0, 10.0, 100.0)
 N_VALUES = (0, 1, 50)
 TAU_RANGE = (1e-4, 1e4)
 GRID_POINTS = 64
+README_MAP = ["--alpha", "0.1", "--map-r", "0.1,0.5,1,2,10", "--map-theta", "0,1,10,100",
+              "--tau-min", "1e-3", "--tau-max", "100", "--tau-points", "24"]
 
 
 def bisect_to_resolution(f, bracket) -> float:
@@ -51,14 +61,40 @@ def bisect_to_resolution(f, bracket) -> float:
             hi = mid
 
 
+def single_tau_excess(params, n):
+    """ratio - 1 at one tau, from a rate grid of that tau alone."""
+    model = params.spectral_model()
+    denominator = zeno.markovian_decay_rate(params, model, n)
+    return lambda tau: float(zeno._rates(params, model, n, np.array([tau]))[0]) / denominator - 1.0
+
+
+def map_pair_calls(n: int) -> int:
+    """``_matsubara.pair`` calls of one README crossover map at this n."""
+    pair, calls = _matsubara.pair, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return pair(*args)
+
+    _matsubara.pair = counted
+    try:
+        with tempfile.TemporaryDirectory() as out:
+            code = cli.main(["crossover-map", "--n", str(n), *README_MAP, "--out", out])
+    finally:
+        _matsubara.pair = pair
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"crossover-map --n {n} exited {code}")
+    return calls[0]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rel", type=float, default=1e-11,
                         help="largest relative distance to bisection that passes (default 1e-11)")
     args = parser.parse_args(argv)
 
-    refined = []  # (function, bracket, rate calls, root) of every refined root
-    refine = zeno.bisect
+    refined = []  # (ratio - 1, bracket, steps, root) of every refined root
+    refine, cell = zeno.bisect, [None]  # cell: ratio - 1 of the cell being searched
 
     def counted(f, bracket, tol):
         calls = [0]
@@ -68,12 +104,12 @@ def main(argv=None) -> int:
             return f(x)
 
         root = refine(g, bracket, tol)
-        refined.append((f, bracket, calls[0], root))
+        refined.append((cell[0], bracket, calls[0], root))
         return root
 
     zeno.bisect = counted
     start = time.perf_counter()
-    print("r      theta " + "".join(f"  n={n}: roots calls/root" for n in N_VALUES))
+    print("r      theta " + "".join(f"  n={n}: roots steps/root" for n in N_VALUES))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # escape warnings at large tau
         for r in R_VALUES:
@@ -83,6 +119,7 @@ def main(argv=None) -> int:
                 for n in N_VALUES:
                     first = len(refined)
                     try:
+                        cell[0] = single_tau_excess(params, n)
                         zeno.find_crossover_time(params, params.spectral_model(), n,
                                                  TAU_RANGE, GRID_POINTS)
                     except DegenerateDenominatorError:
@@ -94,12 +131,15 @@ def main(argv=None) -> int:
                 print(f"{r:<6g} {theta:<6g}" + "".join(cells))
         # The same function (ratio - 1) on the same bracket, to resolution.
         exact = [bisect_to_resolution(f, bracket) for f, bracket, _, _ in refined]
+    zeno.bisect = refine
     calls = [c for _, _, c, _ in refined]
     worst = max((abs(root - x) / x for (_, _, _, root), x in zip(refined, exact)), default=0.0)
-    print(f"roots {len(calls)}, refine rate calls {sum(calls)} "
+    print(f"roots {len(calls)}, refine steps {sum(calls)} "
           f"({sum(calls) / max(len(calls), 1):.2f} per root, at most {max(calls, default=0)})")
     print(f"largest relative distance to bisection at resolution: {worst:.2e} "
           f"(threshold {args.rel:.1e}); {time.perf_counter() - start:.1f} s")
+    print("README crossover map, _matsubara.pair calls: "
+          + ", ".join(f"n={n} {map_pair_calls(n)}" for n in (0, 50)))
     return 1 if worst > args.rel else 0
 
 
