@@ -37,12 +37,14 @@ integrals E1 and Ei, with a series form at small t (``_theta0_delta``).
 They are computed here with numpy alone (DLMF 6.6, 6.12): the power
 series of Ein for E1 below |z| = 1 and for Ei below x = 40, the
 asymptotic series of e^{-x} Ei(x) from there on, and e^z E1(z) = Int_0^inf
-e^{-s} / (z + s) ds by a fixed trapezoid rule for |z| >= 1.
+e^{-s} / (z + s) ds by a fixed trapezoid rule for |z| >= 1.  All the
+series of one form take one ``_power_series`` call.
 
-The Matsubara sum is direct up to an index set by (r, theta, t) and
+The Matsubara sum is direct up to an index K set by (r, theta, t) and
 capped at _MAX_TERMS.  Past it the summand is either a power series in
-1/nu, summed with Hurwitz zeta functions (Euler-Maclaurin, DLMF 2.10.1
-and 25.11), or (small theta t) it is
+1/nu, summed with Hurwitz zeta functions zeta(m, K + 1) (Euler-Maclaurin,
+DLMF 2.10.1 and 25.11; universal constants of the integer K, so each row
+is computed once per process, ``_zeta_rows``), or (small theta t) it is
 completed by Gregory's endpoint formula around Int_a^inf G dnu.  G is
 analytic near the positive axis and falls like 1/nu^2, so in x = ln(nu
 - a) the integrand decays exponentially at both ends and the plain
@@ -63,7 +65,10 @@ rows share its call, because nothing a row's value is made of depends
 on them: its terms and nodes are formed elementwise, from its cell's
 constants (each computed once per distinct cell, by the scalar
 expression a one-cell call uses), and summed over its own segment
-(``np.add.reduceat``) or along the term axis from the left.
+(``np.add.reduceat``) or along the term axis from the left.  In a call
+of one cell the constants are that cell's floats, and the terms of a
+row that fills a block alone take the row's values by broadcasting, not
+gathered per term, so a single time costs about its own numpy calls.
 """
 
 from __future__ import annotations
@@ -113,6 +118,12 @@ _EULER_GAMMA = 0.57721566490153286
 # S(y) = Sum_{k >= 1} y^k / (k k!), with Ei(x) = gamma_E + ln x + S(x) and
 # E1(z) = -gamma_E - ln z - S(-z) (DLMF 6.6): 104 terms for |y| < _ASYMPTOTIC_X.
 _EI_SERIES = np.array([0.0] + [1 / (k * math.factorial(k)) for k in range(1, 105)])
+# S(y) and the asymptotic series of Ei (_FACTORIALS, padded with zero terms) as
+# the coefficient rows of one series call; at small t, Ein(x) - x (-x^2 times
+# _EI_TAIL at -x, padded likewise) and phi_2 (_TAYLOR[2]).
+_EI_TAIL = _EI_SERIES[2:14]
+_EXP_SERIES = np.zeros((2, len(_EI_SERIES)))
+_EXP_SERIES[0], _EXP_SERIES[1, :_ASYMPTOTIC_TERMS] = _EI_SERIES, _FACTORIALS
 # e^z E1(z) = Int_0^inf e^{-s} / (z + s) ds for |z| >= 1, Re z >= 0: the
 # trapezoid rule in w, s = exp(w - e^-w) (the double-exponential map of
 # [0, inf), Takahasi and Mori 1974), step 0.12 over [-4.5, 4.02].  The
@@ -140,6 +151,9 @@ def _divided_hankel(a: np.ndarray) -> np.ndarray:
 
 
 _DIVIDED_TAYLOR = {p: _divided_hankel(a) for p, a in _TAYLOR.items()}
+_SMALL_SERIES = np.zeros((2, _SERIES_TERMS))
+_SMALL_SERIES[0, :len(_EI_TAIL)], _SMALL_SERIES[1] = _EI_TAIL, _TAYLOR[2]
+_SMALL_ROWS = np.array([0, 1])
 # Rows of divided-difference coefficients formed at once (23 x 23 terms each).
 _TAYLOR_ROWS = 32
 
@@ -164,6 +178,9 @@ def _power_series(w: np.ndarray, coefficients: np.ndarray, rows=None) -> np.ndar
     a (rows, terms) table of which w[i] takes row rows[i].  The power
     rows are formed _SERIES_CHUNK values of w at a time.
     """
+    if w.size <= _SERIES_CHUNK:
+        c = coefficients if rows is None else coefficients[rows]
+        return _row_sums(_powers(w, c.shape[-1]) * c)
     out = np.empty_like(w)
     for i in range(0, w.size, _SERIES_CHUNK):
         part = slice(i, i + _SERIES_CHUNK)
@@ -172,28 +189,41 @@ def _power_series(w: np.ndarray, coefficients: np.ndarray, rows=None) -> np.ndar
     return out
 
 
-def _k(w: np.ndarray, power: int, c: float = 1.0) -> np.ndarray:
+def _k(w: np.ndarray, power: int, c: float = 1.0, small=None, phi1=None) -> np.ndarray:
     """(c - phi_{p-1}(w)) / w with phi_0 = e^{-w}; phi_p(w) itself for c = 1.
 
-    Elementwise, Re w >= 0.  Below |w| = 1, phi_p comes from its Taylor
-    series (only c = 1 gets there).
+    Elementwise, Re w >= 0.  Below |w| = 1 (``small``, if the caller has
+    it), phi_p comes from its Taylor series (only c = 1 gets there).  At
+    power 2 the closed form goes through phi_1(w): ``phi1``, an array
+    like w, receives it at every |w| >= 1 and is left as it is below.
     """
-    small = np.abs(w) < 1.0
-    if not np.count_nonzero(small):
-        return _k_closed(w, power, c)
+    if small is None:
+        small = np.abs(w) < 1.0
+    count = np.count_nonzero(small)
+    if count == len(w):
+        return _power_series(w, _TAYLOR[power])
+    if not count:
+        return _k_closed(w, power, c, phi1)
     out = np.empty_like(w)
     out[small] = _power_series(w[small], _TAYLOR[power])
     big = ~small
-    out[big] = _k_closed(w[big], power, c)
+    w_big = w[big]
+    if phi1 is None:
+        out[big] = _k_closed(w_big, power, c)
+    else:
+        first = np.empty_like(w_big)
+        out[big] = _k_closed(w_big, power, c, first)
+        phi1[big] = first
     return out
 
 
-def _k_closed(w: np.ndarray, power: int, c: float) -> np.ndarray:
-    """_k at |w| >= 1, from exp resp. expm1."""
+def _k_closed(w: np.ndarray, power: int, c: float, phi1=None) -> np.ndarray:
+    """_k at |w| >= 1, from exp resp. expm1; at power 2 phi_1 goes to ``phi1`` if given."""
+    minus = -w
     if power == 1:
-        minus = -w
         return (np.expm1(minus) if c else np.exp(minus)) / minus
-    return (c - _k_closed(w, 1, 1.0)) / w
+    first = np.divide(np.expm1(minus), minus, out=phi1)
+    return (c - first) / w
 
 
 def _exp_divided(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -215,10 +245,11 @@ class _Kernel:
     k = _k(., p, c): c = 1 gives phi_p, c = 0 (``split``, every t >= 1 so
     |w| >= 1) gives phi_p - 1/w, the kernel without its Markovian part.
     Per-time quantities are arrays over the grid ``t``; a summand node
-    names its time by a row index into them.  G needs the divided
-    difference of k between w and w_c; it is formed without
-    cancellation, from the same recurrence, so G is smooth through
-    nu = wc.
+    names its time by a row index into them, or all nodes of one row
+    share it as the slice of that row (its constants then broadcast over
+    the nodes).  G needs the divided difference of k between w and w_c;
+    it is formed without cancellation, from the same recurrence, so G is
+    smooth through nu = wc.
 
     ``wc`` and ``theta`` (read by the Matsubara sums only) are the floats
     of one cell or arrays like ``t``, each row's own cell.  A constant of
@@ -231,19 +262,23 @@ class _Kernel:
         self.t, self.power = t, power
         self.c = 0.0 if split else 1.0
         self.one_cell = not isinstance(wc, np.ndarray)
-        if not self.one_cell:  # the distinct cells, by (wc, theta) as one complex key
+        if self.one_cell:
+            self.wc_rows = wc  # the float of one cell
+        else:  # the distinct cells, by (wc, theta) as one complex key
             cells, self._cell_of = np.unique(wc + 1j * theta, return_inverse=True)
             wc, theta = cells.real, cells.imag
             self._cells = list(zip(wc.tolist(), theta.tolist()))
+            self.wc_rows = wc[self._cell_of]
         self.wc, self.theta = wc, theta
-        self.wc_rows = self.at(wc, _ALL)  # the float of one cell
         self.tp = t**power
         self.w_c = (self.wc_rows - 1j) * t
-        self.k_c = _k(self.w_c, power, self.c)
+        # Rows whose k(w_c), and divided differences near w_c, take the Taylor form.
+        self.taylor_rows = np.abs(self.w_c) < 1.0
+        self.k_c = _k(self.w_c, power, self.c, self.taylor_rows)
         self.f_c = self.tp * self.k_c  # t^p k(w_c): gamma-like and h(wc) / wc
         self.h_c = self.wc_rows * self.f_c.real
-        # Rows whose divided differences near w_c take the Taylor form.
-        self.taylor_rows = np.abs(self.w_c) < 1.0
+        # Power 2 rows outside the Taylor form take phi_1(w) in their recurrence.
+        self.needs_phi1 = power == 2 and np.count_nonzero(self.taylor_rows) < len(t)
         self._divided_taylor = None
 
     def per_cell(self, function):
@@ -269,9 +304,6 @@ class _Kernel:
             return function(self.wc, self.theta)
         return self.at(self.per_cell(function), rows)
 
-    def k(self, w: np.ndarray) -> np.ndarray:
-        return _k(w, self.power, self.c)
-
     def divided_taylor(self) -> np.ndarray:
         """Per Taylor row, the coefficients b_j of (k(w) - k(w_c)) / (w - w_c) in w.
 
@@ -289,67 +321,89 @@ class _Kernel:
             self._divided_taylor = b
         return self._divided_taylor
 
-    def divided(self, w: np.ndarray, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def divided(self, w: np.ndarray, k: np.ndarray, rows, phi1) -> np.ndarray:
         """(k(w) - k(w_c)) / (w - w_c) with the w_c of each node's row, also at w = w_c.
 
-        ``k`` is k(w), already evaluated.
+        ``k`` is k(w), already evaluated, and ``phi1`` phi_1(w) where |w|
+        >= 1 (power 2, from k's closed form) or None.
         """
         taylor = self.taylor_rows[rows]
         count = np.count_nonzero(taylor)
         if count == 0:
-            return self._divided_recurrence(w, k, self.w_c[rows])
-        if count == len(w):
+            return self._divided_recurrence(w, k, self.w_c[rows], phi1)
+        if count == len(taylor):
             return self._divided_quotient(w, k, rows)
         out = np.empty_like(w)
         other = ~taylor
-        out[other] = self._divided_recurrence(w[other], k[other], self.w_c[rows[other]])
+        out[other] = self._divided_recurrence(w[other], k[other], self.w_c[rows[other]],
+                                              None if phi1 is None else phi1[other])
         out[taylor] = self._divided_quotient(w[taylor], k[taylor], rows[taylor])
         return out
 
-    def _divided_quotient(self, w: np.ndarray, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _divided_quotient(self, w: np.ndarray, k: np.ndarray, rows) -> np.ndarray:
         """|w_c| < 1: the quotient itself, and within 0.5 of w_c its Taylor form in w."""
         offset = w - self.w_c[rows]
         near = np.abs(offset) < 0.5
         out = k - self.k_c[rows]
         np.divide(out, offset, out=out, where=~near)
         if np.count_nonzero(near):
-            out[near] = _power_series(w[near], self.divided_taylor(), rows[near])
+            if isinstance(rows, slice):  # one row's coefficients for every node
+                out[near] = _power_series(w[near], self.divided_taylor()[rows])
+            else:
+                out[near] = _power_series(w[near], self.divided_taylor(), rows[near])
         return out
 
-    def _divided_recurrence(self, w: np.ndarray, k: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """|w_c| >= 1: [k] = -(k(w) + [phi_{p-1}]) / w_c, and [phi_1] likewise from [phi_0]."""
+    def _divided_recurrence(self, w: np.ndarray, k: np.ndarray, w2: np.ndarray,
+                            phi1) -> np.ndarray:
+        """|w_c| >= 1: [k] = -(k(w) + [phi_{p-1}]) / w_c, and [phi_1] likewise from [phi_0].
+
+        At power 2, phi_1(w) is ``phi1`` where |w| >= 1 and its Taylor series below.
+        """
         previous = _exp_divided(w, w2)
         if self.power == 2:
-            previous = -(_k(w, 1) + previous) / w2
+            small = np.abs(w) < 1.0
+            if np.count_nonzero(small):
+                phi1[small] = _power_series(w[small], _TAYLOR[1])
+            previous = -(phi1 + previous) / w2
         return -(k + previous) / w2
 
-    def summand(self, nu: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def summand(self, nu: np.ndarray, rows) -> np.ndarray:
         """G(nu) = (h(nu) - h(wc)) / (nu^2 - wc^2) with h(lambda) = lambda Re F.
 
-        At 1-D nodes ``nu`` of the times ``t[rows]``.  Below nu = wc/2 as
-        written; from there on as Re[F(nu) + wc (F(nu) - F(wc)) / (nu -
-        wc)] / (nu + wc), which is smooth through nu = wc but cancels like
-        nu/wc below it.
+        At 1-D nodes ``nu`` of the times ``t[rows]``, ``rows`` the row of
+        each node or the slice of the one row of them all.  Below nu =
+        wc/2 as written; from there on as Re[F(nu) + wc (F(nu) - F(wc)) /
+        (nu - wc)] / (nu + wc), which is smooth through nu = wc but
+        cancels like nu/wc below it.
         """
-        t, tp, wc = self.t[rows], self.tp[rows], self.at(self.wc, rows)
+        t, tp = self.t[rows], self.tp[rows]
+        wc = self.wc_rows if self.one_cell else self.wc_rows[rows]
         w = nu - 1j
         w *= t
-        k = self.k(w)
+        phi1 = np.empty_like(w) if self.needs_phi1 else None
+        k = _k(w, self.power, self.c, phi1=phi1)
         f = tp * k
         low = nu < 0.5 * wc
         if not np.count_nonzero(low):
-            f += (wc * tp * t) * self.divided(w, k, rows)
+            f += (wc * tp * t) * self.divided(w, k, rows, phi1)
             return f.real / (nu + wc)
+        shared = isinstance(rows, slice)
+
+        def nodes(value, mask):
+            """A value per node at the masked nodes; as it is if the nodes share it."""
+            return value if shared or np.ndim(value) == 0 else value[mask]
+
         out = np.empty(nu.shape)
-        nu_low, wc_low = nu[low], self.at(self.wc, rows[low])
-        out[low] = (nu_low * f.real[low] - self.h_c[rows[low]]) / (
+        nu_low, wc_low = nu[low], nodes(wc, low)
+        out[low] = (nu_low * f.real[low] - self.h_c[nodes(rows, low)]) / (
             (nu_low - wc_low) * (nu_low + wc_low)
         )
         high = ~low
         if np.count_nonzero(high):
-            rows, nu = rows[high], nu[high]
-            wc = self.at(self.wc, rows)
-            f = f[high] + (wc * tp[high] * t[high]) * self.divided(w[high], k[high], rows)
+            nu, wc = nu[high], nodes(wc, high)
+            gain = wc * nodes(tp, high) * nodes(t, high)
+            f = f[high] + gain * self.divided(w[high], k[high], nodes(rows, high),
+                                              None if phi1 is None else phi1[high])
             out[high] = f.real / (nu + wc)
         return out
 
@@ -373,53 +427,57 @@ def _blocks(counts: np.ndarray):
         i0 = i1
 
 
-def _terms(counts: np.ndarray):
+def _terms(counts: np.ndarray, rows: np.ndarray):
     """k = 1 .. counts[i] for each row i, concatenated in blocks of about _BLOCK_TERMS.
 
-    Yields (i0, i1, k, index, starts): the terms of rows i0 .. i1 - 1 one
-    after the other, the row of each term and the offset of each row's
-    first term.
+    Yields (i0, i1, k, index, nodes, starts): the terms of rows i0 .. i1
+    - 1 one after the other, the row of each term (its position in
+    ``counts``, and in the kernel: ``rows`` there) and the offset of each
+    row's first term.  A block of one row gives the row as slices, whose
+    values broadcast over its terms; a single row is one block, without
+    the block search.
     """
-    for i0, i1 in _blocks(counts):
-        lengths = counts[i0:i1]
+    for i0, i1 in ((0, 1),) if len(counts) == 1 else _blocks(counts):
         if i1 - i0 == 1:
-            starts, k = _FIRST, np.arange(1, lengths[0] + 1)
-        else:
-            starts = np.concatenate([_FIRST, np.cumsum(lengths)[:-1]])
-            k = np.arange(int(lengths.sum())) - np.repeat(starts, lengths) + 1
-        yield i0, i1, k, np.repeat(np.arange(i0, i1), lengths), starts
+            row = rows[i0]
+            yield i0, i1, np.arange(1, counts[i0] + 1), slice(i0, i1), slice(row, row + 1), _FIRST
+            continue
+        lengths = counts[i0:i1]
+        starts = np.concatenate([_FIRST, np.cumsum(lengths)[:-1]])
+        k = np.arange(int(lengths.sum())) - np.repeat(starts, lengths) + 1
+        index = np.repeat(np.arange(i0, i1), lengths)
+        yield i0, i1, k, index, rows[index], starts
 
 
 def _direct_sums(kernel: _Kernel, rows: np.ndarray, last: np.ndarray, step) -> np.ndarray:
     """Sum_{k=1}^{last} G(k step) per row, each over its own segment (``step`` per cell)."""
     out = np.empty(len(rows))
-    for i0, i1, k, index, starts in _terms(last):
-        nodes = rows[index]
+    for i0, i1, k, _, nodes, starts in _terms(last, rows):
         values = kernel.summand(kernel.at(step, nodes) * k, nodes)
         out[i0:i1] = np.add.reduceat(values, starts)
     return out
 
 
 def _series_table() -> np.ndarray:
-    """E[i, m, l] with (P, Q, R)_m = Sum_l E[i, m, l] wc^(2l) over the orders m = 2 .. _SERIES_ORDER.
+    """E[l, i, m] with (P, Q, R)_m = Sum_l E[l, i, m] wc^(2l) over the orders m = 2 .. _SERIES_ORDER.
 
     With h(nu) -> nu Re[a1/z + a2/z^2] = Sum_j (a1 Re i^j + a2 j Re
     i^(j-1)) nu^-j and 1/(nu^2 - wc^2) = Sum_l wc^(2l) nu^(-2l-2), the
     1/nu series of G is Sum_m nu^-m (a1 P_m + a2 Q_m - h(wc) R_m).
     """
     re_i = [(-1.0) ** (j // 2) if j % 2 == 0 else 0.0 for j in range(_SERIES_ORDER + 1)]
-    table = np.zeros((3, len(_ORDERS), _SERIES_ORDER // 2))
+    table = np.zeros((_SERIES_ORDER // 2, 3, len(_ORDERS)))
     for col, m in enumerate(_ORDERS.tolist()):
         for level in range((m - 2) // 2 + 1):
             j = m - 2 - 2 * level  # the order of h in this product
-            table[0, col, level] = re_i[j]
-            table[1, col, level] = j * re_i[j - 1] if j >= 1 else 0.0
-            table[2, col, level] = 1.0 if j == 0 else 0.0
+            table[level, 0, col] = re_i[j]
+            table[level, 1, col] = j * re_i[j - 1] if j >= 1 else 0.0
+            table[level, 2, col] = 1.0 if j == 0 else 0.0
     return table
 
 
 _SERIES_TABLE = _series_table()
-_WC_POWERS = np.arange(0, _SERIES_ORDER, 2)
+_WC_POWERS = np.arange(0, _SERIES_ORDER, 2)[:, None, None]
 
 
 def _zeta_remainder() -> np.ndarray:
@@ -463,19 +521,53 @@ def _hurwitz_zeta(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=1)
 
 
+# zeta(m, K + 1) at the bounds K = 1 .. _MAX_TERMS of the direct rows:
+# universal constants, each row computed by _hurwitz_zeta the first time a
+# zeta tail needs it and kept for the process (at most 0.62 MB, nothing at
+# import).  The rows are stored in the order they are filled (_ZETA_ROW[K],
+# -1 until then), so a process touches only the memory of the rows it uses.
+# A row of _hurwitz_zeta does not depend on the other rows of its call, so
+# a row is the same whichever rows were filled with it, and in what order.
+_ZETA_TABLE = np.empty((_MAX_TERMS, len(_ORDERS)))
+_ZETA_ROW = np.full(_MAX_TERMS + 1, -1, dtype=np.intp)
+
+
+def _zeta_rows(last: np.ndarray) -> np.ndarray:
+    """zeta(m, K + 1) for m = 2 .. _SERIES_ORDER (columns) at each bound K of ``last``
+    (integers 1 .. _MAX_TERMS), from the table; a missing row is computed once."""
+    row = _ZETA_ROW[last]
+    if np.count_nonzero(row < 0):
+        missing = np.array(sorted(set(last[row < 0].tolist())), dtype=np.intp)
+        start = np.count_nonzero(_ZETA_ROW >= 0)
+        _ZETA_TABLE[start:start + len(missing)] = _hurwitz_zeta(missing + 1.0)
+        _ZETA_ROW[missing] = np.arange(start, start + len(missing))
+        row = _ZETA_ROW[last]
+    return _ZETA_TABLE[row]
+
+
+def _series_coefficients(wc: float, _) -> np.ndarray:
+    """(P, Q, R) of a cell, (3, orders): the 1/nu series of G per unit a1, a2 and h(wc).
+
+    Summed over the levels l in order, along the first (not the contiguous) axis.
+    """
+    return np.add.reduce(_SERIES_TABLE * wc**_WC_POWERS, axis=0)
+
+
 def _zeta_tails(kernel: _Kernel, rows: np.ndarray, last: np.ndarray, scale) -> np.ndarray:
     """Sum_{k > last} G(k step) per row from the 1/nu series of G (exponentials dropped).
 
     With G = Sum_m C_m nu^-m, Sum_{k > K} G(k step) = Sum_m C_m step^-m
     zeta(m, K + 1); the bound K keeps nu > _SERIES_MARGIN max(1, wc), so
     the terms fall off like (wc / nu_K)^m.  ``scale`` is step^-m per cell.
+    The zeta rows come from the process-wide table of ``_zeta_rows``: a
+    direct row has K <= _MAX_TERMS.
     """
     a1, a2 = kernel.asymptotic(rows)
     # (P, Q, R) of the row's cell: (3, orders), or (rows, 3, orders) for rows of several cells.
-    pqr = kernel.cell(lambda wc, _: _row_sums(_SERIES_TABLE * wc**_WC_POWERS), rows)
+    pqr = kernel.cell(_series_coefficients, rows)
     p, q, r = pqr[..., 0, :], pqr[..., 1, :], pqr[..., 2, :]
     coeff = a1[:, None] * p + a2 * q - kernel.h_c[rows][:, None] * r
-    return _row_sums(coeff * (kernel.at(scale, rows) * _hurwitz_zeta(last + 1.0)))
+    return _row_sums(coeff * (kernel.at(scale, rows) * _zeta_rows(last)))
 
 
 def _gregory(kernel: _Kernel, rows: np.ndarray, start: np.ndarray, step):
@@ -488,8 +580,7 @@ def _gregory(kernel: _Kernel, rows: np.ndarray, start: np.ndarray, step):
     head = np.empty(len(rows))
     correction = np.empty(len(rows))
     counts = start + len(_GREGORY)
-    for i0, i1, k, index, starts in _terms(counts):
-        nodes = rows[index]
+    for i0, i1, k, _, nodes, starts in _terms(counts, rows):
         values = kernel.summand(kernel.at(step, nodes) * k, nodes)
         first = starts + start[i0:i1] - 1  # the term at K
         head[i0:i1] = np.add.reduceat(values, np.ravel([starts, first], order="F"))[::2]
@@ -515,60 +606,61 @@ def _tail_integrals(kernel: _Kernel, rows: np.ndarray, lower: np.ndarray) -> np.
     width = np.log(np.maximum(inverse, high)) + _TAIL_SPAN - first
     counts = np.ceil(width / _TAIL_STEP).astype(np.int64)
     out = np.empty(len(rows))
-    for i0, i1, k, index, starts in _terms(counts):
+    for i0, i1, k, index, nodes, starts in _terms(counts, rows):
         gap = np.exp(first[index] + _TAIL_STEP * k)
-        values = kernel.summand(lower[index] + gap, rows[index]) * gap
+        values = kernel.summand(lower[index] + gap, nodes) * gap
         out[i0:i1] = np.add.reduceat(values, starts)
     return _TAIL_STEP * out
 
 
-def _scaled_exponential_integrals(x: np.ndarray) -> np.ndarray:
-    """e^{-x} Ei(x) (Ei as the principal value) and e^{x} E1(x) for x > 0, as rows.
+def _exponential_integrals(x: np.ndarray, t: np.ndarray) -> tuple:
+    """e^{-x} Ei(x) (Ei as the principal value) and e^{x} E1(x) at x > 0, and E1(-it) at t > 0.
 
     Ei from the series S(x) of positive terms below _ASYMPTOTIC_X, from
     there on (1/x) Sum_k k! x^-k over _ASYMPTOTIC_TERMS terms, the last
-    of which is below 1e-16 of the first; E1 from S(-x) below x = 1 and
-    from ``_exp_e1`` above.  One series call takes both S(x) and S(-x).
+    of which is below 1e-16 of the first; E1(x) from S(-x) below x = 1
+    and from ``_exp_e1`` above; E1(-it) = -gamma_E - ln(-it) - S(it)
+    below t = 1 and e^{it} _exp_e1(-it) above.  One series call takes
+    every series argument, as complex numbers (a real argument's sum is
+    the same bits) and with the asymptotic series as a second coefficient
+    row (padded with zeros).  The rule takes x and -it in two calls: a
+    real z rounds differently in the complex division.
     """
-    out = np.empty((2, len(x)))
-    near, small = x < _ASYMPTOTIC_X, x < 1.0
-    count = np.count_nonzero(near)
-    y = np.concatenate((x[near], -x[small]))
-    if len(y):
-        logs = _EULER_GAMMA + np.log(np.abs(y)) + _power_series(y, _EI_SERIES)
-        out[0, near] = np.exp(-y[:count]) * logs[:count]
-        out[1, small] = -np.exp(-y[count:]) * logs[count:]
-    if count < len(x):
-        x_far = x[~near]
-        out[0, ~near] = _power_series(1.0 / x_far, _FACTORIALS) / x_far
-    if len(y) - count < len(x):
-        out[1, ~small] = _exp_e1(x[~small])
-    return out
+    near, small, t_small = x < _ASYMPTOTIC_X, x < 1.0, t < 1.0
+    x_far, t_series = x[~near], t[t_small]
+    y = np.concatenate((x[near], -x[small]))  # S(x) and S(-x)
+    count, split = np.count_nonzero(near), len(y)
+    end = split + len(t_series)  # S(it) in between, the asymptotic series after
+    args = np.concatenate((y, 1j * t_series, 1.0 / x_far))
+    if len(x_far):
+        rows = np.zeros(len(args), dtype=np.intp)
+        rows[end:] = 1
+        series = _power_series(args, _EXP_SERIES, rows)
+    else:
+        series = _power_series(args, _EI_SERIES)
+    ei, e1, e1_it = np.empty(len(x)), np.empty(len(x)), np.empty(len(t), dtype=complex)
+    if split:
+        logs = _EULER_GAMMA + np.log(np.abs(y)) + series[:split].real
+        ei[near] = np.exp(-y[:count]) * logs[:count]
+        e1[small] = -np.exp(-y[count:]) * logs[count:]
+    if len(x_far):
+        ei[~near] = series[end:].real / x_far
+    if len(t_series):
+        e1_it[t_small] = (complex(-_EULER_GAMMA, 0.5 * np.pi) - np.log(t_series)
+                          - series[split:end])
+    if split - count < len(x):  # some x >= 1
+        large = ~small
+        e1[large] = _exp_e1(x[large])
+    if len(t_series) < len(t):  # some t >= 1
+        large = ~t_small
+        t_large = t[large]
+        e1_it[large] = np.exp(1j * t_large) * _exp_e1(-1j * t_large)
+    return ei, e1, e1_it
 
 
 def _exp_e1(z: np.ndarray) -> np.ndarray:
     """e^z E1(z) for |z| >= 1 with Re z >= 0 (z = x > 0 or z = -it), by the rule of _E1_NODES."""
     return _row_sums(_E1_WEIGHTS / (z[:, None] + _E1_NODES))
-
-
-def _e1_imaginary(t: np.ndarray) -> np.ndarray:
-    """E1(-it) for t > 0: -gamma_E - ln(-it) - S(it) below t = 1, e^{it} _exp_e1(-it) above."""
-    out = np.empty(len(t), dtype=complex)
-    small = t < 1.0
-    if np.count_nonzero(small):
-        t_small = t[small]
-        series = _power_series(1j * t_small, _EI_SERIES)
-        out[small] = complex(-_EULER_GAMMA, 0.5 * np.pi) - np.log(t_small) - series
-    large = ~small
-    if np.count_nonzero(large):
-        t_large = t[large]
-        out[large] = np.exp(1j * t_large) * _exp_e1(-1j * t_large)
-    return out
-
-
-def _ein_tail(x: np.ndarray) -> np.ndarray:
-    """Ein(x) - x = -S(-x) - x = -x^2 Sum_n (-x)^n / ((n+2) (n+2)!), for |x| <= _SMALL_T."""
-    return -x * x * _power_series(-x, _EI_SERIES[2:14])
 
 
 def _theta0_delta(kernel: _Kernel) -> np.ndarray:
@@ -592,29 +684,19 @@ def _theta0_delta(kernel: _Kernel) -> np.ndarray:
     logarithms out analytically, with L = gamma_E + ln(wc t), so that
     every remaining term is of the order of the result (see _theta0_small).
     """
-    t, power = kernel.t, kernel.power
-    total = np.empty(len(t), dtype=complex)
+    t = kernel.t
     high, *constants = kernel.per_cell(_theta0)
     small = t <= _SMALL_T / kernel.at(high, _ALL)
-    if np.count_nonzero(small):
+    count = np.count_nonzero(small)
+    if count == len(t):
+        total = _theta0_small(kernel, _ALL, constants[1:])
+    elif not count:
+        total = _theta0_large(kernel, _ALL, constants)
+    else:
+        total = np.empty(len(t), dtype=complex)
         total[small] = _theta0_small(kernel, small, constants[1:])
-    rest = ~small
-    if np.count_nonzero(rest):
-        t = t[rest]
-        e_it = np.exp(1j * t)
-        e1_it = _e1_imaginary(t)
-        log_part, d_plus, d_minus, d2_plus, d2_minus = kernel.at(tuple(constants), rest)
-        if power == 2:
-            linear = -1j * np.expm1(1j * t) + t * (e1_it + log_part if kernel.c else e1_it)
-        ei, e1 = _scaled_exponential_integrals(kernel.at(kernel.wc, rest) * t)
-        sums = np.zeros(len(t), dtype=complex)
-        for d, d2, e_b in ((d_plus, d2_plus, -ei), (d_minus, d2_minus, e1)):
-            phi = e_it * e_b - e1_it
-            if power == 1:
-                sums += ((log_part if kernel.c else 0.0) - phi) / d
-            else:
-                sums += (phi - log_part) / d2 + linear / d
-        total[rest] = sums
+        rest = ~small
+        total[rest] = _theta0_large(kernel, rest, constants)
     wc = kernel.wc_rows
     return wc * wc / (2.0 * np.pi) * total.real
 
@@ -627,7 +709,28 @@ def _theta0(wc: float, _) -> tuple:
     return max(1.0, wc), log_part, d_plus, d_minus, d_plus * d_plus, d_minus * d_minus
 
 
-def _theta0_small(kernel: _Kernel, small: np.ndarray, poles) -> np.ndarray:
+def _theta0_large(kernel: _Kernel, rows, constants) -> np.ndarray:
+    """Sum_b K_b of _theta0_delta at the given rows, in the form for t past the small-t bound.
+
+    ``constants`` are the cells' Lg, d and d^2 of ``_theta0``.
+    """
+    t, power = kernel.t[rows], kernel.power
+    log_part, d_plus, d_minus, d2_plus, d2_minus = kernel.at(tuple(constants), rows)
+    e_it = np.exp(1j * t)
+    ei, e1, e1_it = _exponential_integrals(kernel.at(kernel.wc, rows) * t, t)
+    if power == 2:
+        linear = -1j * np.expm1(1j * t) + t * (e1_it + log_part if kernel.c else e1_it)
+    sums = np.zeros(len(t), dtype=complex)
+    for d, d2, e_b in ((d_plus, d2_plus, -ei), (d_minus, d2_minus, e1)):
+        phi = e_it * e_b - e1_it
+        if power == 1:
+            sums += ((log_part if kernel.c else 0.0) - phi) / d
+        else:
+            sums += (phi - log_part) / d2 + linear / d
+    return sums
+
+
+def _theta0_small(kernel: _Kernel, rows, poles) -> np.ndarray:
     """Sum_b K_b of _theta0_delta for the unsplit kernel at its small t, without cancellation.
 
     With Ein(x) = E1(x) + gamma_E + ln x and L = gamma_E + ln(wc t),
@@ -637,25 +740,39 @@ def _theta0_small(kernel: _Kernel, small: np.ndarray, poles) -> np.ndarray:
     Ein(x) - x, e^{-w} - 1 + w = w^2 phi_2(w) and expm1(x) - x = x^2
     phi_2(-x), d^2 K_b = -(dt)^2 phi_2(dt) L - bt expm1(-dt) + e^{-dt}
     (Ein(-bt) + bt) - (Ein(-it) + it) + dt Ein(-it) + i d t^2 phi_2(-it),
-    each term of order t^2.  ``poles`` are the cells' d and d^2 of ``_theta0``.
+    each term of order t^2.  ``poles`` are the cells' d and d^2 of
+    ``_theta0``.  Ein(x) - x = -x^2 Sum_n (-x)^n / ((n+2) (n+2)!) at x =
+    -it and -bt, and phi_2 at -it and dt (all within 0.15 of 0, so in its
+    Taylor form), are one series call, as complex numbers (a real
+    argument's sum is the same bits).
     """
-    t, power, wc = kernel.t[small], kernel.power, kernel.at(kernel.wc, small)
-    d_plus, d_minus, d2_plus, d2_minus = kernel.at(tuple(poles), small)
+    t, power, wc = kernel.t[rows], kernel.power, kernel.at(kernel.wc, rows)
+    d_plus, d_minus, d2_plus, d2_minus = kernel.at(tuple(poles), rows)
     log = _EULER_GAMMA + np.log(wc * t)
     it = 1j * t
-    tail_i = _ein_tail(-it)  # Ein(-it) + it
+    terms = ((wc, d_plus, d2_plus), (-wc, d_minus, d2_minus))
+    x = [-it] + [-b * t for b, _, _ in terms]  # Ein(x) - x at these
+    w = [d * t for _, d, _ in terms]
+    args = [-xi for xi in x]
+    if power == 1:
+        series = np.split(_power_series(np.concatenate(args), _EI_TAIL), 3)
+    else:  # and phi_2 at -it and dt
+        args += [-it] + w
+        series = np.split(_power_series(np.concatenate(args), _SMALL_SERIES,
+                                        np.repeat(_SMALL_ROWS, 3 * len(t))), 6)
+    tail_i = -x[0] * x[0] * series[0]  # Ein(-it) + it
     if power == 2:
-        q = 1j * t * t * _k(-it, 2)  # -i (expm1(it) - it)
+        q = 1j * t * t * series[3]  # -i (expm1(it) - it)
     total = np.zeros(len(t), dtype=complex)
-    for b, d, d2 in ((wc, d_plus, d2_plus), (-wc, d_minus, d2_minus)):
-        w = d * t
-        e = np.exp(-w)
-        tail_b = _ein_tail(-b * t)  # Ein(-bt) + bt
+    for j, (b, d, d2) in enumerate(terms):
+        w_b = w[j]
+        e = np.exp(-w_b)
+        tail_b = -x[j + 1] * x[j + 1] * series[j + 1].real  # Ein(-bt) + bt
         if power == 1:
-            total += (np.expm1(-w) * log - e * (tail_b - b * t) + tail_i - it) / d
+            total += (np.expm1(-w_b) * log - e * (tail_b - b * t) + tail_i - it) / d
         else:
-            total += (-w * w * _k(w, 2) * log - b * t * np.expm1(-w) + e * tail_b - tail_i
-                      + w * (tail_i - it) + d * q) / d2
+            total += (-w_b * w_b * series[j + 4] * log - b * t * np.expm1(-w_b) + e * tail_b
+                      - tail_i + w_b * (tail_i - it) + d * q) / d2
     return total
 
 
@@ -678,14 +795,15 @@ def _matsubara_sums(kernel: _Kernel, step, k_series, scale) -> np.ndarray:
     k_exp = np.ceil(_EXP_CUT / (kernel.at(step, _ALL) * kernel.t))
     last = np.maximum(k_exp, kernel.at(k_series, _ALL))
     direct = last <= _MAX_TERMS
+    if np.count_nonzero(direct) == len(last):  # a single time is one of these, or Gregory's
+        rows, count = np.arange(len(last)), last.astype(np.int64)
+        return _direct_sums(kernel, rows, count, step) + _zeta_tails(kernel, rows, count, scale)
     total = np.empty(len(last))
     rows = np.flatnonzero(direct)
     if len(rows):
         count = last[rows].astype(np.int64)
         total[rows] = (_direct_sums(kernel, rows, count, step)
                        + _zeta_tails(kernel, rows, count, scale))
-    if len(rows) == len(last):
-        return total
     rows = np.flatnonzero(~direct)
     # Gregory from K past the exponentials if the cap allows; otherwise
     # step * t < _EXP_CUT / _MAX_TERMS and the differences of e^{-nu t}
@@ -722,18 +840,14 @@ def pair(wc, theta, t: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
                    for rows, thermal, late in groups if len(rows)]
     else:
         thermal, late = theta != 0.0, np.count_nonzero(split)
-        if late in (0, len(t)):
-            kernels = [(None, thermal, _Kernel(wc, t, power, late > 0, theta))]
-        else:
-            kernels = [(rows, thermal, _Kernel(wc, t[rows], power, late, theta))
-                       for rows, late in ((np.flatnonzero(~split), False),
-                                          (np.flatnonzero(split), True))]
-    pairs = [_kernel_pair(kernel, thermal) for _, thermal, kernel in kernels]
-    if kernels and kernels[0][0] is None:
-        return pairs[0]
+        if late in (0, len(t)):  # one kernel, a single time among them
+            return _kernel_pair(_Kernel(wc, t, power, late > 0, theta), thermal)
+        kernels = [(rows, thermal, _Kernel(wc, t[rows], power, late, theta))
+                   for rows, late in ((np.flatnonzero(~split), False),
+                                      (np.flatnonzero(split), True))]
     delta, gamma = np.empty_like(t), np.empty_like(t)
-    for (rows, _, _), (d, g) in zip(kernels, pairs):
-        delta[rows], gamma[rows] = d, g
+    for rows, thermal, kernel in kernels:
+        delta[rows], gamma[rows] = _kernel_pair(kernel, thermal)
     return delta, gamma
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dynamics, zeno
 from ._table import json_columns, write_atomic, write_csv
-from .coefficients import _pairs, markovian_limits, tabulate_coefficients
+from .coefficients import _cell_pairs, _pairs, markovian_limits, tabulate_coefficients
 from .errors import PerturbativeBreakdownError
 from .spectral import ReservoirParams
 
@@ -41,6 +41,42 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 4
 EXIT_PERTURBATIVE = 5
+
+
+def _number(value) -> float | None:
+    """A JSON number as a float (an integer too), or None if it is not one or overflows."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _config_value(field: str, kind: str, value):
+    """A config file's ``value`` for a field declared as ``kind``, or ValueError naming the field.
+
+    An int field takes an integer only (not true or false), a bool field
+    true or false only, and a float field (and each entry of a
+    list[float] one) any number that fits a double, as a float.
+    """
+    typed = value
+    if kind == "float":
+        typed, want = _number(value), "a number that fits a double"
+        ok = typed is not None
+    elif kind == "list[float]":
+        typed = [_number(v) for v in value] if isinstance(value, list) else None
+        want = "a list of numbers that fit a double"
+        ok = typed is not None and None not in typed
+    elif kind == "int":
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif kind == "bool":
+        ok, want = isinstance(value, bool), "true or false"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise ValueError(f"{field} must be {want}, got {json.dumps(value)}")
+    return typed
 
 
 @dataclass
@@ -117,6 +153,9 @@ class RunConfig:
             unread = [key for key in given if key not in fields]
             if unread:
                 raise ValueError(f"{name}.{unread[0]} is not read by {args.command}")
+            kinds = {f.name: f.type for f in dataclasses.fields(default)}
+            given = {key: _config_value(f"{name}.{key}", kinds[key], value)
+                     for key, value in given.items()}
             flags = {key: read[key] for key in fields if read[key] is not None}
             sections[name] = dataclasses.replace(default, **{**given, **flags})
         return cls(**sections)
@@ -266,25 +305,43 @@ _FIG1_PANELS = (
 )
 
 
+def _fig1_columns(columns: list, taus: np.ndarray, quantity: str) -> list[np.ndarray]:
+    """The fig1 columns of one quantity, each a (params, model, n) on the grid ``taus``.
+
+    All columns are one closed-form pass (``zeno._cell_rates`` for the
+    ratio, ``coefficients._cell_pairs`` for the jolt); where that pass
+    overflows, column by column, so that the column that overflows
+    raises.  Each column is what its own grid pass gives, bit for bit.
+    """
+    points = [(params, model) for params, model, _ in columns]
+    index = np.repeat(np.arange(len(columns)), len(taus))
+    times = np.tile(taus, len(columns))
+    if quantity == "ratio":
+        scale = [zeno.markovian_decay_rate(params, model, n) for params, model, n in columns]
+        values = zeno._cell_rates(points, [n for *_, n in columns], times, index)
+    else:
+        scale = [markovian_limits(params, model).delta_m for params, model in points]
+        pairs = _cell_pairs(points, times, index, "sinc")
+        values = pairs[0] if pairs is not None else np.concatenate(
+            [_pairs(params, model, taus, "sinc")[0] for params, model in points])
+    return [column / s for column, s in zip(values.reshape(len(columns), -1), scale)]
+
+
 def cmd_fig1(cfg: RunConfig) -> int:
     taus = cfg.grids.tau_grid()
     out = Path(cfg.output.directory)
     manifest = {"x_label": "tau (units of 1/omega0)", "panels": []}
-    # One grid pass per column (no crossover is refined); every panel before any write.
-    tables = []
+    # One closed-form pass per quantity (no crossover is refined); every panel before any write.
+    columns: dict[str, list] = {"ratio": [], "jolt": []}
     for _, theta, n, r_values, quantity, _ in _FIG1_PANELS:
-        data: list[np.ndarray] = [taus]
         for r in r_values:
             params = ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
                                      omega0=cfg.params.omega0)
-            model = params.spectral_model()
-            if quantity == "ratio":
-                markov = zeno.markovian_decay_rate(params, model, n)
-                data.append(zeno._rates(params, model, n, taus) / markov)
-            else:
-                delta_m = markovian_limits(params, model).delta_m
-                data.append(_pairs(params, model, taus, "sinc")[0] / delta_m)
-        tables.append(data)
+            columns[quantity].append((params, params.spectral_model(), n))
+    values = {quantity: iter(_fig1_columns(found, taus, quantity))
+              for quantity, found in columns.items()}
+    tables = [[taus] + [next(values[quantity]) for _ in r_values]
+              for _, _, _, r_values, quantity, _ in _FIG1_PANELS]
     for (name, theta, n, r_values, _, y_label), data in zip(_FIG1_PANELS, tables):
         header = ["tau"] + [f"r={r:g}" for r in r_values]
         files = _write_table(out, f"{name}.csv", f"{name}.json", header, data,

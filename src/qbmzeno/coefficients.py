@@ -138,18 +138,23 @@ def _pairs(params, model, times, kernel) -> tuple[np.ndarray, np.ndarray]:
     time.  Overflow, of a value or inside the closed form, raises OverflowError.
     """
     times = np.asarray(times, dtype=float)
+    if np.count_nonzero((times > 0.0) & (times < np.inf)) == times.size:
+        return _positive_pairs(params, model, times, kernel)
     name = "t" if kernel == "sinc" else "tau"
     if np.count_nonzero(times < 0.0):
         raise ValueError(f"{name} must be nonnegative")
     if not np.isfinite(times).all():
         raise ValueError(f"{name} must be finite")
-    if np.count_nonzero(times) < times.size:
-        # t = 0 rows are zero; the others are the grid without them.
-        delta, gamma = np.zeros_like(times), np.zeros_like(times)
-        live = times != 0.0
-        if np.count_nonzero(live):
-            delta[live], gamma[live] = _pairs(params, model, times[live], kernel)
-        return delta, gamma
+    # t = 0 rows are zero; the others are the grid without them.
+    delta, gamma = np.zeros_like(times), np.zeros_like(times)
+    live = times != 0.0
+    if np.count_nonzero(live):
+        delta[live], gamma[live] = _positive_pairs(params, model, times[live], kernel)
+    return delta, gamma
+
+
+def _positive_pairs(params, model, times, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """``_pairs`` of a grid whose times are all positive and finite."""
     check_model_consistency(params, model)
     if type(model) is OhmicLorentzDrude:
         pairs = _closed_form(model.omega_c / params.omega0, params.theta, params.omega0,
@@ -161,6 +166,7 @@ def _pairs(params, model, times, kernel) -> tuple[np.ndarray, np.ndarray]:
         delta, gamma = np.array(pairs, dtype=float).reshape(-1, 2).T
         if np.isfinite(delta).all() and np.isfinite(gamma).all():
             return delta, gamma
+    name = "t" if kernel == "sinc" else "tau"
     raise OverflowError(f"the coefficients at some {name} overflow a double at {params}")
 
 
@@ -172,11 +178,13 @@ def _closed_form(wc, theta, omega0, alpha2, times, kernel):
     overflow is raised, not warned, so that -W error cannot make it a
     RuntimeWarning.
     """
-    power, unit = (1, omega0) if kernel == "sinc" else (2, 1.0)
+    power = 1 if kernel == "sinc" else 2
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             delta, gamma = _matsubara.pair(wc, theta, omega0 * times, power)
-            return alpha2 * (unit * delta), alpha2 * (unit * gamma)
+            if power == 1:  # rates: omega0 times the pair in units of omega0
+                delta, gamma = omega0 * delta, omega0 * gamma
+            return alpha2 * delta, alpha2 * gamma
     except FloatingPointError:
         return None
 
@@ -205,8 +213,10 @@ def _cell_pairs(points, times, index, kernel):
 
 
 def _pair(params, model, time, kernel) -> tuple[float, float]:
-    """``_pairs`` at one time, as floats."""
-    delta, gamma = _pairs(params, model, np.array([time], dtype=float), kernel)
+    """``_pairs`` at one time, as floats; a positive finite time skips the grid's checks."""
+    times = np.array([time], dtype=float)
+    pairs = _positive_pairs if 0.0 < times[0] < np.inf else _pairs
+    delta, gamma = pairs(params, model, times, kernel)
     return float(delta[0]), float(gamma[0])
 
 

@@ -301,27 +301,35 @@ class _Cell(NamedTuple):
     denominator: float
 
 
-def _excess(cells: list[_Cell], n: int, taus: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """ratio - 1 at every row: taus[i] in cells[index[i]].
+def _cell_rates(points: list, n, taus: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``_rates`` at every row: taus[i] in the cell points[index[i]], a (params, model) each.
 
+    ``n`` is one Fock index for every cell or a sequence of one per cell.
     Lorentz-Drude cells go through one closed-form pass together
     (``coefficients._cell_pairs``); one cell, other models, or a pass
-    that overflows go cell by cell through ``_rates``.  Each row is
-    bit-identical to its own cell's ``_rates`` at that tau alone.
+    that overflows go cell by cell through ``_rates``, which names the
+    cell that overflows.  Each row is bit-identical to its own cell's
+    ``_rates`` at that tau alone.
     """
-    rates = None
-    if len(cells) > 1:
-        pairs = _cell_pairs([(cell.params, cell.model) for cell in cells], taus, index, "sinc2")
+    ns = np.broadcast_to(n, len(points))
+    if len(points) > 1:
+        pairs = _cell_pairs(points, taus, index, "sinc2")
         if pairs is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                rates = ((2 * n + 1) * pairs[0] - pairs[1]) / taus
-            if not np.isfinite(rates).all():
-                rates = None  # cell by cell, to name the one that overflows
-    if rates is None:
-        rates = np.empty_like(taus)
-        for c, cell in enumerate(cells):
-            rows = index == c
-            rates[rows] = _rates(cell.params, cell.model, n, taus[rows])
+                rates = ((2 * ns + 1)[index] * pairs[0] - pairs[1]) / taus
+            if np.isfinite(rates).all():
+                return rates
+    rates = np.empty_like(taus)
+    for c, (params, model) in enumerate(points):
+        rows = index == c
+        rates[rows] = _rates(params, model, int(ns[c]), taus[rows])
+    return rates
+
+
+def _excess(cells: list[_Cell], n: int, taus: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """ratio - 1 at every row: taus[i] in cells[index[i]], each row as its own cell's
+    ``_rates`` at that tau alone gives it (``_cell_rates``)."""
+    rates = _cell_rates([(cell.params, cell.model) for cell in cells], n, taus, index)
     return rates / np.array([cell.denominator for cell in cells])[index] - 1.0
 
 

@@ -74,6 +74,23 @@ ALL_FIELDS = {
 }
 
 
+# Config values of the wrong type: (command, section, field, value, what the field takes).
+WRONG_TYPES = [
+    ("scan", "grids", "tau_points", 20.5, "an integer"),
+    ("coeffs", "grids", "t_points", True, "an integer"),
+    ("scan", "grids", "log_spaced", "no", "true or false"),
+    ("fig1", "grids", "log_spaced", 0, "true or false"),
+    ("crossover-map", "grids", "map_r", 1.0, "a list of numbers that fit a double"),
+    ("crossover-map", "grids", "map_theta", [0, "1"], "a list of numbers that fit a double"),
+    ("scan", "params", "r", "1", "a number that fits a double"),
+    ("fig1", "params", "alpha", None, "a number that fits a double"),
+    ("coeffs", "params", "theta", False, "a number that fits a double"),
+    ("scan", "grids", "tau_max", 10**400, "a number that fits a double"),
+    ("scan", "output", "format", 3, "a string"),
+    ("coeffs", "output", "directory", ["out"], "a string"),
+]
+
+
 def run(argv):
     return main(argv)
 
@@ -198,14 +215,18 @@ class TestScan:
 
 @pytest.fixture(scope="module")
 def fig1_run(tmp_path_factory):
-    """The fig1 output directory, the tau grid of every batched rate call
-    and the tau of every per-point rate call."""
+    """The fig1 output directory, the calls of batched rates (each a list of
+    the tau grid of every cell it holds) and the tau of every per-point rate call."""
     out = tmp_path_factory.mktemp("fig1")
-    rates, rate = zeno._rates, zeno.effective_decay_rate
-    grids, points = [], []
+    cell_rates, rates, rate = zeno._cell_rates, zeno._rates, zeno.effective_decay_rate
+    calls, points = [], []
+
+    def counted_cell_rates(cells, n, taus, index):
+        calls.append([taus[index == c].tolist() for c in range(len(cells))])
+        return cell_rates(cells, n, taus, index)
 
     def counted_rates(*args, **kwargs):
-        grids.append(np.asarray(args[3]).tolist())
+        calls.append([np.asarray(args[3]).tolist()])
         return rates(*args, **kwargs)
 
     def counted_rate(*args, **kwargs):
@@ -213,13 +234,14 @@ def fig1_run(tmp_path_factory):
         return rate(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeno, "_cell_rates", counted_cell_rates)
         mp.setattr(zeno, "_rates", counted_rates)
         mp.setattr(zeno, "effective_decay_rate", counted_rate)
         code = run([
             "fig1", "--alpha", "0.1", "--tau-points", "30", "--out", str(out),
         ])
     assert code == 0
-    return out, grids, points
+    return out, calls, points
 
 
 @pytest.fixture(scope="module")
@@ -249,11 +271,13 @@ class TestFig1:
         assert not list(tmp_path.iterdir())
 
     def test_ratio_panels_make_one_rate_per_cell(self, fig1_run):
-        # Two ratio panels x three r values, one batched grid of 30 taus
-        # each: 180 rates, and no per-point rate (no crossover refine).
-        _, grids, points = fig1_run
-        assert [len(grid) for grid in grids] == [30] * 6
-        assert sum(len(grid) for grid in grids) == 180
+        # Two ratio panels x three r values, one grid of 30 taus each, all
+        # in one batched call: 180 rates, and no per-point rate (no
+        # crossover refine).
+        _, calls, points = fig1_run
+        assert len(calls) == 1
+        assert [len(grid) for grid in calls[0]] == [30] * 6
+        assert sum(len(grid) for grid in calls[0]) == 180
         assert points == []
 
     def test_manifest_lists_all_panels(self, fig1_dir):
@@ -511,6 +535,29 @@ class TestConfigHandling:
         assert run(["crossover-map", f"{flag}={value}", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: " + flag[2:].replace("-", "_"))
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, section, key, value, want", WRONG_TYPES, ids=[
+        f"{command}-{section}.{key}-{type(value).__name__}"
+        for command, section, key, value, _ in WRONG_TYPES])
+    def test_config_values_of_the_wrong_type_are_config_errors(
+            self, command, section, key, value, want, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        out = tmp_path / "out"
+        assert run([*COMMAND_ARGV.get(command, [command]), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {section}.{key} must be {want}, got {json.dumps(value)}\n")
+        assert not out.exists()
+
+    def test_integer_config_values_of_float_fields_are_floats(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"params": {"r": 2, "theta": 0},
+                                   "grids": {"tau_min": 1, "tau_max": 10}}))
+        assert run(["scan", "--config", str(cfg), "--dump-config"]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert [dumped["params"][k] for k in ("r", "theta")] == [2.0, 0.0]
+        assert all(isinstance(dumped["grids"][k], float) for k in ("tau_min", "tau_max"))
 
     def test_empty_map_in_config_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "empty.json"

@@ -290,7 +290,7 @@ class TestZeroTemperatureClosedForm:
         with mp.workdps(ORACLE_DPS):
             want_ei = float(mp.exp(-x) * mp.ei(x))
             want_e1 = float(mp.exp(x) * mp.e1(x))
-        (got_ei,), (got_e1,) = _matsubara._scaled_exponential_integrals(np.array([x]))
+        (got_ei,), (got_e1,), _ = _matsubara._exponential_integrals(np.array([x]), np.array([x]))
         assert abs(got_ei - want_ei) <= 1e-14 * abs(want_ei)
         assert abs(got_e1 - want_e1) <= 1e-14 * abs(want_e1)
 

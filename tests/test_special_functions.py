@@ -6,8 +6,16 @@ integrals e^{-x} Ei(x) and e^{x} E1(x) (x = wc t > 0) and E1(-it) (t > 0)
 of the theta = 0 closed form.  Each is checked over the arguments the
 module can produce, on both sides of every switch between its forms, to
 1e-14 relative, and is the same bit for bit whatever array it sits in;
-so is ``pair`` itself, whatever rows of other cells share its call.
+so is ``pair`` itself, whatever rows of other cells share its call.  The
+zeta tails read their rows from a process-wide table, each row checked
+against its own one-row evaluation and the rates against the order in
+which the table was filled.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +23,7 @@ import pytest
 
 from qbmzeno import _matsubara
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 REL = 1e-14
 ORDERS = list(range(2, _matsubara._SERIES_ORDER + 1))
 # mpmath.zeta(20, 4097) is 5.8e-13 off at 60 digits (and zeta(20, 65) 3.7e-10
@@ -59,7 +68,8 @@ class TestExponentialIntegrals:
         # Ei has a zero at x = 0.3725...; near it no evaluation from a
         # rounded x holds a relative bound, so there the bound is REL
         # times Ei's condition number (which is 1 to 2.7 for x >= 0.6).
-        ei, e1 = _matsubara._scaled_exponential_integrals(np.array(X_POINTS))
+        x = np.array(X_POINTS)
+        ei, e1, _ = _matsubara._exponential_integrals(x, x)
         with mp.workdps(34):
             for x, got_ei, got_e1 in zip(X_POINTS, ei, e1):
                 want_ei = float(mp.exp(-x) * mp.ei(x))
@@ -68,7 +78,8 @@ class TestExponentialIntegrals:
                 assert _relative(got_e1, want_e1) <= REL, (x, got_e1, want_e1)
 
     def test_e1_imaginary_matches_mpmath(self):
-        got = _matsubara._e1_imaginary(np.array(T_POINTS))
+        t = np.array(T_POINTS)
+        got = _matsubara._exponential_integrals(t, t)[2]
         with mp.workdps(34):
             for t, value in zip(T_POINTS, got):
                 want = complex(mp.e1(mp.mpc(0.0, -t)))
@@ -77,12 +88,70 @@ class TestExponentialIntegrals:
     def test_matches_scipy(self):
         special = pytest.importorskip("scipy.special")
         x = np.geomspace(1e-6, 40.0, 20001)[:-1]
-        ei, e1 = _matsubara._scaled_exponential_integrals(x)
+        ei, e1, _ = _matsubara._exponential_integrals(x, x)
         away = np.abs(x - 0.372507) > 0.05  # Ei's zero: see test_matches_mpmath
         assert np.max(np.abs(ei / (np.exp(-x) * special.expi(x)) - 1.0)[away]) <= REL
         assert np.max(np.abs(e1 / (np.exp(x) * special.exp1(x)) - 1.0)) <= REL
         t = np.geomspace(1e-15, 1e6, 20001)
-        assert np.max(np.abs(_matsubara._e1_imaginary(t) / special.exp1(-1j * t) - 1.0)) <= REL
+        e1_it = _matsubara._exponential_integrals(t, t)[2]
+        assert np.max(np.abs(e1_it / special.exp1(-1j * t) - 1.0)) <= REL
+
+
+class TestZetaTable:
+    """The process-wide table of zeta(m, K + 1) rows behind the zeta tails."""
+
+    @staticmethod
+    def _empty_table(monkeypatch):
+        monkeypatch.setattr(_matsubara, "_ZETA_TABLE", np.empty_like(_matsubara._ZETA_TABLE))
+        monkeypatch.setattr(_matsubara, "_ZETA_ROW", np.full_like(_matsubara._ZETA_ROW, -1))
+
+    def test_every_row_is_its_own_one_row_call(self, monkeypatch):
+        # Filled by one call over every bound K = 1 .. _MAX_TERMS (so by
+        # _hurwitz_zeta's blocks of rows), each row is bit for bit what
+        # _hurwitz_zeta gives for a = K + 1 alone.
+        self._empty_table(monkeypatch)
+        bounds = np.arange(1, _matsubara._MAX_TERMS + 1)
+        table = _matsubara._zeta_rows(bounds)
+        assert (_matsubara._ZETA_ROW[1:] >= 0).all() and _matsubara._ZETA_ROW[0] == -1
+        for k, row in zip(bounds.tolist(), table):
+            assert np.array_equal(row, _matsubara._hurwitz_zeta(np.array([k + 1.0]))[0]), k
+
+    def test_a_rate_does_not_depend_on_the_fill_order(self, monkeypatch):
+        # Direct thermal rows with bounds K from 1 to thousands, as one grid
+        # and one by one: the same bits from an empty table, from one filled
+        # in reverse order and from one filled row by row in random order.
+        wc, theta = np.array([0.5, 1.0, 10.0, 2.0, 0.1]), np.array([10.0, 100.0, 1.0, 0.2, 0.05])
+        t = np.array([0.3, 0.5, 0.05, 0.9, 2.0])
+
+        def values():
+            grid = [_matsubara.pair(wc, theta, t, power) for power in (1, 2)]
+            alone = [_matsubara.pair(float(wc[i]), float(theta[i]), t[i:i + 1], power)
+                     for i in range(len(t)) for power in (1, 2)]
+            return np.concatenate([np.ravel(v) for v in grid + alone])
+
+        self._empty_table(monkeypatch)
+        first = values()
+        assert 1 <= np.count_nonzero(_matsubara._ZETA_ROW >= 0) < 20
+        bounds = np.arange(1, _matsubara._MAX_TERMS + 1)
+        self._empty_table(monkeypatch)
+        _matsubara._zeta_rows(bounds[::-1])
+        assert np.array_equal(values(), first)
+        self._empty_table(monkeypatch)
+        for k in np.random.default_rng(23).permutation(bounds):
+            _matsubara._zeta_rows(np.array([k]))
+        assert np.array_equal(values(), first)
+
+    def test_the_table_is_empty_at_import(self):
+        # Nothing is computed at import; a rate fills only the rows it needs.
+        code = ("from qbmzeno import _matsubara as m, zeno, spectral; "
+                "assert (m._ZETA_ROW < 0).all(); "
+                "p = spectral.ReservoirParams(r=0.5, theta=10.0, alpha=0.1); "
+                "zeno.effective_decay_rate(p, p.spectral_model(), 0, 0.3); "
+                "print((m._ZETA_ROW >= 0).nonzero()[0].tolist())")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[3]"]
 
 
 class TestGridIndependence:
@@ -117,7 +186,11 @@ class TestGridIndependence:
                 assert delta[i] == alone[0][0] and gamma[i] == alone[1][0], (wc[i], theta[i], t[i])
 
     def test_exponential_integrals(self):
+        # x and t share one series call: each value is what it is alone
+        # whatever else either argument holds.
         grid = np.geomspace(1e-6, 1e3, 1000)
-        self._check(_matsubara._scaled_exponential_integrals, grid, X_POINTS[::4] + X_SWITCHES)
+        self._check(lambda x: np.array(_matsubara._exponential_integrals(x, x)[:2]), grid,
+                    X_POINTS[::4] + X_SWITCHES)
         grid = np.geomspace(1e-15, 1e6, 1000)
-        self._check(_matsubara._e1_imaginary, grid, T_POINTS[::4] + X_SWITCHES[:3])
+        self._check(lambda t: _matsubara._exponential_integrals(t, t)[2], grid,
+                    T_POINTS[::4] + X_SWITCHES[:3])

@@ -41,13 +41,33 @@ def test_quadrature_sweep_holds_every_point_with_the_pinned_node_count():
     assert lines[-1].split()[:2] == ["nodes", "6,953,560"]
 
 
+def test_closed_form_sweep_holds_every_point_with_the_pinned_zeta_rows():
+    # The closed form over all 640 Lorentz-Drude points of the benchmark
+    # pool: exit 0 means no point raised or left the mpmath reference by
+    # more than 1e-11.  The 457 direct thermal rows need 140 distinct
+    # zeta-tail bounds, and each bound's zeta row is computed once per
+    # process (the table of _matsubara._zeta_rows), so the count is pinned.
+    result = subprocess.run(
+        [sys.executable, str(TOOLS / "closed_form_sweep.py"), "--repeat", "1"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("points 640  failures 0 ")
+    assert lines[2].startswith("zeta rows 140 ")
+    assert [line.strip().rsplit(None, 3)[:2] for line in lines[-3:]] == [
+        ["direct + zeta tail", "457"], ["Gregory", "55"], ["theta = 0", "128"]]
+
+
 def test_crossover_sweep_holds_every_root_with_the_pinned_map_call_counts():
     # Every root of the sweep is within 1e-11 of plain bisection (exit 0),
     # with the Brent-Dekker step total pinned.  The README crossover map
     # at the benchmark's 24 grid points is one closed-form grid pass plus
     # one pass per lock-step Brent-Dekker round: 10 _matsubara.pair calls
     # at n = 0 and 11 at n = 50 (79 and 107 when every cell and every step
-    # took its own).  A change that moves either count shows here.
+    # took its own).  The README fig1 is one closed-form pass per kernel:
+    # 2 calls (12, one per column, before).  A change that moves a count
+    # shows here.
     result = subprocess.run(
         [sys.executable, str(TOOLS / "crossover_sweep.py")],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=300,
@@ -55,4 +75,4 @@ def test_crossover_sweep_holds_every_root_with_the_pinned_map_call_counts():
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     assert lines[-3].startswith("roots 51, refine steps 277 ")
-    assert lines[-1] == "README crossover map, _matsubara.pair calls: n=0 10, n=50 11"
+    assert lines[-1] == "README crossover map, _matsubara.pair calls: n=0 10, n=50 11; fig1: 2"

@@ -18,8 +18,8 @@ n = 0), then the totals, the most steps any root took and the largest
 relative distance to the bisected root.  Last, the ``_matsubara.pair``
 calls of the README crossover map (its r and theta, tau in [1e-3, 1e2],
 ``--tau-points 24`` as the benchmark runs it) through ``qbmzeno.cli``,
-at n = 0 and n = 50.  The exit status is 1 if the distance exceeds
-``--rel``.
+at n = 0 and n = 50, and of the README ``fig1`` (one per kernel).  The
+exit status is 1 if the distance exceeds ``--rel``.
 """
 
 import argparse
@@ -68,8 +68,8 @@ def single_tau_excess(params, n):
     return lambda tau: float(zeno._rates(params, model, n, np.array([tau]))[0]) / denominator - 1.0
 
 
-def map_pair_calls(n: int) -> int:
-    """``_matsubara.pair`` calls of one README crossover map at this n."""
+def pair_calls(argv: list[str]) -> int:
+    """``_matsubara.pair`` calls of one ``qbmzeno.cli`` run of ``argv``."""
     pair, calls = _matsubara.pair, [0]
 
     def counted(*args):
@@ -79,11 +79,11 @@ def map_pair_calls(n: int) -> int:
     _matsubara.pair = counted
     try:
         with tempfile.TemporaryDirectory() as out:
-            code = cli.main(["crossover-map", "--n", str(n), *README_MAP, "--out", out])
+            code = cli.main([*argv, "--out", out])
     finally:
         _matsubara.pair = pair
     if code != cli.EXIT_OK:
-        raise SystemExit(f"crossover-map --n {n} exited {code}")
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
     return calls[0]
 
 
@@ -138,8 +138,10 @@ def main(argv=None) -> int:
           f"({sum(calls) / max(len(calls), 1):.2f} per root, at most {max(calls, default=0)})")
     print(f"largest relative distance to bisection at resolution: {worst:.2e} "
           f"(threshold {args.rel:.1e}); {time.perf_counter() - start:.1f} s")
-    print("README crossover map, _matsubara.pair calls: "
-          + ", ".join(f"n={n} {map_pair_calls(n)}" for n in (0, 50)))
+    maps = ", ".join(f"n={n} {pair_calls(['crossover-map', '--n', str(n), *README_MAP])}"
+                     for n in (0, 50))
+    print(f"README crossover map, _matsubara.pair calls: {maps}; "
+          f"fig1: {pair_calls(['fig1', '--alpha', '0.1'])}")
     return 1 if worst > args.rel else 0
 
 
