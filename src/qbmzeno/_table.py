@@ -8,7 +8,9 @@ non-finite ones as the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
 
 CSV is made as a stream of byte blocks of at most ``_BLOCK_CELLS``
 cells, which bounds the temporaries whatever the size of the table, and
-files are written atomically: to ``<name>.tmp``, then renamed.
+files are written atomically: to ``<name>.tmp``, then renamed.  Every
+JSON file (tables and sidecars) is ``write_json``'s two-space indented
+dump and a newline.
 
 Numeric cells are formatted by numpy, not one ``%`` at a time, and are
 byte-identical to ``'%.16e' % float(x)``: the correctly rounded 17-digit
@@ -39,6 +41,7 @@ costs nothing.
 from __future__ import annotations
 
 import functools
+import json
 import os
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -207,6 +210,11 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     """Write the table as CSV to ``path``, atomically and in row blocks."""
     write_atomic(path, csv_blocks(header, columns))
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON and a newline to ``path``, atomically."""
+    write_atomic(path, [(json.dumps(payload, indent=2) + "\n").encode()])
 
 
 def json_columns(header: Sequence[str], columns: Sequence) -> dict:

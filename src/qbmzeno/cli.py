@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, zeno
-from ._table import json_columns, write_atomic, write_csv
-from .coefficients import _cell_pairs, _pairs, markovian_limits, tabulate_coefficients
+from ._table import json_columns, write_csv, write_json
+from .coefficients import _cell_pairs, markovian_limits, tabulate_coefficients
 from .errors import PerturbativeBreakdownError
 from .spectral import ReservoirParams
 
@@ -161,10 +161,6 @@ class RunConfig:
         return cls(**sections)
 
 
-def _write_json(path: Path, payload) -> None:
-    write_atomic(path, [(json.dumps(payload, indent=2) + "\n").encode()])
-
-
 def _write_table(
     out: Path,
     csv_name: str,
@@ -182,7 +178,7 @@ def _write_table(
         write_csv(out / csv_name, header, columns)
         written.append(csv_name)
     if json_name is not None and fmt in ("json", "both"):
-        _write_json(out / json_name, json_columns(header, columns))
+        write_json(out / json_name, json_columns(header, columns))
         written.append(json_name)
     return written
 
@@ -250,10 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """The run's config; for a run that writes (not --dump-config), its output
+    directory is made if missing and checked to be writable."""
     data = json.loads(Path(args.config).read_text()) if args.config else {}
     cfg = RunConfig.from_dict(data, args)
     if args.directory is None and os.environ.get(_ENV_OUT):
         cfg.output = dataclasses.replace(cfg.output, directory=os.environ[_ENV_OUT])
+    if args.dump_config:
+        return cfg
 
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -280,7 +280,7 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     out = Path(cfg.output.directory)
     _write_table(out, "coefficients.csv", "coefficients_table.json", *series.table(),
                  cfg.output.format)
-    _write_json(out / "markovian_limits.json", {"delta_m": lim.delta_m, "gamma_m": lim.gamma_m})
+    write_json(out / "markovian_limits.json", {"delta_m": lim.delta_m, "gamma_m": lim.gamma_m})
     return EXIT_OK
 
 
@@ -289,7 +289,7 @@ def cmd_scan(cfg: RunConfig, n: int) -> int:
     scan = zeno.zeno_scan(params, model, n, cfg.grids.tau_grid())
     out = Path(cfg.output.directory)
     _write_table(out, "zeno_scan.csv", "zeno_scan_table.json", *scan.table(), cfg.output.format)
-    _write_json(out / "zeno_scan.json", scan.metadata())
+    write_json(out / "zeno_scan.json", scan.metadata())
     if scan.degenerate:
         print("Markovian rate degenerate: AZE-divergent regime", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -308,22 +308,20 @@ _FIG1_PANELS = (
 def _fig1_columns(columns: list, taus: np.ndarray, quantity: str) -> list[np.ndarray]:
     """The fig1 columns of one quantity, each a (params, model, n) on the grid ``taus``.
 
-    All columns are one closed-form pass (``zeno._cell_rates`` for the
-    ratio, ``coefficients._cell_pairs`` for the jolt); where that pass
-    overflows, column by column, so that the column that overflows
-    raises.  Each column is what its own grid pass gives, bit for bit.
+    All columns are one ``zeno._rates`` call for the ratio and one
+    ``coefficients._cell_pairs`` call for the jolt, a closed-form pass
+    each for the Lorentz-Drude bath; a column that overflows raises.
+    Each column is what its own grid pass gives, bit for bit.
     """
     points = [(params, model) for params, model, _ in columns]
     index = np.repeat(np.arange(len(columns)), len(taus))
     times = np.tile(taus, len(columns))
     if quantity == "ratio":
         scale = [zeno.markovian_decay_rate(params, model, n) for params, model, n in columns]
-        values = zeno._cell_rates(points, [n for *_, n in columns], times, index)
+        values = zeno._rates(points, [n for *_, n in columns], times, index)
     else:
         scale = [markovian_limits(params, model).delta_m for params, model in points]
-        pairs = _cell_pairs(points, times, index, "sinc")
-        values = pairs[0] if pairs is not None else np.concatenate(
-            [_pairs(params, model, taus, "sinc")[0] for params, model in points])
+        values = _cell_pairs(points, times, index, "sinc")[0]
     return [column / s for column, s in zip(values.reshape(len(columns), -1), scale)]
 
 
@@ -354,7 +352,7 @@ def cmd_fig1(cfg: RunConfig) -> int:
             "y_label": y_label,
             "files": files,
         })
-    _write_json(out / "fig1_manifest.json", manifest)
+    write_json(out / "fig1_manifest.json", manifest)
     return EXIT_OK
 
 
@@ -365,7 +363,7 @@ def cmd_ion(cfg: RunConfig, n: int, tau: float, n_measurements: int) -> int:
     write_csv(out / "ion_comparison.csv", *comparison.table())
     write_csv(out / "ion_trace.csv", *comparison.trace.table())
     verdict = comparison.verdict.value
-    _write_json(out / "ion_verdict.json", {
+    write_json(out / "ion_verdict.json", {
         "n": n,
         "tau": tau,
         "N": n_measurements,
@@ -375,7 +373,7 @@ def cmd_ion(cfg: RunConfig, n: int, tau: float, n_measurements: int) -> int:
         "unshuttered_final": float(comparison.unshuttered[-1]),
         "unshuttered_extrapolated": comparison.unshuttered_extrapolated,
     })
-    _write_json(out / "ion_trace_summary.json", comparison.trace.summary(verdict))
+    write_json(out / "ion_trace_summary.json", comparison.trace.summary(verdict))
     return EXIT_OK
 
 
@@ -383,8 +381,12 @@ def cmd_crossover_map(cfg: RunConfig, n: int) -> int:
     grid = cfg.grids
     # Brackets come from a log grid of this many points.
     grid_points = max(16, min(grid.tau_points, 96))
-    points = [ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha, omega0=cfg.params.omega0)
-              for r in grid.map_r for theta in grid.map_theta]
+    points = []
+    for r in grid.map_r:
+        for theta in grid.map_theta:
+            params = ReservoirParams(r=r, theta=theta, alpha=cfg.params.alpha,
+                                     omega0=cfg.params.omega0)
+            points.append((params, params.spectral_model()))
     found = zeno._crossover_map(points, n, (grid.tau_min, grid.tau_max), grid_points)
     # The smallest crossover time, or "divergent" or "none".
     cells = ["divergent" if stars is None else min(stars) if stars else "none" for stars in found]
@@ -397,7 +399,7 @@ def cmd_crossover_map(cfg: RunConfig, n: int) -> int:
     out = Path(cfg.output.directory)
     _write_table(out, "crossover_map.csv", None, header, columns, cfg.output.format)
     if cfg.output.format in ("json", "both"):
-        _write_json(out / "crossover_map.json", {
+        write_json(out / "crossover_map.json", {
             "n": n,
             "r": list(grid.map_r),
             "theta": list(grid.map_theta),

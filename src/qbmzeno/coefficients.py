@@ -131,30 +131,13 @@ def _kernel_pass(params, model, time, kernel):
 def _pairs(params, model, times, kernel) -> tuple[np.ndarray, np.ndarray]:
     """The (Delta-type, gamma-type) pair on one kernel at every time of a grid, by model type.
 
+    The times are positive and finite; every grid caller builds them so.
     The Ohmic Lorentz-Drude bath itself takes the closed-form Matsubara
     evaluator, one pass for the whole grid; every other model, subclasses
     included, the quadrature, time by time.  A time's values do not depend
     on the rest of the grid, so every per-point function is this with one
     time.  Overflow, of a value or inside the closed form, raises OverflowError.
     """
-    times = np.asarray(times, dtype=float)
-    if np.count_nonzero((times > 0.0) & (times < np.inf)) == times.size:
-        return _positive_pairs(params, model, times, kernel)
-    name = "t" if kernel == "sinc" else "tau"
-    if np.count_nonzero(times < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
-    if not np.isfinite(times).all():
-        raise ValueError(f"{name} must be finite")
-    # t = 0 rows are zero; the others are the grid without them.
-    delta, gamma = np.zeros_like(times), np.zeros_like(times)
-    live = times != 0.0
-    if np.count_nonzero(live):
-        delta[live], gamma[live] = _positive_pairs(params, model, times[live], kernel)
-    return delta, gamma
-
-
-def _positive_pairs(params, model, times, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """``_pairs`` of a grid whose times are all positive and finite."""
     check_model_consistency(params, model)
     if type(model) is OhmicLorentzDrude:
         pairs = _closed_form(model.omega_c / params.omega0, params.theta, params.omega0,
@@ -189,34 +172,46 @@ def _closed_form(wc, theta, omega0, alpha2, times, kernel):
         return None
 
 
-def _cell_pairs(points, times, index, kernel):
-    """``_pairs`` of several Lorentz-Drude cells in one closed-form pass, or None.
+def _cell_pairs(points, times, index, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """``_pairs`` at every row: times[i] (positive and finite) of the cell points[index[i]].
 
-    ``points`` is a list of (params, model); row i is times[i] (positive
-    and finite) of points[index[i]], and its values are those of
-    ``_pairs`` of its own cell, bit for bit.  None, for the caller to go
-    cell by cell through ``_pairs``, unless every model is the Ohmic
-    Lorentz-Drude bath itself and no value overflows.
+    ``points`` is a list of (params, model).  Several cells that are all
+    the Ohmic Lorentz-Drude bath itself take one closed-form pass; one
+    cell, any other model, or a pass that overflows go cell by cell
+    through ``_pairs``, which names the cell that overflows.  Each row is
+    ``_pairs`` of its own cell at that time alone, bit for bit.
     """
-    if not all(type(model) is OhmicLorentzDrude for _, model in points):
-        return None
-    for params, model in points:
-        check_model_consistency(params, model)
+    if len(points) > 1 and all(type(model) is OhmicLorentzDrude for _, model in points):
+        for params, model in points:
+            check_model_consistency(params, model)
 
-    def rows(value):
-        return np.array([value(params, model) for params, model in points])[index]
+        def rows(value):
+            return np.array([value(params, model) for params, model in points])[index]
 
-    return _closed_form(rows(lambda params, model: model.omega_c / params.omega0),
-                        rows(lambda params, _: params.theta),
-                        rows(lambda params, _: params.omega0),
-                        rows(lambda params, _: params.alpha**2), times, kernel)
+        pairs = _closed_form(rows(lambda params, model: model.omega_c / params.omega0),
+                             rows(lambda params, _: params.theta),
+                             rows(lambda params, _: params.omega0),
+                             rows(lambda params, _: params.alpha**2), times, kernel)
+        if pairs is not None:
+            return pairs
+    delta, gamma = np.empty_like(times), np.empty_like(times)
+    for c, (params, model) in enumerate(points):
+        rows = index == c
+        delta[rows], gamma[rows] = _pairs(params, model, times[rows], kernel)
+    return delta, gamma
 
 
 def _pair(params, model, time, kernel) -> tuple[float, float]:
-    """``_pairs`` at one time, as floats; a positive finite time skips the grid's checks."""
+    """``_pairs`` at one time, as floats; t = 0 gives (0, 0)."""
     times = np.array([time], dtype=float)
-    pairs = _positive_pairs if 0.0 < times[0] < np.inf else _pairs
-    delta, gamma = pairs(params, model, times, kernel)
+    if not 0.0 < times[0] < np.inf:
+        name = "t" if kernel == "sinc" else "tau"
+        if times[0] < 0.0:
+            raise ValueError(f"{name} must be nonnegative")
+        if times[0] != 0.0:
+            raise ValueError(f"{name} must be finite")
+        return 0.0, 0.0
+    delta, gamma = _pairs(params, model, times, kernel)
     return float(delta[0]), float(gamma[0])
 
 

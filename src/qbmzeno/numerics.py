@@ -238,6 +238,15 @@ def _gk_rule(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray,
     return kron, np.abs(kron - gauss)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted: np.unique's values without its first-call
+    import of numpy.ma (a megabyte of peak memory)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _lobatto_to_chebyshev(n: int) -> np.ndarray:
     """(n+1, n+1) map from values at cos(j pi/n) to their interpolant's Chebyshev coefficients."""
     k = np.arange(n + 1)
@@ -296,7 +305,7 @@ def _fcc_rule(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, kernel: str) -> tup
         moments = g.reshape(-1, 25) @ np.ascontiguousarray(table[level[0]].T)
     else:
         moments = np.empty((g.shape[0], lo.size, 6))
-        for at_level in np.unique(level):
+        for at_level in _distinct(level):
             at = level == at_level
             moments[:, at] = g[:, at] @ np.ascontiguousarray(table[at_level].T)
     moments = moments.reshape(g.shape[0], lo.size, 3, 2)
@@ -407,7 +416,7 @@ def integrate_adaptive(
         edges = np.concatenate([filon_edges[:-1], edges])
     if breakpoints is not None:
         inner = np.asarray(breakpoints, dtype=float)
-        edges = np.unique(np.concatenate([edges, inner[(inner > a) & (inner < b)]]))
+        edges = _distinct(np.concatenate([edges, inner[(inner > a) & (inner < b)]]))
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _panel_values(evaluate, lo, hi, _head, filon_end)
 

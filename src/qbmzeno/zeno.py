@@ -13,19 +13,16 @@ and the ratio diverges (pure AZE).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
-from ._table import write_atomic, write_csv
+from ._table import write_csv, write_json
 from .coefficients import (
     _cell_pairs,
     _pair_weight,
-    _pairs,
     half_kernel_integral,
     integrated_diffusion,
     integrated_pair,
@@ -168,30 +165,32 @@ def effective_decay_rate(
     return rate
 
 
-def _rates(
-    params: ReservoirParams,
-    model: BaseSpectralDensity,
-    n: int,
-    taus: np.ndarray,
-) -> np.ndarray:
-    """effective_decay_rate at every tau of a grid, in one pass and without escape checks.
+def _rates(points: list, n, taus: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """effective_decay_rate at every row, taus[i] in the cell points[index[i]], without escape checks.
 
-    Each value is bit-identical to effective_decay_rate at that tau,
-    whatever else the grid holds.  The grid callers (scans, crossover
-    grids and their root refinement, fig1) look at large tau on purpose,
-    so they do not check the perturbative window.
+    ``points`` is a list of (params, model) and ``n`` one Fock index for
+    every cell or a list of one per cell.  The pairs are one
+    ``coefficients._cell_pairs`` call and 2n+1 is the cell's Python int
+    as a float, so each row is effective_decay_rate at that tau, bit for
+    bit, whatever else the rows hold.  A rate that does not fit in a
+    double raises OverflowError naming its cell.  The callers (scans,
+    crossover grids and their root refinement, fig1) look at large tau
+    on purpose, so they do not check the perturbative window.
     """
     taus = np.asarray(taus, dtype=float)
-    if not np.all(taus > 0.0):
-        raise ValueError("tau must be positive")
-    if n < 0:
+    if not np.all((taus > 0.0) & (taus < np.inf)):
+        raise ValueError("tau must be positive and finite")
+    ns = n if isinstance(n, list) else [n] * len(points)
+    if any(k < 0 for k in ns):
         raise ValueError("n must be nonnegative")
-    i_delta, i_gamma = _pairs(params, model, taus, "sinc2")
-    try:
-        with np.errstate(over="raise"):  # raised, not warned, even under -W error
-            return ((2 * n + 1) * i_delta - i_gamma) / taus
-    except FloatingPointError:
-        raise OverflowError(f"the rates of n={n} overflow a double at {params}") from None
+    i_delta, i_gamma = _cell_pairs(points, taus, index, "sinc2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = (np.array([float(2 * k + 1) for k in ns])[index] * i_delta - i_gamma) / taus
+    overflow = np.flatnonzero(~np.isfinite(rates))
+    if overflow.size:
+        c = index[overflow[0]]
+        raise OverflowError(f"the rates of n={ns[c]} overflow a double at {points[c][0]}")
+    return rates
 
 
 def effective_decay_rate_fd(
@@ -293,47 +292,15 @@ def classify_regime(
     return _regime(ratio)
 
 
-class _Cell(NamedTuple):
-    """One (params, model) point of a crossover search and its Markovian rate."""
-
-    params: ReservoirParams
-    model: BaseSpectralDensity
-    denominator: float
-
-
-def _cell_rates(points: list, n, taus: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``_rates`` at every row: taus[i] in the cell points[index[i]], a (params, model) each.
-
-    ``n`` is one Fock index for every cell or a sequence of one per cell.
-    Lorentz-Drude cells go through one closed-form pass together
-    (``coefficients._cell_pairs``); one cell, other models, or a pass
-    that overflows go cell by cell through ``_rates``, which names the
-    cell that overflows.  Each row is bit-identical to its own cell's
-    ``_rates`` at that tau alone.
-    """
-    ns = np.broadcast_to(n, len(points))
-    if len(points) > 1:
-        pairs = _cell_pairs(points, taus, index, "sinc2")
-        if pairs is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rates = ((2 * ns + 1)[index] * pairs[0] - pairs[1]) / taus
-            if np.isfinite(rates).all():
-                return rates
-    rates = np.empty_like(taus)
-    for c, (params, model) in enumerate(points):
-        rows = index == c
-        rates[rows] = _rates(params, model, int(ns[c]), taus[rows])
-    return rates
+def _excess(points: list, denominators: np.ndarray, n: int, taus: np.ndarray,
+            index: np.ndarray) -> np.ndarray:
+    """ratio - 1 at every row: taus[i] in the cell points[index[i]], whose Markovian
+    rate is denominators[index[i]], each row as ``_rates`` gives it."""
+    return _rates(points, n, taus, index) / denominators[index] - 1.0
 
 
-def _excess(cells: list[_Cell], n: int, taus: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """ratio - 1 at every row: taus[i] in cells[index[i]], each row as its own cell's
-    ``_rates`` at that tau alone gives it (``_cell_rates``)."""
-    rates = _cell_rates([(cell.params, cell.model) for cell in cells], n, taus, index)
-    return rates / np.array([cell.denominator for cell in cells])[index] - 1.0
-
-
-def _crossovers(cells: list[_Cell], n: int, brackets: list[list]) -> list[list[float]]:
+def _crossovers(points: list, denominators: np.ndarray, n: int,
+                brackets: list[list]) -> list[list[float]]:
     """Crossover times of each cell: the roots of ratio(tau) - 1 in its sign-change brackets.
 
     Every bracket of every cell is refined by Brent-Dekker
@@ -362,11 +329,12 @@ def _crossovers(cells: list[_Cell], n: int, brackets: list[list]) -> list[list[f
     while pending:
         live = list(pending)
         taus = np.array([pending[j] for j in live])
-        values = _excess(cells, n, taus, np.array([jobs[j][0] for j in live])).tolist()
+        index = np.array([jobs[j][0] for j in live])
+        values = _excess(points, denominators, n, taus, index).tolist()
         for j, tau, value in zip(live, taus.tolist(), values):
             trajectories[j][tau] = value
             advance(j, value)
-    roots: list[list[float]] = [[] for _ in cells]
+    roots: list[list[float]] = [[] for _ in points]
     for (c, bracket), trajectory in zip(jobs, trajectories):
         roots[c].append(bisect(trajectory.__getitem__, bracket, tol=1e-12 * bracket.hi))
     return roots
@@ -382,19 +350,6 @@ def _crossover_grid(tau_range: tuple[float, float], grid_points: int) -> np.ndar
     return np.geomspace(lo, hi, grid_points)
 
 
-def _grid_crossovers(cells: list[_Cell], n: int, taus: np.ndarray) -> list[list[float]]:
-    """Every crossover of each cell on one tau grid: one pass for all cells, then _crossovers."""
-    if not cells:
-        return []
-    index = np.repeat(np.arange(len(cells)), len(taus))
-    excess = _excess(cells, n, np.tile(taus, len(cells)), index).reshape(len(cells), -1)
-    brackets = []
-    for row in excess:
-        samples = dict(zip(taus.tolist(), row.tolist()))
-        brackets.append(scan_for_bracket(samples.__getitem__, taus))
-    return _crossovers(cells, n, brackets)
-
-
 def find_crossover_time(
     params: ReservoirParams,
     model: BaseSpectralDensity,
@@ -406,43 +361,51 @@ def find_crossover_time(
 
     Evaluates ratio - 1 on a log-spaced grid in one pass, brackets every
     sign change and refines every bracket by Brent-Dekker to 1e-12
-    relative width, all brackets in lock step (``_crossovers``: one rate
-    grid per round, a handful of rounds per root).  On the closed-form
-    Lorentz-Drude path tau* is then good to about 1e-12; on quadrature
-    baths it is only as exact as the rate.  An empty list means no
-    crossover in range; the oscillatory coefficients at r < 1 can
-    produce several.  Raises DegenerateDenominatorError in the
-    AZE-divergent case.
+    relative width, all brackets in lock step: this is ``_crossover_map``
+    of the one point.  On the closed-form Lorentz-Drude path tau* is
+    then good to about 1e-12; on quadrature baths it is only as exact as
+    the rate.  An empty list means no crossover in range; the
+    oscillatory coefficients at r < 1 can produce several.  Raises
+    DegenerateDenominatorError in the AZE-divergent case.
     """
-    taus = _crossover_grid(tau_range, grid_points)
-    denominator = _ratio_denominator(params, model, n)
-    return _grid_crossovers([_Cell(params, model, denominator)], n, taus)[0]
+    _ratio_denominator(params, model, n)
+    return _crossover_map([(params, model)], n, tau_range, grid_points)[0]
 
 
 def _crossover_map(
-    points: list[ReservoirParams],
+    points: list,
     n: int,
     tau_range: tuple[float, float],
     grid_points: int,
 ) -> list[list[float] | None]:
-    """find_crossover_time at every point with its own bath, all at once; None where degenerate.
+    """find_crossover_time at every (params, model) point, all at once; None where degenerate.
 
-    Every cell whose Markovian rate is not degenerate joins one grid
-    pass, and then the lock-step refinement of all their brackets, so a
-    map of Lorentz-Drude cells is one closed-form call per grid and per
-    Brent-Dekker round (``_excess``), not one per cell and step.  Each
-    list is what find_crossover_time returns for its point, bit for bit.
+    Every cell whose Markovian rate is not degenerate joins one pass over
+    the log grid of ``grid_points`` taus, whose sign changes
+    (``scan_for_bracket``) bracket its roots, and then the lock-step
+    refinement of all their brackets (``_crossovers``).  A map of
+    Lorentz-Drude cells is thus one closed-form call per grid and per
+    Brent-Dekker round, not one per cell and step.  Each row of a pass is
+    its own cell's single-tau rate, bit for bit, so each list is what the
+    cell alone would give.
     """
     taus = _crossover_grid(tau_range, grid_points)
-    cells, live = [], []
-    for i, params in enumerate(points):
-        model = params.spectral_model()
+    cells, live, denominators = [], [], []
+    for i, (params, model) in enumerate(points):
         denominator, degenerate = _markov_rate(params, model, n)
         if not degenerate:
-            cells.append(_Cell(params, model, denominator))
+            cells.append((params, model))
             live.append(i)
+            denominators.append(denominator)
+    denominators = np.array(denominators)
+    index = np.repeat(np.arange(len(cells)), len(taus))
+    excess = _excess(cells, denominators, n, np.tile(taus, len(cells)), index)
+    brackets = []
+    for row in excess.reshape(len(cells), len(taus)):
+        samples = dict(zip(taus.tolist(), row.tolist()))
+        brackets.append(scan_for_bracket(samples.__getitem__, taus))
     found: list[list[float] | None] = [None] * len(points)
-    for i, roots in zip(live, _grid_crossovers(cells, n, taus)):
+    for i, roots in zip(live, _crossovers(cells, denominators, n, brackets)):
         found[i] = roots
     return found
 
@@ -499,7 +462,7 @@ class ZenoScan:
 
     def to_json(self, path) -> None:
         """Write the metadata sidecar, atomically (temp + rename)."""
-        write_atomic(path, [(json.dumps(self.metadata(), indent=2) + "\n").encode()])
+        write_json(path, self.metadata())
 
 
 def zeno_scan(
@@ -512,16 +475,17 @@ def zeno_scan(
 
     In the degenerate (AZE-divergent) case the scan still tabulates the
     rates, with the ratio column set to +infinity.  The grid is evaluated
-    in one pass (``_rates``).  Crossovers are refined to 1e-12 relative
-    width (as in find_crossover_time) from the sign changes of the
-    tabulated ratio.  Raises ValueError, before any rate is computed,
+    in one pass (``_rates`` of the one cell).  Crossovers are refined to
+    1e-12 relative width, in lock step as in find_crossover_time
+    (``_crossovers``), from the sign changes of the tabulated ratio.  Raises ValueError, before any rate is computed,
     unless taus is a 1-D grid of finite, positive, strictly increasing
     values.
     """
     taus = np.asarray(taus, dtype=float)
     _check_tau_grid(taus)
     denominator, degenerate = _markov_rate(params, model, n)
-    rates = _rates(params, model, n, taus)
+    point = [(params, model)]
+    rates = _rates(point, n, taus, np.zeros(taus.size, np.intp))
 
     if degenerate:
         ratio = np.full_like(rates, np.inf)
@@ -529,7 +493,7 @@ def zeno_scan(
     else:
         ratio = rates / denominator
         brackets = brackets_from_samples(taus, ratio - 1.0)
-        crossovers = _crossovers([_Cell(params, model, denominator)], n, [brackets])[0]
+        crossovers = _crossovers(point, np.array([denominator]), n, [brackets])[0]
     return ZenoScan(
         n=n,
         taus=taus,

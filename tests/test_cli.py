@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbmzeno import _matsubara, cli, numerics, zeno
+from qbmzeno import _matsubara, cli, coefficients, numerics, zeno
 from qbmzeno.cli import main
+from qbmzeno.spectral import ReservoirParams
 
 FAST_SCAN = ["--tau-min", "1e-3", "--tau-max", "100", "--tau-points", "36", "--log"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -218,23 +219,18 @@ def fig1_run(tmp_path_factory):
     """The fig1 output directory, the calls of batched rates (each a list of
     the tau grid of every cell it holds) and the tau of every per-point rate call."""
     out = tmp_path_factory.mktemp("fig1")
-    cell_rates, rates, rate = zeno._cell_rates, zeno._rates, zeno.effective_decay_rate
+    rates, rate = zeno._rates, zeno.effective_decay_rate
     calls, points = [], []
 
-    def counted_cell_rates(cells, n, taus, index):
+    def counted_rates(cells, n, taus, index):
         calls.append([taus[index == c].tolist() for c in range(len(cells))])
-        return cell_rates(cells, n, taus, index)
-
-    def counted_rates(*args, **kwargs):
-        calls.append([np.asarray(args[3]).tolist()])
-        return rates(*args, **kwargs)
+        return rates(cells, n, taus, index)
 
     def counted_rate(*args, **kwargs):
         points.append(args[3])
         return rate(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zeno, "_cell_rates", counted_cell_rates)
         mp.setattr(zeno, "_rates", counted_rates)
         mp.setattr(zeno, "effective_decay_rate", counted_rate)
         code = run([
@@ -361,6 +357,27 @@ class TestCrossoverMap:
         assert float(cells["0.5"]) > 0.0
         assert cells["10"] == "none"
 
+    def test_n_beyond_int64_is_find_crossover_time_per_cell(self, tmp_path):
+        # 2n+1 of n = 10**20 fits no int64; each cell is still the smallest
+        # root that find_crossover_time gives on the same 24-point grid.
+        n = 10**20
+        assert run([
+            "crossover-map", "--n", str(n), "--alpha", "0.1", "--map-r", "0.1,1",
+            "--map-theta", "1,100", "--tau-min", "1e-3", "--tau-max", "100",
+            "--tau-points", "24", "--out", str(tmp_path),
+        ]) == 0
+        rows = (tmp_path / "crossover_map.csv").read_text().splitlines()
+        cells = [cell for row in rows[1:] for cell in row.split(",")[1:]]
+        want = []
+        for r in (0.1, 1.0):
+            for theta in (1.0, 100.0):
+                params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+                stars = zeno.find_crossover_time(params, params.spectral_model(), n,
+                                                 (1e-3, 100.0), 24)
+                want.append(format(min(stars), ".16e") if stars else "none")
+        assert cells == want
+        assert "none" in cells and len(set(cells)) == 4
+
     def test_degenerate_cells_flagged(self, tmp_path):
         run([
             "crossover-map", "--n", "0", "--alpha", "0.1",
@@ -393,7 +410,7 @@ class TestCrossoverMap:
         # is not divergent (15 at n = 0, 20 at n = 50) are one closed-form
         # pass, and the Brent-Dekker steps of all their roots (11 and 13)
         # run in lock step, one pass per round with a row per live bracket.
-        # No cell goes through _rates on its own.
+        # No cell goes through coefficients._pairs on its own.
         pair, sizes = _matsubara.pair, []
 
         def counted_pair(wc, theta, t, power):
@@ -401,10 +418,10 @@ class TestCrossoverMap:
             return pair(wc, theta, t, power)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a map cell took _rates on its own")
+            raise AssertionError("a map cell took coefficients._pairs on its own")
 
         monkeypatch.setattr(_matsubara, "pair", counted_pair)
-        monkeypatch.setattr(zeno, "_rates", refuse)
+        monkeypatch.setattr(coefficients, "_pairs", refuse)
         for n in ("0", "50"):
             sizes.append([])
             assert run([
@@ -693,6 +710,18 @@ class TestConfigHandling:
         ])
         assert code == 0
         assert (tmp_path / "envdir" / "coefficients.csv").exists()
+
+    def test_dump_config_makes_no_output_directory(self, tmp_path, monkeypatch, capsys):
+        # Nothing is written, so neither a new --out nor a new QBMZENO_OUT is made.
+        out = tmp_path / "new"
+        assert run(["scan", "--dump-config", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["output"]["directory"] == str(out)
+        assert not out.exists()
+        monkeypatch.setenv("QBMZENO_OUT", str(tmp_path / "envdir"))
+        assert run(["scan", "--dump-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["output"]["directory"] == str(
+            tmp_path / "envdir")
+        assert not list(tmp_path.iterdir())
 
     def test_no_leftover_temp_files(self, tmp_path):
         run([

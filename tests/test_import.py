@@ -76,3 +76,22 @@ def test_top_level_is_the_physics_and_its_errors():
     public = {name for name, obj in vars(qbmzeno).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public - physics == kept
+
+
+def test_a_user_bath_rate_loads_no_numpy_ma():
+    # numpy.ma costs about a megabyte of peak memory, and np.unique (not
+    # called by numerics) imports it on its first call in a process.
+    code = (
+        "import sys; sys.path.insert(0, 'bench'); "
+        "from userbath import ExponentialOhmic; "
+        "from qbmzeno.spectral import ReservoirParams; "
+        "from qbmzeno.zeno import effective_decay_rate; "
+        "params = ReservoirParams(r=0.5, theta=1.0, alpha=0.1); "
+        "rate = effective_decay_rate(params, ExponentialOhmic(0.5), 0, 3.0); "
+        "print(rate > 0.0, 'numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "False"]

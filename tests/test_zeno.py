@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qbmzeno import zeno
+from qbmzeno import coefficients, zeno
 from qbmzeno.errors import DegenerateDenominatorError
 from qbmzeno.numerics import bisect, brackets_from_samples
 from qbmzeno.spectral import OhmicLorentzDrude, ReservoirParams
@@ -261,18 +261,22 @@ class TestLockStepMap:
         model = params.spectral_model()
         denominator = markovian_decay_rate(params, model, n)
         taus = np.geomspace(*self.TAUS, 24)
-        excess = zeno._rates(params, model, n, taus) / denominator - 1.0
+        point = [(params, model)]
+        excess = zeno._rates(point, n, taus, np.zeros(taus.size, np.intp)) / denominator - 1.0
 
         def single(tau):
-            return float(zeno._rates(params, model, n, np.array([tau]))[0]) / denominator - 1.0
+            rate = zeno._rates(point, n, np.array([tau]), np.zeros(1, np.intp))[0]
+            return float(rate) / denominator - 1.0
 
         return [bisect(single, b, tol=1e-12 * b.hi) for b in brackets_from_samples(taus, excess)]
 
-    @pytest.mark.parametrize("n", [0, 1, 50])
+    @pytest.mark.parametrize("n", [0, 1, 50, 2**62, 10**20])
     def test_map_is_find_crossover_time_per_cell(self, n):
+        # 2n+1 is formed per cell from the Python int: at n = 2**62 an
+        # int64 2n+1 would wrap negative, and n = 10**20 fits no int64.
         points = [ReservoirParams(r=r, theta=theta, alpha=0.1)
                   for r in self.R for theta in self.THETAS]
-        found = zeno._crossover_map(points, n, self.TAUS, 24)
+        found = zeno._crossover_map([(p, p.spectral_model()) for p in points], n, self.TAUS, 24)
         assert len(found) == len(points)
         for params, stars in zip(points, found):
             try:
@@ -283,21 +287,34 @@ class TestLockStepMap:
             assert stars == want == self._one_by_one(params, n), params
         assert sum(len(stars) for stars in found if stars) >= 11
 
-    def test_other_baths_go_cell_by_cell(self):
-        # A quadrature bath among closed-form cells: every row is still its
-        # own cell's _rates.
+    def test_other_baths_go_cell_by_cell(self, monkeypatch):
+        # A quadrature bath among closed-form cells: the cells go one by
+        # one through coefficients._pairs, and every row is still its own
+        # cell's single-tau rate.
         params = ReservoirParams(r=0.5, theta=100.0, alpha=0.1)
         cold = ReservoirParams(r=10.0, theta=0.0, alpha=0.1)
-        cells = [zeno._Cell(params, params.spectral_model(), 1.0),
-                 zeno._Cell(params, QuadratureLorentzDrude(0.5), 1.0),
-                 zeno._Cell(cold, cold.spectral_model(), 2.0)]
+        points = [(params, params.spectral_model()), (params, QuadratureLorentzDrude(0.5)),
+                  (cold, cold.spectral_model())]
+        denominators = np.array([1.0, 1.0, 2.0])
         taus = np.array([0.3, 2.0, 0.3, 2.0, 0.7])
         index = np.array([0, 1, 1, 0, 2])
-        got = zeno._excess(cells, 0, taus, index)
-        for i, (tau, c) in enumerate(zip(taus, index)):
-            cell = cells[c]
-            rate = zeno._rates(cell.params, cell.model, 0, np.array([tau]))[0]
-            assert got[i] == rate / cell.denominator - 1.0
+        pairs, grids = coefficients._pairs, []
+
+        def counted_pairs(params, model, times, kernel):
+            grids.append((model, times.tolist()))
+            return pairs(params, model, times, kernel)
+
+        monkeypatch.setattr(coefficients, "_pairs", counted_pairs)
+        got = zeno._excess(points, denominators, 0, taus, index)
+        assert grids == [(points[0][1], [0.3, 2.0]), (points[1][1], [2.0, 0.3]),
+                         (points[2][1], [0.7])]
+        monkeypatch.undo()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # escape warnings at large tau
+            rates = [zeno.effective_decay_rate(*points[c], 0, float(tau))
+                     for tau, c in zip(taus, index)]
+        for i, (rate, c) in enumerate(zip(rates, index)):
+            assert got[i] == rate / denominators[c] - 1.0
 
 
 class TestClassification:
@@ -391,6 +408,6 @@ class TestScan:
         def no_rates(*args):
             raise AssertionError("a rate was computed before taus were checked")
 
-        monkeypatch.setattr(zeno, "_pairs", no_rates)
+        monkeypatch.setattr(zeno, "_cell_pairs", no_rates)
         with pytest.raises(ValueError, match="taus must be a 1-D grid"):
             zeno_scan(params_hot, model_hot, 0, taus)

@@ -65,7 +65,8 @@ def single_tau_excess(params, n):
     """ratio - 1 at one tau, from a rate grid of that tau alone."""
     model = params.spectral_model()
     denominator = zeno.markovian_decay_rate(params, model, n)
-    return lambda tau: float(zeno._rates(params, model, n, np.array([tau]))[0]) / denominator - 1.0
+    point, index = [(params, model)], np.zeros(1, np.intp)
+    return lambda tau: float(zeno._rates(point, n, np.array([tau]), index)[0]) / denominator - 1.0
 
 
 def pair_calls(argv: list[str]) -> int:
