@@ -40,19 +40,23 @@ asymptotic series of e^{-x} Ei(x) from there on, and e^z E1(z) = Int_0^inf
 e^{-s} / (z + s) ds by a fixed trapezoid rule for |z| >= 1.  All the
 series of one form take one ``_power_series`` call.
 
-The Matsubara sum is direct up to an index K set by (r, theta, t) and
-capped at _MAX_TERMS.  Past it the summand is either a power series in
-1/nu, summed with Hurwitz zeta functions zeta(m, K + 1) (Euler-Maclaurin,
-DLMF 2.10.1 and 25.11; universal constants of the integer K, so each row
-is computed once per process, ``_zeta_rows``), or (small theta t) it is
-completed by Gregory's endpoint formula around Int_a^inf G dnu.  G is
-analytic near the positive axis and falls like 1/nu^2, so in x = ln(nu
-- a) the integrand decays exponentially at both ends and the plain
-trapezoid rule converges geometrically (Trefethen and Weideman, SIAM
-Rev. 56, 385 (2014)): step _TAIL_STEP over ln(min(1, wc, 1/t)) -
-_TAIL_SPAN .. ln(max(1, wc, 1/t)) + _TAIL_SPAN, 500 to 800 nodes a t.
-At ten corners from t = 1e-15 to 300, on both kernels and powers, with
-a far above max(1, wc) and at a = wc, it is within 1e-13 of mpmath.
+The Matsubara sum is direct up to an index K set by (r, theta, t), K at
+most _MAX_TERMS.  Past it the summand is a power series in 1/nu, summed
+with Hurwitz zeta functions zeta(m, K + 1) (Euler-Maclaurin, DLMF
+2.10.1 and 25.11; universal constants of the integer K, so each row is
+computed once per process, ``_zeta_rows``).  A row whose K is over
+_MAX_TERMS (small theta t, or small theta against wc) is completed from
+k = _GREGORY_START by Gregory's endpoint formula around Int_a^inf G
+dnu.  G is analytic and bounded for Re nu > 0 and falls like 1/nu^2, so
+in x = ln(nu - a) the integrand decays exponentially at both ends and
+is analytic in the strip |Im x| < pi/2, where the plain trapezoid rule
+of step h errs by about exp(-2 pi (pi/2) / h) = exp(-pi^2 / h)
+(Trefethen and Weideman, SIAM Rev. 56, 385 (2014)): 7e-18 of the
+integral at h = _TAIL_STEP = 0.25 (5e-15 at 0.3).  The nodes run over
+ln(min(1, wc, 1/t)) - _TAIL_SPAN .. ln(max(1, wc, 1/t)) + _TAIL_SPAN,
+320 to 480 of them a t.  At ten corners from t = 1e-15 to 300, on both
+kernels and powers, with a far above max(1, wc) and at a = wc, it is
+within 1e-13 of mpmath.
 
 ``pair`` takes a whole grid of times and evaluates it in one pass: the
 direct terms and the Gregory integrals' nodes of every t in blocks of
@@ -79,9 +83,10 @@ import numpy as np
 
 # Taylor terms of phi_p (|w| < 1) and of its divided differences (|w| < 1.5).
 _SERIES_TERMS = 24
-# Direct Matsubara terms at most; an exponential is dropped past
+# Direct Matsubara terms at most (past it Gregory's completion from
+# _GREGORY_START costs fewer summands); an exponential is dropped past
 # exp(-_EXP_CUT); the 1/nu series needs nu > _SERIES_MARGIN * max(1, wc).
-_MAX_TERMS = 4096
+_MAX_TERMS = 1024
 _EXP_CUT = 40.0
 _SERIES_MARGIN = 8.0
 _SERIES_ORDER = 20
@@ -94,9 +99,10 @@ _GREGORY = np.array([
     -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192,
     -33953 / 3628800, 8183 / 1036800, -3250433 / 479001600, 4671 / 788480,
 ])
-# Gregory integrals: the trapezoid step in x = ln(nu - lower), and how far
-# (in x) the nodes reach past G's scales 1, wc and 1/t on either side.
-_TAIL_STEP = 0.15
+# Gregory integrals: the trapezoid step in x = ln(nu - lower) (error about
+# exp(-pi^2 / step), see the module docstring), and how far (in x) the
+# nodes reach past G's scales 1, wc and 1/t on either side.
+_TAIL_STEP = 0.25
 _TAIL_SPAN = 40.0
 # Summand entries evaluated at once, across the times of a grid, and
 # values of w per block of Taylor power rows (24 powers each).
@@ -523,7 +529,7 @@ def _hurwitz_zeta(a: np.ndarray) -> np.ndarray:
 
 # zeta(m, K + 1) at the bounds K = 1 .. _MAX_TERMS of the direct rows:
 # universal constants, each row computed by _hurwitz_zeta the first time a
-# zeta tail needs it and kept for the process (at most 0.62 MB, nothing at
+# zeta tail needs it and kept for the process (at most 0.16 MB, nothing at
 # import).  The rows are stored in the order they are filled (_ZETA_ROW[K],
 # -1 until then), so a process touches only the memory of the rows it uses.
 # A row of _hurwitz_zeta does not depend on the other rows of its call, so
@@ -806,8 +812,8 @@ def _matsubara_sums(kernel: _Kernel, step, k_series, scale) -> np.ndarray:
                        + _zeta_tails(kernel, rows, count, scale))
     rows = np.flatnonzero(~direct)
     # Gregory from K past the exponentials if the cap allows; otherwise
-    # step * t < _EXP_CUT / _MAX_TERMS and the differences of e^{-nu t}
-    # vanish quickly.
+    # step * t < _EXP_CUT / _MAX_TERMS, so the first difference Gregory
+    # neglects, about (step t)^11 of a term of e^{-nu t}, is below 3e-16.
     k = k_exp[rows]
     start = np.where(k <= _MAX_TERMS, np.maximum(k, _GREGORY_START), _GREGORY_START)
     start = start.astype(np.int64)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -188,11 +189,16 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser: each command takes only the flags it reads.
 
     Every flag that sets a config value has that RunConfig field as its
     dest, so the parsed namespace names the fields a command reads.
+    Built once per process and shared, so callers must not change it:
+    ``parse_args`` leaves the parser as it was and makes a fresh
+    namespace per call, so nothing carries over from one ``main`` call
+    to the next.
     """
     bath = argparse.ArgumentParser(add_help=False)
     bath.add_argument("--r", type=float, help="cutoff ratio omega_c/omega0")

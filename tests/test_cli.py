@@ -118,6 +118,40 @@ def test_readme_flag_table_matches_the_parser():
     assert table == parsed
 
 
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(["scan", "--dump-config"]) == 0
+        first = len(built)
+        assert first and built.count("qbmzeno") == 1
+        assert run(["coeffs", "--dump-config", "--out", str(tmp_path)]) == 0
+        assert len(built) == first
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+
+
+def test_a_cached_parser_carries_nothing_from_one_run_to_the_next(tmp_path, capsys):
+    assert run(["crossover-map", "--n", "3", "--alpha", "0.1", "--map-r", "0.5",
+                "--map-theta", "100", "--tau-points", "8", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert run(["scan", "--dump-config"]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    fields = {f"{section}.{key}" for section, values in dumped.items() for key in values}
+    assert fields == ALL_FIELDS - set(UNREAD_FIELDS["scan"])
+    assert dumped["grids"]["tau_points"] == cli.RunConfig().grids.tau_points
+    cli.build_parser.cache_clear()
+    assert run(["scan", "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out) == dumped
+
+
 @pytest.mark.parametrize("argv", README_COMMANDS.values(), ids=README_COMMANDS.keys())
 def test_readme_command_runs_clean_with_warnings_as_errors(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))

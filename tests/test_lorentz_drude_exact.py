@@ -162,6 +162,20 @@ class TestMpmathOracle:
         _assert_close(pair(params, params.spectral_model(), t),
                       oracle_pair(r, theta, t, power), f"t={t}")
 
+    @pytest.mark.parametrize("r, theta, t, power", [
+        (0.1, 1.0, 3.2e-3, 1), (1.0, 1.0, 2e-3, 2), (10.0, 0.2, 0.021, 1), (10.0, 0.2, 0.0106, 2),
+        (0.1, 10.0, 5.8e-4, 2), (1.0, 10.0, 2e-4, 1), (10.0, 0.005, 3.0, 1), (10.0, 0.01, 1.5, 2),
+    ])
+    def test_rows_past_the_direct_cap(self, r, theta, t, power):
+        # Bounds K in (_MAX_TERMS, 4096]: rows that Gregory's formula completes from
+        # k = 64, on both sides of t = 1 (the last two: K from the series bound).
+        bound = max(math.ceil(40.0 / (2.0 * math.pi * theta * t)),
+                    math.ceil(8.0 * max(1.0, r) / (2.0 * math.pi * theta)))
+        assert _matsubara._MAX_TERMS < bound <= 4096
+        params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+        pair = coefficient_pair if power == 1 else integrated_pair
+        _assert_close(pair(params, params.spectral_model(), t),
+                      oracle_pair(r, theta, t, power), f"t={t}")
 
     @pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 3.0, 20.0])
     def test_theta0_branch_seams(self, r):
@@ -370,6 +384,59 @@ class TestGregoryTail:
         (got,) = _matsubara._tail_integrals(kernel, np.array([0]), np.array([lower]))
         want = float(tail_oracle(wc, t, power, split, lower))
         assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def _direct_rows(wc, theta, power):
+    """Kernels of the (wc, theta) cell whose rows' own bounds K lie in
+    [_GREGORY_START, _MAX_TERMS]: times below t = 1 at K near 64, 256 and
+    1024, and t = 1 and 3 where the cell's series bound reaches 64."""
+    step, k_series, scale, _ = _matsubara._thermal(wc, theta)
+    times = [40.0 / (step * (k - 0.5)) for k in (64, 256, 1024)] + [1.0, 3.0]
+    for late in (False, True):
+        t = np.array([v for v in times if (v >= 1.0) == late])
+        bound = np.maximum(np.ceil(_matsubara._EXP_CUT / (step * t)), k_series).astype(np.int64)
+        keep = (bound >= _matsubara._GREGORY_START) & (bound <= _matsubara._MAX_TERMS)
+        if np.count_nonzero(keep):
+            kernel = _matsubara._Kernel(wc, t[keep], power, late, theta)
+            yield kernel, np.arange(np.count_nonzero(keep)), bound[keep], step, scale
+
+
+# The corners of the completion-boundary tests: (theta, r, power).
+BOUNDARY_CORNERS = [(theta, r, power) for theta in (0.2, 1.0, 10.0) for r in (0.1, 1.0, 10.0)
+                    for power in (1, 2)]
+
+
+class TestCompletionBoundary:
+    """Rows past _MAX_TERMS take Gregory's completion from k = 64; on rows
+    that stay direct the two completions, and the trapezoid at two steps, agree."""
+
+    def test_both_sides_of_t_1_are_covered(self):
+        late = [kernel.c == 0.0 for theta, r, power in BOUNDARY_CORNERS
+                for kernel, *_ in _direct_rows(r, theta, power)]
+        assert any(late) and not all(late)
+
+    @pytest.mark.parametrize("theta, r, power", BOUNDARY_CORNERS)
+    def test_gregory_from_64_matches_the_zeta_tail(self, theta, r, power):
+        for kernel, rows, bound, step, scale in _direct_rows(r, theta, power):
+            direct = (_matsubara._direct_sums(kernel, rows, bound, step)
+                      + _matsubara._zeta_tails(kernel, rows, bound, scale))
+            start = np.full(len(rows), _matsubara._GREGORY_START)
+            head, correction = _matsubara._gregory(kernel, rows, start, step)
+            gregory = head + _matsubara._tail_integrals(kernel, rows, start * step) / step
+            gregory += correction
+            assert np.all(np.abs(gregory - direct) <= 1e-14 * np.abs(direct)), (
+                kernel.t, bound, gregory, direct)
+
+    @pytest.mark.parametrize("theta, r, power", BOUNDARY_CORNERS)
+    def test_halving_the_tail_step_moves_nothing(self, theta, r, power, monkeypatch):
+        # The trapezoid's error is about exp(-pi^2 / _TAIL_STEP) of the integral.
+        for kernel, rows, _, step, _ in _direct_rows(r, theta, power):
+            lower = np.full(len(rows), _matsubara._GREGORY_START * step)
+            coarse = _matsubara._tail_integrals(kernel, rows, lower)
+            monkeypatch.setattr(_matsubara, "_TAIL_STEP", _matsubara._TAIL_STEP / 2)
+            fine = _matsubara._tail_integrals(kernel, rows, lower)
+            monkeypatch.undo()
+            assert np.all(np.abs(coarse - fine) <= 1e-15 * np.abs(fine)), (kernel.t, coarse, fine)
 
 
 class QuadratureLorentzDrude(OhmicLorentzDrude):

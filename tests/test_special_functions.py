@@ -117,7 +117,7 @@ class TestZetaTable:
             assert np.array_equal(row, _matsubara._hurwitz_zeta(np.array([k + 1.0]))[0]), k
 
     def test_a_rate_does_not_depend_on_the_fill_order(self, monkeypatch):
-        # Direct thermal rows with bounds K from 1 to thousands, as one grid
+        # Direct thermal rows with bounds K from 1 to 128, as one grid
         # and one by one: the same bits from an empty table, from one filled
         # in reverse order and from one filled row by row in random order.
         wc, theta = np.array([0.5, 1.0, 10.0, 2.0, 0.1]), np.array([10.0, 100.0, 1.0, 0.2, 0.05])
@@ -179,6 +179,29 @@ class TestGridIndependence:
         theta = rng.choice([0.0, 1.0, 10.0, 100.0], 240)
         t = 10.0 ** rng.uniform(-4.0, 4.0, 240)
         t[:6] = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e-4, 1e4, 0.5]
+        for power in (1, 2):
+            delta, gamma = _matsubara.pair(wc, theta, t, power)
+            for i in range(len(t)):
+                alone = _matsubara.pair(float(wc[i]), float(theta[i]), t[i:i + 1], power)
+                assert delta[i] == alone[0][0] and gamma[i] == alone[1][0], (wc[i], theta[i], t[i])
+
+    def test_rows_on_both_sides_of_the_direct_cap(self):
+        # Bounds K from 64 to 4096 around _MAX_TERMS (K = 40 / (2 pi theta t)
+        # rounded up, or the series bound at theta = 0.005 and 0.01, r = 10),
+        # several cells in one call: direct rows and Gregory rows side by
+        # side, each its one-row call.
+        cap = _matsubara._MAX_TERMS
+        bounds = np.array([64, 500, cap - 1, cap, cap + 1, 2000, 4096])
+        cells = [(0.1, 1.0), (1.0, 10.0), (10.0, 0.2), (2.0, 1.0)]
+        wc = np.repeat([c[0] for c in cells], len(bounds))
+        theta = np.repeat([c[1] for c in cells], len(bounds))
+        t = 40.0 / (2.0 * np.pi * theta * (np.tile(bounds, len(cells)) - 0.5))
+        wc, theta = np.append(wc, [10.0, 10.0]), np.append(theta, [0.005, 0.01])
+        t = np.append(t, [3.0, 1.5])
+        k_exp = np.ceil(_matsubara._EXP_CUT / (2.0 * np.pi * theta * t))
+        k_series = np.ceil(_matsubara._SERIES_MARGIN * np.maximum(1.0, wc) / (2.0 * np.pi * theta))
+        last = np.maximum(k_exp, k_series)
+        assert np.count_nonzero(last <= cap) and np.count_nonzero(last > cap)
         for power in (1, 2):
             delta, gamma = _matsubara.pair(wc, theta, t, power)
             for i in range(len(t)):

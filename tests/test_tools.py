@@ -44,9 +44,12 @@ def test_quadrature_sweep_holds_every_point_with_the_pinned_node_count():
 def test_closed_form_sweep_holds_every_point_with_the_pinned_zeta_rows():
     # The closed form over all 640 Lorentz-Drude points of the benchmark
     # pool: exit 0 means no point raised or left the mpmath reference by
-    # more than 1e-11.  The 457 direct thermal rows need 140 distinct
+    # more than 1e-11.  The 430 direct thermal rows need 114 distinct
     # zeta-tail bounds, and each bound's zeta row is computed once per
     # process (the table of _matsubara._zeta_rows), so the count is pinned.
+    # So are the summand evaluations G(nu), the closed form's work: 62,125
+    # over the pool (119,297 when rows up to K = 4096 stayed direct and the
+    # Gregory tails took a trapezoid step of 0.15), and per branch.
     result = subprocess.run(
         [sys.executable, str(TOOLS / "closed_form_sweep.py"), "--repeat", "1"],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=300,
@@ -54,9 +57,13 @@ def test_closed_form_sweep_holds_every_point_with_the_pinned_zeta_rows():
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     assert lines[0].startswith("points 640  failures 0 ")
-    assert lines[2].startswith("zeta rows 140 ")
-    assert [line.strip().rsplit(None, 3)[:2] for line in lines[-3:]] == [
-        ["direct + zeta tail", "457"], ["Gregory", "55"], ["theta = 0", "128"]]
+    assert lines[2].startswith("zeta rows 114 ")
+    assert lines[3].startswith("summand evaluations 62,125 ")
+    branches = [line.strip().rsplit(None, 5) for line in lines[-3:]]
+    assert [row[:3] for row in branches] == [
+        ["direct + zeta tail", "430", "27,302"], ["Gregory", "82", "34,823"],
+        ["theta = 0", "128", "0"]]
+    assert float(branches[1][3]) <= 1e-15  # Gregory's rows against mpmath
 
 
 def test_crossover_sweep_holds_every_root_with_the_pinned_map_call_counts():
@@ -66,13 +73,17 @@ def test_crossover_sweep_holds_every_root_with_the_pinned_map_call_counts():
     # one pass per lock-step Brent-Dekker round: 10 _matsubara.pair calls
     # at n = 0 and 11 at n = 50 (79 and 107 when every cell and every step
     # took its own).  The README fig1 is one closed-form pass per kernel:
-    # 2 calls (12, one per column, before).  A change that moves a count
-    # shows here.
+    # 2 calls (12, one per column, before).  The two maps make 61,888
+    # summand evaluations (127,802 when rows up to K = 4096 stayed direct
+    # and the Gregory tails took a trapezoid step of 0.15).  A change that
+    # moves a count shows here.
     result = subprocess.run(
         [sys.executable, str(TOOLS / "crossover_sweep.py")],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert lines[-3].startswith("roots 51, refine steps 277 ")
-    assert lines[-1] == "README crossover map, _matsubara.pair calls: n=0 10, n=50 11; fig1: 2"
+    assert lines[-4].startswith("roots 51, refine steps 277 ")
+    assert lines[-2] == "README crossover map, _matsubara.pair calls: n=0 10, n=50 11; fig1: 2"
+    assert lines[-1] == ("README crossover map, summand evaluations: n=0 31,824, n=50 30,064; "
+                         "both 61,888")

@@ -18,8 +18,10 @@ n = 0), then the totals, the most steps any root took and the largest
 relative distance to the bisected root.  Last, the ``_matsubara.pair``
 calls of the README crossover map (its r and theta, tau in [1e-3, 1e2],
 ``--tau-points 24`` as the benchmark runs it) through ``qbmzeno.cli``,
-at n = 0 and n = 50, and of the README ``fig1`` (one per kernel).  The
-exit status is 1 if the distance exceeds ``--rel``.
+at n = 0 and n = 50, and of the README ``fig1`` (one per kernel); then
+the closed form's summand evaluations G(nu) of the same two maps (their
+sum is the work of one benchmark crossover-map round).  The exit status
+is 1 if the distance exceeds ``--rel``.
 """
 
 import argparse
@@ -69,23 +71,27 @@ def single_tau_excess(params, n):
     return lambda tau: float(zeno._rates(point, n, np.array([tau]), index)[0]) / denominator - 1.0
 
 
-def pair_calls(argv: list[str]) -> int:
-    """``_matsubara.pair`` calls of one ``qbmzeno.cli`` run of ``argv``."""
-    pair, calls = _matsubara.pair, [0]
+def closed_form_work(argv: list[str]) -> tuple[int, int]:
+    """``_matsubara.pair`` calls and summand evaluations of one ``qbmzeno.cli`` run of ``argv``."""
+    pair, summand, calls, summands = _matsubara.pair, _matsubara._Kernel.summand, [0], [0]
 
     def counted(*args):
         calls[0] += 1
         return pair(*args)
 
-    _matsubara.pair = counted
+    def counted_summand(kernel, nu, nodes):
+        summands[0] += len(nu)
+        return summand(kernel, nu, nodes)
+
+    _matsubara.pair, _matsubara._Kernel.summand = counted, counted_summand
     try:
         with tempfile.TemporaryDirectory() as out:
             code = cli.main([*argv, "--out", out])
     finally:
-        _matsubara.pair = pair
+        _matsubara.pair, _matsubara._Kernel.summand = pair, summand
     if code != cli.EXIT_OK:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return calls[0]
+    return calls[0], summands[0]
 
 
 def main(argv=None) -> int:
@@ -139,10 +145,13 @@ def main(argv=None) -> int:
           f"({sum(calls) / max(len(calls), 1):.2f} per root, at most {max(calls, default=0)})")
     print(f"largest relative distance to bisection at resolution: {worst:.2e} "
           f"(threshold {args.rel:.1e}); {time.perf_counter() - start:.1f} s")
-    maps = ", ".join(f"n={n} {pair_calls(['crossover-map', '--n', str(n), *README_MAP])}"
-                     for n in (0, 50))
-    print(f"README crossover map, _matsubara.pair calls: {maps}; "
-          f"fig1: {pair_calls(['fig1', '--alpha', '0.1'])}")
+    maps = {n: closed_form_work(["crossover-map", "--n", str(n), *README_MAP]) for n in (0, 50)}
+    print("README crossover map, _matsubara.pair calls: "
+          + ", ".join(f"n={n} {calls}" for n, (calls, _) in maps.items())
+          + f"; fig1: {closed_form_work(['fig1', '--alpha', '0.1'])[0]}")
+    print("README crossover map, summand evaluations: "
+          + ", ".join(f"n={n} {work:,}" for n, (_, work) in maps.items())
+          + f"; both {sum(work for _, work in maps.values()):,}")
     return 1 if worst > args.rel else 0
 
 
