@@ -6,9 +6,9 @@ rounding floor of its error estimate, a semi-infinite integrator of an
 envelope against the sinc or sinc^2 kernel (pi-wide Filon-Clenshaw-
 Curtis panels left of u = -96, applied as one moment product per
 bisection level, quarter-period GK15 panels from there up to a cut,
-past it a non-oscillating integral on x = cut/u and half-period cycle
-sums extrapolated with Wynn's epsilon algorithm, with the head
-extended past structure that samples of the tail show),
+past it a non-oscillating integral on x = cut/u and one batch of 16
+half-period cycle sums extrapolated with Wynn's epsilon algorithm, with
+the head extended past structure that samples of the tail show),
 and deterministic Brent-Dekker root refinement on sign-change brackets
 (``brent_dekker``, one step per f value, driven for one function by
 ``bisect``: a handful of calls per smooth root at any tolerance).
@@ -134,12 +134,11 @@ _MAX_INITIAL_PANELS = 20000
 # envelope's scale, however far past the cut it lies.
 _ORIGIN_BREAKS = 2.0 ** -np.arange(40, 0, -1, dtype=float)
 # The tail starts at least this far past max(lower, 0) (more than 12
-# periods of either kernel) and sums the half periods of its oscillating
-# part in batches until Wynn's epsilon estimates settle; the envelope
-# is probed for structure over its first _PROBE_HALF_PERIODS.
+# periods of either kernel) and sums one batch of half periods of its
+# oscillating part, extrapolated by Wynn's epsilon algorithm; the
+# envelope is probed for structure over its first _PROBE_HALF_PERIODS.
 _CUT_MARGIN = 96.0
 _CYCLES_PER_BATCH = 16
-_MAX_CYCLE_BATCHES = 16
 _PROBE_HALF_PERIODS = 768
 # Left of -_CUT_MARGIN the head is panelled _FILON_WIDTH wide (pi: one
 # period of sinc^2's cos 2u, half one of sinc's sin u) and integrated by
@@ -494,41 +493,21 @@ def _wynn_estimates(sums: np.ndarray) -> np.ndarray:
     return tips
 
 
-def _cycle_sum(integrand: Callable, start: float, half: float, tol: np.ndarray):
+def _cycle_sum(integrand: Callable, start: float, half: float):
     """Integral over [start, inf) of an ``integrand`` with zeros ``half`` apart, one at ``start``.
 
-    Each half period (zero to zero) is one GK15 panel, and Wynn's epsilon
-    algorithm extrapolates the partial sums.  The error estimate is the
-    spread of the last four extrapolated values plus the summed rule
-    errors.  ``tol`` holds one tolerance per component: a component
-    keeps the estimate of the batch where it first met its tolerance,
-    and summation stops once every component has; a component that
-    never does returns its best estimate.
+    One batch of _CYCLES_PER_BATCH half periods (zero to zero), each one
+    GK15 panel, and Wynn's epsilon algorithm extrapolates their partial
+    sums.  Returns the limit estimate and its error: the spread of the
+    last four extrapolated values plus the summed rule errors, one each
+    per component.  integrate_semi_infinite's final check holds the
+    error to the tolerance.
     """
-    sums = np.zeros((tol.size, 0))
-    rule_err = np.zeros_like(tol)
-    value = np.zeros_like(tol)
-    err = np.full_like(tol, math.inf)
-    done = np.zeros(tol.shape, dtype=bool)
-    for batch in range(_MAX_CYCLE_BATCHES):
-        first = batch * _CYCLES_PER_BATCH
-        edges = start + half * np.arange(first, first + _CYCLES_PER_BATCH + 1, dtype=float)
-        lo, hi = edges[:-1], edges[1:]
-        vals, errs = _gk_rule(_evaluate_panels(integrand, lo, hi), lo, hi)
-        block = np.cumsum(vals, axis=1)
-        if first:
-            block += sums[:, -1:]
-        rule_err += np.sum(errs, axis=1)
-        sums = np.concatenate([sums, block], axis=1)
-        tips = _wynn_estimates(sums)
-        est_err = rule_err + np.sum(np.abs(tips[:, :3] - tips[:, 3:]), axis=1)
-        better = ~done & (est_err < err)
-        value[better] = tips[better, 3]
-        err[better] = est_err[better]
-        done |= est_err <= tol
-        if np.all(done):
-            break
-    return value, err
+    edges = start + half * np.arange(_CYCLES_PER_BATCH + 1, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = _gk_rule(_evaluate_panels(integrand, lo, hi), lo, hi)
+    tips = _wynn_estimates(np.cumsum(vals, axis=1))
+    return tips[:, 3], np.sum(errs, axis=1) + np.sum(np.abs(tips[:, :3] - tips[:, 3:]), axis=1)
 
 
 def _structure_end(evaluate, part: Callable, cut: float, half: float, tol: np.ndarray) -> float:
@@ -585,12 +564,11 @@ def _semi_infinite(evaluate, spec: QuadratureSpec, lower: float, kernel: str, cu
             breakpoints=_ORIGIN_BREAKS,
         )
         value, err = value + far, err + far_err
-    tol = 0.5 * _tolerance(spec, value)
-    end = _structure_end(evaluate, part, cut, half, tol) if probe else cut
+    end = _structure_end(evaluate, part, cut, half, 0.5 * _tolerance(spec, value)) if probe else cut
     if end > cut:  # move the cut past the structure, for every component
         more, more_err = _semi_infinite(evaluate, spec, cut, kernel, zero_past(end))
         return head + more, head_err + more_err
-    tail, tail_err = _cycle_sum(lambda u: evaluate(u) * part(u), cut, half, tol)
+    tail, tail_err = _cycle_sum(lambda u: evaluate(u) * part(u), cut, half)
     return value + tail, err + tail_err
 
 
@@ -624,9 +602,9 @@ def integrate_semi_infinite(
     Past the cut the kernel is sin(u) (1/u), resp. 1/(2u^2) -
     cos(2u)/(2u^2): the non-oscillating part is one adaptive integral on
     x = cut/u in (0, 1] (with the same geometric breakpoints toward
-    x = 0), and the oscillating part is
-    summed half period by half period and extrapolated with Wynn's
-    epsilon algorithm (as in QUADPACK's QAWF).  That needs an envelope
+    x = 0), and the oscillating part is summed over one batch of 16 half
+    periods, one GK15 panel each, and extrapolated with Wynn's epsilon
+    algorithm (as in QUADPACK's QAWF).  That needs an envelope
     smooth over a batch of periods, so the first 768 half periods past
     the cut are sampled once each: where they show a narrow bump, an
     edge or fast growth in any component, the cut moves past it and the
@@ -637,8 +615,9 @@ def integrate_semi_infinite(
     holding k envelopes that share every evaluation (for example two
     weights against one kernel).  They share the head's panels and one
     cut, while each component keeps its own tolerance max(abs_tol,
-    rel_tol*|I_c|) in the head, the tail and the final check, which
-    raises NonConvergenceError naming the component that fails.  A
+    rel_tol*|I_c|) in the head, the structure probe and the final check,
+    which raises NonConvergenceError naming the component that fails: it
+    is the one guard of the tail's extrapolation.  A
     component may thus end on finer panels, or a further cut, than it
     would alone; the value and error are then length-k arrays.  An
     (N,)-valued ``f`` gives floats.
@@ -725,8 +704,10 @@ def bisect(f: Callable[[float], float], bracket: RootBracket, tol: float) -> flo
     """Root of f in a validated bracket by Brent-Dekker, to a bracket narrower than tol.
 
     The scalar driver of ``brent_dekker``: f is called once per step,
-    with a float.  The name is that of the plain bisection it replaced,
-    kept for existing callers.
+    with a float.  The name is that of the plain bisection it replaced.
+    It stays because the benchmark tracer (``bench/tracing.py``) binds
+    ``zeno.bisect`` to count root steps, as it binds
+    ``zeno.scan_for_bracket`` to count grid evaluations.
     """
     steps = brent_dekker(bracket, tol)
     try:
@@ -737,27 +718,14 @@ def bisect(f: Callable[[float], float], bracket: RootBracket, tol: float) -> flo
         return stop.value
 
 
-def brackets_from_samples(xs: np.ndarray, ys: np.ndarray) -> list[RootBracket]:
-    """Sign-change brackets from already-evaluated samples (xs increasing)."""
-    brackets = []
-    for i in range(len(xs) - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        if y0 * y1 < 0.0:
-            brackets.append(RootBracket(float(xs[i]), float(xs[i + 1]), float(y0), float(y1)))
-        elif y1 == 0.0 and y0 != 0.0:
-            # Root pinned at the right edge; emitted once for this zero.
-            brackets.append(RootBracket(float(xs[i]), float(xs[i + 1]), float(y0), 0.0))
-        elif y0 == 0.0 and y1 != 0.0 and i == 0:
-            brackets.append(RootBracket(float(xs[i]), float(xs[i + 1]), 0.0, float(y1)))
-    return brackets
-
-
 def scan_for_bracket(f: Callable[[float], float], grid: Sequence[float]) -> list[RootBracket]:
     """Return a RootBracket for every adjacent grid pair where f changes sign.
 
-    ``f`` is called once per grid point, with a float.  The grid must be
+    ``f`` is called once per grid point, with a float; a caller that
+    holds the samples already passes their lookup.  The grid must be
     strictly increasing with at least two points.  A zero exactly on a
-    grid point yields a single bracket ending there.
+    grid point yields a single bracket: the one ending there, or, at the
+    first grid point, the one starting there.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
@@ -768,4 +736,11 @@ def scan_for_bracket(f: Callable[[float], float], grid: Sequence[float]) -> list
     if not np.all(np.isfinite(ys)):
         bad = xs[~np.isfinite(ys)][0]
         raise NonFiniteError(f"function returned a non-finite value at x={bad!r}")
-    return brackets_from_samples(xs, ys)
+    x, y = xs.tolist(), ys.tolist()
+    return [
+        RootBracket(x[i], x[i + 1], y[i], y[i + 1])
+        for i in range(len(x) - 1)
+        if y[i] * y[i + 1] < 0.0
+        or (y[i] != 0.0 and y[i + 1] == 0.0)
+        or (i == 0 and y[i] == 0.0 and y[i + 1] != 0.0)
+    ]

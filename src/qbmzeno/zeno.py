@@ -29,7 +29,7 @@ from .coefficients import (
     markovian_limits,
 )
 from .errors import DegenerateDenominatorError
-from .numerics import bisect, brackets_from_samples, brent_dekker, scan_for_bracket
+from .numerics import bisect, brent_dekker, scan_for_bracket
 from .spectral import BaseSpectralDensity, ReservoirParams, check_model_consistency
 
 __all__ = [
@@ -299,21 +299,27 @@ def _excess(points: list, denominators: np.ndarray, n: int, taus: np.ndarray,
     return _rates(points, n, taus, index) / denominators[index] - 1.0
 
 
-def _crossovers(points: list, denominators: np.ndarray, n: int,
-                brackets: list[list]) -> list[list[float]]:
-    """Crossover times of each cell: the roots of ratio(tau) - 1 in its sign-change brackets.
+def _crossovers(points: list, denominators: np.ndarray, n: int, taus: np.ndarray,
+                excess: np.ndarray) -> list[list[float]]:
+    """Crossover times of each cell: the roots of ratio(tau) - 1 between its grid samples.
 
-    Every bracket of every cell is refined by Brent-Dekker
-    (``numerics.brent_dekker``) to 1e-12 relative width, from the grid
-    values at its ends, in lock step: each round takes the next tau of
-    every live bracket, and one ``_excess`` call evaluates them all, a
-    row each.  A row is what its cell's single-tau rate would be, bit
+    Row c of ``excess`` holds ratio - 1 of the cell points[c] at every
+    tau of the grid ``taus``.  ``scan_for_bracket`` reads each row (no
+    rate call) and brackets its sign changes; a zero on the grid is a
+    root as it stands.  Every bracket of every cell is refined by
+    Brent-Dekker (``numerics.brent_dekker``) to 1e-12 relative width,
+    from the grid values at its ends, in lock step: each round takes the
+    next tau of every live bracket, and one ``_excess`` call evaluates
+    them all, a row each.  A row is what its cell's single-tau rate would be, bit
     for bit, so each bracket takes the steps that refining it alone
     would.  Each root is then ``bisect`` replaying the bracket's
     trajectory (tau -> ratio - 1) without a rate call; a KeyError there
     would mean that the lock step left the scalar path.
     """
-    jobs = [(c, bracket) for c, found in enumerate(brackets) for bracket in found]
+    jobs = []
+    for c, row in enumerate(excess):
+        samples = dict(zip(taus.tolist(), row.tolist()))
+        jobs += [(c, bracket) for bracket in scan_for_bracket(samples.__getitem__, taus)]
     steps = [brent_dekker(bracket, 1e-12 * bracket.hi) for _, bracket in jobs]
     trajectories: list[dict] = [{} for _ in jobs]
     pending: dict[int, float] = {}  # job -> the tau it waits for
@@ -328,10 +334,10 @@ def _crossovers(points: list, denominators: np.ndarray, n: int,
         advance(j, None)
     while pending:
         live = list(pending)
-        taus = np.array([pending[j] for j in live])
+        asked = np.array([pending[j] for j in live])
         index = np.array([jobs[j][0] for j in live])
-        values = _excess(points, denominators, n, taus, index).tolist()
-        for j, tau, value in zip(live, taus.tolist(), values):
+        values = _excess(points, denominators, n, asked, index).tolist()
+        for j, tau, value in zip(live, asked.tolist(), values):
             trajectories[j][tau] = value
             advance(j, value)
     roots: list[list[float]] = [[] for _ in points]
@@ -381,9 +387,8 @@ def _crossover_map(
     """find_crossover_time at every (params, model) point, all at once; None where degenerate.
 
     Every cell whose Markovian rate is not degenerate joins one pass over
-    the log grid of ``grid_points`` taus, whose sign changes
-    (``scan_for_bracket``) bracket its roots, and then the lock-step
-    refinement of all their brackets (``_crossovers``).  A map of
+    the log grid of ``grid_points`` taus, and then the bracketing and
+    lock-step refinement of all their roots (``_crossovers``).  A map of
     Lorentz-Drude cells is thus one closed-form call per grid and per
     Brent-Dekker round, not one per cell and step.  Each row of a pass is
     its own cell's single-tau rate, bit for bit, so each list is what the
@@ -400,12 +405,9 @@ def _crossover_map(
     denominators = np.array(denominators)
     index = np.repeat(np.arange(len(cells)), len(taus))
     excess = _excess(cells, denominators, n, np.tile(taus, len(cells)), index)
-    brackets = []
-    for row in excess.reshape(len(cells), len(taus)):
-        samples = dict(zip(taus.tolist(), row.tolist()))
-        brackets.append(scan_for_bracket(samples.__getitem__, taus))
     found: list[list[float] | None] = [None] * len(points)
-    for i, roots in zip(live, _crossovers(cells, denominators, n, brackets)):
+    for i, roots in zip(live, _crossovers(cells, denominators, n, taus,
+                                          excess.reshape(len(cells), len(taus)))):
         found[i] = roots
     return found
 
@@ -475,11 +477,12 @@ def zeno_scan(
 
     In the degenerate (AZE-divergent) case the scan still tabulates the
     rates, with the ratio column set to +infinity.  The grid is evaluated
-    in one pass (``_rates`` of the one cell).  Crossovers are refined to
-    1e-12 relative width, in lock step as in find_crossover_time
-    (``_crossovers``), from the sign changes of the tabulated ratio.  Raises ValueError, before any rate is computed,
-    unless taus is a 1-D grid of finite, positive, strictly increasing
-    values.
+    in one pass (``_rates`` of the one cell).  Crossovers are bracketed
+    at the sign changes of the tabulated ratio and refined to 1e-12
+    relative width, as in find_crossover_time (``_crossovers``); a grid
+    of one tau brackets none.  Raises ValueError, before any rate is
+    computed, unless taus is a 1-D grid of finite, positive, strictly
+    increasing values.
     """
     taus = np.asarray(taus, dtype=float)
     _check_tau_grid(taus)
@@ -492,8 +495,9 @@ def zeno_scan(
         crossovers: list[float] = []
     else:
         ratio = rates / denominator
-        brackets = brackets_from_samples(taus, ratio - 1.0)
-        crossovers = _crossovers(point, np.array([denominator]), n, [brackets])[0]
+        # scan_for_bracket takes two taus or more; one has no sign change.
+        crossovers = [] if taus.size < 2 else _crossovers(
+            point, np.array([denominator]), n, taus, (ratio - 1.0)[None])[0]
     return ZenoScan(
         n=n,
         taus=taus,

@@ -236,6 +236,18 @@ class TestScan:
         meta = json.loads((tmp_path / "zeno_scan.json").read_text())
         assert meta["crossovers"]
 
+    def test_linear_grids_are_linspace(self, tmp_path):
+        # scan and fig1 tabulate np.linspace(tau_min, tau_max, points) as
+        # their tau column, bit for bit (17 significant digits round-trip).
+        grid = ["--tau-min", "0.01", "--tau-max", "10", "--tau-points", "7", "--linear"]
+        want = np.linspace(0.01, 10.0, 7)
+        assert run(["scan", *HOT, *grid, "--format", "csv", "--out", str(tmp_path)]) == 0
+        assert run(["fig1", "--alpha", "0.1", *grid, "--format", "csv", "--out", str(tmp_path)]) == 0
+        for name in ("zeno_scan", "fig1a", "fig1b", "fig1c", "fig1d"):
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+            taus = np.array([float(line.split(",")[0]) for line in lines])
+            assert np.array_equal(taus, want), name
+
     def test_deterministic_output(self, tmp_path):
         args = [
             "scan", "--n", "0", "--theta", "100", "--r", "0.5", "--alpha", "0.1",

@@ -125,6 +125,12 @@ class TestMeasurementTrains:
             survival_probability(params_hot, model_hot, 0, 0.3)
         )
 
+    def test_unshuttered_mode_is_free_decay_over_the_train(self, params_hot, model_hot):
+        schedule = MeasurementSchedule(tau=0.25, n_measurements=8, mode=MeasurementMode.UNSHUTTERED)
+        assert survival_after_measurements(params_hot, model_hot, 1, schedule) == (
+            unshuttered_survival(params_hot, model_hot, 1, 8 * 0.25).probability
+        )
+
     def test_composition_is_exact(self, params_hot, model_hot):
         p8 = survival_after_measurements(
             params_hot, model_hot, 0, MeasurementSchedule(tau=0.25, n_measurements=8)
@@ -293,6 +299,18 @@ class TestLadder:
         for dt in (None, 0.0, -0.01):
             with pytest.raises(ValueError, match="sampling step"):
                 evolve_ladder(state, 1.0, (lambda t: 0.01, lambda t: 0.0), dt)
+
+
+    def test_table_must_span_the_evolution(self, params_hot, model_hot):
+        # A table runs from the state's time (t = 0) to t_end, and t_end
+        # lies past the state's time.
+        table = coefficients.tabulate_coefficients(params_hot, model_hot, 1.0, 40)
+        with pytest.raises(ValueError, match="span the evolution"):
+            evolve_ladder(LadderState(np.eye(9)[0], 0.5, 8), 1.0, table)
+        with pytest.raises(ValueError, match="span the evolution"):
+            evolve_ladder(LadderState.fock(0, n_max=8), 2.0, table)
+        with pytest.raises(ValueError, match="must exceed the state's time"):
+            evolve_ladder(LadderState(np.eye(9)[0], 1.0, 8), 1.0, table)
 
 
 class TestEidAttenuation:

@@ -232,6 +232,29 @@ class TestSemiInfinite:
         with pytest.raises(NonConvergenceError):
             integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, spec)
 
+    def test_tail_above_tolerance_fails_the_final_check(self):
+        # The kinks of |sin(u/1.5)| beat with sin u, so the extrapolated
+        # half periods of the tail miss the tolerance: the final check,
+        # the tail's one guard, refuses the result.
+        with pytest.raises(NonConvergenceError, match=(
+            r"^semi-infinite integral error estimate 3\.514e-08 above tolerance 4\.576e-09$"
+        )):
+            integrate_semi_infinite(lambda u: np.abs(np.sin(u / 1.5)) / (1.0 + u), kernel="sinc")
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_tail_above_tolerance_names_its_component(self, failing):
+        def pair(u):
+            out = np.empty((2, u.size))
+            out[failing] = np.abs(np.sin(u / 1.5)) / (1.0 + u)
+            out[1 - failing] = lorentzian(u)
+            return out
+
+        with pytest.raises(NonConvergenceError, match=(
+            r"^semi-infinite integral error estimate 3\.514e-08 above tolerance 4\.576e-09 "
+            f"in component {failing}$"
+        )):
+            integrate_semi_infinite(pair, kernel="sinc")
+
     def test_deterministic(self):
         a, _ = integrate_semi_infinite(lorentzian, QuadratureSpec(), kernel="sinc2")
         b, _ = integrate_semi_infinite(lorentzian, QuadratureSpec(), kernel="sinc2")
@@ -551,6 +574,18 @@ class TestRootFinding:
             lambda x: np.sin(2.0 * np.pi * x), [0.1, 0.4, 0.6, 0.9, 1.1]
         )
         assert len(brackets) == 2
+
+    def test_scan_zero_inside_the_grid_ends_one_bracket(self):
+        samples = {0.0: -1.0, 1.0: 0.0, 2.0: 1.0, 3.0: 2.0}
+        assert scan_for_bracket(samples.__getitem__, list(samples)) == [
+            RootBracket(0.0, 1.0, -1.0, 0.0)
+        ]
+
+    def test_scan_zero_at_the_first_point_starts_one_bracket(self):
+        samples = {0.0: 0.0, 1.0: 1.0, 2.0: 2.0}
+        assert scan_for_bracket(samples.__getitem__, list(samples)) == [
+            RootBracket(0.0, 1.0, 0.0, 1.0)
+        ]
 
     def test_scan_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from qbmzeno import coefficients, zeno
 from qbmzeno.errors import DegenerateDenominatorError
-from qbmzeno.numerics import bisect, brackets_from_samples
+from qbmzeno.numerics import bisect, scan_for_bracket
 from qbmzeno.spectral import OhmicLorentzDrude, ReservoirParams
 from qbmzeno.zeno import (
     RATIO_TOL,
@@ -268,7 +268,9 @@ class TestLockStepMap:
             rate = zeno._rates(point, n, np.array([tau]), np.zeros(1, np.intp))[0]
             return float(rate) / denominator - 1.0
 
-        return [bisect(single, b, tol=1e-12 * b.hi) for b in brackets_from_samples(taus, excess)]
+        samples = dict(zip(taus.tolist(), excess.tolist()))
+        brackets = scan_for_bracket(samples.__getitem__, taus)
+        return [bisect(single, b, tol=1e-12 * b.hi) for b in brackets]
 
     @pytest.mark.parametrize("n", [0, 1, 50, 2**62, 10**20])
     def test_map_is_find_crossover_time_per_cell(self, n):
@@ -315,6 +317,19 @@ class TestLockStepMap:
                      for tau, c in zip(taus, index)]
         for i, (rate, c) in enumerate(zip(rates, index)):
             assert got[i] == rate / denominators[c] - 1.0
+
+    def test_a_zero_on_the_grid_is_a_root_without_a_rate_call(self, monkeypatch):
+        # An exact zero inside a row ends its bracket, one at the first
+        # tau starts it; either is the root as it stands.
+        def no_rates(*args):
+            raise AssertionError("a rate was computed")
+
+        monkeypatch.setattr(zeno, "_rates", no_rates)
+        params = ReservoirParams(r=0.5, theta=100.0, alpha=0.1)
+        points = [(params, params.spectral_model())] * 2
+        taus = np.array([0.1, 0.2, 0.4, 0.8])
+        excess = np.array([[-0.3, -0.1, 0.0, 0.2], [0.0, 0.1, 0.2, 0.3]])
+        assert zeno._crossovers(points, np.ones(2), 0, taus, excess) == [[0.4], [0.1]]
 
 
 class TestClassification:
@@ -380,6 +395,11 @@ class TestScan:
         assert all(reg is Regime.AZE for reg in scan.regimes())
         model = params.spectral_model()
         assert scan.regimes() == [classify_regime(params, model, 0, tau) for tau in scan.taus]
+
+    def test_grid_of_one_tau_has_no_crossover(self, params_hot, model_hot):
+        scan = zeno_scan(params_hot, model_hot, 0, [0.5])
+        assert scan.crossovers == []
+        assert scan.rate_z.tolist() == [effective_decay_rate(params_hot, model_hot, 0, 0.5)]
 
     def test_serialization(self, params_hot, model_hot, tmp_path):
         scan = zeno_scan(params_hot, model_hot, 0, np.geomspace(0.1, 5.0, 5))
