@@ -5,18 +5,22 @@ evolution time).  For the Ohmic Lorentz-Drude bath itself (``type(model)
 is OhmicLorentzDrude``) both integrals are done in closed form over the
 bath's cutoff and Matsubara poles (``_matsubara``).  For every other
 model, subclasses included, the time integration is carried out in
-closed form, so every quantity is a single semi-infinite frequency
-integral, evaluated at the tolerance of ``numerics``' default
-``QuadratureSpec``:
+closed form, so every quantity is one semi-infinite frequency integral
+against a sum or difference of kernels, evaluated at the tolerance of
+``numerics``' default ``QuadratureSpec``:
 
-  Delta(t)    = alpha^2 * (t/2)   * Int J coth [sinc(u-) + sinc(u+)] domega
-  gamma(t)    = alpha^2 * (t/2)   * Int J      [sinc(u-) - sinc(u+)] domega
-  IDelta(tau) = alpha^2 * (tau^2/4) * Int J coth [sinc^2(v-) + sinc^2(v+)] domega
-  Igamma(tau) = alpha^2 * (tau^2/4) * Int J      [sinc^2(v-) - sinc^2(v+)] domega
+  Delta(t)    = alpha^2 * (t/2)     * Int J coth [sinc(u-) + sinc(u+)] domega
+  gamma(t)    = alpha^2 * (t/2)     * Int J      [sinc(u-) - sinc(u+)] domega
+  IDelta(tau) = alpha^2 * (tau^2/4) * Int J coth [sinc^2(u-) + sinc^2(u+)] domega
+  Igamma(tau) = alpha^2 * (tau^2/4) * Int J      [sinc^2(u-) - sinc^2(u+)] domega
 
-with u± = (omega ± omega0) t, v± = (omega ± omega0) tau / 2 and
-sinc(x) = sin(x)/x (sinc(0) = 1).  The removable point omega = omega0 is
-handled by the sinc forms themselves, never by an epsilon guard.
+with u± = (omega ± omega0) s, s = t for the sinc kernel and tau/2 for
+sinc^2, and sinc(x) = sin(x)/x (sinc(0) = 1).  Each pair is one
+quadrature: both weights share every model call, and both kernels every
+node (u = u- from -omega0 s, where u+ = u + 2 omega0 s), and the
+difference of the gamma-type kernels is formed without cancellation,
+however small omega0 s.  The removable point omega = omega0 is handled
+by the sinc forms themselves, never by an epsilon guard.
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ __all__ = [
     "tabulate_coefficients",
 ]
 
-# Sign of the omega + omega0 half in each coefficient of a pair:
-# Delta-type coefficients add the halves, gamma-type ones subtract them.
-_PAIR_SIGNS = np.array([1.0, -1.0])
+# Each coefficient of a pair as (a, b) of its kernel a k(u-) + b k(u+):
+# Delta-type coefficients add the two kernels, gamma-type ones subtract them.
+_PAIR_MIX = ((1.0, 1.0), (1.0, -1.0))
 
 
 def _pair_weight(model: BaseSpectralDensity, params: ReservoirParams):
@@ -79,53 +83,46 @@ def _pair_weight(model: BaseSpectralDensity, params: ReservoirParams):
     return weights
 
 
-def half_kernel_integral(
-    weight,
-    omega0: float,
-    scale: float,
-    kernel: str,
-    shift: int,
-):
-    """One half of a coefficient integral, in oscillation coordinates.
+def _frequency_integral(params, model, scale, kernel, rows, mix):
+    """Int_0^inf w_c(omega) [a_c k(u-) + b_c k(u+)] domega for each row c, in one quadrature.
 
-    Evaluates Int_0^inf weight(omega) * k((omega + shift*omega0) * scale)
-    domega for k = sinc or sinc^2, substituting u = (omega + shift*omega0)
-    * scale so the kernel is k(u) with its fixed period (2 pi resp. pi)
-    for any measurement interval.  Only the envelope weight(omega)/scale
-    is built here; the engine applies the kernel.
-
-    ``weight`` returns one value per frequency (the result is a float)
-    or a (k, N) array for N frequencies, in which case the kernel is
-    evaluated once per node for all k weights and the result is a
-    length-k array.
+    u± = (omega ± omega0) scale; the rows w_c are ``rows`` of the (J coth,
+    J) array of ``_pair_weight`` at N frequencies, and (a_c, b_c) =
+    mix[c].  In the coordinate u = u- from -a, a = omega0 scale, the
+    omega + omega0 term's kernel argument is u + 2a, so one weight call
+    per node serves both terms: one ``integrate_semi_infinite`` pass
+    with shift 2a, whose envelope is rows(weights)/scale.  Only the
+    envelope is built here; the engine applies the kernels, and forms
+    k(u) - k(u + 2a) without cancellation.
     """
+    omega0 = params.omega0
+    weight = _pair_weight(model, params)
+    inverse = 1.0 / scale  # a product per node, not a division
 
     def envelope(u):
-        omega = u / scale
-        omega -= shift * omega0
+        omega = u * inverse
+        omega += omega0
         np.maximum(omega, 0.0, out=omega)
-        values = weight(omega)  # a fresh array from every weight used here
-        values /= scale
+        values = rows(weight(omega))  # a fresh array from every rows used here
+        values *= inverse
         return values
 
-    value, _ = integrate_semi_infinite(envelope, lower=shift * omega0 * scale, kernel=kernel)
+    a = omega0 * scale
+    value, _ = integrate_semi_infinite(envelope, lower=-a, kernel=kernel, shift=2.0 * a, mix=mix)
     return value
 
 
 def _kernel_pass(params, model, time, kernel):
-    """Quadrature (Delta-type, gamma-type) alpha^2 * pref(time) * (lower +- upper).
+    """Quadrature (Delta-type, gamma-type) alpha^2 * pref(time) * Int w [k(u-) ± k(u+)] domega.
 
     ``time`` is t for the sinc kernel (Delta, gamma; pref = t/2) and tau
     for sinc^2 (IDelta, Igamma; pref = tau^2/4, kernel scale tau/2).
-    Both halves go through one quadrature each, for both weights at once.
+    Both weights and both kernels take one quadrature.
     """
     scale = time if kernel == "sinc" else 0.5 * time
-    weight = _pair_weight(model, params)
-    lower, upper = (
-        half_kernel_integral(weight, params.omega0, scale, kernel, shift) for shift in (-1, +1)
-    )
     pref = 0.5 * time if kernel == "sinc" else 0.25 * time**2
-    return params.alpha**2 * pref * (lower + _PAIR_SIGNS * upper)
+    value = _frequency_integral(params, model, scale, kernel, lambda weights: weights, _PAIR_MIX)
+    return params.alpha**2 * pref * value
 
 
 def _pairs(params, model, times, kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +217,7 @@ def coefficient_pair(
     model: BaseSpectralDensity,
     t: float,
 ) -> tuple[float, float]:
-    """(Delta(t), gamma(t)), from one sinc quadrature per half or in closed form."""
+    """(Delta(t), gamma(t)), from one sinc quadrature or in closed form."""
     return _pair(params, model, t, "sinc")
 
 
@@ -229,7 +226,7 @@ def integrated_pair(
     model: BaseSpectralDensity,
     tau: float,
 ) -> tuple[float, float]:
-    """(IDelta(tau), Igamma(tau)), from one sinc^2 quadrature per half or in closed form."""
+    """(IDelta(tau), Igamma(tau)), from one sinc^2 quadrature or in closed form."""
     return _pair(params, model, tau, "sinc2")
 
 

@@ -3,12 +3,15 @@
 Physics-agnostic engines used by every coefficient and decay-rate
 computation: an adaptive Gauss-Kronrod integrator that stops at the
 rounding floor of its error estimate, a semi-infinite integrator of an
-envelope against the sinc or sinc^2 kernel (pi-wide Filon-Clenshaw-
-Curtis panels left of u = -96, applied as one moment product per
-bisection level, quarter-period GK15 panels from there up to a cut,
-past it a non-oscillating integral on x = cut/u and one batch of 16
-half-period cycle sums extrapolated with Wynn's epsilon algorithm, with
-the head extended past structure that samples of the tail show),
+envelope against the sinc or sinc^2 kernel k(u), or against a k(u) +
+b k(u + shift) in one pass with the difference of the two formed
+without cancellation (pi-wide Filon-Clenshaw-Curtis panels left of
+u = -96, applied as one moment product per bisection level and term,
+quarter-period GK15 panels from there up to a cut, past it a
+non-oscillating integral on x = cut/u and one batch of 16 half-period
+cycle sums extrapolated with Wynn's epsilon algorithm, with the head
+extended past structure that samples of the envelope times the decay of
+each term show),
 and deterministic Brent-Dekker root refinement on sign-change brackets
 (``brent_dekker``, one step per f value, driven for one function by
 ``bisect``: a handful of calls per smooth root at any tolerance).
@@ -23,7 +26,9 @@ quadratures then return length-k arrays.  The components share the
 nodes, the panels and the cut, while each is stopped and checked
 against its own tolerance max(abs_tol, rel_tol*|I_c|): a panel that
 one component needs is bisected for all of them, and no node is
-evaluated twice.  Any other shape raises ValueError, and every
+evaluated twice.  In a two-term ``integrate_semi_infinite`` pass each
+component has its own pair (a, b), and both terms share its envelope
+values.  Any other shape raises ValueError, and every
 exception and warning an integrand raises reaches the caller.
 """
 
@@ -154,6 +159,24 @@ _FILON_LEVELS = 48
 # cost of the weights and of the mixed batch (measured near break-even).
 _FILON_MIN_PANELS = 64
 _FCC_NODES = np.cos(np.pi * np.arange(25) / 24.0)
+# Two-term passes: with v = u + a, a = shift/2, sinc(u) - sinc(u + 2a) =
+# sinc(v - a) - sinc(v + a) = 2 a v [cos a sinc v - sinc a cos v] /
+# (v^2 - a^2).  From a = 1/2 on it is the plain difference, whose
+# rounding, about eps |sinc u|, is then at most a few eps of the
+# difference's scale.  Below a = 1/2 it is v sum_n C_n(a) v^(2n) for
+# v^2 < 1, the C_n fixed per pass (_SERIES_TABLE @ a^(2i+1), ten terms
+# each way: the last is below 1e-17 of the first), and the closed form
+# past it, where v^2 - a^2 >= 3/4: both without cancellation, however
+# small a.
+_PLAIN_HALF_SHIFT = 0.5
+_SERIES_POWERS = 2 * np.arange(10) + 1
+_ODD_FACTORIALS = np.cumprod(np.concatenate([[1.0], (_SERIES_POWERS[1:] - 1.0) * _SERIES_POWERS[1:]]))
+# C_n = 2 (-1)^n / (2n+1)! sum_i (-1)^i a^(2i+1) / ((2i+1)! (2n+2i+3))
+_SERIES_TABLE = (
+    (2.0 * (-1.0) ** np.arange(10) / _ODD_FACTORIALS)[:, None]
+    * ((-1.0) ** np.arange(10) / _ODD_FACTORIALS)[None, :]
+    / (_SERIES_POWERS[:, None] + _SERIES_POWERS[None, :] + 1.0)
+)
 
 
 def sinc(x):
@@ -181,18 +204,130 @@ _FILON_KERNELS = {
 }
 
 
+class _Terms:
+    """The kernel of each component of one integrate_semi_infinite pass.
+
+    Without a shift every component takes k(u).  With one, component c
+    takes K_c(u) = a_c k(u) + b_c k(u + shift), (a_c, b_c) = mix[c].
+    Each stage builds K_c from two factors, D = k(u) - k(u + shift)
+    formed without cancellation and S = k(u + shift), as a_c D + (a_c +
+    b_c) S, so a_c = -b_c keeps the digits of a small difference however
+    small the shift (``rows``).  The Filon panels and the structure probe
+    take the two terms apart, each at its own argument u + shifts[t]
+    (``smooth``, ``scales``).
+    """
+
+    def __init__(self, kernel: str, shift: float | None = None, mix=None) -> None:
+        self.kernel = kernel
+        self.period, self.phase, self.k, self.part, self.far_weight = _KERNELS[kernel]
+        self.a = None if shift is None else 0.5 * shift
+        self.series = None
+        if shift is None:
+            self.shifts, self.scales = (0.0,), (1.0,)
+            return
+        self.shifts = (0.0, shift)
+        mix = np.asarray(mix, dtype=float).reshape(-1, 2)
+        self.scales = (mix[:, :1], mix[:, 1:])  # each term's (k, 1) coefficients
+        self.sums = mix[:, :1] + mix[:, 1:]
+        if 0.0 < self.a < _PLAIN_HALF_SHIFT:
+            self.series = (_SERIES_TABLE @ self.a ** _SERIES_POWERS)[::-1].copy()  # for np.polyval
+
+    def rows(self, factors):
+        """Each component's kernel from a stage's factors (the kernel alone without a shift, else D and S)."""
+        if self.a is None:
+            return factors[0]
+        difference, shifted = factors
+        out = self.scales[0] * difference
+        out += self.sums * shifted
+        return out
+
+    def smooth(self, u: np.ndarray) -> list[np.ndarray]:
+        """Each term's Filon smooth factor, the decay of its oscillation, at u + shifts[t]."""
+        if self.a is None:
+            return [_FILON_KERNELS[self.kernel][0](u)]
+        w = u + 2.0 * self.a
+        inverse = u * w
+        np.reciprocal(inverse, out=inverse)  # one division for 1/u = w/(u w) and 1/w = u/(u w)
+        w *= inverse
+        inverse *= u
+        factors = [w, inverse]
+        if self.kernel == "sinc2":  # 1/(2u^2)
+            for factor in factors:
+                factor *= factor
+                factor *= 0.5
+        return factors
+
+    def sinc_pair(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sinc(u) - sinc(u + shift), sinc(u + shift)) at u >= -shift/2, the difference without cancellation."""
+        a = self.a
+        if self.series is None:
+            shifted = sinc(u + 2.0 * a)
+            return sinc(u) - shifted, shifted
+        v = u + a  # >= 0, so u + shift = v + a >= a > 0
+        sin_v, cos_v = np.sin(v), np.cos(v)
+        shifted = sin_v * math.cos(a)
+        shifted += cos_v * math.sin(a)
+        shifted /= v + a
+        # 2 a v [cos a sinc v - sinc a cos v] = 2 a [cos a sin v - sinc a v cos v]
+        square = v * v
+        near = square < 1.0
+        square -= a * a
+        square[near] = 1.0  # those nodes take the series below
+        cos_v *= v
+        cos_v *= 2.0 * math.sin(a)
+        sin_v *= 2.0 * a * math.cos(a)
+        sin_v -= cos_v
+        difference = np.divide(sin_v, square, out=sin_v)
+        if near.any():
+            inner = v[near]
+            difference[near] = inner * np.polyval(self.series, inner * inner)
+        return difference, shifted
+
+    def head(self, u: np.ndarray):
+        """The kernel's factors at nodes of the head."""
+        if self.a is None:
+            return (self.k(u),)
+        difference, shifted = self.sinc_pair(u)
+        if self.kernel == "sinc":
+            return difference, shifted
+        # sinc^2(u) - sinc^2(w) = (sinc u - sinc w) (sinc u + sinc w)
+        return difference * (difference + 2.0 * shifted), shifted * shifted
+
+    def tail(self, u: np.ndarray):
+        """The factors of the kernel's oscillating part past the cut."""
+        if self.a is None:
+            return (self.part(u),)
+        difference, shifted = self.head(u)
+        if self.kernel == "sinc":  # sinc is its own part
+            return difference, shifted
+        w = u + 2.0 * self.a  # 1/u^2 - 1/w^2 = (w - u)(w + u)/(u w)^2
+        return (difference - self.far_weight * (2.0 * self.a) * (u + w) / (u * w) ** 2,
+                shifted - self.far_weight / (w * w))
+
+    def far(self, x: np.ndarray, cut: float):
+        """The factors of the non-oscillating part far_weight/u^2 on x = cut/u, times du/dx."""
+        scale = self.far_weight / cut
+        if self.a is None:
+            return (scale,)
+        shift_x = (2.0 * self.a) * x
+        ratio = cut / (cut + shift_x)  # u/(u + shift)
+        return scale * (shift_x / (cut + shift_x)) * (1.0 + ratio), scale * ratio * ratio
+
+
 class _Evaluator:
     """``f`` as a map from N nodes to a (k, N) array of values.
 
     ``f`` takes a 1-D array of N nodes and returns shape (N,) (one
-    component) or (k, N) (k components sharing the nodes); any other
-    shape raises ValueError, a NaN or infinity NonFiniteError.
-    ``scalar`` records the (N,) form, so the public entry points return
-    floats rather than length-1 arrays.
+    component) or (k, N) (k components sharing the nodes), with k =
+    ``components`` when that is given; any other shape raises
+    ValueError, a NaN or infinity NonFiniteError.  ``scalar`` records
+    the (N,) form, so the public entry points return floats rather than
+    length-1 arrays.
     """
 
-    def __init__(self, f: Callable) -> None:
+    def __init__(self, f: Callable, components: int | None = None) -> None:
         self.f = f
+        self.components = components
         self.scalar = True
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -206,6 +341,8 @@ class _Evaluator:
                 f"integrand returned shape {y.shape} for {x.size} nodes; "
                 f"expected ({x.size},) or (k, {x.size})"
             )
+        if self.components not in (None, len(y)):
+            raise ValueError(f"integrand returned {len(y)} components for a mix of {self.components}")
         if not np.all(np.isfinite(y)):
             bad = x[~np.all(np.isfinite(y), axis=0)][0]
             raise NonFiniteError(f"integrand returned a non-finite value near x={bad!r}")
@@ -284,44 +421,46 @@ def _filon_weights(kernel: str) -> np.ndarray:
     return table.reshape(_FILON_LEVELS, 3, 50)
 
 
-def _fcc_rule(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, kernel: str) -> tuple[np.ndarray, np.ndarray]:
-    """FCC-25 values and |FCC-25 - FCC-13| estimates, shape (k, panels), from (k, panels, 25) values of g.
+def _fcc_rules(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, kernel: str,
+               shift: float = 0.0) -> np.ndarray:
+    """FCC-25 and FCC-13 values, shape (2, k, panels), from (k, panels, 25) values of g.
 
-    A panel holds g(u) (c0 + cc cos(omega u) + cs sin(omega u)); with
-    u = m + h x the weight is c0 + A cos(omega h x) + B sin(omega h x),
-    A = cc cos(omega m) + cs sin(omega m), B = cs cos(omega m) - cc
-    sin(omega m).  So a panel's two rules are h (c0 M1 + A Mcos + B
-    Msin), M the moments of g against the table rows of the panel's
-    level: one matrix product per level present.
+    A panel holds g(u) (c0 + cc cos(omega w) + cs sin(omega w)), w = u +
+    ``shift``; with w = m + h x the weight is c0 + A cos(omega h x) + B
+    sin(omega h x), A = cc cos(omega m) + cs sin(omega m), B = cs
+    cos(omega m) - cc sin(omega m).  So a panel's two rules are h (c0 M1
+    + A Mcos + B Msin), M the moments of g against the table rows of the
+    panel's level: one matrix product per level present.  The value is
+    FCC-25, and |FCC-25 - FCC-13| (of the terms' sum, for two) its error.
     """
     _, omega, c0, cc, cs = _FILON_KERNELS[kernel]
     half = 0.5 * (hi - lo)
     level = np.rint(np.log2(0.5 * _FILON_WIDTH / half)).astype(np.intp)
     table = _filon_weights(kernel).reshape(_FILON_LEVELS, 6, 25)  # rows (1, cos, sin) x (FCC-25, FCC-13)
-    # A contiguous (25, 6) right operand: BLAS takes it about twice as
-    # fast as the transposed view.
+    k = g.shape[0]
+    # The moments with panels last, so the per-panel sums below run on
+    # contiguous rows.
     if np.all(level == level[0]):  # the usual call: no gather
-        moments = g.reshape(-1, 25) @ np.ascontiguousarray(table[level[0]].T)
+        moments = table[level[0]] @ g.reshape(-1, 25).T
     else:
-        moments = np.empty((g.shape[0], lo.size, 6))
+        moments = np.empty((6, k, lo.size))
         for at_level in _distinct(level):
             at = level == at_level
-            moments[:, at] = g[:, at] @ np.ascontiguousarray(table[at_level].T)
-    moments = moments.reshape(g.shape[0], lo.size, 3, 2)
-    phase = omega * (0.5 * (lo + hi))
+            moments[:, :, at] = (table[at_level] @ g[:, at].reshape(-1, 25).T).reshape(6, k, -1)
+    moments = moments.reshape(3, 2, k, lo.size)  # (1, cos, sin), (FCC-25, FCC-13)
+    phase = omega * (0.5 * (lo + hi) + shift)
     cos_m, sin_m = np.cos(phase), np.sin(phase)
-    both = (
-        (c0 * half)[:, None] * moments[:, :, 0]
-        + (half * (cc * cos_m + cs * sin_m))[:, None] * moments[:, :, 1]
-        + (half * (cs * cos_m - cc * sin_m))[:, None] * moments[:, :, 2]
+    return (
+        (c0 * half) * moments[0]
+        + (half * (cc * cos_m + cs * sin_m)) * moments[1]
+        + (half * (cs * cos_m - cc * sin_m)) * moments[2]
     )
-    return both[..., 0], np.abs(both[..., 0] - both[..., 1])
 
 
 class _Head(NamedTuple):
-    """The kernel of integrate_semi_infinite's head, and its number of Filon panels."""
+    """The kernel terms of integrate_semi_infinite's head, and its number of Filon panels."""
 
-    kernel: str
+    terms: _Terms
     filon_panels: int
 
 
@@ -329,12 +468,13 @@ def _panel_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, 
     """(values, errors) of every panel, each (k, panels) in panel order, from one evaluation call.
 
     Without ``head`` each panel takes GK15 of f.  With it, f is an
-    envelope: a panel right of ``filon_end`` takes GK15 of f times the
-    head kernel, one left of it FCC-25/13 of f times the kernel's smooth
-    factor.
+    envelope: a panel right of ``filon_end`` takes GK15 of f times each
+    component's kernel, one left of it FCC-25/13 of f times each term's
+    smooth factor, one term at a time, at its own phase and coefficient.
     """
     if head is None:
         return _gk_rule(_evaluate_panels(evaluate, lo, hi), lo, hi)
+    terms = head.terms
     fcc = hi <= filon_end
     gk = ~fcc
     lo_f, hi_f, lo_g, hi_g = lo[fcc], hi[fcc], lo[gk], hi[gk]
@@ -343,13 +483,14 @@ def _panel_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, 
     y = evaluate(np.concatenate([u_fcc, u_gk]))
     out = np.empty((2, len(y), lo.size))  # values, errors
     out[..., gk] = _gk_rule(
-        (y[:, u_fcc.size:] * _KERNELS[head.kernel][2](u_gk)).reshape(len(y), lo_g.size, 15), lo_g, hi_g
+        (y[:, u_fcc.size:] * terms.rows(terms.head(u_gk))).reshape(len(y), lo_g.size, 15), lo_g, hi_g
     )
     if lo_f.size:
-        out[..., fcc] = _fcc_rule(
-            (y[:, :u_fcc.size] * _FILON_KERNELS[head.kernel][0](u_fcc)).reshape(len(y), lo_f.size, 25),
-            lo_f, hi_f, head.kernel,
-        )
+        both, g = 0.0, np.empty((len(y), u_fcc.size))
+        for smooth, shift, scale in zip(terms.smooth(u_fcc), terms.shifts, terms.scales):
+            np.multiply(y[:, :u_fcc.size], smooth, out=g)
+            both = both + scale * _fcc_rules(g.reshape(len(y), lo_f.size, 25), lo_f, hi_f, terms.kernel, shift)
+        out[..., fcc] = both[0], np.abs(both[0] - both[1])
     return out
 
 
@@ -390,9 +531,9 @@ def integrate_adaptive(
     length-k arrays; an (N,)-valued ``f`` gives floats, and so does an
     empty interval, which evaluates nothing.
 
-    ``_head`` is internal to integrate_semi_infinite: ``f`` is then an
-    envelope against the head kernel, the first ``filon_panels`` panels
-    from ``a`` are _FILON_WIDTH wide and take Filon-Clenshaw-Curtis
+    ``_head`` is internal to integrate_semi_infinite: ``f`` then gives
+    the envelopes of the head's kernel terms, the first ``filon_panels``
+    panels from ``a`` are _FILON_WIDTH wide and take Filon-Clenshaw-Curtis
     (their halves too), and ``max_panel_width`` splits the rest.
     """
     spec = spec or QuadratureSpec()
@@ -510,18 +651,23 @@ def _cycle_sum(integrand: Callable, start: float, half: float):
     return tips[:, 3], np.sum(errs, axis=1) + np.sum(np.abs(tips[:, :3] - tips[:, 3:]), axis=1)
 
 
-def _structure_end(evaluate, part: Callable, cut: float, half: float, tol: np.ndarray) -> float:
+def _structure_end(evaluate, terms: _Terms, cut: float, tol: np.ndarray) -> float:
     """Where structure seen in the tail of any component ends (``cut`` if none).
 
-    Samples g = |f part| at the crests of ``part`` over the first
-    _PROBE_HALF_PERIODS half periods past the cut.  Extrapolating from a
-    batch steps over g changing by more than a factor 2 between samples
-    (a bump or edge narrower than about a period) or growing by more
-    than that over a batch; such a change counts where its larger
-    sample is worth more than its component's ``tol`` over a half period.
+    Samples g = |f| sum_t |c_t| decay(u + shifts[t]) half a half period
+    past each zero of the kernel's oscillating part, over the first
+    _PROBE_HALF_PERIODS half periods past the cut: the envelope times
+    the decay of each term's oscillation (its Filon smooth factor) and
+    the term's coefficient, so terms of other phases sample alike.
+    Extrapolating from a batch steps over g changing by more than a
+    factor 2 between samples (a bump or edge narrower than about a
+    period) or growing by more than that over a batch; such a change
+    counts where its larger sample is worth more than its component's
+    ``tol`` over a half period.
     """
+    half = 0.5 * terms.period
     u = cut + half * (np.arange(_PROBE_HALF_PERIODS) + 0.5)
-    g = np.abs(evaluate(u) * part(u))
+    g = np.abs(evaluate(u)) * sum(np.abs(scale) * decay for decay, scale in zip(terms.smooth(u), terms.scales))
     worth = half * g > tol[:, None]
     if not worth.any():  # every change below needs a sample worth something
         return cut
@@ -536,16 +682,15 @@ def _structure_end(evaluate, part: Callable, cut: float, half: float, tol: np.nd
     return float(u[min(u.size - np.argmax(mark[::-1]), u.size - 1)])
 
 
-def _semi_infinite(evaluate, spec: QuadratureSpec, lower: float, kernel: str, cut=None):
+def _semi_infinite(evaluate, spec: QuadratureSpec, lower: float, terms: _Terms, cut=None):
     """integrate_semi_infinite's (value, err) arrays before its final check.
 
     A given ``cut`` (an extension past structure) skips the probe.
     """
-    period, phase, _, part, far_weight = _KERNELS[kernel]
-    half = 0.5 * period
+    half = 0.5 * terms.period
 
     def zero_past(u):
-        return phase + half * math.ceil((u - phase) / half)
+        return terms.phase + half * math.ceil((u - terms.phase) / half)
 
     probe = cut is None
     cut = zero_past(max(lower, 0.0) + _CUT_MARGIN) if probe else cut
@@ -555,25 +700,26 @@ def _semi_infinite(evaluate, spec: QuadratureSpec, lower: float, kernel: str, cu
         filon = 0
     head, head_err = np.atleast_1d(*integrate_adaptive(
         evaluate, lower, cut, spec, max_panel_width=0.5 * half,
-        breakpoints=None if filon else lower + 0.5 * half * _ORIGIN_BREAKS, _head=_Head(kernel, filon),
+        breakpoints=None if filon else lower + 0.5 * half * _ORIGIN_BREAKS, _head=_Head(terms, filon),
     ))
     value, err = head, head_err
-    if far_weight:
+    if terms.far_weight:
         far, far_err = integrate_adaptive(
-            lambda x: evaluate(cut / x) * (far_weight / cut), 0.0, 1.0, spec,
+            lambda x: evaluate(cut / x) * terms.rows(terms.far(x, cut)), 0.0, 1.0, spec,
             breakpoints=_ORIGIN_BREAKS,
         )
         value, err = value + far, err + far_err
-    end = _structure_end(evaluate, part, cut, half, 0.5 * _tolerance(spec, value)) if probe else cut
+    end = _structure_end(evaluate, terms, cut, 0.5 * _tolerance(spec, value)) if probe else cut
     if end > cut:  # move the cut past the structure, for every component
-        more, more_err = _semi_infinite(evaluate, spec, cut, kernel, zero_past(end))
+        more, more_err = _semi_infinite(evaluate, spec, cut, terms, zero_past(end))
         return head + more, head_err + more_err
-    tail, tail_err = _cycle_sum(lambda u: evaluate(u) * part(u), cut, half)
+    tail, tail_err = _cycle_sum(lambda u: evaluate(u) * terms.rows(terms.tail(u)), cut, half)
     return value + tail, err + tail_err
 
 
 def integrate_semi_infinite(
-    f: Callable, spec: QuadratureSpec | None = None, *, lower: float = 0.0, kernel: str
+    f: Callable, spec: QuadratureSpec | None = None, *, lower: float = 0.0, kernel: str,
+    shift: float | None = None, mix: Sequence[Sequence[float]] | None = None,
 ):
     """Integrate f(u) k(u) over [lower, inf), k = sinc or sinc^2; returns (value, error_estimate).
 
@@ -606,10 +752,27 @@ def integrate_semi_infinite(
     periods, one GK15 panel each, and extrapolated with Wynn's epsilon
     algorithm (as in QUADPACK's QAWF).  That needs an envelope
     smooth over a batch of periods, so the first 768 half periods past
-    the cut are sampled once each: where they show a narrow bump, an
+    the cut are sampled once each, |f| times the decay of the kernel's
+    oscillation (1/u, resp. 1/(2u^2)): where they show a narrow bump, an
     edge or fast growth in any component, the cut moves past it and the
     stretch up to the new cut becomes one more adaptive integral.
     Structure further out, or too faint to move a sample, is not seen.
+
+    With ``shift`` (finite, >= 0, and ``lower`` >= -shift/2) and ``mix``,
+    one (a_c, b_c) pair per component, component c is integrated against
+    the two-term kernel a_c k(u) + b_c k(u + shift), one evaluation of
+    the envelope per node serving both terms.  Every stage forms it as
+    a_c [k(u) - k(u + shift)] + (a_c + b_c) k(u + shift), the difference
+    without cancellation (a series in (u + shift/2)^2 where shift < 1,
+    see _Terms), so a_c = -b_c keeps the digits of a difference of
+    kernels that nearly cancel.  The Filon panels integrate each term at
+    its own phase; the shifted term is there at least shift/2 >= 96 +
+    64 pi from its resonance.  The tail sums the combined integrand over
+    the half periods of k(u)'s oscillation, and the probe samples the
+    envelope times each term's decay at its own argument.  Component c's
+    value is then a_c times the one-term integral of f_c from ``lower``
+    plus b_c times that of f_c(u - shift) from lower + shift, to the
+    tolerance.
 
     ``f`` returns one value per node, or a (k, N) array for N nodes
     holding k envelopes that share every evaluation (for example two
@@ -627,8 +790,17 @@ def integrate_semi_infinite(
         raise ValueError("lower bound must be finite")
     if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
-    evaluate = _as_evaluator(f)
-    value, err = _semi_infinite(evaluate, spec, lower, kernel)
+    if shift is None:
+        if mix is not None:
+            raise ValueError("mix needs a shift")
+        evaluate = _Evaluator(f)
+    else:
+        if not (0.0 <= shift < math.inf and lower >= -0.5 * shift):
+            raise ValueError("shift must be finite, nonnegative and at least -2 lower")
+        if mix is None or np.ndim(mix) != 2 or np.shape(mix)[1] != 2:
+            raise ValueError("a shift needs a mix of one (a, b) pair per component")
+        evaluate = _Evaluator(f, components=len(mix))
+    value, err = _semi_infinite(evaluate, spec, lower, _Terms(kernel, shift, mix))
     tol = _tolerance(spec, value)
     if np.any(err > 4.0 * tol):
         c = int(np.argmax(err / tol))

@@ -22,8 +22,7 @@ import numpy as np
 from ._table import write_csv, write_json
 from .coefficients import (
     _cell_pairs,
-    _pair_weight,
-    half_kernel_integral,
+    _frequency_integral,
     integrated_diffusion,
     integrated_pair,
     markovian_limits,
@@ -205,29 +204,32 @@ def effective_decay_rate_fd(
                                       + [(2n+1) coth + 1] sinc^2(v+) } dw
 
     with v± = (w ± w0) tau / 2.  Mathematically identical to the time
-    route but evaluated with differently grouped integrands, so the two
-    act as mutual numerical oracles.  It is always a quadrature, also
-    for the Lorentz-Drude bath, whose time route is closed form.
+    route, ((2n+1) IDelta - Igamma) / tau, and on a model other than the
+    Lorentz-Drude bath evaluated on the same kind of quadrature pass,
+    nodes and kernels as the time route's (IDelta, Igamma), but with the
+    weights grouped by kernel: (2n+1) J coth - J against sinc^2(v-) and
+    (2n+1) J coth + J against sinc^2(v+), two components that never
+    cancel.  It is always a quadrature, also for the Lorentz-Drude bath,
+    whose time route is closed form.
     """
     if not (0.0 < tau < np.inf):
         raise ValueError("tau must be positive and finite")
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_model_consistency(params, model)
-    pair_weight = _pair_weight(model, params)
     m = 2 * n + 1
 
-    def weight_minus(omega):
-        coth, bare = pair_weight(omega)
-        return m * coth - bare
+    def rows(weights):
+        coth, bare = weights
+        coth *= m
+        out = np.empty_like(weights)
+        np.subtract(coth, bare, out=out[0])
+        np.add(coth, bare, out=out[1])
+        return out
 
-    def weight_plus(omega):
-        coth, bare = pair_weight(omega)
-        return m * coth + bare
-
-    half = 0.5 * tau
-    lower = half_kernel_integral(weight_minus, params.omega0, half, "sinc2", -1)
-    upper = half_kernel_integral(weight_plus, params.omega0, half, "sinc2", +1)
+    # The first row against the omega - omega0 kernel alone, the second
+    # against the omega + omega0 one.
+    lower, upper = _frequency_integral(params, model, 0.5 * tau, "sinc2", rows, ((1.0, 0.0), (0.0, 1.0)))
     rate = params.alpha**2 * 0.25 * tau * (lower + upper)
     _check_rate(rate, rate * tau, tau)
     return rate

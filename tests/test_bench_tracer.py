@@ -34,9 +34,10 @@ def test_tracer_installs_and_restores_every_patched_name(monkeypatch):
         assert patches
         for owner, attr, original in patches:
             assert getattr(owner, attr) is not original, (owner, attr)
-        # A user-bath pair takes both quadratures through the traced names.
+        # A user-bath pair takes its one quadrature, both kernel terms in
+        # one pass, through the traced names.
         integrated_pair(ReservoirParams(r=0.5, theta=1.0, alpha=0.1), exponential(0.5), 2.0)
-        assert tracer.counts["coefficients.quadratures"] == 2
+        assert tracer.counts["coefficients.quadratures"] == 1
         assert tracer.counts["numerics.integrate_adaptive.calls"] > 0
     finally:
         tracer.uninstall()

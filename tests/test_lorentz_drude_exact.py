@@ -477,12 +477,13 @@ class TestQuadratureAgreement:
         integrated_pair(params, params.spectral_model(), 2.0)
         assert not calls
         integrated_pair(params, QuadratureLorentzDrude(0.5), 2.0)
-        assert len(calls) == 2
+        assert len(calls) == 1  # both kernel terms in one pass
 
     def test_far_left_head_node_budget(self, monkeypatch):
-        # At tau = 1e4 the omega - omega0 half's head reaches u = -5000; its
-        # Filon panels left of u = -96 take 39,059 nodes (quarter-period
-        # GK15 panels took 94,270).
+        # At tau = 1e4 the head of the pass, in u = (omega - omega0) tau/2,
+        # reaches u = -5000; its Filon panels left of u = -96, which serve
+        # both kernels, take 39,059 nodes (quarter-period GK15 panels took
+        # 94,270).
         far_left = []
         semi_infinite = coefficients.integrate_semi_infinite
 

@@ -270,6 +270,128 @@ class TestSemiInfinite:
             integrate_semi_infinite(broken, QuadratureSpec(), kernel="sinc2")
 
 
+def _kernel_mpmath(kernel, x):
+    import mpmath as mp
+
+    k = mp.sin(x) / x if x != 0 else mp.mpf(1)
+    return k if kernel == "sinc" else k * k
+
+
+# Half-shifts a and nodes v = u + a that are doubles with u and u + 2a
+# exact too, so the kernels are checked at the nodes they are given: a = 0,
+# a tiny, both sides of a = 1/2 (the series below, the plain difference
+# from it on), and a large.
+_STEP = 2.0**-20
+_HALF_SHIFTS = [0.0, 2.0**-30, 2.0**-14, 0.375, 0.5 - _STEP, 0.5, 0.5 + _STEP, 0.875, 3.0, 1024.5]
+
+
+class TestTwoTermPass:
+    """integrate_semi_infinite with a shift: a k(u) + b k(u + shift) in one pass."""
+
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    @pytest.mark.parametrize("a", _HALF_SHIFTS)
+    def test_difference_kernels_match_mpmath(self, kernel, a):
+        # v = 0 is u = -a (omega = 0), where the difference vanishes
+        # exactly, and 2^-20 is next to it; v = a is u = 0 (omega = omega0);
+        # 1 -+ 2^-20 are both sides of the series' v^2 < 1 below a = 1/2.
+        import mpmath as mp
+
+        v = np.array(sorted({0.0, _STEP, a, 1.0 - _STEP, 1.0 + _STEP, 0.25, 2.5, 40.0, 100.5}))
+        u = v - a
+        terms = numerics._Terms(kernel, 2.0 * a, [(1.0, -1.0), (1.0, 1.0)])
+        difference, shifted = terms.head(u)
+        rows = terms.rows((difference, shifted))
+        assert difference[0] == 0.0 and rows[0, 0] == 0.0
+        # Relative, but the plain difference from a = 1/2 on may round
+        # like its terms: a few eps of the kernels, times a below it.
+        eps = np.finfo(float).eps
+        with mp.workdps(40):
+            for i in range(u.size):
+                lo, hi = (_kernel_mpmath(kernel, mp.mpf(u[i]) + d) for d in (0, 2 * mp.mpf(a)))
+                scale = 4.0 * eps * min(a, 1.0) * float(abs(lo) + abs(hi))
+                for got, want in ((difference[i], lo - hi), (rows[0, i], lo - hi),
+                                  (shifted[i], hi), (rows[1, i], lo + hi)):
+                    assert abs(got - float(want)) <= 1e-14 * abs(float(want)) + scale, (u[i], got, want)
+
+    @staticmethod
+    def _against_one_term_calls(f, mix, lower, shift, kernel, spec):
+        """The pass of f with ``mix`` against a_c (f_c from lower) + b_c (f_c(. - shift) from lower + shift)."""
+        value, err = integrate_semi_infinite(f, spec, lower=lower, kernel=kernel, shift=shift, mix=mix)
+        value, err = np.atleast_1d(value), np.atleast_1d(err)
+        for c, (a, b) in enumerate(mix):
+            def row(u, c=c):
+                return np.atleast_2d(f(u))[c]
+
+            first, _ = integrate_semi_infinite(row, spec, lower=lower, kernel=kernel)
+            second, _ = integrate_semi_infinite(lambda w: row(w - shift), spec, lower=lower + shift,
+                                                kernel=kernel)
+            want = a * first + b * second
+            assert abs(value[c] - want) <= max(spec.abs_tol, spec.rel_tol * abs(want)), (c, value[c], want)
+            assert err[c] <= 4.0 * max(spec.abs_tol, spec.rel_tol * abs(value[c]))
+        return value
+
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    def test_filon_stretch_matches_the_sum_of_one_term_calls(self, kernel):
+        # omega0 s = 400 >= 96 + 64 pi: the head starts with Filon panels,
+        # both terms on them, each at its own phase.
+        def pair(u):
+            x = (u + 400.0) / 300.0
+            return np.stack([np.exp(-x), x * np.exp(-x)])
+
+        left = []
+
+        def counted(u):
+            left.append(np.count_nonzero(u < -96.0))
+            return pair(u)
+
+        self._against_one_term_calls(counted, [(1.0, 1.0), (1.0, -1.0)], -400.0, 800.0, kernel, LEFT_SPEC)
+        assert sum(left) > 0
+
+    @pytest.mark.parametrize("mix", [(1.0, -1.0), (0.0, 1.0)], ids=["difference", "shifted-only"])
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    def test_structure_probe_moves_the_cut_for_both_terms(self, kernel, mix, monkeypatch):
+        # A line at u = 250 lies past the cut and past the 16 half periods
+        # the tail sums, for the term at u and at u + 4 alike: only the
+        # probe, sampling the envelope times each term's decay, finds it,
+        # also when the shifted term is the only one.
+        def envelope(u):
+            return np.exp(-(u + 2.0) / 5.0) + 1e-2 * np.exp(-0.5 * ((u - 250.0) / 0.5) ** 2)
+
+        ends = []
+        structure_end = numerics._structure_end
+
+        def recorded(evaluate, terms, cut, tol):
+            end = structure_end(evaluate, terms, cut, tol)
+            ends.append((cut, end))
+            return end
+
+        monkeypatch.setattr(numerics, "_structure_end", recorded)
+        self._against_one_term_calls(envelope, [mix], -2.0, 4.0, kernel, LEFT_SPEC)
+        cut, end = ends[0]
+        assert end > 250.0 > cut
+
+    def test_nan_in_the_shifted_term_only_raises(self):
+        def rows(u):
+            out = np.stack([np.exp(-u - 1.0), np.exp(-u - 1.0)])
+            out[1, np.abs(u - 3.0) < 0.5] = np.nan
+            return out
+
+        value, _ = integrate_semi_infinite(lambda u: rows(u)[0], lower=-1.0, kernel="sinc2")
+        assert math.isfinite(value)
+        with pytest.raises(NonFiniteError, match="non-finite value near x="):
+            integrate_semi_infinite(rows, lower=-1.0, kernel="sinc2", shift=2.0, mix=[(1.0, 0.0), (0.0, 1.0)])
+
+    def test_invalid_shift_or_mix(self):
+        with pytest.raises(ValueError, match="mix needs a shift"):
+            integrate_semi_infinite(np.exp, kernel="sinc", mix=[(1.0, 1.0)])
+        with pytest.raises(ValueError, match="needs a mix"):
+            integrate_semi_infinite(np.exp, kernel="sinc", shift=1.0)
+        with pytest.raises(ValueError, match="at least -2 lower"):
+            integrate_semi_infinite(np.exp, lower=-1.0, kernel="sinc", shift=1.0, mix=[(1.0, 1.0)])
+        with pytest.raises(ValueError, match="2 components for a mix of 1"):
+            integrate_semi_infinite(lambda u: np.stack([u, u]), kernel="sinc", shift=1.0, mix=[(1.0, 1.0)])
+
+
 def two_component(u):
     out = np.empty((2, u.size))
     out[0] = 1.0
@@ -383,7 +505,7 @@ class TestFilonRule:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         coef = np.random.default_rng(7).standard_normal(25)
         y = np.polynomial.chebyshev.chebval(numerics._FCC_NODES, coef)[None, None, :]
-        (value,), _ = numerics._fcc_rule(y, np.array([lo]), np.array([hi]), "sinc2")
+        value = numerics._fcc_rules(y, np.array([lo]), np.array([hi]), "sinc2")[0, 0]
 
         def p(x):  # Clenshaw's recurrence for sum_j coef_j T_j(x)
             b1 = b2 = mp.mpf(0)
@@ -406,7 +528,8 @@ class TestFilonRule:
         lo = -3000.7 + np.concatenate([[0.0], np.cumsum(width[:-1])])
         hi = lo + width
         g = np.random.default_rng(11).standard_normal((2, lo.size, 25))
-        value, err = numerics._fcc_rule(g, lo, hi, kernel)
+        fcc25, fcc13 = numerics._fcc_rules(g, lo, hi, kernel)
+        value, err = fcc25, np.abs(fcc25 - fcc13)
         assert value.shape == err.shape == (2, lo.size)
         want = {
             level: (_lagrange_moments(24, kappa * 2.0**-level), _lagrange_moments(12, kappa * 2.0**-level))
@@ -494,8 +617,8 @@ class TestTailShortcuts:
     def test_structure_probe_below_tolerance_returns_the_cut(self, kernel):
         # A narrow line past the cut that no sample can make worth its
         # tolerance moves nothing; the samples are still evaluated, once.
-        period, phase, _, part, _ = numerics._KERNELS[kernel]
-        cut = phase + 96.0 * period  # a zero of part, so the samples sit on its crests
+        period, phase, _, _, _ = numerics._KERNELS[kernel]
+        cut = phase + 96.0 * period  # a zero of the oscillating part, as the engine cuts
         line = cut + 200.3
         seen = []
 
@@ -503,13 +626,13 @@ class TestTailShortcuts:
             seen.append(u.size)
             return np.stack([1e-30 * np.exp(-0.5 * ((u - line) / 0.5) ** 2), np.zeros_like(u)])
 
-        end = numerics._structure_end(numerics._Evaluator(envelope), part, cut, 0.5 * period,
-                                      np.array([1e-12, 1e-12]))
+        terms = numerics._Terms(kernel)
+        end = numerics._structure_end(numerics._Evaluator(envelope), terms, cut, np.array([1e-12, 1e-12]))
         assert end == cut
         assert seen == [numerics._PROBE_HALF_PERIODS]
         # The same line, worth its tolerance, moves the cut past it.
-        assert numerics._structure_end(numerics._Evaluator(lambda u: 1e30 * envelope(u)), part, cut,
-                                       0.5 * period, np.array([1e-12, 1e-12])) > line
+        assert numerics._structure_end(numerics._Evaluator(lambda u: 1e30 * envelope(u)), terms, cut,
+                                       np.array([1e-12, 1e-12])) > line
 
 
 class TestAdaptive:

@@ -7,15 +7,16 @@ Reads the 640-point ``exp`` rate pool of ``bench/data/reference.json``
 (mpmath references that never import qbmzeno) and the user bath of
 ``bench/userbath.py`` (J = w exp(-w/wc) / pi), without changing either.
 Each point's (IDelta, Igamma) comes from one ``integrated_pair`` call,
-so it takes ``integrate_semi_infinite`` once per half, and its rate is
-((2n+1) IDelta - Igamma) / tau.  A point fails if the call raises or its
-rate is off the reference by more than ``--rel``.
+one ``integrate_semi_infinite`` pass for both weights and both kernels,
+and its rate is ((2n+1) IDelta - Igamma) / tau.  A point fails if the
+call raises or its rate is off the reference by more than ``--rel``.
 
 Prints the failures as (r, theta, n, tau), the worst relative error of
 IDelta, Igamma and the rate over the points that did not raise, and the
 integrand nodes evaluated (counted through the envelope handed to
-``integrate_semi_infinite``) and the wall time, per decade of tau and in
-total.  The exit status is 1 if any point fails.
+``integrate_semi_infinite``), the wall time and the worst relative error
+of Igamma, per decade of tau and in total.  The exit status is 1 if any
+point fails.
 """
 
 import argparse
@@ -62,7 +63,8 @@ def main(argv=None) -> int:
 
     coefficients.integrate_semi_infinite = counted
     failures, worst = [], {"IDelta": 0.0, "Igamma": 0.0, "rate": 0.0}
-    decades = defaultdict(lambda: [0, 0, 0.0])  # floor(log10 tau) -> [points, nodes, seconds]
+    # floor(log10 tau) -> [points, nodes, seconds, worst Igamma error]
+    decades = defaultdict(lambda: [0, 0, 0.0, 0.0])
     try:
         for q in pool:
             params = ReservoirParams(r=q["r"], theta=q["theta"], alpha=data["alpha"])
@@ -87,6 +89,7 @@ def main(argv=None) -> int:
             }
             for key, err in errs.items():
                 worst[key] = max(worst[key], err)
+            decade[3] = max(decade[3], errs["Igamma"])
             if errs["rate"] > args.rel:
                 failures.append((point, f"rate off by {errs['rate']:.1e}"))
     finally:
@@ -96,9 +99,9 @@ def main(argv=None) -> int:
     for (r, theta, n, tau), why in failures:
         print(f"  r={r:.4g} theta={theta:g} n={n} tau={tau:.4g}: {why}")
     print("worst relative error  " + "  ".join(f"{k} {v:.2e}" for k, v in worst.items()))
-    print(f"{'tau decade':>12} {'points':>7} {'nodes':>11} {'time s':>7}")
-    for exponent, (count, decade_nodes, seconds) in sorted(decades.items()):
-        print(f"{f'1e{exponent}':>12} {count:7d} {decade_nodes:11,} {seconds:7.2f}")
+    print(f"{'tau decade':>12} {'points':>7} {'nodes':>11} {'time s':>7} {'Igamma err':>10}")
+    for exponent, (count, decade_nodes, seconds, igamma) in sorted(decades.items()):
+        print(f"{f'1e{exponent}':>12} {count:7d} {decade_nodes:11,} {seconds:7.2f} {igamma:10.2e}")
     total_nodes = sum(d[1] for d in decades.values())
     total_time = sum(d[2] for d in decades.values())
     print(f"nodes {total_nodes:,}  time {total_time:.2f} s")
