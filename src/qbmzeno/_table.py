@@ -174,12 +174,15 @@ def csv_blocks(header: Sequence[str], columns: Sequence) -> Iterator[bytes]:
         cells = np.empty((rows.stop - start, len(numeric)))
         for j, a in enumerate(numeric):
             cells[:, j] = a[rows]
-        words = format_e16(cells.ravel()).reshape(len(cells), -1)
-        slots = iter(np.hsplit(words, len(numeric)) if numeric else ())
-        parts = [_text_words(a[rows]) if t else next(slots) for a, t in zip(arrays, text)]
-        lines = words if len(numeric) == len(arrays) else np.concatenate(parts, axis=1)
+        lines = format_e16(cells.ravel()).reshape(len(cells), -1)
+        widths = [_WORDS] * len(arrays)
+        if len(numeric) < len(arrays):
+            slots = iter(np.hsplit(lines, len(numeric)) if numeric else ())
+            parts = [_text_words(a[rows]) if t else next(slots) for a, t in zip(arrays, text)]
+            lines = np.concatenate(parts, axis=1)
+            widths = [part.shape[1] for part in parts]
         line_bytes = lines.view(np.uint8)
-        line_bytes[:, 4 * np.cumsum([part.shape[1] for part in parts]) - 1] = ord(",")
+        line_bytes[:, 4 * np.cumsum(widths) - 1] = ord(",")
         line_bytes[:, -1] = ord("\n")
         yield line_bytes.tobytes().translate(None, b"\0")
 

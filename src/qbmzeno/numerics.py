@@ -21,7 +21,11 @@ for a fixed spec on one platform (fixed evaluation and summation order).
 Integrand contract: called with a 1-D array of N nodes, an integrand
 (for ``integrate_semi_infinite``, the envelope; the engine applies the
 kernel) returns N values, or a (k, N) array holding k integrands that
-share the nodes (for example two weights against one kernel).  The
+share the nodes (for example two weights against one kernel).  N is at
+most _BATCH_NODES: longer runs of panels go out in batches of whole
+panels, since one call over them made temporaries of several hundred KB,
+page-faulted in afresh on every pass and too large for the L2 cache.
+Batching changes no node, rule or panel.  The
 quadratures then return length-k arrays.  The components share the
 nodes, the panels and the cut, while each is stopped and checked
 against its own tolerance max(abs_tol, rel_tol*|I_c|): a panel that
@@ -132,6 +136,16 @@ _G7_WEIGHTS = np.array([
 ])
 
 _MAX_INITIAL_PANELS = 20000
+# At most this many nodes go to the integrand and the kernel code in one
+# call (400 Filon panels, 666 GK15 panels): longer runs of panels go in
+# batches of consecutive whole panels.  One call over a long Filon
+# head (43k nodes at tau = 1e4) made every temporary a fresh array of
+# several hundred KB, page-faulted in again on each pass and too large
+# for a 2 MB L2 cache; a batch's temporaries are reused heap memory that
+# stays in cache.  On the user-bath queries bounds of 6,400 to 12,800
+# nodes gain alike, 19,200 gains nothing and 1,600 loses to the cost per
+# call.
+_BATCH_NODES = 10000
 # Geometric breakpoints 2**-k, k = 1..40, toward the lower end of a
 # panel: at lower + (period/4) * 2**-k they resolve an integrand
 # concentrated in a sliver at the lower end of the first quarter period
@@ -465,7 +479,30 @@ class _Head(NamedTuple):
 
 
 def _panel_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, filon_end: float):
-    """(values, errors) of every panel, each (k, panels) in panel order, from one evaluation call.
+    """(values, errors) of every panel, shape (2, k, panels) in panel order.
+
+    Consecutive whole panels go to the integrand together, as many as
+    fit in _BATCH_NODES nodes (25 per Filon panel, which ends at or left
+    of ``filon_end``, 15 per GK15 one), each batch filling its own columns.
+    """
+    fcc = hi <= filon_end
+    ends = None  # the running node count, needed only past one batch
+    if 15 * lo.size + 10 * np.count_nonzero(fcc) > _BATCH_NODES:
+        ends = np.cumsum(np.where(fcc, 25, 15))
+    out, start = None, 0
+    while start < lo.size:
+        stop = lo.size if ends is None else int(
+            ends.searchsorted(_BATCH_NODES + (ends[start - 1] if start else 0), "right"))
+        values, errors = _batch_values(evaluate, lo[start:stop], hi[start:stop], head, filon_end)
+        if out is None:
+            out = np.empty((2, len(values), lo.size))
+        out[0, :, start:stop], out[1, :, start:stop] = values, errors
+        start = stop
+    return out
+
+
+def _batch_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, filon_end: float):
+    """(values, errors) of the panels of one batch, from one evaluation call.
 
     Without ``head`` each panel takes GK15 of f.  With it, f is an
     envelope: a panel right of ``filon_end`` takes GK15 of f times each
@@ -529,7 +566,11 @@ def integrate_adaptive(
     The budget counts bisections of that one partition, and an error
     names the component that failed.  Values and errors are then
     length-k arrays; an (N,)-valued ``f`` gives floats, and so does an
-    empty interval, which evaluates nothing.
+    empty interval, which evaluates nothing.  Each call of ``f`` takes at
+    most _BATCH_NODES nodes, the panels of the first pass and of each
+    refinement round going out in batches of whole panels, so that no
+    call makes fresh temporaries of several hundred KB that outgrow the
+    L2 cache; the nodes and panels are those of one call.
 
     ``_head`` is internal to integrate_semi_infinite: ``f`` then gives
     the envelopes of the head's kernel terms, the first ``filon_panels``
@@ -783,7 +824,12 @@ def integrate_semi_infinite(
     is the one guard of the tail's extrapolation.  A
     component may thus end on finer panels, or a further cut, than it
     would alone; the value and error are then length-k arrays.  An
-    (N,)-valued ``f`` gives floats.
+    (N,)-valued ``f`` gives floats.  Each call of ``f`` takes at most
+    _BATCH_NODES nodes (the probe takes 768, a cycle sum 240): the head
+    and the far integral go out in batches of whole panels, so a long
+    Filon head (43k nodes at tau = 1e4) makes no fresh temporaries of
+    several hundred KB, page-faulted in on every pass and too large for
+    the L2 cache.
     """
     spec = spec or QuadratureSpec()
     if not math.isfinite(lower):

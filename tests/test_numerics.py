@@ -392,6 +392,78 @@ class TestTwoTermPass:
             integrate_semi_infinite(lambda u: np.stack([u, u]), kernel="sinc", shift=1.0, mix=[(1.0, 1.0)])
 
 
+class TestBatchedPanels:
+    """Panels go to the integrand in batches of at most _BATCH_NODES nodes, as if in one call."""
+
+    BOUND = 1000  # above the probe's 768 nodes, far below each pass's panels
+
+    @staticmethod
+    def _pass(monkeypatch, bound, integrate):
+        """(value, err, calls): ``integrate`` of a recording wrapper at the given bound."""
+        monkeypatch.setattr(numerics, "_BATCH_NODES", bound)
+        calls = []
+
+        def record(f):
+            def wrapped(u):
+                calls.append(u.copy())
+                return f(u)
+
+            return wrapped
+
+        value, err = integrate(record)
+        return np.atleast_1d(value), np.atleast_1d(err), calls
+
+    def _same_as_one_batch(self, monkeypatch, integrate):
+        value, err, calls = self._pass(monkeypatch, self.BOUND, integrate)
+        one_value, one_err, one_calls = self._pass(monkeypatch, 10**9, integrate)
+        assert max(u.size for u in one_calls) > self.BOUND  # the bound splits something
+        assert max(u.size for u in calls) <= self.BOUND
+        assert np.array_equal(np.sort(np.concatenate(calls)), np.sort(np.concatenate(one_calls)))
+        assert np.all(np.abs(value - one_value) <= 1e-15 * np.abs(one_value)), (value, one_value)
+        # The error estimates of these passes are the panels' rounding
+        # (1e-15 to 1e-13 of the value), which the FCC product of another
+        # batch shape rounds anew: they agree to 1e-15 of the value.
+        assert np.all(np.abs(err - one_err) <= 1e-15 * np.abs(one_value)), (err, one_err)
+
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    def test_one_component_pass(self, kernel, monkeypatch):
+        # lower = -5000: some 1,560 Filon panels, then GK15 panels to the cut.
+        def integrate(record):
+            return integrate_semi_infinite(record(lambda u: 1.0 / (1.0 + (u / 300.0) ** 2)), LEFT_SPEC,
+                                           lower=-5000.0, kernel=kernel)
+
+        self._same_as_one_batch(monkeypatch, integrate)
+
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    def test_two_term_pass_with_a_filon_stretch(self, kernel, monkeypatch):
+        def pair(u):
+            x = (u + 5000.0) / 3000.0
+            return np.stack([np.exp(-x), x * np.exp(-x)])
+
+        def integrate(record):
+            return integrate_semi_infinite(record(pair), LEFT_SPEC, lower=-5000.0, kernel=kernel,
+                                           shift=10000.0, mix=[(1.0, 1.0), (1.0, -1.0)])
+
+        self._same_as_one_batch(monkeypatch, integrate)
+
+    @pytest.mark.parametrize("kernel", ["sinc", "sinc2"])
+    @pytest.mark.parametrize("lines", [1, 40])
+    def test_refinement_of_narrow_lines(self, kernel, lines, monkeypatch):
+        # The 0.05-wide lines of test_narrow_line_left_of_resonance: the
+        # refinement rounds split Filon panels down to the lines' width.
+        # With all 40 at once, each round splits 2,400 to 6,550 nodes' worth
+        # of panels, more than one batch holds.
+        centers = np.random.default_rng(20240613).uniform(-4900.0, -200.0, 40)[:lines, None]
+
+        def integrate(record):
+            return integrate_semi_infinite(
+                record(lambda u: np.exp(-0.5 * ((u - centers) / 0.05) ** 2).sum(axis=0)),
+                LEFT_SPEC, lower=-5000.0, kernel=kernel,
+            )
+
+        self._same_as_one_batch(monkeypatch, integrate)
+
+
 def two_component(u):
     out = np.empty((2, u.size))
     out[0] = 1.0

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qbmzeno import numerics
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 
@@ -33,7 +35,9 @@ def test_quadrature_sweep_holds_every_point_with_the_pinned_node_count():
     # recorded with its new count: 4,346,725 with one pass per pair on
     # both kernels (6,953,560 when each half took its own pass).  Igamma,
     # a difference of kernels that nearly cancel at short tau, holds
-    # 1e-12 (2.0e-7 when it was the difference of the two halves).
+    # 1e-12 (2.0e-7 when it was the difference of the two halves).  No
+    # envelope call takes more than numerics._BATCH_NODES nodes: a long
+    # head goes out in batches of whole panels, with the same nodes.
     result = subprocess.run(
         [sys.executable, str(TOOLS / "quadrature_sweep.py")],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True, timeout=300,
@@ -44,7 +48,10 @@ def test_quadrature_sweep_holds_every_point_with_the_pinned_node_count():
     worst = lines[1].split()
     assert worst[:3] == ["worst", "relative", "error"]
     assert worst[5] == "Igamma" and float(worst[6]) <= 1e-12
-    assert lines[-1].split()[:2] == ["nodes", "4,346,725"]
+    total = lines[-1].split()
+    assert total[:2] == ["nodes", "4,346,725"]
+    assert total[2] == "calls" and total[4:6] == ["largest", "call"]
+    assert 0 < int(total[6].replace(",", "")) <= numerics._BATCH_NODES
 
 
 def test_closed_form_sweep_holds_every_point_with_the_pinned_zeta_rows():

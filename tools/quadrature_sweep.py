@@ -15,8 +15,9 @@ Prints the failures as (r, theta, n, tau), the worst relative error of
 IDelta, Igamma and the rate over the points that did not raise, and the
 integrand nodes evaluated (counted through the envelope handed to
 ``integrate_semi_infinite``), the wall time and the worst relative error
-of Igamma, per decade of tau and in total.  The exit status is 1 if any
-point fails.
+of Igamma, per decade of tau and in total, with the number of envelope
+calls over the pool and the nodes of the largest one (at most
+``numerics._BATCH_NODES``).  The exit status is 1 if any point fails.
 """
 
 import argparse
@@ -51,12 +52,13 @@ def main(argv=None) -> int:
 
     data = json.loads((ROOT / "bench" / "data" / "reference.json").read_text())
     pool = data["rate_pools"]["exp"][:args.limit]
-    nodes = [0]
+    nodes, calls = [0], []
     semi_infinite = coefficients.integrate_semi_infinite
 
     def counted(f, *a, **kw):
         def envelope(x):
             nodes[0] += np.size(x)
+            calls.append(np.size(x))
             return f(x)
 
         return semi_infinite(envelope, *a, **kw)
@@ -104,7 +106,8 @@ def main(argv=None) -> int:
         print(f"{f'1e{exponent}':>12} {count:7d} {decade_nodes:11,} {seconds:7.2f} {igamma:10.2e}")
     total_nodes = sum(d[1] for d in decades.values())
     total_time = sum(d[2] for d in decades.values())
-    print(f"nodes {total_nodes:,}  time {total_time:.2f} s")
+    print(f"nodes {total_nodes:,}  calls {len(calls):,}  largest call {max(calls, default=0):,}  "
+          f"time {total_time:.2f} s")
     return 1 if failures else 0
 
 
