@@ -5,8 +5,10 @@ computation: an adaptive Gauss-Kronrod integrator that stops at the
 rounding floor of its error estimate, a semi-infinite integrator of an
 envelope against the sinc or sinc^2 kernel k(u), or against a k(u) +
 b k(u + shift) in one pass with the difference of the two formed
-without cancellation (pi-wide Filon-Clenshaw-Curtis panels left of
-u = -96, applied as one moment product per bisection level and term,
+without cancellation (Filon-Clenshaw-Curtis panels left of u = -96,
+32 pi-cells wide where samples of the envelope pi/16 apart agree with
+the panel's interpolant and pi-wide elsewhere, applied as one moment
+product per panel level and term,
 quarter-period GK15 panels from there up to a cut, past it a
 non-oscillating integral on x = cut/u and one batch of 16 half-period
 cycle sums extrapolated with Wynn's epsilon algorithm, with the head
@@ -23,9 +25,10 @@ Integrand contract: called with a 1-D array of N nodes, an integrand
 kernel) returns N values, or a (k, N) array holding k integrands that
 share the nodes (for example two weights against one kernel).  N is at
 most _BATCH_NODES: longer runs of panels go out in batches of whole
-panels, since one call over them made temporaries of several hundred KB,
-page-faulted in afresh on every pass and too large for the L2 cache.
-Batching changes no node, rule or panel.  The
+panels (a wide Filon panel with its samples), since one call over them
+made temporaries of several hundred KB, page-faulted in afresh on every
+pass and too large for the L2 cache.  Batching changes no node, rule or
+panel.  The
 quadratures then return length-k arrays.  The components share the
 nodes, the panels and the cut, while each is stopped and checked
 against its own tolerance max(abs_tol, rel_tol*|I_c|): a panel that
@@ -137,14 +140,15 @@ _G7_WEIGHTS = np.array([
 
 _MAX_INITIAL_PANELS = 20000
 # At most this many nodes go to the integrand and the kernel code in one
-# call (400 Filon panels, 666 GK15 panels): longer runs of panels go in
-# batches of consecutive whole panels.  One call over a long Filon
-# head (43k nodes at tau = 1e4) made every temporary a fresh array of
-# several hundred KB, page-faulted in again on each pass and too large
-# for a 2 MB L2 cache; a batch's temporaries are reused heap memory that
-# stays in cache.  On the user-bath queries bounds of 6,400 to 12,800
-# nodes gain alike, 19,200 gains nothing and 1,600 loses to the cost per
-# call.
+# call (400 pi-wide Filon panels, 18 wide ones with their samples, 666
+# GK15 panels): longer runs of panels go in batches of consecutive whole
+# panels.  One call over a long Filon head (43k nodes at tau = 1e4 on
+# pi-wide panels) made every temporary a fresh array of several hundred
+# KB, page-faulted in again on each pass and too large for a 2 MB L2
+# cache; a batch's temporaries are reused heap memory that stays in
+# cache.  On the user-bath queries bounds of 6,400 to 12,800 nodes gain
+# alike, 19,200 gains nothing and 1,600 loses to the cost per call; with
+# wide panels, 7,000 and 16,000 gain nothing either.
 _BATCH_NODES = 10000
 # Geometric breakpoints 2**-k, k = 1..40, toward the lower end of a
 # panel: at lower + (period/4) * 2**-k they resolve an integrand
@@ -159,15 +163,45 @@ _ORIGIN_BREAKS = 2.0 ** -np.arange(40, 0, -1, dtype=float)
 _CUT_MARGIN = 96.0
 _CYCLES_PER_BATCH = 16
 _PROBE_HALF_PERIODS = 768
-# Left of -_CUT_MARGIN the head is panelled _FILON_WIDTH wide (pi: one
+# Left of -_CUT_MARGIN the head is cut into _FILON_WIDTH cells (pi: one
 # period of sinc^2's cos 2u, half one of sinc's sin u) and integrated by
 # Filon-Clenshaw-Curtis: g(u) at the 25 Chebyshev-Lobatto nodes of a
 # panel (13 of them for the error estimate) times exact weights of 1,
-# cos and sin.  Bisection halves a panel, so its half-width is
-# (pi/2) 2**-level; there |u| >= 96, and a panel of level 42 is narrower
-# than 64 eps * 96, never split, so _FILON_LEVELS levels cover them all.
+# cos and sin.  A panel's half-width is (pi/2) 2**-level.  The first pass
+# lays wide panels of 2**_FILON_WIDE_LEVELS cells (level
+# -_FILON_WIDE_LEVELS) and panels of one cell (level 0); refinement
+# splits a wide panel into its cells and halves any other; there
+# |u| >= 96, and a panel of level 42 is narrower than 64 eps * 96,
+# never split.
 _FILON_WIDTH = np.pi
-_FILON_LEVELS = 48
+# The first pass's wide panels span 2**5 cells (about 100 in u), none
+# wider than a quarter of |u| at its inner end, where the smooth factor
+# 1/u or 1/u^2 changes by at most a factor 1.25 or 1.56.  First passes
+# at tau = 1e3 .. 1e4 (sinc^2, a smooth bath) took 6.97 ms summed over
+# seven taus with 2**5, 7.21 with 2**4 and 7.39 with 2**6 (at tau = 1e4:
+# 95, 45 and 20 wide panels); panels of 2**6 cells, 1,049 nodes with
+# their samples, would not fit a batch of 1,000 either.  Levels between
+# 2**5 and one cell each cost a pass more than their few panels saved.
+_FILON_WIDE_LEVELS = 5
+# Fewer wide panels than this are not laid: the samples' residual and a
+# second panel level cost a pass some 100 us, and each wide panel saves
+# some 12 us (first passes measured at 2 and 3 wide panels ran 50 us
+# slower than with pi-wide panels, at 5 and more faster).
+_FILON_MIN_WIDE_PANELS = 4
+# A wide panel (two cells or more) samples the envelope alone at the
+# centres of its 1/_SAMPLES_PER_CELL-cell steps: no point is more than
+# pi/32 = 0.098 from a sample, as none is more than 0.1025 from a node
+# of a pi-wide FCC-25 panel, so what those nodes see, a sample sees.
+# Where a sample leaves the panel's degree-24 interpolant of the
+# envelope by more than rounding, the panel's error takes that residual
+# times the panel's kernel weight, and the refinement splits it into its
+# pi-wide cells, which take no samples.  One sample per half period
+# (pi/2 for sinc^2) would step over lines 0.05 wide.
+_SAMPLES_PER_CELL = 16
+# A residual at most this many eps of the panel's largest node value is
+# the interpolant's rounding (its Lebesgue constant is about 3), not
+# structure.
+_RESIDUAL_FLOOR = 64.0 * np.finfo(float).eps
 # A shorter Filon stretch is left to GK15: each Filon panel saves about
 # 35 nodes, and below some 64 panels that does not pay for the fixed
 # cost of the weights and of the mixed batch (measured near break-even).
@@ -237,11 +271,12 @@ class _Terms:
         self.a = None if shift is None else 0.5 * shift
         self.series = None
         if shift is None:
-            self.shifts, self.scales = (0.0,), (1.0,)
+            self.shifts, self.scales, self.magnitude = (0.0,), (1.0,), 1.0
             return
         self.shifts = (0.0, shift)
         mix = np.asarray(mix, dtype=float).reshape(-1, 2)
         self.scales = (mix[:, :1], mix[:, 1:])  # each term's (k, 1) coefficients
+        self.magnitude = np.abs(mix).sum(axis=1)[:, None]  # |a_c| + |b_c|, for _wide_errors
         self.sums = mix[:, :1] + mix[:, 1:]
         if 0.0 < self.a < _PLAIN_HALF_SHIFT:
             self.series = (_SERIES_TABLE @ self.a ** _SERIES_POWERS)[::-1].copy()  # for np.polyval
@@ -405,38 +440,95 @@ def _lobatto_to_chebyshev(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _filon_weights(kernel: str) -> np.ndarray:
-    """``kernel``'s FCC weights at every level, shape (levels, 3, 50): rows 1, cos and sin.
+def _filon_weights(kernel: str, level: int) -> np.ndarray:
+    """``kernel``'s FCC weights on a panel of ``level``, shape (3, 50): rows 1, cos and sin.
 
-    Row r, level L holds the integrals over [-1, 1] of the Lagrange
-    basis of the Chebyshev-Lobatto nodes _FCC_NODES times 1, cos(k x) or
-    sin(k x), k = omega (pi/2) 2**-L the frequency in x of the kernel's
-    oscillation on a panel of that level: columns 0-24 for FCC-25, and
-    columns 25, 27, ..., 49 for FCC-13 on the even-numbered nodes (the
-    others zero).  They are the moments Int T_j(x) e^{ikx} dx, j <= 24,
-    taken by the 129-node Clenshaw-Curtis rule (exact to rounding for
-    k <= pi, where e^{ikx} is a polynomial of degree about 40 to double
-    precision), mapped through the interpolants' Chebyshev coefficients.
+    Row r holds the integrals over [-1, 1] of the Lagrange basis of the
+    Chebyshev-Lobatto nodes _FCC_NODES times 1, cos(k x) or sin(k x), k
+    = omega (pi/2) 2**-level the frequency in x of the kernel's
+    oscillation on a panel of half-width (pi/2) 2**-level (level -L, L >
+    0, for the 2**L-cell panels of the first pass): columns 0-24 for
+    FCC-25, and columns 25, 27, ..., 49 for FCC-13 on the even-numbered
+    nodes (the others zero).  They are the moments Int T_j(x) e^{ikx} dx,
+    j <= 24, taken by a Clenshaw-Curtis rule of degree n >= k + 64, 128
+    at least, and mapped through the interpolants' Chebyshev
+    coefficients.  That is exact to rounding at any k (the tests hold it
+    to 1e-14 of mpmath up to k = 32 pi): past degree n only e^{ikx}'s
+    Chebyshev coefficients J_m(k), m > k + 40, remain, below 1e-11, and
+    the rule errs on those degrees by O(1/m^2) of them; no recurrence
+    loses digits at large k.  Built on first use per level.
     """
-    kappa = 0.5 * _FILON_KERNELS[kernel][1] * _FILON_WIDTH
-    n = 128
+    kappa = 0.5 * _FILON_KERNELS[kernel][1] * _FILON_WIDTH * 2.0**-level
+    n = max(128, 2 * math.ceil(0.5 * (kappa + 64.0)))
     i = np.arange(n + 1)
     m = np.arange(1, n // 2 + 1)
     ends = np.where((i == 0) | (i == n), 1.0, 2.0) / n
     damp = np.where(m == n // 2, 1.0, 2.0) / (4.0 * m * m - 1.0)
     clenshaw_curtis = ends * (1.0 - damp @ np.cos(2.0 * np.pi * np.outer(m, i) / n))
-    kx = np.outer(kappa * 2.0 ** -np.arange(_FILON_LEVELS), np.cos(np.pi * i / n))
-    waves = np.stack([np.ones_like(kx), np.cos(kx), np.sin(kx)], axis=1) * clenshaw_curtis
+    kx = kappa * np.cos(np.pi * i / n)
+    waves = np.stack([np.ones_like(kx), np.cos(kx), np.sin(kx)]) * clenshaw_curtis
     moments = waves @ np.cos(np.pi * np.outer(i, np.arange(25)) / n)  # T_j(x_i) = cos(j i pi/n)
-    table = np.zeros((_FILON_LEVELS, 3, 2, 25))
-    table[:, :, 0] = moments @ _lobatto_to_chebyshev(24)
-    table[:, :, 1, ::2] = moments[..., :13] @ _lobatto_to_chebyshev(12)
+    table = np.zeros((3, 2, 25))
+    table[:, 0] = moments @ _lobatto_to_chebyshev(24)
+    table[:, 1, ::2] = moments[:, :13] @ _lobatto_to_chebyshev(12)
     table.flags.writeable = False  # cached: every caller shares it
-    return table.reshape(_FILON_LEVELS, 3, 50)
+    return table.reshape(3, 50)
+
+
+@functools.cache
+def _sample_steps(level: int) -> np.ndarray:
+    """Where a panel of 2**-level cells samples, as fractions of its width: the centres of its
+    _SAMPLES_PER_CELL 2**-level equal steps."""
+    samples = _SAMPLES_PER_CELL << -level
+    steps = (np.arange(samples) + 0.5) / samples
+    steps.flags.writeable = False  # cached: every caller shares it
+    return steps
+
+
+@functools.cache
+def _sample_interpolation(level: int) -> np.ndarray:
+    """(samples, 25) map from a wide panel's FCC-25 node values to their interpolant at its samples.
+
+    Chebyshev polynomials at the samples, x = 2 _sample_steps - 1, times
+    the nodes' Chebyshev coefficients.  No sample is a node.
+    """
+    x = 2.0 * _sample_steps(level) - 1.0
+    table = np.cos(np.outer(np.arccos(x), np.arange(25))) @ _lobatto_to_chebyshev(24)
+    table.flags.writeable = False  # cached: every caller shares it
+    return table
+
+
+def _filon_level(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each Filon panel's level: its half-width is (pi/2) 2**-level."""
+    return np.rint(np.log2(_FILON_WIDTH / (hi - lo))).astype(np.intp)
+
+
+def _filon_edges(lower: float, cells: int) -> np.ndarray:
+    """The first pass's Filon panel edges over ``cells`` pi-cells from ``lower``.
+
+    Panels of 2**_FILON_WIDE_LEVELS cells from ``lower`` on, as far as
+    none is wider than a quarter of |u| at its inner end (a panel may
+    start at cell i while i <= -lower/pi - 5 2**_FILON_WIDE_LEVELS) and
+    at least _FILON_MIN_WIDE_PANELS of them fit, then pi-wide panels up
+    to the last cell.
+    """
+    size = 1 << _FILON_WIDE_LEVELS
+    wide = max(0, min(math.floor((-lower / _FILON_WIDTH - 5 * size) / size) + 1, cells // size))
+    if wide < _FILON_MIN_WIDE_PANELS:
+        wide = 0
+    starts = np.concatenate([size * np.arange(wide), np.arange(size * wide, cells + 1)])
+    return lower + _FILON_WIDTH * starts.astype(float)
+
+
+def _level_groups(level: np.ndarray) -> list:
+    """(level, panels) for each level present: a slice of all of them for one level, else a mask per level."""
+    if level.min() == level.max():  # the usual batch
+        return [(int(level[0]), slice(None))]
+    return [(at_level, level == at_level) for at_level in _distinct(level).tolist()]
 
 
 def _fcc_rules(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, kernel: str,
-               shift: float = 0.0) -> np.ndarray:
+               shift: float = 0.0, groups: list | None = None) -> np.ndarray:
     """FCC-25 and FCC-13 values, shape (2, k, panels), from (k, panels, 25) values of g.
 
     A panel holds g(u) (c0 + cc cos(omega w) + cs sin(omega w)), w = u +
@@ -444,23 +536,24 @@ def _fcc_rules(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, kernel: str,
     sin(omega h x), A = cc cos(omega m) + cs sin(omega m), B = cs
     cos(omega m) - cc sin(omega m).  So a panel's two rules are h (c0 M1
     + A Mcos + B Msin), M the moments of g against the table rows of the
-    panel's level: one matrix product per level present.  The value is
-    FCC-25, and |FCC-25 - FCC-13| (of the terms' sum, for two) its error.
+    panel's level: one matrix product per level present (``groups``, from
+    _level_groups, when the caller has them).  The value is FCC-25, and
+    |FCC-25 - FCC-13| (of the terms' sum, for two) its error.
     """
     _, omega, c0, cc, cs = _FILON_KERNELS[kernel]
     half = 0.5 * (hi - lo)
-    level = np.rint(np.log2(0.5 * _FILON_WIDTH / half)).astype(np.intp)
-    table = _filon_weights(kernel).reshape(_FILON_LEVELS, 6, 25)  # rows (1, cos, sin) x (FCC-25, FCC-13)
+    if groups is None:
+        groups = _level_groups(_filon_level(lo, hi))
     k = g.shape[0]
     # The moments with panels last, so the per-panel sums below run on
-    # contiguous rows.
-    if np.all(level == level[0]):  # the usual call: no gather
-        moments = table[level[0]] @ g.reshape(-1, 25).T
+    # contiguous rows.  Table rows: (1, cos, sin) x (FCC-25, FCC-13).
+    if len(groups) == 1:  # no gather
+        moments = _filon_weights(kernel, groups[0][0]).reshape(6, 25) @ g.reshape(-1, 25).T
     else:
         moments = np.empty((6, k, lo.size))
-        for at_level in _distinct(level):
-            at = level == at_level
-            moments[:, :, at] = (table[at_level] @ g[:, at].reshape(-1, 25).T).reshape(6, k, -1)
+        for at_level, at in groups:
+            table = _filon_weights(kernel, at_level).reshape(6, 25)
+            moments[:, :, at] = (table @ g[:, at].reshape(-1, 25).T).reshape(6, k, -1)
     moments = moments.reshape(3, 2, k, lo.size)  # (1, cos, sin), (FCC-25, FCC-13)
     phase = omega * (0.5 * (lo + hi) + shift)
     cos_m, sin_m = np.cos(phase), np.sin(phase)
@@ -472,10 +565,10 @@ def _fcc_rules(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, kernel: str,
 
 
 class _Head(NamedTuple):
-    """The kernel terms of integrate_semi_infinite's head, and its number of Filon panels."""
+    """The kernel terms of integrate_semi_infinite's head, and its number of Filon cells."""
 
     terms: _Terms
-    filon_panels: int
+    filon_cells: int
 
 
 def _panel_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, filon_end: float):
@@ -483,16 +576,20 @@ def _panel_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, 
 
     Consecutive whole panels go to the integrand together, as many as
     fit in _BATCH_NODES nodes (25 per Filon panel, which ends at or left
-    of ``filon_end``, 15 per GK15 one), each batch filling its own columns.
+    of ``filon_end``, plus _SAMPLES_PER_CELL per cell of a wide one, 15
+    per GK15 one), each batch filling its own columns.
     """
     fcc = hi <= filon_end
-    ends = None  # the running node count, needed only past one batch
-    if 15 * lo.size + 10 * np.count_nonzero(fcc) > _BATCH_NODES:
-        ends = np.cumsum(np.where(fcc, 25, 15))
+    nodes = np.where(fcc, 25, 15)
+    wide = fcc & (hi - lo > 1.5 * _FILON_WIDTH)
+    if wide.any():
+        nodes[wide] += _SAMPLES_PER_CELL * np.rint((hi[wide] - lo[wide]) / _FILON_WIDTH).astype(np.intp)
+    ends = np.cumsum(nodes)
+    if ends[-1] <= _BATCH_NODES:
+        return _batch_values(evaluate, lo, hi, head, filon_end)
     out, start = None, 0
     while start < lo.size:
-        stop = lo.size if ends is None else int(
-            ends.searchsorted(_BATCH_NODES + (ends[start - 1] if start else 0), "right"))
+        stop = int(ends.searchsorted(_BATCH_NODES + (ends[start - 1] if start else 0), "right"))
         values, errors = _batch_values(evaluate, lo[start:stop], hi[start:stop], head, filon_end)
         if out is None:
             out = np.empty((2, len(values), lo.size))
@@ -507,28 +604,105 @@ def _batch_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, 
     Without ``head`` each panel takes GK15 of f.  With it, f is an
     envelope: a panel right of ``filon_end`` takes GK15 of f times each
     component's kernel, one left of it FCC-25/13 of f times each term's
-    smooth factor, one term at a time, at its own phase and coefficient.
+    smooth factor, each term at its own phase and coefficient.  A wide
+    Filon panel's error adds its sampled residual times its kernel
+    weight (``_wide_errors``); its samples go in the same call, after
+    the FCC nodes and before the GK15 ones.
     """
     if head is None:
         return _gk_rule(_evaluate_panels(evaluate, lo, hi), lo, hi)
     terms = head.terms
     fcc = hi <= filon_end
+    if not fcc.any():
+        u = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GK_NODES).ravel()
+        return _gk_rule((evaluate(u) * terms.rows(terms.head(u))).reshape(-1, lo.size, 15), lo, hi)
     gk = ~fcc
     lo_f, hi_f, lo_g, hi_g = lo[fcc], hi[fcc], lo[gk], hi[gk]
-    u_fcc = (0.5 * (lo_f + hi_f)[:, None] + 0.5 * (hi_f - lo_f)[:, None] * _FCC_NODES).ravel()
-    u_gk = (0.5 * (lo_g + hi_g)[:, None] + 0.5 * (hi_g - lo_g)[:, None] * _GK_NODES).ravel()
-    y = evaluate(np.concatenate([u_fcc, u_gk]))
+    width = hi_f - lo_f
+    groups = _level_groups(_filon_level(lo_f, hi_f))
+    wide = [(at_level, at) for at_level, at in groups if at_level < 0]
+    sizes = [25 * lo_f.size, *(width[at].size * (_SAMPLES_PER_CELL << -at_level) for at_level, at in wide)]
+    stops = np.cumsum(sizes).tolist()
+    u = np.empty(stops[-1] + 15 * lo_g.size)
+    np.add((0.5 * (lo_f + hi_f))[:, None], (0.5 * width)[:, None] * _FCC_NODES, out=u[:stops[0]].reshape(-1, 25))
+    for (at_level, at), start, stop in zip(wide, stops, stops[1:]):
+        steps = _sample_steps(at_level)  # the centres of a panel's sample steps, panel by panel
+        samples = u[start:stop].reshape(-1, steps.size)
+        np.multiply(width[at, None], steps, out=samples)
+        samples += lo_f[at, None]
+    u_gk = u[stops[-1]:].reshape(-1, 15)
+    np.add((0.5 * (lo_g + hi_g))[:, None], (0.5 * (hi_g - lo_g))[:, None] * _GK_NODES, out=u_gk)
+    y = evaluate(u)
     out = np.empty((2, len(y), lo.size))  # values, errors
-    out[..., gk] = _gk_rule(
-        (y[:, u_fcc.size:] * terms.rows(terms.head(u_gk))).reshape(len(y), lo_g.size, 15), lo_g, hi_g
-    )
-    if lo_f.size:
-        both, g = 0.0, np.empty((len(y), u_fcc.size))
-        for smooth, shift, scale in zip(terms.smooth(u_fcc), terms.shifts, terms.scales):
-            np.multiply(y[:, :u_fcc.size], smooth, out=g)
-            both = both + scale * _fcc_rules(g.reshape(len(y), lo_f.size, 25), lo_f, hi_f, terms.kernel, shift)
-        out[..., fcc] = both[0], np.abs(both[0] - both[1])
+    if lo_g.size:
+        out[..., gk] = _gk_rule(
+            (y[:, stops[-1]:] * terms.rows(terms.head(u_gk.ravel()))).reshape(len(y), lo_g.size, 15), lo_g, hi_g
+        )
+    u_fcc = u[:stops[0]]
+    both, g = 0.0, np.empty((len(y), u_fcc.size))
+    for smooth, shift, scale in zip(terms.smooth(u_fcc), terms.shifts, terms.scales):
+        np.multiply(y[:, :u_fcc.size], smooth, out=g)
+        both = both + scale * _fcc_rules(g.reshape(len(y), lo_f.size, 25), lo_f, hi_f, terms.kernel, shift, groups)
+    errors = np.abs(both[0] - both[1])
+    if wide:
+        _wide_errors(errors, y, zip(wide, stops, stops[1:]), terms, hi_f, width)
+    out[..., fcc] = both[0], errors
     return out
+
+
+def _wide_errors(errors: np.ndarray, y: np.ndarray, wide, terms: _Terms, hi: np.ndarray, width: np.ndarray) -> None:
+    """Add each wide Filon panel's sampled residual times its kernel weight to ``errors`` (k, panels).
+
+    ``y`` holds the envelope at the FCC nodes of every Filon panel (25
+    per panel from column 0), and each ``wide`` entry ((level, panels),
+    start, stop) names the columns of those panels' samples.  A panel's
+    residual is the largest |envelope - its FCC-25 interpolant| over its
+    samples, per component, counted 0 at or under _RESIDUAL_FLOOR of its
+    largest node value: it bounds the envelope's departure from what the
+    rule integrates, as far as a sample sees.  The weight bounds Int |K_c|
+    over the panel by (|a_c| + |b_c|) (|c0| + |cc| + |cs|) times the width
+    times the smooth factor at the panel's inner end ``hi``: left of -96
+    that is its largest value on the panel, and the shifted term's factor,
+    at u + shift >= |u|, is smaller still.
+    """
+    smooth, _, c0, cc, cs = _FILON_KERNELS[terms.kernel]
+    scale = terms.magnitude * (abs(c0) + abs(cc) + abs(cs))
+    nodes = y[:, :25 * width.size].reshape(len(y), width.size, 25)
+    for (at_level, at), start, stop in wide:
+        at_nodes = nodes[:, at]
+        # (k panels, samples), from the product the other way round: with
+        # this BLAS that is about 0.1 ms faster per tau = 1e4 pass, most of
+        # it in the code that runs after it.
+        fit = np.ascontiguousarray((_sample_interpolation(at_level) @ at_nodes.reshape(-1, 25).T).T)
+        fit.reshape(len(y), -1)[...] -= y[:, start:stop]
+        np.abs(fit, out=fit)
+        residual = fit.max(axis=1).reshape(len(y), -1)
+        residual[residual <= _RESIDUAL_FLOOR * np.abs(at_nodes).max(axis=2)] = 0.0
+        errors[:, at] += residual * (scale * (width[at] * np.abs(smooth(hi[at]))))
+
+
+def _children(lo: np.ndarray, hi: np.ndarray, lower: float, filon_end: float):
+    """(lo, hi) of the panels that replace the refused panels ``lo``, ``hi``.
+
+    A panel gives its two halves, except that a wide Filon panel (two
+    pi-cells or more, from ``lower``) gives its pi-cells at once, with the
+    edges the first pass gives pi-wide panels.  That takes one round and
+    25 nodes a cell; halving would take _FILON_WIDE_LEVELS rounds, sample
+    each half anew, and in every round split again the GK15 panels near
+    resonance whose error is rounding noise above their share, which at
+    rel_tol 1e-12 exhausted the subdivision budget.  The budget counts
+    the split as one bisection, so the cells keep about the budget that a
+    first pass laying them would have left them.
+    """
+    wide = (hi <= filon_end) & (hi - lo > 1.5 * _FILON_WIDTH)
+    mid = 0.5 * (lo[~wide] + hi[~wide])
+    if not wide.any():
+        return np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    first = np.rint((lo[wide] - lower) / _FILON_WIDTH).astype(np.intp)
+    count = np.rint((hi[wide] - lo[wide]) / _FILON_WIDTH).astype(np.intp)
+    cells = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return (np.concatenate([lo[~wide], mid, lower + _FILON_WIDTH * cells.astype(float)]),
+            np.concatenate([mid, hi[~wide], lower + _FILON_WIDTH * (cells + 1).astype(float)]))
 
 
 def _tolerance(spec: QuadratureSpec, value):
@@ -573,9 +747,11 @@ def integrate_adaptive(
     L2 cache; the nodes and panels are those of one call.
 
     ``_head`` is internal to integrate_semi_infinite: ``f`` then gives
-    the envelopes of the head's kernel terms, the first ``filon_panels``
-    panels from ``a`` are _FILON_WIDTH wide and take Filon-Clenshaw-Curtis
-    (their halves too), and ``max_panel_width`` splits the rest.
+    the envelopes of the head's kernel terms, the first ``filon_cells``
+    _FILON_WIDTH cells from ``a`` take Filon-Clenshaw-Curtis on the
+    panels of ``_filon_edges`` (and on the panels that refinement puts in
+    their place, see ``_children``), and ``max_panel_width`` splits the
+    rest.
     """
     spec = spec or QuadratureSpec()
     if b == a:
@@ -585,8 +761,8 @@ def integrate_adaptive(
     evaluate = _as_evaluator(f)
 
     filon_end = a
-    if _head is not None and _head.filon_panels:
-        filon_edges = a + _FILON_WIDTH * np.arange(_head.filon_panels + 1, dtype=float)
+    if _head is not None and _head.filon_cells:
+        filon_edges = _filon_edges(a, _head.filon_cells)
         filon_end = float(filon_edges[-1])
     if max_panel_width is not None and max_panel_width > 0.0:
         n0 = min(int(math.ceil((b - filon_end) / max_panel_width)), _MAX_INITIAL_PANELS)
@@ -628,14 +804,13 @@ def integrate_adaptive(
                 f"error estimate {err_total[worst]:.3e} above tolerance {tol[worst]:.3e}{where} "
                 "with no splittable panel left"
             )
-        splits += n_split
+        splits += n_split  # a wide Filon panel's split into its cells counts once
         if splits > spec.max_subdivisions:
             raise NonConvergenceError(
                 f"subdivision budget {spec.max_subdivisions} exhausted{where} "
                 f"(error estimate {err_total[worst]:.3e}, tolerance {tol[worst]:.3e})"
             )
-        mid = 0.5 * (lo[mask] + hi[mask])
-        child_lo, child_hi = np.concatenate([lo[mask], mid]), np.concatenate([mid, hi[mask]])
+        child_lo, child_hi = _children(lo[mask], hi[mask], a, filon_end)
         child_vals, child_errs = _panel_values(evaluate, child_lo, child_hi, _head, filon_end)
         keep = ~mask
         lo, hi = np.concatenate([lo[keep], child_lo]), np.concatenate([hi[keep], child_hi])
@@ -773,18 +948,33 @@ def integrate_semi_infinite(
     k = 1..40, so an integrand in a sliver next to ``lower`` is still
     seen.  Left of u = -96 the kernel is as far off resonance as the
     tail, sin(u) (1/u), resp. (1 - cos 2u) / (2u^2), and when at least
-    64 pi-wide panels fit between ``lower`` and -96 the head takes them
-    with Filon-Clenshaw-Curtis from ``lower`` (QUADPACK's QAWO
-    scheme): f times the smooth factor at 25 Chebyshev-Lobatto nodes,
-    integrated against 1, cos and sin with exact weights, the 13-node
-    subset giving the error estimate.  The weights depend on a panel
-    only through its bisection level, so the panels of one level take
-    one matrix product of their node values with that level's weights
+    64 pi-wide cells fit between ``lower`` and -96 the head takes them
+    with Filon-Clenshaw-Curtis from ``lower`` (QUADPACK's QAWO scheme;
+    Iserles and Norsett 2005): f times the smooth factor at 25
+    Chebyshev-Lobatto nodes, integrated against 1, cos and sin with
+    exact weights, the 13-node subset giving the error estimate.  The
+    first panels span 32 cells each (about 100 in u), as far as that is
+    at most a quarter of |u| at a panel's inner end and at least four of
+    them fit; the rest span one cell.  A wide panel's weights come from
+    moments exact at any frequency, and its error adds the largest
+    departure of f from the panel's interpolant over samples of f pi/16
+    apart (16 a cell: no point is more than 0.098 from a sample, as none
+    is more than 0.1025 from a node of a pi-wide panel) times a bound on
+    the kernel's weight there.  Where a sample sees structure the
+    interpolant misses, the refinement splits the panel into its cells
+    at once, the pi-wide panels a stretch without wide ones would take.
+    So a smooth envelope costs 16 samples and under one FCC node a wide
+    cell: at tau = 1e4, 4,125 FCC nodes and 23,040 samples, where
+    pi-wide panels alone took 39,000 FCC nodes.  The weights depend on
+    a panel only through its level, so the panels of one level take one
+    matrix product of a term's node values with that level's weights
     (the moments against 1, cos and sin), and each panel combines its
-    three moments with its own phase.  Their nodes include the panel
-    ends, so a sliver at ``lower`` needs no breakpoints; lines down to
-    width 0.05 in u and a step there are tested to the tolerance.  At
-    most 20000 such panels are laid; past them GK15 takes over.
+    three moments with its own phase.  Nodes include the panel ends, so
+    a sliver at ``lower`` needs no breakpoints; lines down to width 0.05
+    in u, on a zero or a smooth background, and a step there are tested
+    to the tolerance: the guarantee is for features that show at a
+    sample pi/16 apart.  At most 20000 cells are laid; past them GK15
+    takes over.
 
     Past the cut the kernel is sin(u) (1/u), resp. 1/(2u^2) -
     cos(2u)/(2u^2): the non-oscillating part is one adaptive integral on
@@ -827,9 +1017,9 @@ def integrate_semi_infinite(
     (N,)-valued ``f`` gives floats.  Each call of ``f`` takes at most
     _BATCH_NODES nodes (the probe takes 768, a cycle sum 240): the head
     and the far integral go out in batches of whole panels, so a long
-    Filon head (43k nodes at tau = 1e4) makes no fresh temporaries of
-    several hundred KB, page-faulted in on every pass and too large for
-    the L2 cache.
+    Filon head (27k nodes at tau = 1e4, most of them samples) makes no
+    fresh temporaries of several hundred KB, page-faulted in on every
+    pass and too large for the L2 cache.
     """
     spec = spec or QuadratureSpec()
     if not math.isfinite(lower):

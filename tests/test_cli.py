@@ -482,6 +482,37 @@ class TestCrossoverMap:
         # One row per Brent-Dekker step: the traced zeno.root_steps.
         assert sum(rounds0) + sum(rounds50) == 151
 
+    def test_readme_map_cells_do_not_depend_on_the_order_of_r_and_theta(self, tmp_path):
+        # The benchmark hands --map-r and --map-theta over in an order its
+        # seed shuffles.  Under every order below, in one process, the
+        # README grid exits 0 at n = 0 and n = 50 and gives each (r, theta)
+        # the same cell.
+        r_values, theta_values = ["0.1", "0.5", "1", "2", "10"], ["0", "1", "10", "100"]
+        orders = [
+            (r_values, theta_values),
+            (r_values[::-1], theta_values[::-1]),
+            ([r_values[i] for i in (2, 0, 4, 1, 3)], [theta_values[i] for i in (3, 1, 0, 2)]),
+            ([r_values[i] for i in (4, 2, 3, 0, 1)], [theta_values[i] for i in (1, 3, 2, 0)]),
+            ([r_values[i] for i in (1, 3, 0, 2, 4)], [theta_values[i] for i in (2, 0, 3, 1)]),
+        ]
+        for n in ("0", "50"):
+            maps = []
+            for i, (rs, thetas) in enumerate(orders):
+                out = tmp_path / f"n{n}-{i}"
+                assert run([
+                    "crossover-map", "--n", n, "--alpha", "0.1", "--map-r", ",".join(rs),
+                    "--map-theta", ",".join(thetas), "--tau-min", "1e-3", "--tau-max", "100",
+                    "--tau-points", "24", "--out", str(out),
+                ]) == 0
+                payload = json.loads((out / "crossover_map.json").read_text())
+                maps.append({
+                    (r, theta): cell
+                    for r, row in zip(payload["r"], payload["smallest_crossover"], strict=True)
+                    for theta, cell in zip(payload["theta"], row, strict=True)
+                })
+            assert len(maps[0]) == 20
+            assert all(cells == maps[0] for cells in maps[1:]), n
+
     def test_readme_map_makes_few_adaptive_integrals(self, tmp_path, monkeypatch):
         # Every cell is the Lorentz-Drude bath, closed form at every
         # theta and tau: no adaptive integral at all.

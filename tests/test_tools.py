@@ -32,8 +32,9 @@ def test_quadrature_sweep_holds_every_point_with_the_pinned_node_count():
     # benchmark pool: exit 0 means no point raised or left the mpmath
     # reference by more than 1e-6.  The node total is pinned, so a change
     # to the semi-infinite engine that moves it shows here and has to be
-    # recorded with its new count: 4,346,725 with one pass per pair on
-    # both kernels (6,953,560 when each half took its own pass).  Igamma,
+    # recorded with its new count: 3,977,999 with wide Filon panels
+    # checked by envelope samples (4,346,725 when the stretch took pi-wide
+    # panels only, 6,953,560 when each half took its own pass).  Igamma,
     # a difference of kernels that nearly cancel at short tau, holds
     # 1e-12 (2.0e-7 when it was the difference of the two halves).  No
     # envelope call takes more than numerics._BATCH_NODES nodes: a long
@@ -48,8 +49,12 @@ def test_quadrature_sweep_holds_every_point_with_the_pinned_node_count():
     worst = lines[1].split()
     assert worst[:3] == ["worst", "relative", "error"]
     assert worst[5] == "Igamma" and float(worst[6]) <= 1e-12
+    stretch = lines[-2].split()
+    assert stretch[:4] == ["filon", "stretch:", "fcc", "nodes"] and stretch[5] == "samples"
+    assert stretch[7:] == ["widest", "panel", str(2**numerics._FILON_WIDE_LEVELS), "pi-cells"]
     total = lines[-1].split()
-    assert total[:2] == ["nodes", "4,346,725"]
+    assert total[:2] == ["nodes", "3,977,999"]
+    assert int(stretch[4].replace(",", "")) + int(stretch[6].replace(",", "")) < int(total[1].replace(",", ""))
     assert total[2] == "calls" and total[4:6] == ["largest", "call"]
     assert 0 < int(total[6].replace(",", "")) <= numerics._BATCH_NODES
 

@@ -17,7 +17,10 @@ integrand nodes evaluated (counted through the envelope handed to
 ``integrate_semi_infinite``), the wall time and the worst relative error
 of Igamma, per decade of tau and in total, with the number of envelope
 calls over the pool and the nodes of the largest one (at most
-``numerics._BATCH_NODES``).  The exit status is 1 if any point fails.
+``numerics._BATCH_NODES``).  Before the total it prints how many of
+those nodes the Filon stretch left of u = -96 took: FCC nodes, envelope
+samples of its wide panels, and the widest panel, in pi-cells.  The exit
+status is 1 if any point fails.
 """
 
 import argparse
@@ -34,7 +37,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import numpy as np  # noqa: E402
 
-from qbmzeno import coefficients  # noqa: E402
+from qbmzeno import coefficients, numerics  # noqa: E402
 from qbmzeno.spectral import ReservoirParams  # noqa: E402
 from userbath import ExponentialOhmic  # noqa: E402
 
@@ -63,7 +66,24 @@ def main(argv=None) -> int:
 
         return semi_infinite(envelope, *a, **kw)
 
+    # The Filon stretch's share: FCC-25 nodes (25 a panel, in each batch's
+    # one rule call) and the samples of wide panels (their columns).
+    fcc_rules, wide_errors = numerics._fcc_rules, numerics._wide_errors
+    stretch = {"fcc": 0, "samples": 0, "widest": 0}
+
+    def counted_rules(g, lo, *a, **kw):
+        stretch["fcc"] += 25 * lo.size
+        return fcc_rules(g, lo, *a, **kw)
+
+    def counted_samples(errors, y, wide, *a):
+        wide = list(wide)
+        for (level, _), start, stop in wide:
+            stretch["samples"] += stop - start
+            stretch["widest"] = max(stretch["widest"], 2**-level)
+        return wide_errors(errors, y, wide, *a)
+
     coefficients.integrate_semi_infinite = counted
+    numerics._fcc_rules, numerics._wide_errors = counted_rules, counted_samples
     failures, worst = [], {"IDelta": 0.0, "Igamma": 0.0, "rate": 0.0}
     # floor(log10 tau) -> [points, nodes, seconds, worst Igamma error]
     decades = defaultdict(lambda: [0, 0, 0.0, 0.0])
@@ -96,6 +116,7 @@ def main(argv=None) -> int:
                 failures.append((point, f"rate off by {errs['rate']:.1e}"))
     finally:
         coefficients.integrate_semi_infinite = semi_infinite
+        numerics._fcc_rules, numerics._wide_errors = fcc_rules, wide_errors
 
     print(f"points {len(pool)}  failures {len(failures)} (raised, or rate off by > {args.rel:g})")
     for (r, theta, n, tau), why in failures:
@@ -104,6 +125,8 @@ def main(argv=None) -> int:
     print(f"{'tau decade':>12} {'points':>7} {'nodes':>11} {'time s':>7} {'Igamma err':>10}")
     for exponent, (count, decade_nodes, seconds, igamma) in sorted(decades.items()):
         print(f"{f'1e{exponent}':>12} {count:7d} {decade_nodes:11,} {seconds:7.2f} {igamma:10.2e}")
+    print(f"filon stretch: fcc nodes {stretch['fcc']:,}  samples {stretch['samples']:,}  "
+          f"widest panel {stretch['widest']} pi-cells")
     total_nodes = sum(d[1] for d in decades.values())
     total_time = sum(d[2] for d in decades.values())
     print(f"nodes {total_nodes:,}  calls {len(calls):,}  largest call {max(calls, default=0):,}  "
