@@ -42,6 +42,7 @@ exception and warning an integrand raises reaches the caller.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Generator, NamedTuple, Sequence
@@ -478,8 +479,8 @@ def _filon_weights(kernel: str, level: int) -> np.ndarray:
 @functools.cache
 def _sample_steps(level: int) -> np.ndarray:
     """Where a panel of 2**-level cells samples, as fractions of its width: the centres of its
-    _SAMPLES_PER_CELL 2**-level equal steps."""
-    samples = _SAMPLES_PER_CELL << -level
+    _filon_samples(level) equal steps."""
+    samples = int(_filon_samples(level))
     steps = (np.arange(samples) + 0.5) / samples
     steps.flags.writeable = False  # cached: every caller shares it
     return steps
@@ -501,6 +502,12 @@ def _sample_interpolation(level: int) -> np.ndarray:
 def _filon_level(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Each Filon panel's level: its half-width is (pi/2) 2**-level."""
     return np.rint(np.log2(_FILON_WIDTH / (hi - lo))).astype(np.intp)
+
+
+def _filon_samples(level):
+    """Envelope samples of a Filon panel of each ``level``: _SAMPLES_PER_CELL per cell of a
+    wide panel (level < 0, two pi-cells or more), none for a pi-wide or narrower one."""
+    return np.where(level < 0, _SAMPLES_PER_CELL << np.maximum(-level, 0), 0)
 
 
 def _filon_edges(lower: float, cells: int) -> np.ndarray:
@@ -580,16 +587,15 @@ def _panel_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, 
     per GK15 one), each batch filling its own columns.
     """
     fcc = hi <= filon_end
-    nodes = np.where(fcc, 25, 15)
-    wide = fcc & (hi - lo > 1.5 * _FILON_WIDTH)
-    if wide.any():
-        nodes[wide] += _SAMPLES_PER_CELL * np.rint((hi[wide] - lo[wide]) / _FILON_WIDTH).astype(np.intp)
-    ends = np.cumsum(nodes)
-    if ends[-1] <= _BATCH_NODES:
-        return _batch_values(evaluate, lo, hi, head, filon_end)
+    ends = None  # the running node count, needed only with Filon panels or past one batch
+    if 15 * lo.size > _BATCH_NODES or fcc.any():
+        nodes = np.where(fcc, 25, 15)
+        nodes[fcc] += _filon_samples(_filon_level(lo[fcc], hi[fcc]))
+        ends = np.cumsum(nodes)
     out, start = None, 0
     while start < lo.size:
-        stop = int(ends.searchsorted(_BATCH_NODES + (ends[start - 1] if start else 0), "right"))
+        stop = lo.size if ends is None else int(
+            ends.searchsorted(_BATCH_NODES + (ends[start - 1] if start else 0), "right"))
         values, errors = _batch_values(evaluate, lo[start:stop], hi[start:stop], head, filon_end)
         if out is None:
             out = np.empty((2, len(values), lo.size))
@@ -613,23 +619,23 @@ def _batch_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, 
         return _gk_rule(_evaluate_panels(evaluate, lo, hi), lo, hi)
     terms = head.terms
     fcc = hi <= filon_end
-    if not fcc.any():
-        u = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GK_NODES).ravel()
-        return _gk_rule((evaluate(u) * terms.rows(terms.head(u))).reshape(-1, lo.size, 15), lo, hi)
     gk = ~fcc
     lo_f, hi_f, lo_g, hi_g = lo[fcc], hi[fcc], lo[gk], hi[gk]
     width = hi_f - lo_f
-    groups = _level_groups(_filon_level(lo_f, hi_f))
-    wide = [(at_level, at) for at_level, at in groups if at_level < 0]
-    sizes = [25 * lo_f.size, *(width[at].size * (_SAMPLES_PER_CELL << -at_level) for at_level, at in wide)]
-    stops = np.cumsum(sizes).tolist()
+    stops = [0]  # where the FCC nodes' columns end, then each wide level's samples
+    if lo_f.size:
+        groups = _level_groups(_filon_level(lo_f, hi_f))
+        wide = [(at_level, at) for at_level, at in groups if at_level < 0]
+        stops = list(itertools.accumulate(
+            [25 * lo_f.size, *(width[at].size * int(_filon_samples(at_level)) for at_level, at in wide)]))
     u = np.empty(stops[-1] + 15 * lo_g.size)
-    np.add((0.5 * (lo_f + hi_f))[:, None], (0.5 * width)[:, None] * _FCC_NODES, out=u[:stops[0]].reshape(-1, 25))
-    for (at_level, at), start, stop in zip(wide, stops, stops[1:]):
-        steps = _sample_steps(at_level)  # the centres of a panel's sample steps, panel by panel
-        samples = u[start:stop].reshape(-1, steps.size)
-        np.multiply(width[at, None], steps, out=samples)
-        samples += lo_f[at, None]
+    if lo_f.size:
+        np.add((0.5 * (lo_f + hi_f))[:, None], (0.5 * width)[:, None] * _FCC_NODES, out=u[:stops[0]].reshape(-1, 25))
+        for (at_level, at), start, stop in zip(wide, stops, stops[1:]):
+            steps = _sample_steps(at_level)  # the centres of a panel's sample steps, panel by panel
+            samples = u[start:stop].reshape(-1, steps.size)
+            np.multiply(width[at, None], steps, out=samples)
+            samples += lo_f[at, None]
     u_gk = u[stops[-1]:].reshape(-1, 15)
     np.add((0.5 * (lo_g + hi_g))[:, None], (0.5 * (hi_g - lo_g))[:, None] * _GK_NODES, out=u_gk)
     y = evaluate(u)
@@ -638,15 +644,17 @@ def _batch_values(evaluate, lo: np.ndarray, hi: np.ndarray, head: _Head | None, 
         out[..., gk] = _gk_rule(
             (y[:, stops[-1]:] * terms.rows(terms.head(u_gk.ravel()))).reshape(len(y), lo_g.size, 15), lo_g, hi_g
         )
-    u_fcc = u[:stops[0]]
-    both, g = 0.0, np.empty((len(y), u_fcc.size))
-    for smooth, shift, scale in zip(terms.smooth(u_fcc), terms.shifts, terms.scales):
-        np.multiply(y[:, :u_fcc.size], smooth, out=g)
-        both = both + scale * _fcc_rules(g.reshape(len(y), lo_f.size, 25), lo_f, hi_f, terms.kernel, shift, groups)
-    errors = np.abs(both[0] - both[1])
-    if wide:
-        _wide_errors(errors, y, zip(wide, stops, stops[1:]), terms, hi_f, width)
-    out[..., fcc] = both[0], errors
+    if lo_f.size:
+        u_fcc = u[:stops[0]]
+        both, g = 0.0, np.empty((len(y), u_fcc.size))
+        for smooth, shift, scale in zip(terms.smooth(u_fcc), terms.shifts, terms.scales):
+            np.multiply(y[:, :u_fcc.size], smooth, out=g)
+            both = both + scale * _fcc_rules(g.reshape(len(y), lo_f.size, 25), lo_f, hi_f, terms.kernel, shift,
+                                             groups)
+        errors = np.abs(both[0] - both[1])
+        if wide:
+            _wide_errors(errors, y, zip(wide, stops, stops[1:]), terms, hi_f, width)
+        out[..., fcc] = both[0], errors
     return out
 
 
@@ -694,12 +702,13 @@ def _children(lo: np.ndarray, hi: np.ndarray, lower: float, filon_end: float):
     the split as one bisection, so the cells keep about the budget that a
     first pass laying them would have left them.
     """
-    wide = (hi <= filon_end) & (hi - lo > 1.5 * _FILON_WIDTH)
+    level = _filon_level(lo, hi)
+    wide = (hi <= filon_end) & (level < 0)
     mid = 0.5 * (lo[~wide] + hi[~wide])
     if not wide.any():
         return np.concatenate([lo, mid]), np.concatenate([mid, hi])
     first = np.rint((lo[wide] - lower) / _FILON_WIDTH).astype(np.intp)
-    count = np.rint((hi[wide] - lo[wide]) / _FILON_WIDTH).astype(np.intp)
+    count = np.left_shift(1, -level[wide])
     cells = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
     return (np.concatenate([lo[~wide], mid, lower + _FILON_WIDTH * cells.astype(float)]),
             np.concatenate([mid, hi[~wide], lower + _FILON_WIDTH * (cells + 1).astype(float)]))

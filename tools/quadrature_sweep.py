@@ -66,14 +66,16 @@ def main(argv=None) -> int:
 
         return semi_infinite(envelope, *a, **kw)
 
-    # The Filon stretch's share: FCC-25 nodes (25 a panel, in each batch's
-    # one rule call) and the samples of wide panels (their columns).
-    fcc_rules, wide_errors = numerics._fcc_rules, numerics._wide_errors
+    # The Filon stretch's share: FCC-25 nodes (25 a Filon panel, counted
+    # once per batch; its rule runs once per kernel term on them) and the
+    # samples of wide panels (their columns).
+    batch_values, wide_errors = numerics._batch_values, numerics._wide_errors
     stretch = {"fcc": 0, "samples": 0, "widest": 0}
 
-    def counted_rules(g, lo, *a, **kw):
-        stretch["fcc"] += 25 * lo.size
-        return fcc_rules(g, lo, *a, **kw)
+    def counted_batch(evaluate, lo, hi, head, filon_end):
+        if head is not None:
+            stretch["fcc"] += 25 * int(np.count_nonzero(hi <= filon_end))
+        return batch_values(evaluate, lo, hi, head, filon_end)
 
     def counted_samples(errors, y, wide, *a):
         wide = list(wide)
@@ -83,7 +85,7 @@ def main(argv=None) -> int:
         return wide_errors(errors, y, wide, *a)
 
     coefficients.integrate_semi_infinite = counted
-    numerics._fcc_rules, numerics._wide_errors = counted_rules, counted_samples
+    numerics._batch_values, numerics._wide_errors = counted_batch, counted_samples
     failures, worst = [], {"IDelta": 0.0, "Igamma": 0.0, "rate": 0.0}
     # floor(log10 tau) -> [points, nodes, seconds, worst Igamma error]
     decades = defaultdict(lambda: [0, 0, 0.0, 0.0])
@@ -116,7 +118,7 @@ def main(argv=None) -> int:
                 failures.append((point, f"rate off by {errs['rate']:.1e}"))
     finally:
         coefficients.integrate_semi_infinite = semi_infinite
-        numerics._fcc_rules, numerics._wide_errors = fcc_rules, wide_errors
+        numerics._batch_values, numerics._wide_errors = batch_values, wide_errors
 
     print(f"points {len(pool)}  failures {len(failures)} (raised, or rate off by > {args.rel:g})")
     for (r, theta, n, tau), why in failures:
