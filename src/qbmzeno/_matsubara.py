@@ -785,10 +785,18 @@ def _theta0_small(kernel: _Kernel, rows, poles) -> np.ndarray:
 def _thermal(wc: float, theta: float) -> tuple:
     """A cell's constants at theta > 0: the Matsubara step 2 pi theta, the bound
     k_series past which the 1/nu series of G holds, step^-m of the zeta tails
-    and tanh(1 / 2 theta) of the Markovian Delta_M."""
+    and tanh(1 / 2 theta) of the Markovian Delta_M.
+
+    k_series is capped at _MAX_TERMS + 1 (past the cap Gregory's formula
+    completes every row), and the zeta tails are read only by direct rows,
+    whose step is at least _SERIES_MARGIN / _MAX_TERMS: their scale takes
+    that floor, so step^-m stays finite at the smallest theta.
+    """
     step = 2.0 * np.pi * theta
-    k_series = float(max(math.ceil(_SERIES_MARGIN * max(1.0, wc) / step), 1))
-    return step, k_series, step**_NEG_ORDERS, math.tanh(0.5 / theta)
+    bound = min(_SERIES_MARGIN * max(1.0, wc) / step, _MAX_TERMS + 1.0)
+    k_series = float(max(math.ceil(bound), 1))
+    scale = max(step, _SERIES_MARGIN / _MAX_TERMS) ** _NEG_ORDERS
+    return step, k_series, scale, math.tanh(0.5 / theta)
 
 
 def _matsubara_sums(kernel: _Kernel, step, k_series, scale) -> np.ndarray:
@@ -798,7 +806,9 @@ def _matsubara_sums(kernel: _Kernel, step, k_series, scale) -> np.ndarray:
     the zeta tail completes the direct sum; where the bound is over the
     cap, Gregory's formula does.
     """
-    k_exp = np.ceil(_EXP_CUT / (kernel.at(step, _ALL) * kernel.t))
+    # Capped at _MAX_TERMS + 1 (a Gregory row either way), so tiny step * t stays finite.
+    k_exp = np.ceil(_EXP_CUT / np.maximum(kernel.at(step, _ALL) * kernel.t,
+                                          _EXP_CUT / (_MAX_TERMS + 1)))
     last = np.maximum(k_exp, kernel.at(k_series, _ALL))
     direct = last <= _MAX_TERMS
     if np.count_nonzero(direct) == len(last):  # a single time is one of these, or Gregory's

@@ -11,7 +11,8 @@ Subcommands
 Exit codes: 0 ok, 2 config error (overflowing inputs too), 4 degenerate
 Markovian rate (AZE-divergent), 5 perturbative breakdown.  Commands compute
 before writing temp files renamed on success: failures leave no partial
-files.  QBMZENO_OUT overrides a configured output directory, --out both.
+files.  Flags are the only input: a run's settings are the RunConfig
+defaults overlaid by the flags its command sets.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -36,48 +36,10 @@ from .spectral import ReservoirParams
 
 __all__ = ["GridConfig", "OutputConfig", "RunConfig", "main"]
 
-_ENV_OUT = "QBMZENO_OUT"
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 4
 EXIT_PERTURBATIVE = 5
-
-
-def _number(value) -> float | None:
-    """A JSON number as a float (an integer too), or None if it is not one or overflows."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return None
-
-
-def _config_value(field: str, kind: str, value):
-    """A config file's ``value`` for a field declared as ``kind``, or ValueError naming the field.
-
-    An int field takes an integer only (not true or false), a bool field
-    true or false only, and a float field (and each entry of a
-    list[float] one) any number that fits a double, as a float.
-    """
-    typed = value
-    if kind == "float":
-        typed, want = _number(value), "a number that fits a double"
-        ok = typed is not None
-    elif kind == "list[float]":
-        typed = [_number(v) for v in value] if isinstance(value, list) else None
-        want = "a list of numbers that fit a double"
-        ok = typed is not None and None not in typed
-    elif kind == "int":
-        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif kind == "bool":
-        ok, want = isinstance(value, bool), "true or false"
-    else:
-        ok, want = isinstance(value, str), "a string"
-    if not ok:
-        raise ValueError(f"{field} must be {want}, got {json.dumps(value)}")
-    return typed
 
 
 @dataclass
@@ -128,39 +90,6 @@ class RunConfig:
     grids: GridConfig = field(default_factory=GridConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def to_dict(self, read) -> dict:
-        """Each section's fields that are named in ``read``."""
-        return {
-            name: {k: v for k, v in dataclasses.asdict(section).items() if k in read}
-            for name, section in vars(self).items()
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, args: argparse.Namespace) -> "RunConfig":
-        """The defaults overlaid by ``data``, then by the flags set in ``args``;
-        ``data`` may set only the fields behind the flags of ``args.command``."""
-        sections, read = dict(vars(cls())), vars(args)
-        if not isinstance(data, dict):
-            raise ValueError(f"a config file holds a JSON object, not {type(data).__name__}")
-        unknown = sorted(set(data) - set(sections))
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        for name, default in sections.items():
-            fields = {f.name for f in dataclasses.fields(default)} & set(read)
-            given = data.get(name, {})
-            if not isinstance(given, dict):
-                raise ValueError(f"config section {name} must be a JSON object, "
-                                 f"not {type(given).__name__}")
-            unread = [key for key in given if key not in fields]
-            if unread:
-                raise ValueError(f"{name}.{unread[0]} is not read by {args.command}")
-            kinds = {f.name: f.type for f in dataclasses.fields(default)}
-            given = {key: _config_value(f"{name}.{key}", kinds[key], value)
-                     for key, value in given.items()}
-            flags = {key: read[key] for key in fields if read[key] is not None}
-            sections[name] = dataclasses.replace(default, **{**given, **flags})
-        return cls(**sections)
-
 
 def _write_table(
     out: Path,
@@ -194,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser: each command takes only the flags it reads.
 
     Every flag that sets a config value has that RunConfig field as its
-    dest, so the parsed namespace names the fields a command reads.
+    dest, so the parsed namespace names the fields a command reads, and
+    an unset flag is None there (``_merge_config`` keeps the default).
     Built once per process and shared, so callers must not change it:
     ``parse_args`` leaves the parser as it was and makes a fresh
     namespace per call, so nothing carries over from one ``main`` call
@@ -225,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("csv", "json", "both"), help="output format")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", dest="directory", metavar="DIR", help="output directory")
-    output.add_argument("--config", type=str, help="JSON config file mirroring RunConfig")
-    output.add_argument("--dump-config", action="store_true",
-                        help="print the effective config as JSON and exit")
 
     parser = argparse.ArgumentParser(
         prog="qbmzeno",
@@ -252,15 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """The run's config; for a run that writes (not --dump-config), its output
-    directory is made if missing and checked to be writable."""
-    data = json.loads(Path(args.config).read_text()) if args.config else {}
-    cfg = RunConfig.from_dict(data, args)
-    if args.directory is None and os.environ.get(_ENV_OUT):
-        cfg.output = dataclasses.replace(cfg.output, directory=os.environ[_ENV_OUT])
-    if args.dump_config:
-        return cfg
-
+    """The run's config: each section's defaults overlaid by the flags set in
+    ``args``.  Its output directory is made if missing and checked to be writable."""
+    read = vars(args)
+    sections = {
+        name: dataclasses.replace(default, **{
+            f.name: read[f.name] for f in dataclasses.fields(default)
+            if read.get(f.name) is not None})
+        for name, default in vars(RunConfig()).items()
+    }
+    cfg = RunConfig(**sections)
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not os.access(out_dir, os.W_OK):
@@ -420,13 +348,9 @@ def main(argv=None) -> int:
     try:
         _check_command_inputs(args)
         cfg = _merge_config(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.dump_config:
-        print(json.dumps(cfg.to_dict(vars(args)), indent=2))
-        return EXIT_OK
 
     try:
         if args.command == "coeffs":

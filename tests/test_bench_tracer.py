@@ -2,12 +2,16 @@
 
 ``bench/tracing.py`` wraps library names where they are called; a change
 that drops one of them would otherwise break only traced benchmark runs.
-``bench/`` is loaded read-only (no bytecode written under it).
+One round of each workload that runs the CLI passes the workload's own
+check.  ``bench/`` is loaded read-only (no bytecode written under it).
 """
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from qbmzeno.coefficients import integrated_pair
 from qbmzeno.spectral import OhmicLorentzDrude, ReservoirParams
@@ -43,3 +47,18 @@ def test_tracer_installs_and_restores_every_patched_name(monkeypatch):
         tracer.uninstall()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", ["crossover-map", "ion-protocol"])
+def test_cli_workload_round_passes_its_own_check(name, seed, tmp_path, monkeypatch):
+    # These two workloads call cli.main every round; a round that raises,
+    # exits nonzero or writes wrong values would otherwise show only when
+    # the benchmark runs.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, "userbath", _load_bench("userbath", monkeypatch))
+    workloads = _load_bench("workloads", monkeypatch)
+    workload = workloads.make(name, seed, workloads.load_reference(), tmp_path)
+    result = workload.run_round(time.perf_counter)
+    outcomes = workload.check(result["outputs"]).as_dict()
+    assert outcomes["failed"] == 0 and outcomes["attempted"] > 0, outcomes

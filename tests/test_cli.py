@@ -50,48 +50,6 @@ SETTING_ARGV = {
     "--format": [["--format", "json"]],
 }
 COMMAND_ARGV = {"ion": ["ion", "--tau", "0.25", "--N", "3"]}
-# The config fields each command does not read, and a valid value of each.
-UNREAD_FIELDS = {
-    "coeffs": ["grids.tau_min", "grids.tau_max", "grids.tau_points", "grids.log_spaced",
-               "grids.map_r", "grids.map_theta"],
-    "scan": ["grids.t_max", "grids.t_points", "grids.map_r", "grids.map_theta"],
-    "fig1": ["params.r", "params.theta", "grids.t_max", "grids.t_points", "grids.map_r",
-             "grids.map_theta"],
-    "ion": ["grids.tau_min", "grids.tau_max", "grids.tau_points", "grids.log_spaced",
-            "grids.t_max", "grids.t_points", "grids.map_r", "grids.map_theta", "output.format"],
-    "crossover-map": ["params.r", "params.theta", "grids.log_spaced", "grids.t_max",
-                      "grids.t_points"],
-}
-FIELD_VALUE = {
-    "r": 0.5, "theta": 1.0, "tau_min": 0.01, "tau_max": 10.0, "tau_points": 8,
-    "log_spaced": False, "t_max": 3.0, "t_points": 5, "map_r": [0.5], "map_theta": [1.0],
-    "format": "json",
-}
-ALL_FIELDS = {
-    *(f"params.{f}" for f in ("r", "theta", "alpha", "omega0")),
-    *(f"grids.{f}" for f in ("tau_min", "tau_max", "tau_points", "log_spaced", "t_max",
-                             "t_points", "map_r", "map_theta")),
-    "output.directory", "output.format",
-}
-
-
-# Config values of the wrong type: (command, section, field, value, what the field takes).
-WRONG_TYPES = [
-    ("scan", "grids", "tau_points", 20.5, "an integer"),
-    ("coeffs", "grids", "t_points", True, "an integer"),
-    ("scan", "grids", "log_spaced", "no", "true or false"),
-    ("fig1", "grids", "log_spaced", 0, "true or false"),
-    ("crossover-map", "grids", "map_r", 1.0, "a list of numbers that fit a double"),
-    ("crossover-map", "grids", "map_theta", [0, "1"], "a list of numbers that fit a double"),
-    ("scan", "params", "r", "1", "a number that fits a double"),
-    ("fig1", "params", "alpha", None, "a number that fits a double"),
-    ("coeffs", "params", "theta", False, "a number that fits a double"),
-    ("scan", "grids", "tau_max", 10**400, "a number that fits a double"),
-    ("scan", "output", "format", 3, "a string"),
-    ("coeffs", "output", "directory", ["out"], "a string"),
-]
-
-
 def run(argv):
     return main(argv)
 
@@ -128,34 +86,38 @@ def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     cli.build_parser.cache_clear()
     try:
-        assert run(["scan", "--dump-config"]) == 0
+        # Each run stops at a flag's config error, before any output.
+        assert run(["scan", "--r", "-1", "--out", str(tmp_path)]) == 2
         first = len(built)
         assert first and built.count("qbmzeno") == 1
-        assert run(["coeffs", "--dump-config", "--out", str(tmp_path)]) == 0
+        assert run(["coeffs", "--alpha", "inf", "--out", str(tmp_path)]) == 2
         assert len(built) == first
     finally:
         cli.build_parser.cache_clear()
-    capsys.readouterr()
+    assert capsys.readouterr().err.count("config error: ") == 2
+    assert not list(tmp_path.iterdir())
 
 
-def test_a_cached_parser_carries_nothing_from_one_run_to_the_next(tmp_path, capsys):
-    assert run(["crossover-map", "--n", "3", "--alpha", "0.1", "--map-r", "0.5",
-                "--map-theta", "100", "--tau-points", "8", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert run(["scan", "--dump-config"]) == 0
-    dumped = json.loads(capsys.readouterr().out)
-    fields = {f"{section}.{key}" for section, values in dumped.items() for key in values}
-    assert fields == ALL_FIELDS - set(UNREAD_FIELDS["scan"])
-    assert dumped["grids"]["tau_points"] == cli.RunConfig().grids.tau_points
+def test_a_cached_parser_carries_nothing_from_one_run_to_the_next(tmp_path):
+    assert run(["crossover-map", "--n", "3", "--alpha", "0.2", "--map-r", "0.5",
+                "--map-theta", "100", "--tau-points", "8", "--out", str(tmp_path / "map")]) == 0
+    argv = ["scan", "--out", str(tmp_path)]
+    args = cli.build_parser().parse_args(argv)
+    # The namespace names exactly what scan reads, every setting unset but --out.
+    assert vars(args) == {
+        "command": "scan", "n": 0, "directory": str(tmp_path),
+        **dict.fromkeys(["r", "theta", "alpha", "omega0", "tau_min", "tau_max",
+                         "tau_points", "log_spaced", "format"]),
+    }
+    assert cli._merge_config(args) == cli.RunConfig(
+        output=cli.OutputConfig(directory=str(tmp_path)))
     cli.build_parser.cache_clear()
-    assert run(["scan", "--dump-config"]) == 0
-    assert json.loads(capsys.readouterr().out) == dumped
+    assert cli.build_parser().parse_args(argv) == args
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS.values(), ids=README_COMMANDS.keys())
 def test_readme_command_runs_clean_with_warnings_as_errors(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("QBMZENO_OUT", None)
     result = subprocess.run(
         [sys.executable, "-W", "error", "-m", "qbmzeno.cli", *argv, "--out", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300,
@@ -567,57 +529,6 @@ class TestCrossoverMap:
 
 
 class TestConfigHandling:
-    @pytest.mark.parametrize("command", README_COMMANDS)
-    def test_dump_config_round_trip(self, command, tmp_path, capsys):
-        # The dump holds exactly the fields the command reads, and reads back.
-        argv = README_COMMANDS[command]
-        assert run([*argv, "--out", str(tmp_path), "--dump-config"]) == 0
-        dumped = capsys.readouterr().out
-        fields = {f"{section}.{key}" for section, values in json.loads(dumped).items()
-                  for key in values}
-        assert fields == ALL_FIELDS - set(UNREAD_FIELDS[command])
-        cfg_file = tmp_path / "config.json"
-        cfg_file.write_text(dumped)
-        assert run([*COMMAND_ARGV.get(command, [command]), "--config", str(cfg_file),
-                    "--dump-config"]) == 0
-        assert json.loads(capsys.readouterr().out) == json.loads(dumped)
-
-    @pytest.mark.parametrize("command, field", [
-        (command, field) for command, fields in UNREAD_FIELDS.items() for field in fields
-    ], ids=lambda value: value.split(".")[-1])
-    def test_unread_config_fields_are_refused(self, command, field, tmp_path, capsys):
-        section, key = field.split(".")
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({section: {key: FIELD_VALUE[key]}}))
-        out = tmp_path / "out"
-        assert run([*COMMAND_ARGV.get(command, [command]), "--config", str(cfg),
-                    "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"config error: {field} is not read by {command}\n"
-        assert not out.exists()
-
-    def test_config_section_overlays_the_defaults_field_by_field(self, tmp_path, capsys):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"params": {"alpha": 0.2}, "grids": {"tau_points": 8}}))
-        assert run(["fig1", "--config", str(cfg), "--tau-max", "10", "--dump-config"]) == 0
-        dumped = json.loads(capsys.readouterr().out)
-        assert dumped["params"] == {"alpha": 0.2, "omega0": 1.0}
-        assert dumped["grids"] == {"tau_min": 1e-3, "tau_max": 10.0, "tau_points": 8,
-                                   "log_spaced": True}
-
-    def test_bad_config_exit_code(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert run(["scan", "--config", str(bad)]) == 2
-
-    def test_removed_quadrature_key_is_a_config_error(self, tmp_path, capsys):
-        cfg = tmp_path / "old.json"
-        cfg.write_text(json.dumps({
-            "params": {"r": 0.5, "theta": 100.0, "alpha": 0.1},
-            "quadrature": {"abs_tol": 1e-14},
-        }))
-        assert run(["coeffs", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "quadrature" in capsys.readouterr().err
-
     def test_invalid_params_exit_code(self, tmp_path):
         assert run(["scan", "--r", "-1", "--out", str(tmp_path)]) == 2
 
@@ -629,35 +540,6 @@ class TestConfigHandling:
         assert run(["crossover-map", f"{flag}={value}", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: " + flag[2:].replace("-", "_"))
         assert not list(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("command, section, key, value, want", WRONG_TYPES, ids=[
-        f"{command}-{section}.{key}-{type(value).__name__}"
-        for command, section, key, value, _ in WRONG_TYPES])
-    def test_config_values_of_the_wrong_type_are_config_errors(
-            self, command, section, key, value, want, tmp_path, capsys):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({section: {key: value}}))
-        out = tmp_path / "out"
-        assert run([*COMMAND_ARGV.get(command, [command]), "--config", str(cfg),
-                    "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: {section}.{key} must be {want}, got {json.dumps(value)}\n")
-        assert not out.exists()
-
-    def test_integer_config_values_of_float_fields_are_floats(self, tmp_path, capsys):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"params": {"r": 2, "theta": 0},
-                                   "grids": {"tau_min": 1, "tau_max": 10}}))
-        assert run(["scan", "--config", str(cfg), "--dump-config"]) == 0
-        dumped = json.loads(capsys.readouterr().out)
-        assert [dumped["params"][k] for k in ("r", "theta")] == [2.0, 0.0]
-        assert all(isinstance(dumped["grids"][k], float) for k in ("tau_min", "tau_max"))
-
-    def test_empty_map_in_config_is_a_config_error(self, tmp_path, capsys):
-        cfg = tmp_path / "empty.json"
-        cfg.write_text(json.dumps({"grids": {"map_r": []}}))
-        assert run(["crossover-map", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("config error: map_r")
 
     @pytest.mark.parametrize("argv", [
         ["coeffs"], ["scan"], ["fig1"], ["ion", "--tau", "0.25", "--N", "3"], ["crossover-map"],
@@ -681,33 +563,6 @@ class TestConfigHandling:
             assert exc.value.code == 2
             assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
             assert not out.exists()
-
-    @pytest.mark.parametrize("content, message", [
-        (["params"], "a config file holds a JSON object, not list"),
-        ("params", "a config file holds a JSON object, not str"),
-        (None, "a config file holds a JSON object, not NoneType"),
-        ({"params": ["x"]}, "config section params must be a JSON object, not list"),
-        ({"grids": 1}, "config section grids must be a JSON object, not int"),
-        ({"output": None}, "config section output must be a JSON object, not NoneType"),
-    ], ids=["list", "string", "null", "params-list", "grids-number", "output-null"])
-    def test_config_that_is_not_an_object_is_a_config_error(self, content, message, tmp_path,
-                                                            capsys):
-        # Once an AttributeError traceback (a list), or "params.x is not
-        # read by scan" for a section holding a list.
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(content))
-        out = tmp_path / "out"
-        assert run(["scan", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not out.exists()
-
-    def test_jobs_in_config_is_a_config_error(self, tmp_path, capsys):
-        cfg = tmp_path / "jobs.json"
-        cfg.write_text(json.dumps({"jobs": 2}))
-        out = tmp_path / "out"
-        assert run(["crossover-map", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "config error: unknown config key(s): jobs\n"
-        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["ion", "--tau", "0.25", "--N", "0"],
@@ -777,27 +632,6 @@ class TestConfigHandling:
             warnings.simplefilter("error" if strict else "default")
             assert run([*argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
-        assert not list(tmp_path.iterdir())
-
-    def test_environment_output_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QBMZENO_OUT", str(tmp_path / "envdir"))
-        code = run([
-            "coeffs", "--r", "0.5", "--theta", "0", "--alpha", "0.1",
-            "--t-max", "1", "--points", "4",
-        ])
-        assert code == 0
-        assert (tmp_path / "envdir" / "coefficients.csv").exists()
-
-    def test_dump_config_makes_no_output_directory(self, tmp_path, monkeypatch, capsys):
-        # Nothing is written, so neither a new --out nor a new QBMZENO_OUT is made.
-        out = tmp_path / "new"
-        assert run(["scan", "--dump-config", "--out", str(out)]) == 0
-        assert json.loads(capsys.readouterr().out)["output"]["directory"] == str(out)
-        assert not out.exists()
-        monkeypatch.setenv("QBMZENO_OUT", str(tmp_path / "envdir"))
-        assert run(["scan", "--dump-config"]) == 0
-        assert json.loads(capsys.readouterr().out)["output"]["directory"] == str(
-            tmp_path / "envdir")
         assert not list(tmp_path.iterdir())
 
     def test_no_leftover_temp_files(self, tmp_path):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qbmzeno import _matsubara, coefficients, numerics
+from qbmzeno.cli import main
 from qbmzeno.coefficients import _pairs, coefficient_pair, integrated_pair
 from qbmzeno.spectral import OhmicLorentzDrude, ReservoirParams
 from qbmzeno.zeno import (
@@ -437,6 +438,40 @@ class TestCompletionBoundary:
             fine = _matsubara._tail_integrals(kernel, rows, lower)
             monkeypatch.undo()
             assert np.all(np.abs(coarse - fine) <= 1e-15 * np.abs(fine)), (kernel.t, coarse, fine)
+
+
+class TestVanishingTemperature:
+    """0 < theta < 6.1e-17, where (2 pi theta)^-20 overflows, down to 1e-300:
+    the coefficients are theta = 0's, and no bound or scale overflows."""
+
+    THETAS = (6e-17, 1e-17, 1e-50, 1e-100, 1e-300)
+
+    @pytest.mark.parametrize("r", [0.05, 0.5, 1.0, 3.0, 20.0])
+    def test_coefficients_are_the_zero_temperature_ones(self, r):
+        times = np.geomspace(1e-4, 1e4, 17)
+        for pair in (coefficient_pair, integrated_pair):
+            cold = ReservoirParams(r=r, theta=0.0, alpha=0.1)
+            want = np.array([pair(cold, cold.spectral_model(), t) for t in times])
+            for theta in self.THETAS:
+                params = ReservoirParams(r=r, theta=theta, alpha=0.1)
+                got = np.array([pair(params, params.spectral_model(), t) for t in times])
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (pair, theta)
+
+    @pytest.mark.parametrize("r", [0.5, 1e6])
+    def test_bounds_past_the_double_range_take_gregory(self, r):
+        # At theta = 1e-303, 40 / (step t) overflows for t below about 3e-5
+        # and, at r = 1e6, 8 r / step does too; theta = 1e-100 is far from both.
+        times = [1e-10, 1e-8, 1e-4, 1.0, 1e4]
+        far, tiny = (ReservoirParams(r=r, theta=theta, alpha=0.1) for theta in (1e-100, 1e-303))
+        for pair in (coefficient_pair, integrated_pair):
+            want = [pair(far, far.spectral_model(), t) for t in times]
+            got = [pair(tiny, tiny.spectral_model(), t) for t in times]
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0), (pair, got, want)
+
+    def test_cold_ground_state_scan_is_degenerate(self, tmp_path):
+        # As at theta = 0, not a config error.
+        assert main(["scan", "--n", "0", "--r", "0.5", "--theta", "1e-17", "--alpha", "0.1",
+                     "--tau-points", "12", "--out", str(tmp_path)]) == 4
 
 
 class QuadratureLorentzDrude(OhmicLorentzDrude):

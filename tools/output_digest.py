@@ -50,7 +50,6 @@ def run_all(root: Path) -> list[str]:
     """Run every command into root/<name>; returns the printed lines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    env.pop("QBMZENO_OUT", None)
     lines = []
     for name, argv in RUNS:
         out = root / name
