@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -50,6 +51,40 @@ SETTING_ARGV = {
     "--format": [["--format", "json"]],
 }
 COMMAND_ARGV = {"ion": ["ion", "--tau", "0.25", "--N", "3"]}
+# Each settings flag: its RunConfig section and field, argv text (None for a
+# switch) and the value it sets, of the default's type.
+FLAG_FIELD = {
+    "--r": ("params", "r", "0.5", 0.5),
+    "--theta": ("params", "theta", "2", 2.0),
+    "--alpha": ("params", "alpha", "0.2", 0.2),
+    "--omega0": ("params", "omega0", "2", 2.0),
+    "--tau-min": ("grids", "tau_min", "1e-2", 0.01),
+    "--tau-max": ("grids", "tau_max", "10", 10.0),
+    "--tau-points": ("grids", "tau_points", "8", 8),
+    "--log": ("grids", "log_spaced", None, True),
+    "--linear": ("grids", "log_spaced", None, False),
+    "--t-max": ("grids", "t_max", "3", 3.0),
+    "--points": ("grids", "t_points", "5", 5),
+    "--map-r": ("grids", "map_r", "0.5,2", [0.5, 2.0]),
+    "--map-theta": ("grids", "map_theta", "0,1", [0.0, 1.0]),
+    "--format": ("output", "format", "json", "json"),
+    "--out": ("output", "directory", "new", "new"),
+}
+# The flags that are command inputs, not RunConfig fields.
+INPUT_FLAGS = {"-h", "--help", "--n", "--tau", "--N"}
+
+
+def _settings_flags():
+    """(command, flag) for every settings flag of every command, from the parser."""
+    subparsers = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return [(name, flag) for name, sub in subparsers.choices.items()
+            for action in sub._actions for flag in action.option_strings
+            if flag not in INPUT_FLAGS]
+
+
 def run(argv):
     return main(argv)
 
@@ -563,6 +598,49 @@ class TestConfigHandling:
             assert exc.value.code == 2
             assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", _settings_flags(),
+                             ids=lambda value: value.replace("--", ""))
+    def test_each_flag_sets_only_its_own_field(self, command, flag, tmp_path, monkeypatch):
+        # The run's config is the defaults with this one field replaced,
+        # by a value of the default's type (an integer text gives a float).
+        monkeypatch.chdir(tmp_path)
+        section, name, text, want = FLAG_FIELD[flag]
+        argv = [*COMMAND_ARGV.get(command, [command]), flag, *([] if text is None else [text])]
+        cfg = cli._merge_config(cli.build_parser().parse_args(argv))
+        default = cli.RunConfig()
+        assert cfg == dataclasses.replace(default, **{
+            section: dataclasses.replace(getattr(default, section), **{name: want})})
+        assert repr(getattr(getattr(cfg, section), name)) == repr(want)
+        assert [p.name for p in tmp_path.iterdir()] == (["new"] if flag == "--out" else [])
+
+    @pytest.mark.parametrize("command, flag, text", [
+        ("scan", "--tau-points", "20.5"),
+        ("coeffs", "--points", "20.5"),
+        ("scan", "--n", "1.5"),
+        ("ion", "--N", "2.5"),
+        ("scan", "--r", "one"),
+        ("coeffs", "--theta", ""),
+        ("fig1", "--alpha", "0.1x"),
+        ("ion", "--omega0", "1,2"),
+        ("scan", "--tau-min", "1e-3s"),
+        ("fig1", "--tau-max", "ten"),
+        ("coeffs", "--t-max", "1/2"),
+        ("ion", "--tau", "0.25s"),
+        ("scan", "--format", "xml"),
+        ("crossover-map", "--map-r", "0.5,a"),
+        ("crossover-map", "--map-theta", "1;2"),
+        ("crossover-map", "--map-r", ""),
+    ], ids=lambda value: value.replace("--", "") or "empty")
+    def test_flag_values_that_do_not_parse_are_refused(self, command, flag, text, tmp_path,
+                                                       capsys):
+        # argparse refuses the value (exit 2) before any config is built.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([*COMMAND_ARGV.get(command, [command]), flag, text, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["ion", "--tau", "0.25", "--N", "0"],
